@@ -29,7 +29,10 @@ from .words import Word, parse_word_argument
 
 
 def _parse_vertex(text: str):
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise DomainError(f"vertex {text!r} is not comma-separated integers")
 
 
 def _emit(doc: dict, args, wall: float):
@@ -405,7 +408,7 @@ def main(argv=None) -> int:
             ap.print_help()
             return 2
         return args.fn(args)
-    except (ValidationError, DomainError) as e:
+    except (ValidationError, DomainError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

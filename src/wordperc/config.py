@@ -14,6 +14,7 @@ without sampling provenance p is written as NaN and the seeds as 0.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -142,16 +143,30 @@ def write_wpc(cfg: Configuration, path: str):
 
 def read_wpc(path: str) -> Configuration:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def take(fmt):
+            n = struct.calcsize(fmt)
+            data = f.read(n)
+            if len(data) != n:
+                raise DomainError(f"{path}: truncated WPC1 file")
+            return struct.unpack(fmt, data)
+
         if f.read(4) != _MAGIC:
             raise DomainError(f"{path}: not a WPC1 file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = take("<I")
         if version != 1:
             raise DomainError(f"{path}: unsupported version {version}")
-        (dim,) = struct.unpack("<I", f.read(4))
-        intervals = tuple(struct.unpack("<qq", f.read(16)) for _ in range(dim))
+        (dim,) = take("<I")
+        intervals = tuple(take("<qq") for _ in range(dim))
         region = Region(intervals)
-        p, seed, stream = struct.unpack("<dQQ", f.read(24))
+        p, seed, stream = take("<dQQ")
         n_words = (region.volume + 63) // 64
-        words = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(n_words))
+        if size != f.tell() + 8 * n_words:
+            raise DomainError(
+                f"{path}: header volume {region.volume} needs {8 * n_words} bytes "
+                f"of bits, file holds {size - f.tell()}"
+            )
+        words = take(f"<{n_words}Q")
         prov = None if math.isnan(p) else Provenance(p, seed, stream)
         return Configuration(region, words, prov)

@@ -79,6 +79,8 @@ class Region:
 
     def rank(self, pt: Point) -> int:
         """Index of pt in rank order (first coordinate fastest)."""
+        if len(pt) != len(self.intervals):
+            raise DomainError(f"point {pt} does not have {len(self.intervals)} coordinates")
         r = 0
         stride = 1
         for x, (lo, hi) in zip(pt, self.intervals):
@@ -168,6 +170,23 @@ def neighbor_ranks(intervals) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def neighbor_steps(intervals) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """neighbor_ranks as plain-int offsets, for scalar loops, where numpy
+    element access is slow: the in-region neighbors of rank r are r + s
+    for s in steps[kind[r]], in neighbor_ranks order.  kind[r] is the
+    bitmask of r's in-region neighbor columns, a small int, so the table
+    holds no per-rank tuples."""
+    table = neighbor_ranks(intervals)
+    inside = table >= 0
+    step = table - np.arange(len(table))[:, None]  # constant down a column where inside
+    offsets = [int(step[inside[:, j], j][0]) if inside[:, j].any() else 0
+               for j in range(table.shape[1])]
+    kind = (inside << np.arange(table.shape[1])).sum(axis=1).tolist()
+    steps = {c: tuple(o for j, o in enumerate(offsets) if c >> j & 1) for c in set(kind)}
+    return kind, steps
+
+
 def neighbors(v: Point, region: Region) -> list[Point]:
     """Lattice neighbors of v inside region, lexicographically ordered."""
     if not region.contains(v):
@@ -201,22 +220,6 @@ def inner_boundary(lamb: Region, ambient: Region) -> set[Point]:
         if ahi > hi:
             mask |= pts[:, axis] == hi
     return {tuple(p) for p in pts[mask]}
-
-
-def boundary_mask(lamb: Region, ambient: Region) -> np.ndarray:
-    """Boolean rank-order mask version of inner_boundary (perf path)."""
-    if not lamb.issubset(ambient):
-        raise DomainError("lambda must be contained in the ambient region")
-    pts = lamb.points_array()
-    mask = np.zeros(lamb.volume, dtype=bool)
-    for axis in range(lamb.dim):
-        lo, hi = lamb.intervals[axis]
-        alo, ahi = ambient.intervals[axis]
-        if alo < lo:
-            mask |= pts[:, axis] == lo + 1
-        if ahi > hi:
-            mask |= pts[:, axis] == hi
-    return mask
 
 
 # -- standard regions --------------------------------------------------------

@@ -65,7 +65,10 @@ def parse_region_argument(text: str) -> Region:
     for part in args.split(","):
         if "=" in part:
             k, v = part.split("=", 1)
-            kv[k] = int(v)
+            try:
+                kv[k] = int(v)
+            except ValueError:
+                raise DomainError(f"region argument {text!r}: {k} must be an integer")
     return region_from_spec({"kind": name, **kv})
 
 
@@ -102,16 +105,32 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict, out=None) -> "ExperimentSpec":
-        return cls(d["kind"], dict(d["params"]), int(d["trials"]), int(d["seed"]), out)
+        if not isinstance(d, dict):
+            raise ValidationError(["a spec must be a JSON object"])
+        missing = [k for k in ("kind", "params", "trials", "seed") if k not in d]
+        if missing:
+            raise ValidationError([f"spec is missing {k!r}" for k in missing])
+        try:
+            return cls(d["kind"], dict(d["params"]), int(d["trials"]), int(d["seed"]), out)
+        except (TypeError, ValueError) as e:
+            raise ValidationError([f"malformed spec: {e}"])
 
 
 def validate(spec: ExperimentSpec) -> list[str]:
     """Every violated precondition, or an empty list."""
     v: list[str] = []
+    try:
+        _validate(spec, v)
+    except (TypeError, ValueError) as e:
+        v.append(f"malformed parameter: {e}")
+    return v
+
+
+def _validate(spec: ExperimentSpec, v: list[str]):
     p = spec.params
     if spec.kind not in KINDS:
         v.append(f"unknown kind {spec.kind!r}")
-        return v
+        return
     if spec.trials < 1:
         v.append("trials must be >= 1")
 
@@ -122,7 +141,7 @@ def validate(spec: ExperimentSpec) -> list[str]:
     def check_region(key="region"):
         try:
             return region_from_spec(p[key])
-        except (KeyError, DomainError) as e:
+        except (KeyError, TypeError, ValueError, DomainError) as e:
             v.append(f"bad region: {e}")
             return None
 
@@ -198,7 +217,6 @@ def validate(spec: ExperimentSpec) -> list[str]:
             v.append("m_list must hold nonnegative radii")
         if ms and R < max(int(m) for m in ms):
             v.append("R must cover every m")
-    return v
 
 
 # -- per-kind trial functions (module level so they pickle) -------------------

@@ -63,17 +63,3 @@ def connected_bruteforce(cfg: Configuration, S, region: Region | None = None) ->
         if cfg.bit_at(x) == 1:
             walk(x, {x})
     return reached
-
-
-def event_probability_exhaustive(region: Region, p: float, event) -> float:
-    """Exact P_p(event) by summing over all configurations of the region."""
-    from .config import enumerate_configs
-
-    total = 0.0
-    vol = region.volume
-    for cfg in enumerate_configs(region):
-        ones = cfg.ones_count()
-        weight = (p**ones) * ((1 - p) ** (vol - ones))
-        if event(cfg):
-            total += weight
-    return total

@@ -76,10 +76,6 @@ class RngStream:
     def uniform_block(self, start: int, count: int) -> np.ndarray:
         return (self.raw_block(start, count) >> np.uint64(11)).astype(np.float64) * _INV53
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Derived stream under the same master seed."""
-        return RngStream(self.master_seed, stream_id)
-
     # -- convenience draws used by samplers ---------------------------------
 
     def randint_below(self, n: int, i: int) -> int:

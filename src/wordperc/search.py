@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import Configuration
 from .errors import CapacityError, DomainError
-from .geometry import Region, neighbor_ranks
+from .geometry import Region, neighbor_ranks, neighbor_steps
 from .words import Word, WordGenerator, enumerate_words
 
 MAX_INDEX = 1 << 20
@@ -227,26 +227,26 @@ def one_connected_set(cfg: Configuration, S, region: Region | None = None, withi
     if region is not None and region.intervals != reg.intervals:
         raise DomainError("one_connected_set region must match the configuration")
     colors = cfg.bools()
-    mask = np.ones(reg.volume, dtype=bool) if within is None else np.asarray(within, bool)
-    nbr = neighbor_ranks(reg.intervals)
-    seen = np.zeros(reg.volume, dtype=bool)
-    frontier = []
+    if within is not None:
+        colors = colors & np.asarray(within, bool)
+    open_ = colors.tobytes()  # plain-int indexing for the scalar loop
+    kind, steps = neighbor_steps(reg.intervals)
+    seen = bytearray(reg.volume)
+    queue = []
     for v in S:
         if not reg.contains(v):
             raise DomainError(f"{v} outside region")
         r = reg.rank(v)
-        if colors[r] and mask[r] and not seen[r]:
-            seen[r] = True
-            frontier.append(r)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for u in nbr[r]:
-                if u >= 0 and not seen[u] and colors[u] and mask[u]:
-                    seen[u] = True
-                    nxt.append(u)
-        frontier = nxt
-    return {reg.unrank(int(r)) for r in np.nonzero(seen)[0]}
+        if open_[r] and not seen[r]:
+            seen[r] = 1
+            queue.append(r)
+    for r in queue:  # grows while it is walked: breadth-first order
+        for s in steps[kind[r]]:
+            u = r + s
+            if open_[u] and not seen[u]:
+                seen[u] = 1
+                queue.append(u)
+    return set(map(tuple, reg.points_array()[np.frombuffer(seen, bool)].tolist()))
 
 
 def distance_map(cfg: Configuration, S, within=None) -> dict[Point, int]:

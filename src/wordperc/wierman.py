@@ -18,21 +18,28 @@ Sources are handled by the same table at index 0 (so omega_tilde starts
 reading the word on the source itself).  The alternative convention that
 reads only from index 1 leaves the source's omega_tilde color an
 independent Bernoulli(p) draw; it is available via start_index=1.
-Undiscovered vertices are filled i.i.d. at the end, in rank order.
-Every random decision consumes the stream's next uniform, so identical
-inputs reproduce identical pairs bit for bit.
+Undiscovered vertices are filled i.i.d. at the end, in rank order, two
+uniforms each (omega, then omega_tilde).
+
+Draws: every vertex consumes at most two uniforms, so a pair takes all of
+them from one block, uniform_block(0, 2 * volume), in exploration order:
+one per table draw, two per start_index=1 source and per filled vertex.
+The block is bit-identical to scalar draws, so identical inputs reproduce
+identical pairs bit for bit.  Word letters are read lazily, each (word,
+index) once, so a finite Word that is too short fails only when the
+exploration actually reaches its end.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .config import Configuration, Provenance
 from .errors import DomainError
-from .geometry import Region, neighbor_ranks
+from .geometry import Region, neighbor_steps
 from .rng import RngStream
 from .search import one_connected_set
 from .words import Word, WordGenerator
@@ -61,9 +68,6 @@ class CoupledPair:
         self.words = words             # tuple aligned with sources
         self.start_index = start_index
         self.provenance = provenance
-
-    def explored_set(self):
-        return {self.region.unrank(int(r)) for r in np.nonzero(self._explored)[0]}
 
     def forest(self) -> dict:
         out = {}
@@ -99,6 +103,30 @@ def _letter(word, i: int) -> int:
     raise DomainError("words must be Word or WordGenerator instances")
 
 
+def _letter_rows(words) -> list[list[int]]:
+    """One lazily grown letter list per source; sources that share a word
+    object share its list."""
+    rows: dict[int, list[int]] = {}
+    return [rows.setdefault(id(w), []) for w in words]
+
+
+def _read(row: list[int], word, i: int) -> int:
+    """Letter i of word, first reading every letter not yet in row."""
+    while len(row) <= i:
+        row.append(_letter(word, len(row)))
+    return row[i]
+
+
+def _table(below_p: int, below_2p: int, letter: int) -> tuple[int, int]:
+    """The three-way coupling table: colors (omega, omega_tilde) from a
+    uniform u, given as the outcomes of u < p and u < 2p."""
+    if below_p:
+        return 1, letter
+    if letter == 0 and below_2p:
+        return 0, 1
+    return 0, 0
+
+
 def wierman_couple(
     region: Region,
     S,
@@ -123,90 +151,94 @@ def wierman_couple(
     if len(words) != len(sources):
         raise DomainError("need one word per source")
     vol = region.volume
-    nbr = neighbor_ranks(region.intervals)
-    omega = np.full(vol, -1, dtype=np.int8)
-    tilde = np.full(vol, -1, dtype=np.int8)
-    parent = np.full(vol, -2, dtype=np.int64)
-    root_idx = np.full(vol, -1, dtype=np.int64)
-    depth = np.full(vol, -1, dtype=np.int64)
-    explored = np.zeros(vol, dtype=bool)
-
-    draw = [0]
-
-    def uniform():
-        u = rng.uniform(draw[0])
-        draw[0] += 1
-        return u
-
-    def table_draw(letter: int):
-        u = uniform()
-        if u < p:
-            return 1, letter
-        if letter == 0 and u < 2 * p:
-            return 0, 1
-        return 0, 0
-
-    heap: list[int] = []  # candidate frontier ranks (lazy deletion)
-    in_heap = np.zeros(vol, dtype=bool)
-
-    def open_frontier_around(r: int):
-        for u in nbr[r]:
-            if u >= 0 and not explored[u] and not in_heap[u]:
-                in_heap[u] = True
-                heapq.heappush(heap, int(u))
+    kind, steps = neighbor_steps(region.intervals)
+    # the uniforms enter only through u < p and u < 2p; as bytes they index
+    # to small ints, so the scalar loop allocates no float per draw
+    block = rng.uniform_block(0, 2 * vol)
+    lt_p = block < p
+    below_p, below_2p = lt_p.tobytes(), (block < 2 * p).tobytes()
+    k = 0  # uniforms consumed
+    rows = _letter_rows(words)
+    # omega is written only on exploration, so before the fill its 1s are
+    # exactly the explored 1-vertices, the ones that may adopt
+    omega = bytearray(vol)
+    tilde = bytearray(vol)
+    seen = bytearray(vol)  # explored or queued; every queued vertex gets explored
+    at = {}  # explored 1-vertex -> (depth, source index)
+    record = []  # (rank, parent, depth, source index) per explored vertex
 
     for i, v in enumerate(sources):
         if not region.contains(v):
             raise DomainError(f"source {v} outside the region")
         r = region.rank(v)
         if start_index == 0:
-            w, wt = table_draw(_letter(words[i], 0))
+            w, wt = _table(below_p[k], below_2p[k], _read(rows[i], words[i], 0))
+            k += 1
         else:
-            w = 1 if uniform() < p else 0
-            wt = 1 if uniform() < p else 0
-        omega[r], tilde[r] = w, wt
-        parent[r], root_idx[r], depth[r] = -1, i, 0
-        explored[r] = True
-    for i, v in enumerate(sources):
-        r = region.rank(v)
-        if omega[r] == 1:
-            open_frontier_around(r)
+            w, wt = below_p[k], below_p[k + 1]
+            k += 2
+        omega[r], tilde[r], seen[r] = w, wt, 1
+        record.append((r, -1, 0, i))
+        if w:
+            at[r] = (0, i)
 
+    # frontier: unexplored neighbors of explored 1-vertices, popped in rank order
+    heap = []
+    for r in at:
+        for s in steps[kind[r]]:
+            x = r + s
+            if not seen[x]:
+                seen[x] = 1
+                heap.append(x)
+    heapify(heap)
     while heap:
-        yp = heapq.heappop(heap)
-        in_heap[yp] = False
-        if explored[yp]:
-            continue
-        # minimum explored 1-neighbor adopts the new vertex
-        y = -1
-        for u in nbr[yp]:
-            if u >= 0 and explored[u] and omega[u] == 1:
-                y = int(u)
+        r = heappop(heap)
+        # minimum explored 1-neighbor adopts the new vertex; one exists,
+        # since r was queued by one and explored vertices stay explored
+        for s in steps[kind[r]]:
+            y = r + s
+            if omega[y]:
                 break
-        if y < 0:
-            continue  # stale candidate; its 1-neighbor claim expired (cannot happen)
-        d = int(depth[y])
-        letter = _letter(words[int(root_idx[y])], d + 1)
-        w, wt = table_draw(letter)
-        omega[yp], tilde[yp] = w, wt
-        parent[yp], root_idx[yp], depth[yp] = y, root_idx[y], d + 1
-        explored[yp] = True
-        if w == 1:
-            open_frontier_around(yp)
+        d, i = at[y]
+        d += 1
+        row = rows[i]
+        w, wt = _table(below_p[k], below_2p[k],
+                       row[d] if d < len(row) else _read(row, words[i], d))
+        k += 1
+        omega[r], tilde[r] = w, wt
+        record.append((r, y, d, i))
+        if w:
+            at[r] = (d, i)
+            for s in steps[kind[r]]:
+                x = r + s
+                if not seen[x]:
+                    seen[x] = 1
+                    heappush(heap, x)
 
     # fill undiscovered vertices i.i.d., two uniforms each, rank order
-    for r in np.nonzero(~explored)[0]:
-        omega[r] = 1 if uniform() < p else 0
-        tilde[r] = 1 if uniform() < p else 0
+    om = np.frombuffer(omega, dtype=bool)
+    ti = np.frombuffer(tilde, dtype=bool)
+    explored = np.frombuffer(seen, dtype=bool)
+    rest = np.flatnonzero(~explored)
+    n = rest.size
+    om[rest] = lt_p[k:k + 2 * n:2]
+    ti[rest] = lt_p[k + 1:k + 2 * n:2]
+
+    rec = np.array(record, dtype=np.int64).reshape(-1, 4)
+
+    def scatter(col, none):
+        out = np.full(vol, none, dtype=np.int64)
+        out[rec[:, 0]] = rec[:, col]
+        return out
 
     prov = Provenance(p, rng.master_seed, rng.stream_id)
     return CoupledPair(
         region,
-        Configuration.from_bools(region, omega == 1, prov),
-        Configuration.from_bools(region, tilde == 1, prov),
-        parent,
-        root_idx,
-        depth,
+        Configuration.from_bools(region, om, prov),
+        Configuration.from_bools(region, ti, prov),
+        scatter(1, -2),
+        scatter(3, -1),
+        scatter(2, -1),
         explored,
         tuple(sources),
         tuple(words),
@@ -216,46 +248,63 @@ def wierman_couple(
 
 
 def verify_coupling(pair: CoupledPair):
-    """Recompute the 1-cluster of S independently and replay every branch.
+    """Check the certificate with O(volume) array operations.
 
-    Returns (ok, info); info locates the first failure.
+    one_connected_set recomputes the 1-cluster of S independently; it must
+    equal the forest's explored 1-vertices.  Every explored non-root must
+    hang under an explored 1-vertex, one level deeper and in the same tree,
+    and every root must be the source its tree names, at depth 0.  Then
+    every parent is a cluster vertex, so the branches of cluster vertices
+    run through cluster vertices only, and a vertex's offset on its branch
+    is its depth.  Checking each cluster vertex's own omega_tilde letter
+    against word[root_idx][depth] therefore checks every branch letter,
+    which is what replaying the branches would do.
+
+    Returns (ok, info); info locates a failure.
     """
     region = pair.region
     omega_bits = pair.omega.bools()
     tilde_bits = pair.omega_tilde.bools()
+    explored, parent = pair._explored, pair._parent
+    depth, root_idx = pair._depth, pair._root_idx
+    ones = explored & omega_bits
     cluster = one_connected_set(pair.omega, pair.sources)
-    forest_ones = {
-        region.unrank(int(r))
-        for r in np.nonzero(pair._explored & (omega_bits))[0]
-    }
+    forest_ones = set(map(tuple, region.points_array()[ones].tolist()))
     if cluster != forest_ones:
         missing = cluster ^ forest_ones
         return False, f"forest 1-vertices disagree with the 1-cluster at {sorted(missing)[:3]}"
-    for r in np.nonzero(pair._explored)[0]:
-        r = int(r)
-        par = pair._parent[r]
-        if par == -1:
-            if pair._depth[r] != 0:
-                return False, f"root at {region.unrank(r)} has nonzero depth"
-            continue
-        if pair._depth[r] != pair._depth[par] + 1:
-            return False, f"depth mismatch at {region.unrank(r)}"
-        if not omega_bits[par]:
-            return False, f"parent of {region.unrank(r)} is not a 1-vertex"
-    lo = pair.start_index
-    for y in cluster:
-        branch = pair.branch(y)
-        word = pair.words[pair._root_idx[region.rank(branch[0])]]
-        for i, v in enumerate(branch):
-            if i < lo:
-                continue
-            if int(tilde_bits[region.rank(v)]) != _letter(word, i):
-                return False, f"branch to {y} misreads the word at offset {i}"
+
+    n_src = len(pair.sources)
+    e = np.flatnonzero(explored)
+    pe = parent[e]
+    is_root = pe == -1
+    roots, kids, pk = e[is_root], e[~is_root], pe[~is_root]
+    bad = (pk < 0) | (pk >= region.volume)
+    if bad.any():
+        return False, f"explored vertex {region.unrank(int(kids[bad.argmax()]))} has no parent"
+    for bad, what in (
+        (~ones[pk], "parent is not an explored 1-vertex"),
+        (depth[kids] != depth[pk] + 1, "depth is not its parent's plus one"),
+        (root_idx[kids] != root_idx[pk], "tree differs from its parent's"),
+    ):
+        if bad.any():
+            return False, f"{region.unrank(int(kids[bad.argmax()]))}: {what}"
+    # a root must sit at depth 0 on the source its tree names; a name out
+    # of range points at the sentinel rank -1
+    names = root_idx[roots]
+    names = np.where((names >= 0) & (names < n_src), names, n_src)
+    src_rank = np.array([region.rank(s) for s in pair.sources] + [-1], dtype=np.int64)
+    bad = (depth[roots] != 0) | (src_rank[names] != roots)
+    if bad.any():
+        r = int(roots[bad.argmax()])
+        return False, f"root {region.unrank(r)} is not its tree's source at depth 0"
+
+    c = np.flatnonzero(ones & (depth >= pair.start_index))
+    rows = _letter_rows(pair.words)
+    want = [_read(rows[i], pair.words[i], d)
+            for i, d in zip(root_idx[c].tolist(), depth[c].tolist())]
+    bad = tilde_bits[c] != np.array(want, dtype=bool)
+    if bad.any():
+        r = int(c[bad.argmax()])
+        return False, f"{region.unrank(r)} misreads its tree's word at depth {depth[r]}"
     return True, None
-
-
-def coupling_implication_holds(pair: CoupledPair) -> bool:
-    """The headline property: 1-connected in omega implies word-connected
-    in omega_tilde along the recorded branch."""
-    ok, _ = verify_coupling(pair)
-    return ok

@@ -136,3 +136,81 @@ def test_console_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "wordperc" in proc.stdout
+
+
+# -- malformed input exits with code 2 and a message, never a traceback -------
+
+
+def run_cli_err(args, capsys):
+    code, _ = run_cli(args)
+    return code, capsys.readouterr().err
+
+
+def sample_2d(tmp_path):
+    cfg = str(tmp_path / "c.wpc")
+    code, _ = run_cli(["sample", "--region", "box:m=2,d=2", "--p", "0.5", "--seed", "1",
+                       "--out", cfg])
+    assert code == 0
+    return cfg
+
+
+def test_reach_from_vertex_of_wrong_dimension(tmp_path, capsys):
+    cfg = sample_2d(tmp_path)
+    code, err = run_cli_err(["reach", "--cfg", cfg, "--word", "1", "--from", "0,0,7"], capsys)
+    assert code == 2
+    assert "(0, 0, 7)" in err
+
+
+def test_missing_cfg_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.wpc")
+    code, err = run_cli_err(["reach", "--cfg", missing, "--word", "1", "--from", "0,0"], capsys)
+    assert code == 2
+    assert "missing.wpc" in err
+
+
+def test_truncated_wpc(tmp_path, capsys):
+    cfg = sample_2d(tmp_path)
+    data = open(cfg, "rb").read()
+    open(cfg, "wb").write(data[:20])  # cut inside the interval table
+    code, err = run_cli_err(["reach", "--cfg", cfg, "--word", "1", "--from", "0,0"], capsys)
+    assert code == 2
+    assert "truncated" in err
+
+
+def test_wpc_header_volume_disagrees_with_file_length(tmp_path, capsys):
+    cfg = sample_2d(tmp_path)
+    data = bytearray(open(cfg, "rb").read())
+    # widen the first axis (hi of interval 0, bytes 20..28) so the header
+    # volume needs far more bit words than the file holds
+    data[20:28] = (10**9).to_bytes(8, "little", signed=True)
+    open(cfg, "wb").write(data)
+    code, err = run_cli_err(["reach", "--cfg", cfg, "--word", "1", "--from", "0,0"], capsys)
+    assert code == 2
+    assert "header volume" in err
+
+
+def test_spec_without_trials(tmp_path, capsys):
+    spec = {"kind": "site", "params": {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.5},
+            "seed": 9}
+    spath = str(tmp_path / "spec.json")
+    json.dump(spec, open(spath, "w"))
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "trials" in err
+
+
+def test_spec_with_non_numeric_p(tmp_path, capsys):
+    spec = {"kind": "site", "params": {"region": {"kind": "box", "m": 1, "d": 2}, "p": "abc"},
+            "trials": 10, "seed": 9}
+    spath = str(tmp_path / "spec.json")
+    json.dump(spec, open(spath, "w"))
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "abc" in err
+
+
+def test_region_argument_not_an_integer(tmp_path, capsys):
+    code, err = run_cli_err(["sample", "--region", "box:m=x", "--p", "0.5",
+                             "--out", str(tmp_path / "c.wpc")], capsys)
+    assert code == 2
+    assert "m must be an integer" in err

@@ -14,6 +14,7 @@ from wordperc.geometry import (
     macro_face,
     macro_out_neighbors,
     neighbor_ranks,
+    neighbor_steps,
     neighbors,
     slab_window,
     single_cell,
@@ -194,6 +195,16 @@ def test_neighbor_ranks_consistency():
         assert got == expect
 
 
+@pytest.mark.parametrize("region", [
+    lambda_box(1, 2, 1, 3), box(2, 2), Region(((0, 1), (-3, 2), (0, 2))), single_cell((4, 5)),
+])
+def test_neighbor_steps_match_neighbor_ranks(region):
+    table = neighbor_ranks(region.intervals)
+    kind, steps = neighbor_steps(region.intervals)
+    for r in range(region.volume):
+        assert [r + s for s in steps[kind[r]]] == [int(u) for u in table[r] if u >= 0]
+
+
 def test_d4_regions():
     lam = lambda_box(1, 2, 2, 4)
     assert lam.dim == 4
@@ -201,3 +212,11 @@ def test_d4_regions():
     u = (0, 0, 2)
     b = macro_box(u, 2, 4)
     assert b.intervals[3] == (-2, 2)
+
+
+def test_rank_rejects_wrong_dimension():
+    r = Region(((-1, 1), (-1, 1)))
+    for pt in [(0, 0, 7), (0,), ()]:
+        with pytest.raises(DomainError):
+            r.rank(pt)
+    assert r.rank((0, 0)) == 0
