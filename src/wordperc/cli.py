@@ -146,6 +146,8 @@ def cmd_oriented(args):
 
 
 def cmd_renorm(args):
+    if not 0.0 <= args.tdensity <= 1.0:
+        raise DomainError("--tdensity must lie in [0, 1]")
     if args.stat == "good":
         params = {
             "d": args.dim,
@@ -174,18 +176,14 @@ def cmd_renorm(args):
     t0 = time.time()
     if args.stat == "explore":
         window = micro_window(args.n, rp)
+        col = micro_left_column(args.n, rp).points_array()
+        word = parse_word_argument(args.word)
         hits = audits = 0
         tprime = []
         for t in range(args.trials):
             cfg = sample(window, rp.p, RngStream(args.seed, t))
-            col = micro_left_column(args.n, rp)
-            stream = RngStream(args.seed, (1 << 32) + t)
-            pts = [
-                pt
-                for i, pt in enumerate(col.iter_points())
-                if stream.uniform(i) < args.tdensity
-            ]
-            word = parse_word_argument(args.word)
+            keep = RngStream(args.seed, (1 << 32) + t).uniform_block(0, len(col)) < args.tdensity
+            pts = [tuple(pt) for pt in col[keep].tolist()]
             rep = macro_exploration(cfg, {p: 0 for p in pts}, word, rp, args.n, mode=args.mode)
             hits += rep.right_hits
             audits += rep.audit_no_requeries and not rep.audit_box_overlaps

@@ -145,12 +145,27 @@ def _validate(spec: ExperimentSpec, v: list[str]):
             v.append(f"bad region: {e}")
             return None
 
+    def check_vertices(points, region, what):
+        for pt in points:
+            if not isinstance(pt, (list, tuple)) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in pt
+            ):
+                v.append(f"{what} {pt!r} is not a list of integer coordinates")
+            elif region is not None and not region.contains(tuple(pt)):
+                v.append(f"{what} {list(pt)} is not a point of the {region.dim}-d region")
+
     if spec.kind == "site":
         check_p()
-        check_region()
+        region = check_region()
+        if "vertex" in p:
+            check_vertices([p["vertex"]], region, "vertex")
     elif spec.kind == "reach":
         check_p()
-        check_region()
+        region = check_region()
+        if "source" not in p:
+            v.append("reach needs a source")
+        else:
+            check_vertices([p["source"]], region, "source")
         if "word" not in p:
             v.append("reach needs a word")
         if int(p.get("max_index", 0)) > 1 << 20:
@@ -171,9 +186,11 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         check_p()
         if float(p.get("p", 1)) > 0.5:
             v.append("coupling needs p <= 1/2 (flip colors to fold p)")
-        check_region()
+        region = check_region()
         if not p.get("sources"):
             v.append("wierman needs source vertices")
+        else:
+            check_vertices(p["sources"], region, "source")
         if "word" not in p:
             v.append("wierman needs a word")
     elif spec.kind == "oriented":

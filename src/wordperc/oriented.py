@@ -21,6 +21,13 @@ sequences instead treat their start set as externally infected - they
 never query S - so the oracle equivalence against reach uses
 seeded=True, under which sources transmit unconditionally and the reach
 set collects vertices at the end of paths with at least one edge.
+
+Every edge steps from column x to column x + 2, so reach is one sweep
+over a window's columns, each column an int bitmask over (y, z):
+reached(c) = (shifts(reached(c - 1)) | sources(c)) & open(c), or, when
+seeded, shifts(reached(c - 1) | sources(c - 1)) & open(c).  explore()
+stays a one-vertex-at-a-time exploration: renormalization needs its
+stateful verdicts, and it is the independent oracle of the sweep.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -129,25 +137,124 @@ def slab_windows_thin(n: int, h: int, m) -> SlabWindows:
     return SlabWindows(n, h, mm, B, L, R)
 
 
-class OrientedConfig:
-    """Open/closed assignment on a finite window of an oriented graph."""
+class _Layout:
+    """Dense column grid of one window, built once per window.
 
-    def __init__(self, kind: str, vertices, open_bits, gamma=None, provenance=None, h=None):
-        if kind not in ("planar", "slab"):
-            raise DomainError(f"unknown oriented graph kind {kind!r}")
-        self.kind = kind
-        self.h = h
-        self.vertices = tuple(sorted(tuple(v) for v in vertices))
+    Column c holds the vertices with x = x0 + 2c as the bits of one int:
+    (x, y) at bit y - y0, (x, y, z) at bit (y - y0) * stride + z - z0.
+    A slab row keeps one spare bit above its top z, so a z-step off
+    either end of a row lands on a bit that holds no vertex.  The
+    out-neighbors of a column's bits are then its shifts by each of
+    `steps`, both ways, in the next column.
+    """
+
+    def __init__(self, kind: str, vertices, h):
         check = is_planar_vertex if kind == "planar" else (lambda v: is_macro_vertex(v, h))
-        for v in self.vertices:
+        verts = tuple(sorted(vertices))
+        for v in verts:
             if not check(v):
                 raise DomainError(f"{v} is not a vertex of the {kind} graph")
-        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.kind = kind
+        self.vertices = vertices if verts == vertices else verts
+        self.dim = 2 if kind == "planar" else 3
+        pts = np.array(verts, dtype=np.int64).reshape(len(verts), self.dim)
+        lo = pts.min(axis=0) if len(pts) else np.zeros(self.dim, dtype=np.int64)
+        span = pts.max(axis=0) - lo + 1 if len(pts) else np.ones(self.dim, dtype=np.int64)
+        self.x0, self.y0 = int(lo[0]), int(lo[1])
+        self.z0 = int(lo[2]) if kind == "slab" else 0
+        self.nz = int(span[2]) if kind == "slab" else 1
+        self.stride = self.nz + 1 if kind == "slab" else 1
+        self.steps = (self.stride - 1, self.stride + 1) if kind == "slab" else (1,)
+        self.ncols = int(span[0]) // 2 + 1
+        self.ny = int(span[1])
+        self.row_bytes = (self.ny * self.stride + 7) // 8
+        rel = pts - lo
+        bit = rel[:, 1] * self.stride + (rel[:, 2] if kind == "slab" else 0)
+        self.flat = rel[:, 0] // 2 * (8 * self.row_bytes) + bit
+        self.inside = self.pack(np.ones(len(verts), dtype=bool))
+
+    @cached_property
+    def index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def pack(self, bits) -> list[int]:
+        """Per-vertex bits (sorted vertex order) as one int per column."""
+        grid = np.zeros(self.ncols * 8 * self.row_bytes, dtype=bool)
+        grid[self.flat] = bits
+        data = np.packbits(grid, bitorder="little").tobytes()
+        nb = self.row_bytes
+        return [int.from_bytes(data[i:i + nb], "little") for i in range(0, len(data), nb)]
+
+    def cell(self, v):
+        """(column, bit) of a window vertex, or None."""
+        if len(v) != self.dim or not all(isinstance(t, (int, np.integer)) for t in v):
+            return None
+        dx, dy = v[0] - self.x0, v[1] - self.y0
+        dz = v[2] - self.z0 if self.dim == 3 else 0
+        c = dx // 2
+        if dx % 2 or not (0 <= c < self.ncols and 0 <= dy < self.ny and 0 <= dz < self.nz):
+            return None
+        b = dy * self.stride + dz
+        return (c, b) if self.inside[c] >> b & 1 else None
+
+    def mask(self, vertices) -> list[int]:
+        """Window vertices as one int per column; DomainError for any other."""
+        cols = [0] * self.ncols
+        for v in vertices:
+            cb = self.cell(v)
+            if cb is None:
+                raise DomainError(f"source {tuple(v)} outside the window")
+            cols[cb[0]] |= 1 << cb[1]
+        return cols
+
+    def column(self, x: int) -> int:
+        """Column index of x; may fall outside range(ncols)."""
+        return (x - self.x0) // 2
+
+    def points(self, c: int, col: int) -> list:
+        """The vertices of column c whose bits are set in col."""
+        x, out = self.x0 + 2 * c, []
+        while col:
+            b = (col & -col).bit_length() - 1
+            col &= col - 1
+            dy, dz = divmod(b, self.stride)
+            out.append((x, self.y0 + dy, self.z0 + dz)[:self.dim])
+        return out
+
+
+@lru_cache(maxsize=32)
+def _cached_layout(kind, vertices, h) -> _Layout:
+    return _Layout(kind, vertices, h)
+
+
+def _layout(kind, vertices, h) -> _Layout:
+    if kind not in ("planar", "slab"):
+        raise DomainError(f"unknown oriented graph kind {kind!r}")
+    if not isinstance(vertices, tuple):
+        vertices = tuple(map(tuple, vertices))
+    return _cached_layout(kind, vertices, h if kind == "slab" else None)
+
+
+class OrientedConfig:
+    """Open/closed assignment on a finite window of an oriented graph;
+    open_bits follow the sorted vertex order.  vertices may also be the
+    window's layout, which saves the cache lookup in per-trial loops."""
+
+    def __init__(self, kind: str, vertices, open_bits, gamma=None, provenance=None, h=None):
+        self.layout = vertices if isinstance(vertices, _Layout) else _layout(kind, vertices, h)
+        self.kind = self.layout.kind
+        self.h = h
+        self.vertices = self.layout.vertices
         self.open = np.asarray(open_bits, dtype=bool)
         if self.open.shape != (len(self.vertices),):
             raise DomainError("open-bit array shape mismatch")
+        self.columns = self.layout.pack(self.open)
         self.gamma = gamma
         self.provenance = provenance
+
+    @property
+    def index(self) -> dict:
+        return self.layout.index
 
     def out_neighbors(self, v):
         return planar_out(v) if self.kind == "planar" else slab_out(v)
@@ -161,11 +268,29 @@ def sample_oriented(kind, vertices, gamma, rng: RngStream, h=None) -> OrientedCo
     vertex order."""
     if not 0.0 <= gamma <= 1.0:
         raise DomainError("gamma must lie in [0, 1]")
-    verts = tuple(sorted(tuple(v) for v in vertices))
-    u = rng.uniform_block(0, len(verts))
-    return OrientedConfig(
-        kind, verts, u < gamma, gamma, (rng.master_seed, rng.stream_id), h=h
-    )
+    lay = _layout(kind, vertices, h)
+    u = rng.uniform_block(0, len(lay.vertices))
+    return OrientedConfig(kind, lay, u < gamma, gamma, (rng.master_seed, rng.stream_id), h=h)
+
+
+def _sweep(cfg: OrientedConfig, seeds: list[int], seeded: bool) -> list[int]:
+    """Reach one column at a time; seeds are per-column source masks.
+
+    A vertex is reached when open and it is a source (unseeded) or an
+    out-neighbor of a reached vertex, or of any source when seeded."""
+    steps = cfg.layout.steps
+    prev, out = 0, []
+    for o, s in zip(cfg.columns, seeds):
+        nxt = 0
+        for k in steps:
+            nxt |= (prev << k) | (prev >> k)
+        if seeded:
+            cur = nxt & o
+            prev = cur | s
+        else:
+            cur = prev = (nxt | s) & o
+        out.append(cur)
+    return out
 
 
 def oriented_reach(cfg: OrientedConfig, sources, target=None, seeded=False) -> set:
@@ -177,25 +302,9 @@ def oriented_reach(cfg: OrientedConfig, sources, target=None, seeded=False) -> s
     reported; reached means at the end of a path with >= 1 edge whose
     vertices after the source are all open.
     """
-    reached = set()
-    frontier = []
-    src = [tuple(s) for s in sources]
-    for s in src:
-        if s not in cfg.index:
-            raise DomainError(f"source {s} outside the window")
-    if seeded:
-        frontier = list(src)
-    else:
-        for s in src:
-            if cfg.is_open(s) and s not in reached:
-                reached.add(s)
-                frontier.append(s)
-    while frontier:
-        v = frontier.pop()
-        for w in cfg.out_neighbors(v):
-            if w in cfg.index and cfg.is_open(w) and w not in reached:
-                reached.add(w)
-                frontier.append(w)
+    lay = cfg.layout
+    cols = _sweep(cfg, lay.mask(sources), seeded)
+    reached = {v for c, col in enumerate(cols) for v in lay.points(c, col)}
     if target is not None:
         reached &= set(map(tuple, target))
     return reached
@@ -209,8 +318,12 @@ def xi_column_reach(cfg: OrientedConfig, A, n: int) -> set[int]:
     for a in A:
         if a[0] != 0:
             raise DomainError("A must lie on the column x = 0")
-    reached = oriented_reach(cfg, A)
-    return {y for (x, y) in ((v[0], v[1]) for v in reached) if x == 5 * n and -n <= y <= n}
+    lay = cfg.layout
+    cols = _sweep(cfg, lay.mask(A), False)
+    c = lay.column(5 * n)
+    if not 0 <= c < lay.ncols:
+        return set()
+    return {v[1] for v in lay.points(c, cols[c]) if -n <= v[1] <= n}
 
 
 @dataclass(frozen=True)
@@ -222,11 +335,8 @@ class ExplorationState:
     V: frozenset
     trace: tuple  # ((vertex, verdict), ...) in query order
 
-    def queried_vertices(self):
-        return [z for z, _ in self.trace]
-
     def no_vertex_queried_twice(self) -> bool:
-        qs = self.queried_vertices()
+        qs = [z for z, _ in self.trace]
         return len(qs) == len(set(qs))
 
 
@@ -309,10 +419,10 @@ def crossing_stat(
     win = slab_windows_thin(n, h, n / h) if thin else slab_windows(n, h)
     if not win.L:
         raise DomainError("left column is empty; increase n")
-    Rset = set(win.R)
     threshold = (n / 20.0) if thin else (len(win.R) / 1000.0)
-    order = tuple(sorted(win.B))
-    pos = {v: i for i, v in enumerate(order)}
+    lay = _layout("slab", win.B, h)
+    cR = lay.column(snap_right_column(n))
+    R_col = lay.mask(win.R)[cR]
     successes = 0
     for t in range(trials):
         seed_stream = RngStream(master_seed, 2 * t)
@@ -321,9 +431,12 @@ def crossing_stat(
             S = sample_seed_set(win.L, delta, seed_stream)
         else:
             S = seed_sampler(seed_stream, win.L)
-        bits = bit_stream.uniform_block(0, len(order)) < gamma
-        state = explore(S, win.B_set, lambda z: bits[pos[z]])
-        hit = len(state.U & Rset)
+        bits = bit_stream.uniform_block(0, len(lay.vertices)) < gamma
+        seeds = lay.mask(S)
+        reach = _sweep(OrientedConfig("slab", lay, bits, h=h), seeds, seeded=True)
+        # the exploration's U_inf is S plus the seeded reach (acceptance 4);
+        # S lies on column cL, which is column cR only when n <= 4
+        hit = ((reach[cR] | seeds[cR]) & R_col).bit_count()
         ok = hit > threshold if thin else hit >= threshold
         successes += ok
     lo, hi = wilson_interval(successes, trials)
@@ -369,32 +482,36 @@ def domination_probe(
         raise DomainError("domination probe needs even n >= 4")
     if not 0 < delta < 0.1:
         raise DomainError("delta must lie in (0, 1/10)")
-    window = planar_window_for_xi(n)
-    verts = tuple(sorted(window))
-    col0 = tuple(v for v in verts if v[0] == 0 and -n <= v[1] <= n)
-    target_ys = sorted(y for (x, y) in verts if x == 5 * n and -n <= y <= n)
-    W = len(target_ys)
+    verts = planar_window_for_xi(n)
+    lay = _layout("planar", verts, None)
+    col0 = tuple(v for v in lay.vertices if v[0] == 0 and -n <= v[1] <= n)
+    c5 = lay.column(5 * n)
+    at_5n = [v for v in lay.vertices if v[0] == 5 * n]
+    W_col = lay.mask(v for v in at_5n if -n <= v[1] <= n)[c5]
+    top_col = lay.mask(v for v in at_5n if v[1] >= n)[c5]
+    bottom_col = lay.mask(v for v in at_5n if v[1] <= -n)[c5]
+    W = W_col.bit_count()
     if thresholds is None:
         thresholds = sorted({1, max(1, W // 4), max(1, W // 2)})
     quarter = max(1, (delta / 4) * n)
     seed_density = min(1.0, delta * n / max(1, len(col0)))  # |S| >= delta * n
+    low_band = lay.mask(v for v in col0 if v[1] <= -n + quarter)
+    high_band = lay.mask(v for v in col0 if v[1] >= n - quarter)
     counts = {s: 0 for s in thresholds}
     comp = {"s_prime_to_column": 0, "down_diagonal": 0, "up_diagonal": 0, "all_three": 0}
     for t in range(trials):
         S = sample_seed_set(col0, seed_density, RngStream(master_seed, 2 * t))
         cfg = sample_oriented("planar", verts, gamma, RngStream(master_seed, 2 * t + 1))
-        xi = xi_column_reach(cfg, S, n)
+
+        def at_column_5n(seeds):
+            return _sweep(cfg, seeds, seeded=False)[c5]
+
+        xi = (at_column_5n(lay.mask(S)) & W_col).bit_count()
         for s in thresholds:
-            counts[s] += len(xi) >= s
-        S_prime = [v for v in S if -n + quarter <= v[1] <= n - quarter]
-        reach_sp = oriented_reach(cfg, S_prime) if S_prime else set()
-        ok1 = any(v[0] == 5 * n for v in reach_sp)
-        low_band = [v for v in col0 if v[1] <= -n + quarter]
-        reach_low = oriented_reach(cfg, low_band) if low_band else set()
-        ok2 = any(v[0] == 5 * n and v[1] >= n for v in reach_low)
-        high_band = [v for v in col0 if v[1] >= n - quarter]
-        reach_high = oriented_reach(cfg, high_band) if high_band else set()
-        ok3 = any(v[0] == 5 * n and v[1] <= -n for v in reach_high)
+            counts[s] += xi >= s
+        ok1 = at_column_5n(lay.mask(v for v in S if -n + quarter <= v[1] <= n - quarter)) != 0
+        ok2 = (at_column_5n(low_band) & top_col) != 0
+        ok3 = (at_column_5n(high_band) & bottom_col) != 0
         comp["s_prime_to_column"] += ok1
         comp["down_diagonal"] += ok2
         comp["up_diagonal"] += ok3

@@ -17,6 +17,7 @@ stream_ids 0..trials-1 so they parallelize without shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
 
-    @property
+    @cached_property
     def base(self) -> int:
         return mix64(self.master_seed ^ ((GOLDEN * self.stream_id) & MASK64))
 
@@ -88,7 +89,8 @@ class RngStream:
         n = len(pool)
         if size > n:
             raise ValueError("sample larger than population")
-        for j in range(size):
-            k = j + self.randint_below(n - j, i0 + j)
+        # draw j is uniform(i0 + j); the product is randint_below's
+        for j, u in enumerate(self.uniform_block(i0, size).tolist()):
+            k = j + int(u * (n - j))
             pool[j], pool[k] = pool[k], pool[j]
         return pool[:size]

@@ -435,12 +435,8 @@ class _StopSearch(Exception):
 def _dfs_small(region, colors, mask, letters, srcs, t_lo, t1, cap,
                record, node_budget, state):
     """Bitmask depth-first search for regions of at most 64 sites."""
-    from .geometry import neighbor_ranks as _nr
-
-    nbr = _nr(region.intervals)
-    nbr_list = tuple(
-        tuple(int(u) for u in nbr[r] if u >= 0) for r in range(region.volume)
-    )
+    nbr = neighbor_ranks(region.intervals)
+    kind, steps = neighbor_steps(region.intervals)
     letter_bits = tuple(letters[i] if i <= t1 else 0 for i in range(t1 + 1))
     col_int = 0
     mask_int = 0
@@ -467,9 +463,9 @@ def _dfs_small(region, colors, mask, letters, srcs, t_lo, t1, cap,
             r, t, col = stack[-1]
             advanced = False
             if len(path) < cap:
-                nbrs = nbr_list[r]
-                while col < len(nbrs):
-                    u = nbrs[col]
+                offs = steps[kind[r]]
+                while col < len(offs):
+                    u = r + offs[col]
                     col += 1
                     ubit = 1 << u
                     if visited & ubit or not (mask_int & ubit):

@@ -234,11 +234,6 @@ class ExplicitWord(WordGenerator):
         return {"kind": "explicit", "prefix": str(self.head), "tail": self.tail.spec()}
 
 
-def sample_word(gen: WordGenerator, length: int) -> Word:
-    """Length-L prefix of the generator; deterministic in (spec, seed, L)."""
-    return gen.prefix(length)
-
-
 def has_period_two(word, upto: int) -> bool:
     """Whether indices 0..upto repeat with period <= 2 (constant or
     alternating on the window).  On a bipartite lattice, walks reading

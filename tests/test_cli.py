@@ -214,3 +214,55 @@ def test_region_argument_not_an_integer(tmp_path, capsys):
                              "--out", str(tmp_path / "c.wpc")], capsys)
     assert code == 2
     assert "m must be an integer" in err
+
+
+def spec_file(tmp_path, kind, params):
+    spath = str(tmp_path / "spec.json")
+    json.dump({"kind": kind, "params": params, "trials": 3, "seed": 1}, open(spath, "w"))
+    return spath
+
+
+def test_reach_spec_source_not_integers(tmp_path, capsys):
+    spath = spec_file(tmp_path, "reach", {"region": {"kind": "box", "m": 1, "d": 2},
+                                          "p": 0.5, "word": "10", "source": ["a", "b"]})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "integer coordinates" in err
+
+
+def test_reach_spec_source_of_wrong_dimension(tmp_path, capsys):
+    spath = spec_file(tmp_path, "reach", {"region": {"kind": "box", "m": 1, "d": 2},
+                                          "p": 0.5, "word": "10", "source": [0, 0, 0]})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "[0, 0, 0]" in err
+
+
+def test_wierman_spec_source_outside_region(tmp_path, capsys):
+    spath = spec_file(tmp_path, "wierman", {"region": {"kind": "box", "m": 1, "d": 2},
+                                            "p": 0.4, "word": "alt", "sources": [[0, 0], [5, 5]]})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "[5, 5]" in err
+
+
+def test_renorm_tdensity_above_one(capsys):
+    code, err = run_cli_err(["renorm", "--stat", "explore", "--k", "2", "--p", "0.5",
+                             "--word", "alt", "--tdensity", "1.5", "--trials", "1"], capsys)
+    assert code == 2
+    assert "--tdensity" in err
+
+
+def test_renorm_tdensity_not_finite(capsys):
+    code, err = run_cli_err(["renorm", "--stat", "explore", "--k", "2", "--p", "0.5",
+                             "--word", "alt", "--tdensity", "nan", "--trials", "1"], capsys)
+    assert code == 2
+    assert "--tdensity" in err
+
+
+def test_site_spec_vertex_outside_region(tmp_path, capsys):
+    spath = spec_file(tmp_path, "site", {"region": {"kind": "box", "m": 1, "d": 2},
+                                         "p": 0.5, "vertex": [3, 0]})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "[3, 0]" in err

@@ -1,7 +1,12 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wordperc.errors import DomainError
+from wordperc.harness import ExperimentSpec, canonical_json, run
 from wordperc.geometry import is_macro_vertex
 from wordperc.oriented import (
     OrientedConfig,
@@ -26,6 +31,69 @@ from wordperc.oriented import (
 )
 from wordperc.rng import RngStream
 
+# -- result pins -----------------------------------------------------------------
+#
+# SHA-256 of the canonical result document of each oriented statistic,
+# recorded (with record_pins) from the set/heap implementation that
+# preceded the column sweep; the documents must stay byte-identical.
+
+PIN_FILE = Path(__file__).with_name("oriented_result_digests.json")
+
+PIN_SPECS = {
+    "crossing_full": [
+        ({"n": 4, "h": 4, "gamma": 0.5, "delta": 0.3}, 10),  # cL == cR
+        ({"n": 5, "h": 4, "gamma": 0.4, "delta": 0.3}, 40),
+        ({"n": 8, "h": 6, "gamma": 0.25, "delta": 0.2}, 30),
+        ({"n": 11, "h": 8, "gamma": 0.2, "delta": 0.25}, 20),
+        ({"n": 30, "h": 6, "gamma": 0.3, "delta": 0.2}, 10),
+        ({"n": 30, "h": 6, "gamma": 0.9, "delta": 0.2}, 5),
+    ],
+    "crossing_thin": [
+        ({"n": 4, "h": 4, "gamma": 0.5, "delta": 0.3}, 10),
+        ({"n": 12, "h": 6, "gamma": 0.4, "delta": 0.2}, 20),
+        ({"n": 24, "h": 6, "gamma": 0.5, "delta": 0.3}, 10),
+        ({"n": 60, "h": 6, "gamma": 0.45, "delta": 0.2}, 10),
+        ({"n": 60, "h": 6, "gamma": 0.9, "delta": 0.2}, 5),
+    ],
+    "domination": [
+        ({"n": 8, "gamma": 0.6, "delta": 0.08}, 30),
+        ({"n": 8, "gamma": 0.8, "delta": 0.05}, 30),
+        ({"n": 20, "gamma": 0.9, "delta": 0.05}, 10),
+        ({"n": 40, "gamma": 0.9, "delta": 0.05}, 3),
+    ],
+    "xi5n": [
+        ({"n": 4, "gamma": 0.7}, 50),
+        ({"n": 6, "gamma": 0.55}, 40),
+        ({"n": 10, "gamma": 0.9}, 30),
+        ({"n": 20, "gamma": 0.9}, 10),
+    ],
+}
+PIN_SEEDS = (0, 1, 7)
+
+
+def pin_cases():
+    """(key, spec) for every pin."""
+    for name, cases in PIN_SPECS.items():
+        stat = name.split("_")[0]
+        for i, (params, trials) in enumerate(cases):
+            params = dict(params, stat=stat, thin=name == "crossing_thin")
+            for seed in PIN_SEEDS:
+                yield f"{name}/{i}/{seed}", ExperimentSpec("oriented", params, trials, seed)
+
+
+def record_pins() -> dict:
+    return {
+        key: hashlib.sha256(canonical_json(run(spec)).encode()).hexdigest()
+        for key, spec in pin_cases()
+    }
+
+
+def test_results_byte_identical_to_pins():
+    pins = json.loads(PIN_FILE.read_text())
+    got = record_pins()
+    assert got.keys() == pins.keys()
+    assert [k for k in pins if got[k] != pins[k]] == []
+
 
 def brute_oriented_reach(cfg, sources):
     """Oracle: enumerate all open oriented paths (source open required)."""
@@ -43,6 +111,77 @@ def brute_oriented_reach(cfg, sources):
         if cfg.is_open(tuple(s)):
             walk(tuple(s))
     return reached
+
+
+def brute_seeded_reach(cfg, sources):
+    """Oracle for seeded reach: open paths starting at an out-neighbor of
+    a source (sources transmit without being open)."""
+    firsts = [w for s in sources for w in cfg.out_neighbors(tuple(s)) if w in cfg.index]
+    return brute_oriented_reach(cfg, firsts)
+
+
+def assert_sweep_matches_brute(cfg, rng):
+    cols = sorted({v[0] for v in cfg.vertices})
+    edge = [v for v in cfg.vertices if v[0] in (cols[0], cols[-1])]
+    picks = [v for v in cfg.vertices if rng.random() < 0.2]
+    for sources in (edge, picks, picks + edge[:1], []):
+        assert oriented_reach(cfg, sources) == brute_oriented_reach(cfg, sources)
+        assert oriented_reach(cfg, sources, seeded=True) == brute_seeded_reach(cfg, sources)
+
+
+def test_sweep_matches_bruteforce_random_slab_windows():
+    rng = np.random.default_rng(5)
+    for t in range(60):
+        h = int(rng.integers(3, 9))
+        x_lo = int(rng.integers(-5, 5))
+        y_lo = int(rng.integers(-6, 2))
+        verts = slab_rect((x_lo, x_lo + int(rng.integers(2, 14))),
+                          (y_lo, y_lo + int(rng.integers(1, 10))), h)
+        if t % 2:  # drop vertices: a window that is not a box
+            verts = tuple(v for v in verts if rng.random() < 0.8)
+        if not verts:
+            continue
+        gamma = (0.3, 0.6, 0.9)[t % 3]
+        cfg = sample_oriented("slab", verts, gamma, RngStream(31, t), h=h)
+        assert_sweep_matches_brute(cfg, rng)
+
+
+def test_sweep_matches_bruteforce_accordion_domain():
+    from wordperc.accordion import accordion_embed
+
+    a = accordion_embed(12, 6)
+    win = a.windows()
+    window_vertices = sorted(set(win.B) | set(win.L) | set(win.R))
+    rng = np.random.default_rng(8)
+    for seed in range(10):
+        slab_cfg = sample_oriented("slab", window_vertices, 0.7, RngStream(9, seed), h=a.h)
+        planar_cfg = a.pull_config(slab_cfg)
+        assert_sweep_matches_brute(planar_cfg, rng)
+
+
+@pytest.mark.parametrize("source", [
+    (100, 0, 2),  # a slab vertex beyond the window
+    (10, 0, 3),   # inside the window's box, wrong parity
+    (9, 0, 2),    # odd column; (8, 0, 2) is a window vertex
+    (10, 1),      # wrong dimension
+    (10, 1, 3, 0),
+    (10, 0.5, 3),
+])
+def test_reach_source_outside_window_raises(source):
+    win = slab_windows(7, 6)
+    cfg = sample_oriented("slab", win.B, 0.5, RngStream(2, 0), h=6)
+    assert (10, 1, 3) in cfg.index
+    for seeded in (False, True):
+        with pytest.raises(DomainError):
+            oriented_reach(cfg, [(10, 1, 3), source], seeded=seeded)
+
+
+def test_planar_source_outside_window_raises():
+    verts = planar_window_for_xi(4)
+    cfg = sample_oriented("planar", verts, 0.5, RngStream(2, 0))
+    for bad in [(0, 1), (0, 0, 0), (-2, 0), (22, 0)]:
+        with pytest.raises(DomainError):
+            xi_column_reach(cfg, [bad], 4) if bad[0] == 0 else oriented_reach(cfg, [bad])
 
 
 def test_planar_vertices_and_edges():

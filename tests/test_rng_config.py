@@ -21,6 +21,34 @@ def test_stream_scalar_vs_block():
         assert int(block[i]) == s.raw(i)
 
 
+def choose_subset_scalar(stream, items, size, i0):
+    """Partial Fisher-Yates with one scalar randint_below per swap."""
+    pool = list(items)
+    for j in range(size):
+        k = j + stream.randint_below(len(pool) - j, i0 + j)
+        pool[j], pool[k] = pool[k], pool[j]
+    return pool[:size]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+def test_choose_subset_block_matches_scalar_draws(seed):
+    items = list(range(97))
+    for sid, size, i0 in [(0, 0, 0), (1, 1, 0), (2, 10, 0), (3, 10, 5), (4, 97, 0),
+                          (5, 40, 123), (6, 33, 2**32)]:
+        stream = RngStream(seed, sid)
+        assert stream.choose_subset(items, size, i0) == choose_subset_scalar(
+            stream, items, size, i0)
+
+
+def test_base_cached_and_picklable():
+    import pickle
+
+    s = RngStream(11, 3)
+    assert s.base == s.base
+    t = pickle.loads(pickle.dumps(s))
+    assert t == s and t.raw(5) == s.raw(5) and hash(t) == hash(s)
+
+
 def test_stream_determinism_and_separation():
     a, b = RngStream(7, 0), RngStream(7, 1)
     assert a.raw(0) == RngStream(7, 0).raw(0)

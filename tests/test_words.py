@@ -14,7 +14,6 @@ from wordperc.words import (
     enumerate_words,
     generator_from_spec,
     parse_word_argument,
-    sample_word,
     subword,
 )
 
@@ -70,13 +69,13 @@ def test_enumerate_words_cap():
 
 
 def test_constant_and_product_degenerate():
-    assert sample_word(ConstantWord(1), 5).to_tuple() == (1, 1, 1, 1, 1)
-    assert sample_word(ProductWord(1.0, seed=3), 4).to_tuple() == (1, 1, 1, 1)
-    assert sample_word(ProductWord(0.0, seed=3), 4).to_tuple() == (0, 0, 0, 0)
+    assert ConstantWord(1).prefix(5).to_tuple() == (1, 1, 1, 1, 1)
+    assert ProductWord(1.0, seed=3).prefix(4).to_tuple() == (1, 1, 1, 1)
+    assert ProductWord(0.0, seed=3).prefix(4).to_tuple() == (0, 0, 0, 0)
 
 
 def test_min_run_run_lengths():
-    w = sample_word(MinRunWord(3, seed=9), 9)
+    w = MinRunWord(3, seed=9).prefix(9)
     runs = []
     current = 1
     for a, b in zip(w.to_tuple(), w.to_tuple()[1:]):
@@ -125,7 +124,7 @@ def test_spec_roundtrip():
         ExplicitWord("11", AlternatingWord()),
     ]:
         clone = generator_from_spec(gen.spec())
-        assert sample_word(clone, 25).bits == sample_word(gen, 25).bits
+        assert clone.prefix(25).bits == gen.prefix(25).bits
 
 
 def test_parse_word_argument():
