@@ -190,7 +190,8 @@ class AccordionMap:
         image = [self.map_point(p) for p in domain]
         if len(set(image)) != len(domain):
             raise DomainError("accordion map is not injective")
-        bad = [v for v in image if v not in set(win.B) | Lset | Rset]
+        window = set(win.B) | Lset | Rset
+        bad = [v for v in image if v not in window]
         if bad:
             raise DomainError(f"accordion image leaves the window at {bad[:3]}")
         # (a) source hooks: the source column must expose seed vertices

@@ -29,7 +29,7 @@ import numpy as np
 from .config import sample
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, wilson_interval
-from .geometry import Region, box, lambda_box
+from .geometry import Region, box, is_macro_vertex, lambda_box
 from .oriented import crossing_stat, domination_probe, planar_window_for_xi, sample_oriented, xi_column_reach
 from .renorm import RenormParams, SeedSet, good_event
 from .rng import RngStream
@@ -218,6 +218,12 @@ def _validate(spec: ExperimentSpec, v: list[str]):
             v.append(str(e))
         if "word" not in p:
             v.append("renorm needs a word")
+        u, h = p.get("u", [0, 0, 2]), int(p.get("h", 4))
+        found = len(v)
+        check_vertices([u], None, "u")
+        if len(v) == found and (len(u) != 3 or not is_macro_vertex(tuple(u), h)):
+            v.append(f"u {list(u)} is not a macro vertex for h={h} (three integers, "
+                     "macro parity, 0 < u3 < h)")
         if int(p.get("n", 1)) < 1 or int(p.get("m", 1)) < 1:
             v.append("need n, m >= 1")
     elif spec.kind == "decay":

@@ -63,3 +63,30 @@ def connected_bruteforce(cfg: Configuration, S, region: Region | None = None) ->
         if cfg.bit_at(x) == 1:
             walk(x, {x})
     return reached
+
+
+def distance_map(cfg: Configuration, S, within=None) -> dict:
+    """Graph distance through 1-sites from the 1-sites of S, inside the
+    rank-order mask within; plain breadth-first search over points."""
+    region = cfg.region
+
+    def ok(p):
+        return cfg.bit_at(p) == 1 and (within is None or within[region.rank(p)])
+
+    dist = {}
+    frontier = []
+    for v in map(tuple, S):
+        if v not in dist and ok(v):
+            dist[v] = 0
+            frontier.append(v)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for u in neighbors(v, region):
+                if u not in dist and ok(u):
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    return dist

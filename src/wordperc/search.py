@@ -15,6 +15,16 @@ A source (x, t_x, word) reads its word starting at index t_x on x
 itself: a path x = v_0 ~ ... ~ v_j = y arrives at y with index
 t = t_x + j and requires color(v_i) = word[t_x + i] for every i.
 
+Every walk search is one kernel: a set of sites is a Python-int bitset
+(bit r is rank r), and ``_step`` moves it to all its lattice neighbors
+with one masked shift per axis direction (the shift-and idea of
+Baeza-Yates and Gonnet, CACM 1992, applied on a lattice).  ``_sweep``
+alternates steps with masking by the sites whose color is the next
+letter: forward from the sources it gives the relaxed reach and the
+exact search's pruning table, backward from the targets the table of
+states that can still resolve one.  The exact search is a single
+depth-first loop with an int visited set over ``neighbor_steps``.
+
 Searches run inside an optional boolean mask over the configuration's
 region (used for non-product domains like a box plus its seed face).
 """
@@ -22,13 +32,14 @@ region (used for non-product domains like a box plus its seed face).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .config import Configuration
 from .errors import CapacityError, DomainError
-from .geometry import Region, neighbor_ranks, neighbor_steps
-from .words import Word, WordGenerator, enumerate_words
+from .geometry import Region, neighbor_steps
+from .words import Word, WordGenerator, enumerate_words, has_period_two
 
 MAX_INDEX = 1 << 20
 Point = tuple[int, ...]
@@ -117,162 +128,103 @@ def region_mask(region: Region, parts) -> np.ndarray:
     return mask
 
 
-from functools import lru_cache
+def _bits(mask: np.ndarray) -> int:
+    """A rank-order boolean array as a Python-int bitset (bit r = rank r)."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-@lru_cache(maxsize=256)
-def _neighbor_bitmasks(intervals) -> tuple[int, ...]:
-    nbr = neighbor_ranks(intervals)
+def _ranks(bits: int, volume: int) -> np.ndarray:
+    """The set ranks of a bitset, ascending."""
+    raw = np.frombuffer(bits.to_bytes((volume + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+@lru_cache(maxsize=16)
+def _lattice(intervals) -> tuple[tuple[int, int, int], ...]:
+    """Per axis (stride, up, down): up holds the ranks r whose neighbor
+    r + stride is in the region, down those whose r - stride is."""
+    pts = Region(intervals).points_array()
     out = []
-    for r in range(nbr.shape[0]):
-        m = 0
-        for u in nbr[r]:
-            if u >= 0:
-                m |= 1 << int(u)
-        out.append(m)
+    stride = 1
+    for axis, (lo, hi) in enumerate(intervals):
+        out.append((stride, _bits(pts[:, axis] < hi), _bits(pts[:, axis] > lo + 1)))
+        stride *= hi - lo
     return tuple(out)
 
 
-def _bits_of(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _step(front: int, lattice) -> int:
+    """All lattice neighbors of a bitset; the lattice is undirected, so
+    this one step serves forward and backward sweeps."""
+    out = 0
+    for stride, up, down in lattice:
+        out |= (front & up) << stride | (front & down) >> stride
+    return out
 
 
-def _relaxed_small(region, colors, mask, letters, groups_srcs, max_index, collect):
-    """Bitmask product-state BFS for regions of at most 64 sites."""
-    nbrmask = _neighbor_bitmasks(region.intervals)
-    colors_int = 0
-    mask_int = 0
-    for r in range(region.volume):
-        if colors[r]:
-            colors_int |= 1 << r
-        if mask[r]:
-            mask_int |= 1 << r
-    ones = colors_int & mask_int
-    zeros = mask_int & ~colors_int
-    minarr: dict[int, int] = {}
-    arr_bits: dict[int, int] = {} if collect else None
-    hits = 0
-    by_t: dict[int, int] = {}
-    for r, t in groups_srcs:
-        by_t[t] = by_t.get(t, 0) | (1 << r)
-    t_first = min(by_t)
-    t_last = max(by_t)
-    period2 = all(letters[i] == letters[i - 2] for i in range(2, max_index + 1))
-    prev = prev2 = None
-    cur = 0
-    for t in range(t_first, max_index + 1):
-        allowed = ones if letters[t] else zeros
-        nxt = 0
-        if prev is not None:
-            for r in _bits_of(prev):
-                nxt |= nbrmask[r]
-            nxt &= allowed
-        nxt |= by_t.get(t, 0) & allowed
-        cur = nxt
-        if cur:
-            hits |= 1 << t
-            for r in _bits_of(cur):
-                if r not in minarr:
-                    minarr[r] = t
-                if arr_bits is not None:
-                    arr_bits[r] = arr_bits.get(r, 0) | (1 << t)
-        elif t >= t_last:
-            break
-        if (
-            arr_bits is None
-            and period2
-            and t_last <= t - 2
-            and prev2 is not None
-            and cur == prev2
-        ):
-            hits |= ((1 << (max_index - t + 1)) - 1) << t
-            break
-        prev2, prev = prev, cur
-    return minarr, arr_bits, hits
+def _sweep(lattice, allowed, letters: int, indices, seeds: dict):
+    """Yield (t, F_t) for t in indices, F_t = (step(F_prev) | seeds[t]) &
+    allowed[letter t]: the sites a walk reading the letters can occupy at
+    index t after starting (forward) or before ending (backward) in a seed."""
+    front = 0
+    for t in indices:
+        front = (_step(front, lattice) | seeds.get(t, 0)) & allowed[letters >> t & 1]
+        yield t, front
 
 
 def _prepare(cfg: Configuration, sources: SourceSet, max_index: int, within):
+    """The region, the sites each letter may occupy (0-sites and 1-sites
+    inside the mask, as bitsets) and each word id's (rank, offset) sources."""
     if max_index < 0:
         raise DomainError("max_index must be nonnegative")
     if max_index > MAX_INDEX:
         raise CapacityError(f"max_index capped at {MAX_INDEX}")
     region = cfg.region
     colors = cfg.bools()
-    if within is None:
-        mask = np.ones(region.volume, dtype=bool)
-    else:
+    mask = np.ones(region.volume, dtype=bool)
+    if within is not None:
         mask = np.asarray(within, dtype=bool)
         if mask.shape != (region.volume,):
             raise DomainError("within-mask shape mismatch")
+    allowed = (_bits(~colors & mask), _bits(colors & mask))
     groups: dict[int, list[tuple[int, int]]] = {}
     for v, t, wid in sources.entries:
-        try:
-            r = region.rank(v)  # also validates membership
-        except DomainError:
-            raise DomainError(f"source {v} outside the configuration region")
-        if t > max_index:
-            continue
-        groups.setdefault(wid, []).append((r, t))
-    nbr = neighbor_ranks(region.intervals)
-    return region, colors, mask, nbr, groups
+        r = int(region.rank(v))  # also validates dimension and membership
+        if t <= max_index:
+            groups.setdefault(wid, []).append((r, t))
+    return region, allowed, groups
 
 
-def one_connected_set(cfg: Configuration, S, region: Region | None = None, within=None) -> set[Point]:
+def _seeds(srcs) -> dict[int, int]:
+    """(rank, offset) sources as a bitset per offset."""
+    by_t: dict[int, int] = {}
+    for r, t in srcs:
+        by_t[t] = by_t.get(t, 0) | 1 << r
+    return by_t
+
+
+def one_connected_set(
+    cfg: Configuration, S, region: Region | None = None, within=None
+) -> set[Point]:
     """Vertices 1-connected to S through 1-sites; S members count only if
-    their own site is 1."""
+    their own site is 1.  The constant word 1 swept to its fixpoint."""
     reg = cfg.region
     if region is not None and region.intervals != reg.intervals:
         raise DomainError("one_connected_set region must match the configuration")
     colors = cfg.bools()
     if within is not None:
         colors = colors & np.asarray(within, bool)
-    open_ = colors.tobytes()  # plain-int indexing for the scalar loop
-    kind, steps = neighbor_steps(reg.intervals)
-    seen = bytearray(reg.volume)
-    queue = []
+    open_ = _bits(colors)
+    lattice = _lattice(reg.intervals)
+    front = 0
     for v in S:
         if not reg.contains(v):
             raise DomainError(f"{v} outside region")
-        r = reg.rank(v)
-        if open_[r] and not seen[r]:
-            seen[r] = 1
-            queue.append(r)
-    for r in queue:  # grows while it is walked: breadth-first order
-        for s in steps[kind[r]]:
-            u = r + s
-            if open_[u] and not seen[u]:
-                seen[u] = 1
-                queue.append(u)
-    return set(map(tuple, reg.points_array()[np.frombuffer(seen, bool)].tolist()))
-
-
-def distance_map(cfg: Configuration, S, within=None) -> dict[Point, int]:
-    """BFS distance through 1-sites from the 1-sites of S."""
-    reg = cfg.region
-    colors = cfg.bools()
-    mask = np.ones(reg.volume, dtype=bool) if within is None else np.asarray(within, bool)
-    nbr = neighbor_ranks(reg.intervals)
-    dist = np.full(reg.volume, -1, dtype=np.int64)
-    frontier = []
-    for v in S:
-        r = reg.rank(v)
-        if colors[r] and mask[r] and dist[r] < 0:
-            dist[r] = 0
-            frontier.append(r)
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for r in frontier:
-            for u in nbr[r]:
-                if u >= 0 and dist[u] < 0 and colors[u] and mask[u]:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return {reg.unrank(int(r)): int(dist[r]) for r in np.nonzero(dist >= 0)[0]}
+        front |= 1 << int(reg.rank(v))
+    seen = front = front & open_
+    while front:
+        front = _step(front, lattice) & open_ & ~seen
+        seen |= front
+    return set(map(tuple, reg.points_array()[_ranks(seen, reg.volume)].tolist()))
 
 
 def relaxed_word_reach(
@@ -283,112 +235,50 @@ def relaxed_word_reach(
     collect_arrivals: bool = True,
 ) -> ReachResult:
     """Product-state BFS; reached pairs form a superset of the exact ones."""
-    region, colors, mask, nbr, groups = _prepare(cfg, sources, max_index, within)
+    region, allowed, groups = _prepare(cfg, sources, max_index, within)
+    lattice = _lattice(region.intervals)
     result = ReachResult(region, exact=False)
-    if region.volume <= 64:
-        for wid, srcs in groups.items():
-            letters = _letters(sources.words[wid], max_index)
-            mins, arrs, hits = _relaxed_small(
-                region, colors, mask, letters, srcs, max_index, collect_arrivals
-            )
-            result.index_hits |= hits
-            for r, t in mins.items():
-                pt = region.unrank(r)
-                if pt not in result.min_arrival or t < result.min_arrival[pt]:
-                    result.min_arrival[pt] = t
-                if arrs is not None:
-                    result.arrivals[pt] = result.arrivals.get(pt, 0) | arrs[r]
-        return result
-    ones = colors & mask
-    zeros = ~colors & mask
-    minarr = np.full(region.volume, -1, dtype=np.int64)
-    arr_bits = {} if collect_arrivals else None
+    minarr = np.full(region.volume, MAX_INDEX + 1, dtype=np.int64)
+    arr_bits: dict[int, int] | None = {} if collect_arrivals else None
     for wid, srcs in groups.items():
         letters = _letters(sources.words[wid], max_index)
-        period2 = all(letters[i] == letters[i - 2] for i in range(2, max_index + 1))
-        by_t: dict[int, list[int]] = {}
-        for r, t in srcs:
-            by_t.setdefault(t, []).append(r)
-        t_first = min(by_t)
-        t_last_inject = max(by_t)
-        prev = None  # frontier at t-1
-        prev2 = None  # frontier at t-2
-        for t in range(t_first, max_index + 1):
-            allowed = ones if letters[t] else zeros
-            cur = np.zeros(region.volume, dtype=bool)
-            if prev is not None:
-                src_ranks = np.nonzero(prev)[0]
-                for col in range(nbr.shape[1]):
-                    tgt = nbr[src_ranks, col]
-                    cur[tgt[tgt >= 0]] = True
-                cur &= allowed
-            for r in by_t.get(t, ()):
-                if allowed[r]:
-                    cur[r] = True
-            no_pending = all(tt <= t for tt in by_t)
-            if cur.any():
+        # period-2 letter windows repeat once the frontier matches two steps
+        # back; arrivals are then complete (minima only; full arrival
+        # bitsets keep accumulating, so no shortcut there)
+        period2 = arr_bits is None and has_period_two(letters, max_index)
+        seeds = _seeds(srcs)
+        t_last = max(seeds)
+        seen = 0
+        prev = prev2 = None
+        indices = range(min(seeds), max_index + 1)
+        for t, front in _sweep(lattice, allowed, letters.bits, indices, seeds):
+            if front:
                 result.index_hits |= 1 << t
-                hit = np.nonzero(cur)[0]
-                newly = hit[minarr[hit] < 0]
-                minarr[newly] = t
+                new = front & ~seen
+                if new:
+                    hit = _ranks(new, region.volume)
+                    minarr[hit] = np.minimum(minarr[hit], t)
+                    seen |= new
                 if arr_bits is not None:
-                    for r in hit:
-                        arr_bits[int(r)] = arr_bits.get(int(r), 0) | (1 << t)
-            elif no_pending:
+                    for r in _ranks(front, region.volume).tolist():
+                        arr_bits[r] = arr_bits.get(r, 0) | 1 << t
+            elif t >= t_last:
                 break
-            # period-2 letter windows repeat once the frontier matches two
-            # steps back; arrivals are then complete (minima only; full
-            # arrival bitsets keep accumulating, so no break there)
-            if (
-                arr_bits is None
-                and period2
-                and t_last_inject <= t - 2
-                and prev2 is not None
-                and np.array_equal(cur, prev2)
-            ):
+            if period2 and t_last <= t - 2 and front == prev2:
                 result.index_hits |= ((1 << (max_index - t + 1)) - 1) << t
                 break
-            prev2, prev = prev, cur
-    for r in np.nonzero(minarr >= 0)[0]:
-        pt = region.unrank(int(r))
+            prev2, prev = prev, front
+    reached = np.flatnonzero(minarr <= MAX_INDEX)
+    for r, pt in zip(reached.tolist(), region.points_array()[reached].tolist()):
+        pt = tuple(pt)
         result.min_arrival[pt] = int(minarr[r])
         if arr_bits is not None:
-            result.arrivals[pt] = arr_bits[int(r)]
+            result.arrivals[pt] = arr_bits[r]
     return result
 
 
-def _relaxed_table(colors, mask, nbr, letters, srcs, t0, t1):
-    """Per-index reachability arrays for pruning the exact search."""
-    vol = colors.shape[0]
-    ones = colors & mask
-    zeros = ~colors & mask
-    table = []
-    by_t: dict[int, list[int]] = {}
-    for r, t in srcs:
-        by_t.setdefault(t, []).append(r)
-    frontier = np.zeros(vol, dtype=bool)
-    for t in range(t0, t1 + 1):
-        allowed = ones if letters[t] else zeros
-        if t == t0:
-            frontier = np.zeros(vol, dtype=bool)
-        else:
-            prev = frontier
-            frontier = np.zeros(vol, dtype=bool)
-            src_ranks = np.nonzero(prev)[0]
-            for col in range(nbr.shape[1]):
-                tgt = nbr[src_ranks, col]
-                ok = tgt >= 0
-                frontier[tgt[ok]] = True
-            frontier &= allowed
-        for r in by_t.get(t, ()):
-            if allowed[r]:
-                frontier[r] = True
-        table.append(frontier)
-    return table
-
-
-def _useful_table(colors, mask, nbr, letters, t0, t1, target_mask, minarr, flavor):
-    """Backward companion of the relaxed table: states from which the
+def _useful_table(lattice, allowed, letters, t0, t1, target, minarr, flavor):
+    """Backward companion of the forward table: states from which the
     relaxed dynamics can still resolve a target.
 
     flavor "membership": a target y is unresolved while unreached.
@@ -397,98 +287,22 @@ def _useful_table(colors, mask, nbr, letters, t0, t1, target_mask, minarr, flavo
     sets (membership) and minimal arrivals (min); it must not be used
     when the full (vertex, index) pair set is wanted.
     """
-    vol = colors.shape[0]
-    ones = colors & mask
-    zeros = ~colors & mask
-    unreached = target_mask.copy()
-    best = np.full(vol, np.iinfo(np.int64).max, dtype=np.int64)
-    for r, t in minarr.items():
-        unreached[r] = False
-        best[r] = t
-    table = [None] * (t1 - t0 + 1)
-    nxt = np.zeros(vol, dtype=bool)
+    best = np.where(target, t1 + 1, -1)  # a target y is wanted at t < best[y]
+    if minarr:
+        ranks = np.fromiter(minarr, np.int64, len(minarr))
+        arrived = np.fromiter(minarr.values(), np.int64, len(minarr))
+        best[ranks] = -1 if flavor == "membership" else np.minimum(best[ranks], arrived)
+    wanted, goals = _bits(best > t1), {}
+    gains = {int(t): _bits(best == t) for t in np.unique(best[(best >= t0) & (best <= t1)])}
     for t in range(t1, t0 - 1, -1):
-        allowed = ones if letters[t] else zeros
-        if t == t1:
-            cur = np.zeros(vol, dtype=bool)
-        else:
-            cur = np.zeros(vol, dtype=bool)
-            src_ranks = np.nonzero(nxt)[0]
-            for col in range(nbr.shape[1]):
-                tgt = nbr[src_ranks, col]
-                ok = tgt >= 0
-                cur[tgt[ok]] = True
-            cur &= allowed
-        goal = target_mask & allowed & unreached
-        if flavor == "min":
-            goal = goal | (target_mask & allowed & (best > t))
-        cur |= goal
-        table[t - t0] = cur
-        nxt = cur
-    return table
+        goals[t] = wanted
+        wanted |= gains.get(t, 0)
+    table = [f for _, f in _sweep(lattice, allowed, letters, range(t1, t0 - 1, -1), goals)]
+    return table[::-1]
 
 
 class _StopSearch(Exception):
     pass
-
-
-def _dfs_small(region, colors, mask, letters, srcs, t_lo, t1, cap,
-               record, node_budget, state):
-    """Bitmask depth-first search for regions of at most 64 sites."""
-    nbr = neighbor_ranks(region.intervals)
-    kind, steps = neighbor_steps(region.intervals)
-    letter_bits = tuple(letters[i] if i <= t1 else 0 for i in range(t1 + 1))
-    col_int = 0
-    mask_int = 0
-    for r in range(region.volume):
-        if colors[r]:
-            col_int |= 1 << r
-        if mask[r]:
-            mask_int |= 1 << r
-    # relaxed pruning table as int bitmasks
-    table_np = _relaxed_table(colors, mask, nbr, letters, srcs, t_lo, t1)
-    table = [
-        int.from_bytes(np.packbits(f, bitorder="little").tobytes(), "little")
-        for f in table_np
-    ]
-    for start, t_start in sorted(srcs, key=lambda s: (s[1], s[0])):
-        sbit = 1 << start
-        if not (mask_int & sbit) or ((col_int >> start) & 1) != letter_bits[t_start]:
-            continue
-        path = [start]
-        visited = sbit
-        record(start, t_start, path)
-        stack = [(start, t_start, 0)]
-        while stack:
-            r, t, col = stack[-1]
-            advanced = False
-            if len(path) < cap:
-                offs = steps[kind[r]]
-                while col < len(offs):
-                    u = r + offs[col]
-                    col += 1
-                    ubit = 1 << u
-                    if visited & ubit or not (mask_int & ubit):
-                        continue
-                    tn = t + 1
-                    if tn > t1 or ((col_int >> u) & 1) != letter_bits[tn]:
-                        continue
-                    if not (table[tn - t_lo] & ubit):
-                        continue
-                    state["nodes"] += 1
-                    if node_budget is not None and state["nodes"] > node_budget:
-                        raise CapacityError("exact search exceeded its node budget")
-                    stack[-1] = (r, t, col)
-                    stack.append((u, tn, 0))
-                    visited |= ubit
-                    path.append(u)
-                    record(u, tn, path)
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                visited &= ~(1 << r)
-                path.pop()
 
 
 def exact_word_reach(
@@ -517,12 +331,13 @@ def exact_word_reach(
     preserves the reached-vertex set on the mask, "min" also preserves
     minimal arrivals; full (vertex, index) pair sets are NOT preserved.
     """
-    region, colors, mask, nbr, groups = _prepare(cfg, sources, max_index, within)
+    region, allowed, groups = _prepare(cfg, sources, max_index, within)
+    lattice = _lattice(region.intervals)
+    kind, steps = neighbor_steps(region.intervals)
     result = ReachResult(region, exact=True)
     if want_witness:
         result.witnesses = {}
-    mask_volume = int(mask.sum())
-    reached_any = np.zeros(region.volume, dtype=bool)
+    mask_volume = (allowed[0] | allowed[1]).bit_count()
     targets = None
     if early_stop:
         targets = [(np.asarray(m, bool), int(th)) for m, th in early_stop]
@@ -535,22 +350,21 @@ def exact_word_reach(
 
     arr_bits: dict[int, int] = {}
     minarr: dict[int, int] = {}
-    state = {"nodes": 0, "stale": 0}
+    stale = 0  # improved target arrivals since the useful table was built
 
-    def record(rank: int, t: int, path: list[int]):
+    def record(rank: int, t: int, stack: list):
+        nonlocal stale
         prev = minarr.get(rank)
-        improved = prev is None or t < prev
-        if improved:
+        if prev is None or t < prev:
             minarr[rank] = t
-        if target_mask is not None and improved and target_mask[rank]:
-            state["stale"] += 1
+            if target_mask is not None and target_mask[rank]:
+                stale += 1
         arr_bits[rank] = arr_bits.get(rank, 0) | (1 << t)
         result.index_hits |= 1 << t
-        if not reached_any[rank]:
-            reached_any[rank] = True
+        if prev is None:
             if want_witness:
                 result.witnesses[region.unrank(rank)] = tuple(
-                    region.unrank(r) for r in path
+                    region.unrank(entry[0]) for entry in stack
                 )
             if targets:
                 for i, (m, th) in enumerate(targets):
@@ -561,87 +375,58 @@ def exact_word_reach(
         if stop_at_index is not None and t == stop_at_index:
             raise _StopSearch
 
-    small = region.volume <= 64 and prune_targets is None
+    nodes = 0
+    cap = mask_volume if max_path_len is None else min(max_path_len, mask_volume)
     try:
         for wid in sorted(groups):
             srcs = groups[wid]
             t_lo = min(t for _, t in srcs)
-            cap = mask_volume if max_path_len is None else min(max_path_len, mask_volume)
             t1 = min(max_index, max(t for _, t in srcs) + cap - 1)
-            letters = _letters(sources.words[wid], t1)
-            if small:
-                _dfs_small(
-                    region, colors, mask, letters, srcs, t_lo, t1, cap,
-                    record, node_budget, state,
-                )
-                continue
-            table = _relaxed_table(colors, mask, nbr, letters, srcs, t_lo, t1)
-            useful = None
+            letters = _letters(sources.words[wid], t1).bits
+            # ok[t - t_lo]: sites a self-avoiding path may occupy at index t
+            sweep = _sweep(lattice, allowed, letters, range(t_lo, t1 + 1), _seeds(srcs))
+            ok = forward = [f for _, f in sweep]
             if target_mask is not None:
-                useful = _useful_table(
-                    colors, mask, nbr, letters, t_lo, t1, target_mask, minarr, flavor
-                )
-                state["stale"] = 0
+
+                def refresh():
+                    nonlocal stale, nodes_at_refresh
+                    useful = _useful_table(
+                        lattice, allowed, letters, t_lo, t1, target_mask, minarr, flavor
+                    )
+                    stale, nodes_at_refresh = 0, nodes
+                    return [f & u for f, u in zip(forward, useful)]
+
+                nodes_at_refresh = nodes
+                ok = refresh()
                 refresh_after = max(1024, 4 * mask_volume)
-                nodes_at_refresh = state["nodes"]
-            visited = np.zeros(region.volume, dtype=bool)
             for start, t_start in sorted(srcs, key=lambda s: (s[1], s[0])):
-                if not mask[start] or colors[start] != letters[t_start]:
+                if not allowed[letters >> t_start & 1] >> start & 1:
                     continue
-                path = [start]
-                visited[start] = True
-                try:
-                    record(start, t_start, path)
-                    if useful is not None and not useful[t_start - t_lo][start]:
-                        continue
-                    stack = [(start, t_start, 0)]
-                    while stack:
-                        if (
-                            useful is not None
-                            and state["stale"]
-                            and state["nodes"] - nodes_at_refresh >= refresh_after
-                        ):
-                            useful = _useful_table(
-                                colors, mask, nbr, letters, t_lo, t1,
-                                target_mask, minarr, flavor,
-                            )
-                            state["stale"] = 0
-                            nodes_at_refresh = state["nodes"]
-                        r, t, col = stack[-1]
-                        advanced = False
-                        if len(path) < cap:
-                            while col < nbr.shape[1]:
-                                u = int(nbr[r, col])
-                                col += 1
-                                if u < 0 or visited[u] or not mask[u]:
-                                    continue
-                                tn = t + 1
-                                if tn > t1 or colors[u] != letters[tn]:
-                                    continue
-                                if not table[tn - t_lo][u]:
-                                    continue
-                                if useful is not None and not useful[tn - t_lo][u]:
-                                    continue
-                                state["nodes"] += 1
-                                if node_budget is not None and state["nodes"] > node_budget:
-                                    raise CapacityError(
-                                        "exact search exceeded its node budget"
-                                    )
-                                stack[-1] = (r, t, col)
-                                stack.append((u, tn, 0))
-                                visited[u] = True
-                                path.append(u)
-                                record(u, tn, path)
-                                advanced = True
-                                break
-                        if not advanced:
-                            stack.pop()
-                            visited[r] = False
-                            path.pop()
-                finally:
-                    for r in path:
-                        visited[r] = False
-                    path.clear()
+                stack = [(start, t_start, iter(steps[kind[start]]))]  # the path
+                visited = 1 << start
+                record(start, t_start, stack)
+                if not ok[t_start - t_lo] >> start & 1:
+                    continue
+                while stack:
+                    if (target_mask is not None and stale
+                            and nodes - nodes_at_refresh >= refresh_after):
+                        ok = refresh()
+                    r, t, nbrs = stack[-1]
+                    row = ok[t + 1 - t_lo] if len(stack) < cap and t < t1 else 0
+                    for s in nbrs:
+                        u = r + s
+                        if not row >> u & 1 or visited >> u & 1:
+                            continue
+                        nodes += 1
+                        if node_budget is not None and nodes > node_budget:
+                            raise CapacityError("exact search exceeded its node budget")
+                        stack.append((u, t + 1, iter(steps[kind[u]])))
+                        visited |= 1 << u
+                        record(u, t + 1, stack)
+                        break
+                    else:
+                        stack.pop()
+                        visited ^= 1 << r
     except _StopSearch:
         pass
     for r, bits in arr_bits.items():

@@ -32,7 +32,6 @@ exploration actually reaches its end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -43,13 +42,6 @@ from .geometry import Region, neighbor_steps
 from .rng import RngStream
 from .search import one_connected_set
 from .words import Word, WordGenerator
-
-
-@dataclass(frozen=True)
-class ForestNode:
-    parent: tuple | None
-    root: tuple
-    depth: int
 
 
 class CoupledPair:
@@ -68,18 +60,6 @@ class CoupledPair:
         self.words = words             # tuple aligned with sources
         self.start_index = start_index
         self.provenance = provenance
-
-    def forest(self) -> dict:
-        out = {}
-        for r in np.nonzero(self._explored)[0]:
-            r = int(r)
-            par = self._parent[r]
-            out[self.region.unrank(r)] = ForestNode(
-                None if par < 0 else self.region.unrank(int(par)),
-                self.sources[self._root_idx[r]],
-                int(self._depth[r]),
-            )
-        return out
 
     def branch(self, v) -> list:
         """Forest path from v's root source down to v."""

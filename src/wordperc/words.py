@@ -254,7 +254,9 @@ def has_period_two(word, upto: int) -> bool:
         w = word.prefix(upto + 1)
     else:
         return False
-    return all(w[i] == w[i - 2] for i in range(2, min(upto, w.length - 1) + 1))
+    # bit i of bits ^ (bits >> 2) compares letters i and i + 2
+    pairs = max(min(upto, w.length - 1) - 1, 0)
+    return (w.bits ^ w.bits >> 2) & ((1 << pairs) - 1) == 0
 
 
 def generator_from_spec(spec: dict) -> WordGenerator:

@@ -246,6 +246,14 @@ def test_wierman_spec_source_outside_region(tmp_path, capsys):
     assert "[5, 5]" in err
 
 
+def test_renorm_spec_u_not_a_macro_vertex(tmp_path, capsys):
+    for u, shown in ((["a", 0, 2], "'a'"), ([1, 0, 2], "[1, 0, 2]"), ([0, 0], "[0, 0]")):
+        spath = spec_file(tmp_path, "renorm", {"p": 0.5, "k": 2, "word": "alt", "u": u})
+        code, err = run_cli_err(["--spec", spath], capsys)
+        assert code == 2
+        assert shown in err
+
+
 def test_renorm_tdensity_above_one(capsys):
     code, err = run_cli_err(["renorm", "--stat", "explore", "--k", "2", "--p", "0.5",
                              "--word", "alt", "--tdensity", "1.5", "--trials", "1"], capsys)

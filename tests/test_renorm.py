@@ -4,7 +4,7 @@ import pytest
 from wordperc.config import Configuration, sample
 from wordperc.errors import DomainError
 from wordperc.geometry import lambda_box, macro_box, macro_face, macro_out_neighbors
-from wordperc.oracles import saw_reach_bruteforce
+from wordperc.oracles import distance_map, saw_reach_bruteforce
 from wordperc.renorm import (
     RenormParams,
     SeedSet,
@@ -18,7 +18,7 @@ from wordperc.renorm import (
     seed_sets_from,
 )
 from wordperc.rng import RngStream
-from wordperc.search import SourceSet, distance_map, region_mask
+from wordperc.search import SourceSet, region_mask
 from wordperc.words import AlternatingWord, ConstantWord, Word
 
 PAR = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)

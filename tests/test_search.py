@@ -1,9 +1,13 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from wordperc.config import Configuration, enumerate_configs, flip_colors, sample
 from wordperc.errors import CapacityError, DomainError
-from wordperc.geometry import Region, single_cell
-from wordperc.oracles import connected_bruteforce, saw_reach_bruteforce
+from wordperc.geometry import Region, box, single_cell
+from wordperc.oracles import connected_bruteforce, distance_map, saw_reach_bruteforce
 from wordperc.rng import RngStream
 from wordperc.search import (
     SourceSet,
@@ -14,7 +18,7 @@ from wordperc.search import (
     sees_all_words,
     verify_witness,
 )
-from wordperc.words import ConstantWord, Word, enumerate_words
+from wordperc.words import AlternatingWord, ConstantWord, ProductWord, Word, enumerate_words
 
 R33 = Region(((-2, 1), (-2, 1)))  # 3x3 around the origin
 ORIGIN_CELL = single_cell((0, 0))
@@ -116,6 +120,9 @@ def test_capacity_guards():
         exact_word_reach(cfg, SourceSet.single((0, 0), ConstantWord(1)), (1 << 20) + 1)
     with pytest.raises(DomainError):
         exact_word_reach(cfg, SourceSet.single((9, 9), ConstantWord(1)), 3)
+    for search in (exact_word_reach, relaxed_word_reach):
+        with pytest.raises(DomainError, match="does not have 2 coordinates"):
+            search(cfg, SourceSet.single((0, 0, 0), ConstantWord(1)), 3)
 
 
 def test_sees_all_words_trivial_cases():
@@ -161,3 +168,153 @@ def test_relaxed_modes_agree_on_vertices():
     lean = relaxed_word_reach(cfg, src, 4, collect_arrivals=False)
     assert full.min_arrival == lean.min_arrival
     assert full.index_hits == lean.index_hits
+
+
+SQ9 = Region(((-5, 4), (-5, 4)))  # 81 sites, beyond one 64-bit word
+
+
+def test_exact_matches_bruteforce_beyond_64_sites():
+    words = [Word.from_string(s) for s in ("1", "10", "011", "1101", "0100")]
+    for seed in range(3):
+        cfg = sample(SQ9, 0.55, RngStream(77, seed))
+        for w in words:
+            src = SourceSet.uniform(list(SQ9.iter_points()), w)
+            got = exact_word_reach(cfg, src, len(w) - 1)
+            assert got.pairs() == saw_reach_bruteforce(cfg, src, len(w) - 1)
+
+
+def test_constant_word_minima_are_distances():
+    S = [(0, 0), (-3, 2), (4, -4)]
+    for seed in range(4):
+        cfg = sample(SQ9, 0.6, RngStream(78, seed))
+        within = None if seed % 2 else sample(SQ9, 0.9, RngStream(79, seed)).bools()
+        dist = distance_map(cfg, S, within)
+        res = relaxed_word_reach(cfg, SourceSet.uniform(S, ConstantWord(1)), 200, within)
+        assert res.min_arrival == dist
+        assert one_connected_set(cfg, S, within=within) == set(dist)
+
+
+def test_relaxed_minima_over_several_words():
+    # each vertex keeps its smallest arrival over all the words' sources
+    words = (Word.from_string("10" * 16), Word.from_string("1" * 32))
+    for region in (R33, SQ9, box(2, 3)):
+        pts = list(region.iter_points())
+        for seed in range(4):
+            cfg = sample(region, 0.6, RngStream(80, seed))
+            entries = ((pts[0], 0, 0), (pts[-1], 0, 1), (pts[len(pts) // 2], 3, 1))
+            both = relaxed_word_reach(cfg, SourceSet(entries, words), 30)
+            expect: dict = {}
+            for wid in (0, 1):
+                own = tuple((v, t, 0) for v, t, w in entries if w == wid)
+                alone = relaxed_word_reach(cfg, SourceSet(own, (words[wid],)), 30)
+                for v, t in alone.min_arrival.items():
+                    expect[v] = min(t, expect.get(v, t))
+            assert both.min_arrival == expect
+
+
+# -- result pins -----------------------------------------------------------------
+#
+# SHA-256 of canonical ReachResult contents, recorded (with record_pins) from
+# the earlier implementation that had separate bitmask and numpy searches for
+# regions of at most and more than 64 sites; results must stay identical.
+
+PIN_FILE = Path(__file__).with_name("search_result_digests.json")
+
+PIN_REGIONS = {
+    "line20": Region(((-10, 10),)),
+    "line100": Region(((-50, 50),)),
+    "R33": R33,
+    "sq8": Region(((-4, 4), (-4, 4))),  # 64 sites
+    "sq9": SQ9,
+    "box13": box(1, 3),
+    "box23": box(2, 3),
+    "cube4": Region(((-1, 1),) * 4),  # 16 sites
+    "box14": box(1, 4),  # 81 sites
+}
+THUE_MORSE = Word.from_bits(bin(i).count("1") & 1 for i in range(64))
+PIN_WORDS = {
+    "product": ProductWord(0.5, seed=5),
+    "alt": AlternatingWord(),
+    "const": ConstantWord(1),
+    "thue": THUE_MORSE,
+}
+PIN_SEEDS = (0, 1, 2)
+PIN_DENSITY = (0.4, 0.5, 0.65)  # by seed
+
+
+def _canonical(res) -> str:
+    """Sorted JSON of every field of a result."""
+    doc = {
+        "arrivals": sorted((list(v), b) for v, b in res.arrivals.items()),
+        "min_arrival": sorted((list(v), t) for v, t in res.min_arrival.items()),
+        "exact": res.exact,
+        "index_hits": res.index_hits,
+        "witnesses": sorted(
+            (list(v), [list(u) for u in path]) for v, path in (res.witnesses or {}).items()
+        ),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _pin_calls(region, cfg, word, seed):
+    """(name, thunk returning canonical text) for every pinned call."""
+    pts = list(region.iter_points())
+    mid, third, last = pts[len(pts) // 2], pts[len(pts) // 3], pts[-1]
+    single = SourceSet.single(mid, word)
+    multi = SourceSet.uniform([mid, third, pts[0]], word, [0, 1, 3])
+    two_words = SourceSet(((mid, 0, 0), (third, 0, 1), (last, 2, 1)), (word, THUE_MORSE))
+    within = sample(region, 0.85, RngStream(7, seed)).bools()
+    half = region.points_array()[:, 0] <= 0
+    targets = sample(region, 0.3, RngStream(8, seed)).bools()
+    on_targets = lambda v: targets[region.rank(v)]  # noqa: E731
+    yield "relaxed", lambda: _canonical(relaxed_word_reach(cfg, single, 24))
+    yield "relaxed_lean", lambda: _canonical(
+        relaxed_word_reach(cfg, multi, 24, collect_arrivals=False))
+    yield "relaxed_within", lambda: _canonical(relaxed_word_reach(cfg, multi, 24, within))
+    # the earlier search of regions beyond 64 sites kept a vertex's arrival
+    # from the first word that reached it, not the smallest one; those cases
+    # are covered by test_relaxed_minima_over_several_words instead
+    if region.volume <= 64:
+        yield "relaxed_words", lambda: _canonical(relaxed_word_reach(cfg, two_words, 24))
+    yield "exact", lambda: _canonical(exact_word_reach(cfg, single, 8, want_witness=True))
+    yield "exact_multi", lambda: _canonical(
+        exact_word_reach(cfg, multi, 8, within, want_witness=True))
+    yield "exact_words", lambda: _canonical(
+        exact_word_reach(cfg, two_words, 8, want_witness=True))
+    yield "exact_early", lambda: _canonical(exact_word_reach(
+        cfg, multi, 8, early_stop=[(half, 4), (~half, 3)], want_witness=True))
+    yield "exact_stop", lambda: _canonical(
+        exact_word_reach(cfg, multi, 8, stop_at_index=5, want_witness=True))
+    yield "exact_len", lambda: _canonical(
+        exact_word_reach(cfg, multi, 10, max_path_len=4, want_witness=True))
+    # pruned searches guarantee only the reached targets (membership) or
+    # the targets' minimal arrivals (min)
+    yield "prune_membership", lambda: json.dumps(sorted(
+        list(v) for v in exact_word_reach(
+            cfg, multi, 9, prune_targets=(targets, "membership")).vertices()
+        if on_targets(v)))
+    yield "prune_min", lambda: json.dumps(sorted(
+        (list(v), t) for v, t in exact_word_reach(
+            cfg, multi, 9, within, prune_targets=(targets, "min")).min_arrival.items()
+        if on_targets(v)))
+
+
+def pin_cases():
+    """(key, thunk) for every pin."""
+    for ri, (rname, region) in enumerate(PIN_REGIONS.items()):
+        for wname, word in PIN_WORDS.items():
+            for seed in PIN_SEEDS:
+                cfg = sample(region, PIN_DENSITY[seed], RngStream(50 + ri, seed))
+                for call, thunk in _pin_calls(region, cfg, word, seed):
+                    yield f"{rname}/{wname}/{seed}/{call}", thunk
+
+
+def record_pins() -> dict:
+    return {key: hashlib.sha256(thunk().encode()).hexdigest() for key, thunk in pin_cases()}
+
+
+def test_results_identical_to_pins():
+    pins = json.loads(PIN_FILE.read_text())
+    got = record_pins()
+    assert got.keys() == pins.keys()
+    assert [k for k in pins if got[k] != pins[k]] == []

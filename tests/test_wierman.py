@@ -356,11 +356,15 @@ def test_start_index_one_convention():
 
 
 def test_trees_vertex_disjoint():
+    # every branch starts at a source and extends its parent's branch, so
+    # each explored vertex hangs in the tree of its branch's root only
     for seed in range(30):
         pair = wierman_couple(
             R33, [(-1, -1), (1, 1)], AlternatingWord(), 0.5, RngStream(41, seed)
         )
-        forest = pair.forest()
-        for v, node in forest.items():
-            if node.parent is not None:
-                assert forest[node.parent].root == node.root
+        for r in np.flatnonzero(pair._explored):
+            v = R33.unrank(int(r))
+            path = pair.branch(v)
+            assert path[0] in pair.sources and path[-1] == v
+            if len(path) > 1:
+                assert path[:-1] == pair.branch(path[-2])
