@@ -146,6 +146,8 @@ def cmd_oriented(args):
 
 
 def cmd_renorm(args):
+    if args.trials < 1:
+        raise DomainError("trials must be >= 1")
     if not 0.0 <= args.tdensity <= 1.0:
         raise DomainError("--tdensity must lie in [0, 1]")
     if args.stat == "good":

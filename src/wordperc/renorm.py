@@ -12,19 +12,25 @@ sub-seed exists iff the canonical set is large enough.
 
 Two offset budgets appear in the source material: membership inside one
 box is bounded by C * v1, while the reported minimal arrival during an
-ambient run is bounded by C * (n + v1).  Both are implemented at their
-call sites (``t_membership`` / ``t_report``); they are not reconciled.
+ambient run is bounded by C * (n + v1).  Only the first is implemented:
+every box search, inside an exploration too, stops at C * v1 (or the
+caller's ``t_membership``), so propagated seeds carry arrivals up to C * v1.
 
 The micro-to-macro exploration propagates arrival sets face to face via
 single-box searches, which is exactly the inductive step the good event
 certifies; each box is examined at most once (auditable), so every
-verdict consumes fresh randomness.
+verdict consumes fresh randomness.  A box costs one search when the walk
+search decides it (relaxed mode or a period-<=2 word): the verdict is the
+good-event threshold on that search's per-face arrivals.  Otherwise the
+early-stopping self-avoiding search decides, and accepted boxes run a
+second, minimal-arrival search for their seeds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .geometry import (
     macro_out_neighbors,
     slab_window,
 )
-from .oriented import explore, slab_windows, snap_left_column
+from .oriented import explore, slab_windows
 from .words import has_period_two
 from .search import (
     SourceSet,
@@ -127,6 +133,47 @@ def box_domain(u, params: RenormParams, region: Region) -> np.ndarray:
     return region_mask(region, [face, bx])
 
 
+def _need(params: RenormParams) -> int:
+    """Face points the good event asks of every out-neighbor face."""
+    threshold = 64000.0 * params.delta * params.face_size()
+    return max(1, math.ceil(threshold - 1e-12))
+
+
+def _walks_decide(xi, mode: str, bound: int) -> bool:
+    """Whether the walk (relaxed) search answers the box question."""
+    if mode not in ("exact", "relaxed"):
+        raise DomainError(f"unknown search mode {mode!r}")
+    # for period-<=2 words on the bipartite lattice, loop erasure makes
+    # walk and self-avoiding reachability agree on membership and minima
+    return mode == "relaxed" or has_period_two(xi, bound)
+
+
+@lru_cache(maxsize=1024)
+def _face_points(v, k: int, d: int) -> tuple[Point, ...]:
+    return tuple(map(tuple, macro_face(v, k, d).points_array().tolist()))
+
+
+def _face_arrivals(cfg, seed: SeedSet, xi, params, outs, bound, walks, node_budget) -> dict:
+    """One search from the seed inside F^u u B^u up to index bound; for
+    every out-neighbor v, the face points of F^v it reaches with their
+    minimal arrivals, read through the face's own points."""
+    mask = box_domain(seed.u, params, cfg.region)
+    sources = SourceSet.uniform(seed.vertices(), xi, [t for _, t in seed.entries])
+    if walks:
+        res = relaxed_word_reach(cfg, sources, bound, within=mask, collect_arrivals=False)
+    else:
+        faces = region_mask(cfg.region, [macro_face(v, params.k, params.d) for v in outs])
+        res = exact_word_reach(
+            cfg, sources, bound, within=mask, node_budget=node_budget,
+            prune_targets=(faces, "min"),
+        )
+    arrival = res.min_arrival
+    return {
+        v: {y: arrival[y] for y in _face_points(v, params.k, params.d) if y in arrival}
+        for v in outs
+    }
+
+
 def seed_sets_from(
     cfg: Configuration,
     seed: SeedSet,
@@ -134,52 +181,19 @@ def seed_sets_from(
     params: RenormParams,
     mode: str = "exact",
     t_membership: int | None = None,
-    t_report: int | None = None,
     node_budget: int | None = None,
 ) -> dict:
     """Canonical propagated seeds: for every out-neighbor v of u, the face
     points of F^v reached from the seed inside F^u u B^u, with minimal
-    arrival offsets.
-
-    Membership bound defaults to C * v1; t_report, when given (ambient
-    runs), widens only the reported minimum's search range.
-    """
+    arrival offsets; the search and its offsets stop at the membership
+    bound, C * v1 by default."""
     u = seed.u
     outs = macro_out_neighbors(u, params.h)
     if not outs:
         return {}
-    v1 = u[0] + 2
-    bound = params.C * v1 if t_membership is None else t_membership
-    max_index = bound if t_report is None else max(bound, t_report)
-    mask = box_domain(u, params, cfg.region)
-    sources = SourceSet.uniform(seed.vertices(), xi, [t for _, t in seed.entries])
-    if mode not in ("exact", "relaxed"):
-        raise DomainError(f"unknown search mode {mode!r}")
-    if mode == "relaxed" or has_period_two(xi, max_index):
-        # for period-<=2 words on the bipartite lattice, loop erasure makes
-        # walk and self-avoiding reachability agree on membership and minima
-        res = relaxed_word_reach(cfg, sources, max_index, within=mask, collect_arrivals=False)
-    else:
-        faces = region_mask(
-            cfg.region, [macro_face(v, params.k, params.d) for v in outs]
-        )
-        res = exact_word_reach(
-            cfg,
-            sources,
-            max_index,
-            within=mask,
-            node_budget=node_budget,
-            prune_targets=(faces, "min"),
-        )
-    out = {}
-    for v in outs:
-        face = macro_face(v, params.k, params.d)
-        got = {}
-        for y, t in res.min_arrival.items():
-            if t <= bound and face.contains(y):
-                got[y] = t
-        out[v] = got
-    return out
+    bound = params.C * (u[0] + 2) if t_membership is None else t_membership
+    walks = _walks_decide(xi, mode, bound)
+    return _face_arrivals(cfg, seed, xi, params, outs, bound, walks, node_budget)
 
 
 def good_event(
@@ -198,29 +212,16 @@ def good_event(
     outs = macro_out_neighbors(u, params.h)
     if not outs:
         return True
-    threshold = 64000.0 * params.delta * params.face_size()
-    need = max(1, math.ceil(threshold - 1e-12))
+    need = _need(params)
     bound = params.C * (u[0] + 2)
+    if _walks_decide(xi, mode, bound):
+        grown = _face_arrivals(cfg, seed, xi, params, outs, bound, True, node_budget)
+        return all(len(got) >= need for got in grown.values())
     mask = box_domain(u, params, cfg.region)
     sources = SourceSet.uniform(seed.vertices(), xi, [t for _, t in seed.entries])
-    if mode not in ("exact", "relaxed"):
-        raise DomainError(f"unknown search mode {mode!r}")
-    if mode == "relaxed" or has_period_two(xi, bound):
-        # loop erasure on the bipartite lattice: for period-<=2 words the
-        # walk dynamics decide self-avoiding membership exactly
-        res = relaxed_word_reach(cfg, sources, bound, within=mask, collect_arrivals=False)
-        for v in outs:
-            face = macro_face(v, params.k, params.d)
-            count = sum(1 for y in res.min_arrival if face.contains(y))
-            if count < need:
-                return False
-        return True
     face_masks = [
         region_mask(cfg.region, [macro_face(v, params.k, params.d)]) for v in outs
     ]
-    all_faces = np.zeros(cfg.region.volume, dtype=bool)
-    for fm in face_masks:
-        all_faces |= fm
     res = exact_word_reach(
         cfg,
         sources,
@@ -228,14 +229,13 @@ def good_event(
         within=mask,
         early_stop=[(fm, need) for fm in face_masks],
         node_budget=node_budget,
-        prune_targets=(all_faces, "membership"),
+        prune_targets=(np.logical_or.reduce(face_masks), "membership"),
     )
-    reached = res.vertices()
-    for v, fm in zip(outs, face_masks):
-        face = macro_face(v, params.k, params.d)
-        if sum(1 for y in reached if face.contains(y)) < need:
-            return False
-    return True
+    reached = res.min_arrival
+    return all(
+        sum(y in reached for y in _face_points(v, params.k, params.d)) >= need
+        for v in outs
+    )
 
 
 def lambda_boundary(n: int, params: RenormParams) -> set[Point]:
@@ -349,7 +349,6 @@ def macro_exploration(
     win = slab_windows(n, params.h)
     k = params.k
     C = params.C
-    cL = snap_left_column(n)
     budget = C * n
     T = {tuple(v): int(t) for v, t in T.items()}
     for v, t in T.items():
@@ -360,25 +359,31 @@ def macro_exploration(
     T_macro = []
     seeds0 = {}
     for u in win.L:
-        face = macro_face(u, k, params.d)
-        mine = {v: t for v, t in T.items() if face.contains(v)}
+        mine = {v: T[v] for v in _face_points(u, k, params.d) if v in T}
         if len(mine) >= params.delta * face_area:
             T_macro.append(u)
             seeds0[u] = mine
     arrivals: dict = {u: dict(s) for u, s in seeds0.items()}
     queried: list = []
+    need = _need(params)
 
     def verdict(u) -> bool:
         queried.append(u)
         seed = SeedSet.from_dict(u, arrivals.get(u, {}))
         if not seed.entries or not is_delta_seed(seed, params.delta, params):
             return False
-        ok = good_event(cfg, seed, xi, params, mode=mode, node_budget=node_budget)
-        if ok:
+        if _walks_decide(xi, mode, C * (u[0] + 2)):
+            # one walk search: the good event is the threshold on its faces
+            grown = seed_sets_from(cfg, seed, xi, params, mode=mode)
+            ok = all(len(got) >= need for got in grown.values())
+        else:
+            # the early-stopping search decides; only accepted boxes pay
+            # for the minimal-arrival search
+            ok = good_event(cfg, seed, xi, params, mode=mode, node_budget=node_budget)
             grown = seed_sets_from(
-                cfg, seed, xi, params, mode=mode,
-                t_report=C * (n + u[0] + 2), node_budget=node_budget,
-            )
+                cfg, seed, xi, params, mode=mode, node_budget=node_budget
+            ) if ok else {}
+        if ok:
             for w, got in grown.items():
                 slot = arrivals.setdefault(w, {})
                 for y, t in got.items():

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError, DomainError
 from .rng import RngStream
 
@@ -101,7 +103,14 @@ class WordGenerator:
     def prefix(self, n: int) -> Word:
         if n < 0:
             raise DomainError("negative prefix length")
-        return Word.from_bits(self.bit(i) for i in range(n))
+        return Word(self._prefix_bits(n), n)
+
+    def _prefix_bits(self, n: int) -> int:
+        """Letters 0..n-1 packed LSB-first; kinds override it with block forms."""
+        bits = 0
+        for i in range(n):
+            bits |= self.bit(i) << i
+        return bits
 
     def bit(self, i: int) -> int:
         raise NotImplementedError
@@ -122,6 +131,9 @@ class ConstantWord(WordGenerator):
     def bit(self, i: int) -> int:
         return self.value
 
+    def _prefix_bits(self, n: int) -> int:
+        return _tile(self.value, 1, n)
+
     def spec(self):
         return {"kind": "constant", "value": self.value}
 
@@ -133,6 +145,9 @@ class AlternatingWord(WordGenerator):
 
     def bit(self, i: int) -> int:
         return 1 - (i & 1)
+
+    def _prefix_bits(self, n: int) -> int:
+        return _tile(1, 2, n)
 
     def spec(self):
         return {"kind": "alternating"}
@@ -148,6 +163,9 @@ class PeriodicWord(WordGenerator):
 
     def bit(self, i: int) -> int:
         return self.pattern[i % self.pattern.length]
+
+    def _prefix_bits(self, n: int) -> int:
+        return _tile(self.pattern.bits, self.pattern.length, n)
 
     def spec(self):
         return {"kind": "periodic", "pattern": str(self.pattern)}
@@ -167,6 +185,11 @@ class ProductWord(WordGenerator):
 
     def bit(self, i: int) -> int:
         return int(self._stream.bernoulli(self.q, i))
+
+    def _prefix_bits(self, n: int) -> int:
+        # uniform_block(0, n)[i] is bit-identical to uniform(i)
+        packed = np.packbits(self._stream.uniform_block(0, n) < self.q, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def spec(self):
         return {"kind": "product", "q": self.q, "seed": self.seed}
@@ -230,8 +253,22 @@ class ExplicitWord(WordGenerator):
             return self.head[i]
         return self.tail.bit(i - self.head.length)
 
+    def _prefix_bits(self, n: int) -> int:
+        m = min(n, self.head.length)
+        head = self.head.bits & ((1 << m) - 1)
+        return head | self.tail._prefix_bits(n - m) << m
+
     def spec(self):
         return {"kind": "explicit", "prefix": str(self.head), "tail": self.tail.spec()}
+
+
+def _tile(pattern: int, period: int, n: int) -> int:
+    """The first n letters of a period-letter pattern repeated: multiplying
+    by the repunit 1 + 2^period + 2^(2 period) + ... lays the copies side
+    by side."""
+    copies = -(-n // period)
+    repunit = ((1 << period * copies) - 1) // ((1 << period) - 1)
+    return pattern * repunit & ((1 << n) - 1)
 
 
 def has_period_two(word, upto: int) -> bool:

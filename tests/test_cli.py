@@ -268,6 +268,27 @@ def test_renorm_tdensity_not_finite(capsys):
     assert "--tdensity" in err
 
 
+def test_renorm_explore_zero_trials(capsys):
+    code, err = run_cli_err(["renorm", "--stat", "explore", "--k", "2", "--p", "0.5",
+                             "--word", "alt", "--trials", "0"], capsys)
+    assert code == 2
+    assert "trials must be >= 1" in err
+
+
+def test_renorm_explore_negative_trials(capsys):
+    code, err = run_cli_err(["renorm", "--stat", "explore", "--k", "2", "--p", "0.5",
+                             "--word", "alt", "--trials", "-1"], capsys)
+    assert code == 2
+    assert "trials must be >= 1" in err
+
+
+def test_renorm_emn_zero_trials(capsys):
+    code, err = run_cli_err(["renorm", "--stat", "emn", "--k", "2", "--p", "0.5",
+                             "--word", "alt", "--trials", "0"], capsys)
+    assert code == 2
+    assert "trials must be >= 1" in err
+
+
 def test_site_spec_vertex_outside_region(tmp_path, capsys):
     spath = spec_file(tmp_path, "site", {"region": {"kind": "box", "m": 1, "d": 2},
                                          "p": 0.5, "vertex": [3, 0]})

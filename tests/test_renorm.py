@@ -1,9 +1,13 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wordperc.config import Configuration, sample
-from wordperc.errors import DomainError
-from wordperc.geometry import lambda_box, macro_box, macro_face, macro_out_neighbors
+from wordperc.errors import CapacityError, DomainError
+from wordperc.geometry import Region, lambda_box, macro_box, macro_face, macro_out_neighbors
 from wordperc.oracles import distance_map, saw_reach_bruteforce
 from wordperc.renorm import (
     RenormParams,
@@ -19,7 +23,15 @@ from wordperc.renorm import (
 )
 from wordperc.rng import RngStream
 from wordperc.search import SourceSet, region_mask
-from wordperc.words import AlternatingWord, ConstantWord, Word
+from wordperc.oriented import snap_left_column
+from wordperc.words import (
+    AlternatingWord,
+    ConstantWord,
+    ExplicitWord,
+    ProductWord,
+    Word,
+    has_period_two,
+)
 
 PAR = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
 U = (0, 0, 2)
@@ -210,6 +222,26 @@ def test_macro_exploration_all_ones():
     assert rep.T_prime_size > 0
 
 
+@pytest.mark.parametrize("mode", ["relaxed", "exact"])
+def test_macro_exploration_one_search_per_box(monkeypatch, mode):
+    # on an all-ones window every queried box holds a seed, and the constant
+    # word is decided by the walk search in both modes: one search a box
+    import wordperc.renorm as renorm
+
+    calls = []
+    for name in ("relaxed_word_reach", "exact_word_reach", "good_event"):
+        real = getattr(renorm, name)
+        monkeypatch.setattr(renorm, name, lambda *a, _n=name, _f=real, **kw: (
+            calls.append(_n), _f(*a, **kw))[1])
+    par = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
+    n = 5
+    cfg = all_ones(micro_window(n, par))
+    T = {p: 0 for p in micro_left_column(n, par).iter_points()}
+    rep = macro_exploration(cfg, T, ConstantWord(1), par, n, mode=mode)
+    assert rep.queried
+    assert calls == ["relaxed_word_reach"] * len(rep.queried)
+
+
 def test_macro_exploration_empty_T():
     par = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
     n = 5
@@ -219,3 +251,127 @@ def test_macro_exploration_empty_T():
     assert rep.T_macro == ()
     assert rep.U_inf == ()
     assert rep.T_prime == {}
+
+
+# -- result pins -----------------------------------------------------------------
+#
+# SHA-256 of canonical good-event verdicts, propagated seed sets and full
+# exploration reports, recorded (with record_pins) from the implementation
+# that ran a good-event search and then a second seed-set search per accepted
+# box and widened ambient seed-set searches to C * (n + v1); results must stay
+# identical.
+
+PIN_FILE = Path(__file__).with_name("renorm_result_digests.json")
+PIN_DENSITY = (0.45, 0.5, 0.6)  # by seed
+PIN_BUDGET = 20000  # exact seed-set searches at k = 4 exceed it (pinned as "cap")
+
+
+def period_two_until(params, u1):
+    """Alternating up to index C * (u1 + 2), then one letter off the period."""
+    bound = params.C * (u1 + 2)
+    head = "".join("10"[i & 1] for i in range(bound + 1))
+    word = ExplicitWord(head, ConstantWord(int(head[-1])))
+    assert has_period_two(word, bound) and not has_period_two(word, bound + 1)
+    return word
+
+
+def pin_words(params, u1):
+    return {
+        "const": ConstantWord(1),
+        "alt": AlternatingWord(),
+        "product": ProductWord(0.5, seed=5),
+        "explicit": period_two_until(params, u1),
+    }
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _capped(thunk):
+    try:
+        return thunk()
+    except CapacityError:
+        return "cap"
+
+
+def _seed_cases(params):
+    """(name, seed set): the full face at (0, 0, 2) with offsets 0, and every
+    third face point at (2, 1, 1) with offsets spread over [0, C * u1]."""
+    yield "full", SeedSet.full_face((0, 0, 2), params)
+    u = (2, 1, 1)
+    pts = list(macro_face(u, params.k, params.d).iter_points())[::3]
+    span = params.C * u[0] + 1
+    yield "sparse", SeedSet.from_dict(u, {v: (37 * i) % span for i, v in enumerate(pts)})
+
+
+def _box_pin_calls(params, seed):
+    for sname, seed_set in _seed_cases(params):
+        u = seed_set.u
+        cfg = sample(region_for(u, params), PIN_DENSITY[seed], RngStream(60 + params.k, seed))
+        for wname, word in pin_words(params, u[0]).items():
+            for mode in ("exact", "relaxed"):
+                key = f"{sname}/{wname}/{mode}"
+                yield f"good/{key}", lambda c=cfg, s=seed_set, w=word, m=mode: _dump(
+                    good_event(c, s, w, params, mode=m))
+                yield f"seed_sets/{key}", lambda c=cfg, s=seed_set, w=word, m=mode: _dump(
+                    _capped(lambda: sorted(
+                        (list(v), sorted((list(y), t) for y, t in got.items()))
+                        for v, got in seed_sets_from(
+                            c, s, w, params, mode=m, node_budget=PIN_BUDGET).items())))
+
+
+def _report(rep) -> str:
+    return _dump({
+        "n": rep.n,
+        "T_macro": rep.T_macro,
+        "U0": rep.U0,
+        "U_inf": rep.U_inf,
+        "V_inf": rep.V_inf,
+        "trace": rep.trace,
+        "queried": rep.queried,
+        "right_hits": rep.right_hits,
+        "right_size": rep.right_size,
+        "T_prime": sorted((list(y), t) for y, t in rep.T_prime.items()),
+        "T_prime_threshold": rep.T_prime_threshold,
+        "audit_no_requeries": rep.audit_no_requeries,
+        "audit_box_overlaps": rep.audit_box_overlaps,
+    })
+
+
+def _exploration_pin_calls(params, n, seed):
+    cfg = sample(micro_window(n, params), PIN_DENSITY[seed], RngStream(70 + params.k, seed))
+    col = micro_left_column(n, params).points_array()
+    keep = RngStream(71, seed).uniform_block(0, len(col)) < 0.7
+    T = {tuple(v): (7 * i) % 5 for i, v in enumerate(col[keep].tolist())}
+    for wname, word in pin_words(params, snap_left_column(n)).items():
+        yield f"relaxed/{wname}", lambda w=word: _report(
+            macro_exploration(cfg, T, w, params, n, mode="relaxed"))
+        # exact explorations only at k = 2, where they stay small; the
+        # product word at n = 5, p = 0.45 exceeds 10^6 search nodes
+        if params.k == 2 and wname in ("product", "explicit") and (n, wname, seed) != (5, "product", 0):
+            yield f"exact/{wname}", lambda w=word: _report(
+                macro_exploration(cfg, T, w, params, n, mode="exact"))
+
+
+def pin_cases():
+    """(key, thunk) for every pin."""
+    for k in (2, 4):
+        params = RenormParams(d=3, p=0.5, k=k, delta=1e-6, h=4)
+        for seed in range(3):
+            for call, thunk in _box_pin_calls(params, seed):
+                yield f"k{k}/{seed}/{call}", thunk
+            for n in (3, 4, 5):
+                for call, thunk in _exploration_pin_calls(params, n, seed):
+                    yield f"k{k}/{seed}/explore{n}/{call}", thunk
+
+
+def record_pins() -> dict:
+    return {key: hashlib.sha256(thunk().encode()).hexdigest() for key, thunk in pin_cases()}
+
+
+def test_results_identical_to_pins():
+    pins = json.loads(PIN_FILE.read_text())
+    got = record_pins()
+    assert got.keys() == pins.keys()
+    assert [k for k in pins if got[k] != pins[k]] == []

@@ -105,6 +105,33 @@ def test_prefix_consistency(gen):
         assert a.bits == b.bits & ((1 << n) - 1)
 
 
+PREFIX_GENERATORS = [
+    ConstantWord(0),
+    ConstantWord(1),
+    AlternatingWord(),
+    PeriodicWord("0"),
+    PeriodicWord("10"),
+    PeriodicWord("0110"),
+    PeriodicWord("1101001"),
+    MinRunWord(1, seed=2),
+    MinRunWord(3, seed=9),
+    ExplicitWord("", AlternatingWord()),
+    ExplicitWord("101", ConstantWord(0)),
+    ExplicitWord("0" * 70, ProductWord(0.3, seed=1)),
+    ExplicitWord("1", ExplicitWord("00", PeriodicWord("011"))),
+] + [ProductWord(q, seed) for q in (0.0, 0.3, 0.5, 1.0) for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("gen", PREFIX_GENERATORS, ids=lambda g: str(g.spec()))
+def test_prefix_matches_letters(gen):
+    # block prefixes equal the letter-by-letter definition at every length
+    letters = [gen.bit(i) for i in range(200)]
+    for n in range(0, 201):
+        word = gen.prefix(n)
+        assert word.length == n
+        assert word.bits == sum(b << i for i, b in enumerate(letters[:n]))
+
+
 def test_product_moments():
     gen = ProductWord(0.35, seed=4)
     n = 100_000
