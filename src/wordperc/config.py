@@ -73,10 +73,10 @@ class Configuration:
         bits = np.asarray(bits, dtype=bool)
         if bits.shape != (region.volume,):
             raise DomainError("bit array shape mismatch")
-        padded = np.packbits(bits, bitorder="little")
-        padded = np.pad(padded, (0, (-len(padded)) % 8))
-        words = tuple(int(w) for w in padded.view(np.uint64))
-        return cls(region, words, provenance)
+        packed = np.packbits(bits, bitorder="little")
+        buf = np.zeros((len(bits) + 63) // 64 * 8, dtype=np.uint8)
+        buf[: len(packed)] = packed
+        return cls(region, tuple(buf.view(np.uint64).tolist()), provenance)
 
     @classmethod
     def from_bits(cls, region: Region, bits, provenance=None):

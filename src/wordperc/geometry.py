@@ -19,7 +19,7 @@ slab.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -59,7 +59,7 @@ class Region:
     def sizes(self) -> tuple[int, ...]:
         return tuple(hi - lo for lo, hi in self.intervals)
 
-    @property
+    @cached_property
     def volume(self) -> int:
         v = 1
         for s in self.sizes:
@@ -120,9 +120,6 @@ class Region:
 
     def min_point(self) -> Point:
         return tuple(lo + 1 for lo, _ in self.intervals)
-
-    def max_point(self) -> Point:
-        return tuple(hi for _, hi in self.intervals)
 
 
 @lru_cache(maxsize=256)

@@ -317,10 +317,12 @@ _TRIALS = {
 
 
 def _threads() -> int:
+    """Worker processes: WORDPERC_THREADS, clamped to [1, os.cpu_count()]."""
     try:
-        return max(1, int(os.environ.get("WORDPERC_THREADS", "1")))
+        want = int(os.environ.get("WORDPERC_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(want, os.cpu_count() or 1))
 
 
 def _run_bernoulli(kind, params, trials, seed) -> Estimate:

@@ -57,6 +57,15 @@ from .search import (
 
 Point = tuple[int, ...]
 
+# Search-tree nodes one exact box search may use when the caller names no
+# budget; the self-avoiding search is exponential in the worst case, so an
+# exceeded budget raises CapacityError instead of running without bound.
+EXACT_NODE_BUDGET = 1_000_000
+
+
+def _budget(node_budget: int | None) -> int:
+    return EXACT_NODE_BUDGET if node_budget is None else node_budget
+
 
 @dataclass(frozen=True)
 class RenormParams:
@@ -164,7 +173,7 @@ def _face_arrivals(cfg, seed: SeedSet, xi, params, outs, bound, walks, node_budg
     else:
         faces = region_mask(cfg.region, [macro_face(v, params.k, params.d) for v in outs])
         res = exact_word_reach(
-            cfg, sources, bound, within=mask, node_budget=node_budget,
+            cfg, sources, bound, within=mask, node_budget=_budget(node_budget),
             prune_targets=(faces, "min"),
         )
     arrival = res.min_arrival
@@ -186,7 +195,8 @@ def seed_sets_from(
     """Canonical propagated seeds: for every out-neighbor v of u, the face
     points of F^v reached from the seed inside F^u u B^u, with minimal
     arrival offsets; the search and its offsets stop at the membership
-    bound, C * v1 by default."""
+    bound, C * v1 by default.  An exact search may use node_budget
+    search-tree nodes (EXACT_NODE_BUDGET when None)."""
     u = seed.u
     outs = macro_out_neighbors(u, params.h)
     if not outs:
@@ -205,7 +215,9 @@ def good_event(
     node_budget: int | None = None,
 ) -> bool:
     """Whether the seed propagates 64000*delta-dense seeds to every
-    out-neighbor face while reading the word inside F^u u B^u."""
+    out-neighbor face while reading the word inside F^u u B^u.  An exact
+    search may use node_budget search-tree nodes (EXACT_NODE_BUDGET when
+    None)."""
     if not is_delta_seed(seed, params.delta, params):
         raise DomainError("good_event needs a delta-seed")
     u = seed.u
@@ -228,7 +240,7 @@ def good_event(
         bound,
         within=mask,
         early_stop=[(fm, need) for fm in face_masks],
-        node_budget=node_budget,
+        node_budget=_budget(node_budget),
         prune_targets=(np.logical_or.reduce(face_masks), "membership"),
     )
     reached = res.min_arrival
@@ -344,7 +356,8 @@ def macro_exploration(
     Face-to-face propagation happens through one box at a time; the
     verdict for a macro vertex is the good event on its accumulated
     arrival seed, evaluated on the configuration restricted to its own
-    box and face.
+    box and face.  Every exact box search gets node_budget search-tree
+    nodes (EXACT_NODE_BUDGET when None).
     """
     win = slab_windows(n, params.h)
     k = params.k

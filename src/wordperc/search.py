@@ -23,7 +23,14 @@ alternates steps with masking by the sites whose color is the next
 letter: forward from the sources it gives the relaxed reach and the
 exact search's pruning table, backward from the targets the table of
 states that can still resolve one.  The exact search is a single
-depth-first loop with an int visited set over ``neighbor_steps``.
+depth-first loop (``_paths``) with an int visited set over
+``neighbor_steps``.
+
+``sees_all_words`` walks the word trie depth first: the front of a prefix
+is its parent's front stepped and masked by its last letter, so words
+sharing a prefix share its fronts, an empty front settles a whole
+subtree, and an exact leaf runs the depth-first loop pruned by the chain
+of fronts along its word.
 
 Searches run inside an optional boolean mask over the configuration's
 region (used for non-product domains like a box plus its seed face).
@@ -39,7 +46,7 @@ import numpy as np
 from .config import Configuration
 from .errors import CapacityError, DomainError
 from .geometry import Region, neighbor_steps
-from .words import Word, WordGenerator, enumerate_words, has_period_two
+from .words import Word, WordGenerator, has_period_two
 
 MAX_INDEX = 1 << 20
 Point = tuple[int, ...]
@@ -161,11 +168,11 @@ def _step(front: int, lattice) -> int:
     return out
 
 
-def _sweep(lattice, allowed, letters: int, indices, seeds: dict):
+def _sweep(lattice, allowed, letters: int, indices, seeds: dict, front: int = 0):
     """Yield (t, F_t) for t in indices, F_t = (step(F_prev) | seeds[t]) &
     allowed[letter t]: the sites a walk reading the letters can occupy at
-    index t after starting (forward) or before ending (backward) in a seed."""
-    front = 0
+    index t after starting (forward) or before ending (backward) in a seed;
+    F_prev is front before the first index."""
     for t in indices:
         front = (_step(front, lattice) | seeds.get(t, 0)) & allowed[letters >> t & 1]
         yield t, front
@@ -179,19 +186,24 @@ def _prepare(cfg: Configuration, sources: SourceSet, max_index: int, within):
     if max_index > MAX_INDEX:
         raise CapacityError(f"max_index capped at {MAX_INDEX}")
     region = cfg.region
-    colors = cfg.bools()
-    mask = np.ones(region.volume, dtype=bool)
-    if within is not None:
-        mask = np.asarray(within, dtype=bool)
-        if mask.shape != (region.volume,):
-            raise DomainError("within-mask shape mismatch")
-    allowed = (_bits(~colors & mask), _bits(colors & mask))
+    allowed = _allowed(cfg, within)
     groups: dict[int, list[tuple[int, int]]] = {}
     for v, t, wid in sources.entries:
         r = int(region.rank(v))  # also validates dimension and membership
         if t <= max_index:
             groups.setdefault(wid, []).append((r, t))
     return region, allowed, groups
+
+
+def _allowed(cfg: Configuration, within):
+    """The 0-sites and the 1-sites inside the mask, as bitsets."""
+    colors = cfg.bools()
+    if within is None:
+        return _bits(~colors), _bits(colors)
+    mask = np.asarray(within, dtype=bool)
+    if mask.shape != (cfg.region.volume,):
+        raise DomainError("within-mask shape mismatch")
+    return _bits(~colors & mask), _bits(colors & mask)
 
 
 def _seeds(srcs) -> dict[int, int]:
@@ -305,6 +317,29 @@ class _StopSearch(Exception):
     pass
 
 
+def _paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start, visit):
+    """Self-avoiding walks from start at index t_start, depth first in
+    neighbor order, whose site at each index t lies in ok[t - t_lo], up to
+    index t_hi and cap sites.  Calls visit(rank, t, path) after every
+    step, path being the stack of (rank, index, untried neighbor steps);
+    visit may stop the walk by raising, or update ok in place."""
+    stack = [(start, t_start, iter(steps[kind[start]]))]
+    visited = 1 << start
+    while stack:
+        r, t, nbrs = stack[-1]
+        row = ok[t + 1 - t_lo] if len(stack) < cap and t < t_hi else 0
+        for s in nbrs:
+            u = r + s
+            if row >> u & 1 and not visited >> u & 1:
+                stack.append((u, t + 1, iter(steps[kind[u]])))
+                visited |= 1 << u
+                visit(u, t + 1, stack)
+                break
+        else:
+            stack.pop()
+            visited ^= 1 << r
+
+
 def exact_word_reach(
     cfg: Configuration,
     sources: SourceSet,
@@ -376,6 +411,17 @@ def exact_word_reach(
             raise _StopSearch
 
     nodes = 0
+
+    def visit(rank: int, t: int, stack: list):
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise CapacityError("exact search exceeded its node budget")
+        record(rank, t, stack)
+        # stale counts only improved prune targets, so it is 0 without them
+        if stale and nodes - nodes_at_refresh >= refresh_after:
+            refresh()
+
     cap = mask_volume if max_path_len is None else min(max_path_len, mask_volume)
     try:
         for wid in sorted(groups):
@@ -394,39 +440,21 @@ def exact_word_reach(
                         lattice, allowed, letters, t_lo, t1, target_mask, minarr, flavor
                     )
                     stale, nodes_at_refresh = 0, nodes
-                    return [f & u for f, u in zip(forward, useful)]
+                    ok[:] = [f & u for f, u in zip(forward, useful)]
 
                 nodes_at_refresh = nodes
-                ok = refresh()
+                ok = list(forward)
+                refresh()
                 refresh_after = max(1024, 4 * mask_volume)
             for start, t_start in sorted(srcs, key=lambda s: (s[1], s[0])):
                 if not allowed[letters >> t_start & 1] >> start & 1:
                     continue
-                stack = [(start, t_start, iter(steps[kind[start]]))]  # the path
-                visited = 1 << start
-                record(start, t_start, stack)
+                record(start, t_start, [(start,)])
                 if not ok[t_start - t_lo] >> start & 1:
                     continue
-                while stack:
-                    if (target_mask is not None and stale
-                            and nodes - nodes_at_refresh >= refresh_after):
-                        ok = refresh()
-                    r, t, nbrs = stack[-1]
-                    row = ok[t + 1 - t_lo] if len(stack) < cap and t < t1 else 0
-                    for s in nbrs:
-                        u = r + s
-                        if not row >> u & 1 or visited >> u & 1:
-                            continue
-                        nodes += 1
-                        if node_budget is not None and nodes > node_budget:
-                            raise CapacityError("exact search exceeded its node budget")
-                        stack.append((u, t + 1, iter(steps[kind[u]])))
-                        visited |= 1 << u
-                        record(u, t + 1, stack)
-                        break
-                    else:
-                        stack.pop()
-                        visited ^= 1 << r
+                if stale and nodes - nodes_at_refresh >= refresh_after:
+                    refresh()
+                _paths(steps, kind, ok, t_lo, t1, cap, start, t_start, visit)
     except _StopSearch:
         pass
     for r, bits in arr_bits.items():
@@ -459,7 +487,15 @@ def sees_all_words(
     mode: str = "exact",
 ):
     """Whether every word of the given length is read from some vertex of
-    from_region along a path inside the horizon. Returns (ok, failing)."""
+    from_region along a path inside the horizon. Returns (ok, failing),
+    failing being the first unseen word in enumerate_words order.
+
+    One depth-first walk of the word trie, 0 before 1: the front of a
+    prefix is its parent's front stepped and masked by the sites of its
+    last letter, and an empty front fails its whole subtree (the failing
+    word is that prefix padded with zeros).  A relaxed leaf is seen iff
+    its front is nonempty; an exact one iff a self-avoiding walk pruned
+    by the chain of fronts along it reaches index length - 1."""
     if length < 0:
         raise DomainError("negative word length")
     if length > 24:
@@ -470,15 +506,47 @@ def sees_all_words(
         return True, None
     reg = cfg.region
     within = None if horizon is None else region_mask(reg, [horizon])
-    starts = [p for p in from_region.iter_points() if reg.contains(p)]
+    starts = 0
+    if from_region.dim == reg.dim:
+        starts = _bits(region_mask(reg, [from_region]))
     if not starts:
         raise DomainError("from-region does not meet the configuration region")
-    for word in enumerate_words(length):
-        src = SourceSet.uniform(starts, word)
-        if mode == "relaxed":
-            res = relaxed_word_reach(cfg, src, length - 1, within, collect_arrivals=False)
-        else:
-            res = exact_word_reach(cfg, src, length - 1, within, stop_at_index=length - 1)
-        if not (res.index_hits >> (length - 1)) & 1:
-            return False, word
-    return True, None
+    allowed = _allowed(cfg, within)
+    lattice = _lattice(reg.intervals)
+    if mode == "exact":
+        if length > (allowed[0] | allowed[1]).bit_count():
+            return False, Word(0, length)  # no self-avoiding path is that long
+        kind, steps = neighbor_steps(reg.intervals)
+        ranks = _ranks(starts, reg.volume).tolist()
+
+        def reached_end(rank: int, t: int, path: list):
+            if t == length - 1:
+                raise _StopSearch
+
+        def walks_to_end() -> bool:
+            """Whether a self-avoiding walk reads the word; fronts is its table."""
+            try:
+                for r in ranks:
+                    if fronts[0] >> r & 1:
+                        _paths(steps, kind, fronts, 0, length - 1, length, r, 0, reached_end)
+            except _StopSearch:
+                return True
+            return False
+
+    fronts = [0] * length  # fronts[t]: sites a walk reading word[:t + 1] holds at t
+    word = t = 0  # letter i is bit i; letters after t are 0 (the 0-children)
+    while True:
+        # fronts t.. along the 0-children, down to a leaf or an empty front
+        prev = fronts[t - 1] if t else 0
+        for t, front in _sweep(lattice, allowed, word, range(t, length), {0: starts}, prev):
+            fronts[t] = front
+            if not front:
+                break
+        if not front or mode == "exact" and length > 1 and not walks_to_end():
+            return False, Word(word, length)
+        while t >= 0 and word >> t & 1:  # back up past walked 1-children
+            word ^= 1 << t
+            t -= 1
+        if t < 0:
+            return True, None
+        word |= 1 << t

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from wordperc import renorm
 from wordperc.cli import main
 
 
@@ -287,6 +288,16 @@ def test_renorm_emn_zero_trials(capsys):
                              "--word", "alt", "--trials", "0"], capsys)
     assert code == 2
     assert "trials must be >= 1" in err
+
+
+def test_renorm_explore_exact_node_budget(monkeypatch, capsys):
+    # an exact box search past the default node budget ends in exit 3
+    monkeypatch.setattr(renorm, "EXACT_NODE_BUDGET", 1)
+    code, err = run_cli_err(["renorm", "--stat", "explore", "--k", "2", "--p", "0.5",
+                             "--word", "product:q=0.5,seed=2", "--mode", "exact",
+                             "--n", "3", "--trials", "1"], capsys)
+    assert code == 3
+    assert "node budget" in err
 
 
 def test_site_spec_vertex_outside_region(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -6,6 +7,7 @@ from wordperc.errors import ValidationError
 from wordperc.estimate import Estimate, wilson_interval
 from wordperc.harness import (
     ExperimentSpec,
+    _threads,
     canonical_json,
     decay_experiment,
     parse_region_argument,
@@ -177,6 +179,17 @@ def test_parallel_trials_deterministic(monkeypatch):
     monkeypatch.setenv("WORDPERC_THREADS", "3")
     parallel = run(spec)["result"]["successes"]
     assert serial == parallel
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    # reads the setting only; starts no process
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("WORDPERC_THREADS", str(10**9))
+    assert _threads() == cpus
+    monkeypatch.setenv("WORDPERC_THREADS", "0")
+    assert _threads() == 1
+    monkeypatch.setenv("WORDPERC_THREADS", "x")
+    assert _threads() == 1
 
 
 def test_result_files(tmp_path):

@@ -161,6 +161,27 @@ def test_sees_all_words_exhaustive_small():
         assert got_rel == expected
 
 
+def test_sees_all_words_exact_matches_bruteforce():
+    # verdict and first failing word against one brute-force search per word
+    for d, R in ((2, 1), (2, 2), (3, 1)):
+        region = box(R, d)
+        half = Region(((-R - 1, 0),) + ((-R - 1, R),) * (d - 1))
+        for seed in range(3):
+            cfg = sample(region, 0.5, RngStream(96 + d, seed))
+            for frm in (box(0, d), box(1, d)):
+                starts = list(frm.iter_points())
+                for horizon in (None, half):
+                    allowed = None if horizon is None else set(horizon.iter_points())
+                    for L in range(1, 6):
+                        expect = (True, None)
+                        for w in enumerate_words(L):
+                            src = SourceSet.uniform(starts, w)
+                            pairs = saw_reach_bruteforce(cfg, src, L - 1, allowed)
+                            if all(t < L - 1 for _, t in pairs):
+                                expect = (False, w)
+                                break
+                        assert sees_all_words(cfg, frm, L, horizon) == expect
+
 def test_relaxed_modes_agree_on_vertices():
     cfg = sample(R33, 0.5, RngStream(4, 1))
     src = SourceSet.single((0, 0), Word.from_string("10110"))
@@ -316,5 +337,55 @@ def record_pins() -> dict:
 def test_results_identical_to_pins():
     pins = json.loads(PIN_FILE.read_text())
     got = record_pins()
+    assert got.keys() == pins.keys()
+    assert [k for k in pins if got[k] != pins[k]] == []
+
+
+# -- sees_all_words pins ---------------------------------------------------------
+#
+# SHA-256 of (ok, failing word), recorded from the earlier implementation that
+# ran one search per word; the verdict and the first failing word must stay.
+
+ALLWORDS_PIN_FILE = Path(__file__).with_name("sees_all_words_digests.json")
+
+
+def allwords_pin_cases():
+    """(key, thunk returning (ok, failing word as a string)) for every pin."""
+
+    def case(cfg, frm, L, horizon, mode):
+        def run():
+            ok, failing = sees_all_words(cfg, frm, L, horizon, mode=mode)
+            return ok, None if failing is None else str(failing)
+
+        return run
+
+    for d, R in ((2, 3), (3, 2)):
+        for seed, p in enumerate((0.5, 0.4, 0.62)):
+            cfg = sample(box(R, d), p, RngStream(90 + d, seed))
+            for m in (0, 1):
+                for L in range(1, 11):
+                    for hname, horizon in (("all", None), ("hor", box(R - 1, d))):
+                        for mode in ("exact", "relaxed"):
+                            yield (f"d{d}/s{seed}/m{m}/L{L}/{hname}/{mode}",
+                                   case(cfg, box(m, d), L, horizon, mode))
+    # a horizon of 9 sites: exact paths of 10 sites or more cannot exist
+    small = box(1, 2)
+    for seed in range(3):
+        cfg = sample(box(3, 2), 0.5, RngStream(95, seed))
+        for L in (8, 9, 10, 11):
+            for mode in ("exact", "relaxed"):
+                yield f"mask9/s{seed}/L{L}/{mode}", case(cfg, box(1, 2), L, small, mode)
+
+
+def record_allwords_pins() -> dict:
+    return {
+        key: hashlib.sha256(json.dumps(thunk()).encode()).hexdigest()
+        for key, thunk in allwords_pin_cases()
+    }
+
+
+def test_sees_all_words_identical_to_pins():
+    pins = json.loads(ALLWORDS_PIN_FILE.read_text())
+    got = record_allwords_pins()
     assert got.keys() == pins.keys()
     assert [k for k in pins if got[k] != pins[k]] == []
