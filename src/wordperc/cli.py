@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: sample, reach, allwords, wierman, oriented, renorm, decay,
-oracle; or --spec file.json to run a saved experiment spec.  Exit codes:
-0 success, 2 validation/domain error, 3 capacity error.
+oracle; or --spec file.json to run a saved experiment spec.  Every Monte
+Carlo subcommand builds a spec and runs it through harness.run, so its
+trials fan out like any spec's.  Exit codes: 0 success, 2 validation/domain
+error, 3 capacity error.
 """
 
 from __future__ import annotations
@@ -96,23 +98,22 @@ def cmd_reach(args):
     return 0
 
 
-def _spec_from_args(kind: str, params: dict, args) -> ExperimentSpec:
-    return ExperimentSpec(kind, params, args.trials, args.seed, getattr(args, "out", None))
+def _run_spec(kind: str, params: dict, args, event: str | None = None, with_spec=True):
+    """Run the command's spec, then print (and save) its result document."""
+    t0 = time.time()
+    doc = run(ExperimentSpec(kind, params, args.trials, args.seed, getattr(args, "out", None)))
+    if event:
+        doc["result"]["event"] = event
+    if not with_spec:
+        del doc["spec"]
+    _emit(doc, args, time.time() - t0)
+    return 0
 
 
 def cmd_allwords(args):
-    params = {
-        "p": args.p,
-        "m": args.m,
-        "L": args.L,
-        "R": args.R,
-        "d": args.dim,
-        "mode": args.mode,
-    }
-    t0 = time.time()
-    doc = run(_spec_from_args("allwords", params, args))
-    _emit(doc, args, time.time() - t0)
-    return 0
+    params = {"p": args.p, "m": args.m, "L": args.L, "R": args.R, "d": args.dim,
+              "mode": args.mode}
+    return _run_spec("allwords", params, args)
 
 
 def cmd_wierman(args):
@@ -123,126 +124,37 @@ def cmd_wierman(args):
         "word": word_to_spec(parse_word_argument(args.word)),
         "start_index": args.start_index,
     }
-    t0 = time.time()
-    doc = run(_spec_from_args("wierman", params, args))
-    doc["result"]["event"] = "coupling certificate verified"
-    _emit(doc, args, time.time() - t0)
-    return 0
+    return _run_spec("wierman", params, args, event="coupling certificate verified")
 
 
 def cmd_oriented(args):
-    params = {
-        "stat": args.stat,
-        "n": args.n,
-        "h": args.h,
-        "gamma": args.gamma,
-        "delta": args.delta,
-        "thin": args.thin,
-    }
-    t0 = time.time()
-    doc = run(_spec_from_args("oriented", params, args))
-    _emit(doc, args, time.time() - t0)
-    return 0
+    params = {"stat": args.stat, "n": args.n, "h": args.h, "gamma": args.gamma,
+              "delta": args.delta, "thin": args.thin}
+    return _run_spec("oriented", params, args)
 
 
 def cmd_renorm(args):
-    if args.trials < 1:
-        raise DomainError("trials must be >= 1")
     if not 0.0 <= args.tdensity <= 1.0:
         raise DomainError("--tdensity must lie in [0, 1]")
+    params = {"d": args.dim, "p": args.p, "k": args.k, "delta": args.delta, "h": args.h,
+              "word": word_to_spec(parse_word_argument(args.word)), "mode": args.mode}
     if args.stat == "good":
-        params = {
-            "d": args.dim,
-            "p": args.p,
-            "k": args.k,
-            "delta": args.delta,
-            "h": args.h,
-            "word": word_to_spec(parse_word_argument(args.word)),
-            "mode": args.mode,
-        }
-        t0 = time.time()
-        doc = run(_spec_from_args("renorm", params, args))
-        doc["result"]["event"] = "seed propagates to all out-neighbor faces"
-        _emit(doc, args, time.time() - t0)
-        return 0
-    # exploration / boundary-event reports run outside the Bernoulli harness
-    from .renorm import (
-        RenormParams,
-        event_Emn,
-        macro_exploration,
-        micro_left_column,
-        micro_window,
-    )
-
-    rp = RenormParams(args.dim, args.p, args.k, args.delta, args.h)
-    t0 = time.time()
+        return _run_spec("renorm", params, args,
+                         event="seed propagates to all out-neighbor faces")
     if args.stat == "explore":
-        window = micro_window(args.n, rp)
-        col = micro_left_column(args.n, rp).points_array()
-        word = parse_word_argument(args.word)
-        hits = audits = 0
-        tprime = []
-        for t in range(args.trials):
-            cfg = sample(window, rp.p, RngStream(args.seed, t))
-            keep = RngStream(args.seed, (1 << 32) + t).uniform_block(0, len(col)) < args.tdensity
-            pts = [tuple(pt) for pt in col[keep].tolist()]
-            rep = macro_exploration(cfg, {p: 0 for p in pts}, word, rp, args.n, mode=args.mode)
-            hits += rep.right_hits
-            audits += rep.audit_no_requeries and not rep.audit_box_overlaps
-            tprime.append(rep.T_prime_size)
-        doc = {
-            "schema": "wordperc-result/1",
-            "result": {
-                "kind": "explore",
-                "trials": args.trials,
-                "mean_right_hits": hits / args.trials,
-                "audits_clean": audits,
-                "t_prime_sizes": tprime,
-            },
-        }
-    else:  # emn
-        from .geometry import slab_window
-
-        win = slab_window(rp.h, rp.k, args.dim, half_width=rp.k * args.n + 2)
-        word = parse_word_argument(args.word)
-        succ = 0
-        for t in range(args.trials):
-            cfg = sample(win, rp.p, RngStream(args.seed, t))
-            ok, _ = event_Emn(cfg, args.m, args.n, word, rp, mode=args.mode)
-            succ += ok
-        from .estimate import wilson_interval
-
-        lo, hi = wilson_interval(succ, args.trials)
-        doc = {
-            "schema": "wordperc-result/1",
-            "result": {
-                "kind": "emn",
-                "m": args.m,
-                "n": args.n,
-                "successes": succ,
-                "trials": args.trials,
-                "frequency": succ / args.trials,
-                "wilson95": [lo, hi],
-                "mode": args.mode,
-            },
-        }
-    _emit(doc, args, time.time() - t0)
-    return 0
+        params.update(stat="explore", n=args.n, tdensity=args.tdensity)
+    else:
+        params.update(stat="emn", n=args.n, m=args.m)
+    # explore and emn results have always been printed without their spec;
+    # --spec with these params replays the same result
+    return _run_spec("renorm", params, args, with_spec=False)
 
 
 def cmd_decay(args):
-    params = {
-        "p": args.p,
-        "L": args.L,
-        "R": args.R,
-        "m_list": [int(m) for m in args.m_list.split(",")],
-        "d": args.dim,
-        "mode": args.mode,
-    }
-    t0 = time.time()
-    doc = run(_spec_from_args("decay", params, args))
-    _emit(doc, args, time.time() - t0)
-    return 0
+    params = {"p": args.p, "L": args.L, "R": args.R,
+              "m_list": [int(m) for m in args.m_list.split(",")], "d": args.dim,
+              "mode": args.mode}
+    return _run_spec("decay", params, args)
 
 
 def cmd_oracle(args):

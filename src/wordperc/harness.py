@@ -9,9 +9,11 @@ Capacity guards for the whole artifact are centralized in validate():
 word lengths, enumeration sizes, and search depths are rejected with an
 error that lists every violated precondition at once.
 
-Set WORDPERC_THREADS > 1 to fan trials out over processes; the reduction
-is a sum of per-trial successes, so the result does not depend on
-completion order.
+Every kind and statistic runs its trials through estimate.run_trials,
+which fans contiguous trial ranges out over WORDPERC_THREADS processes
+and returns the per-trial outcomes in trial order; each statistic reduces
+them as a serial loop would, so the result does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -19,19 +21,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import sample
 from .errors import CapacityError, DomainError, ValidationError
-from .estimate import Estimate, wilson_interval
+from .estimate import Estimate, run_trials, wilson_interval
 from .geometry import Region, box, is_macro_vertex, lambda_box
-from .oriented import crossing_stat, domination_probe, planar_window_for_xi, sample_oriented, xi_column_reach
-from .renorm import RenormParams, SeedSet, good_event
+from .oriented import crossing_stat, domination_probe, xi5n_stat
+from .renorm import RenormParams, SeedSet, emn_stat, exploration_stat, good_event
 from .rng import RngStream
 from .search import SourceSet, exact_word_reach, relaxed_word_reach, sees_all_words
 from .wierman import verify_coupling, wierman_couple
@@ -41,6 +41,23 @@ SCHEMA_SPEC = "wordperc-spec/1"
 SCHEMA_RESULT = "wordperc-result/1"
 
 KINDS = ("site", "reach", "allwords", "wierman", "oriented", "renorm", "decay")
+STATS = {"oriented": ("crossing", "domination", "xi5n"), "renorm": ("good", "explore", "emn")}
+
+# Params each kind reads without a default; oriented and renorm specs are
+# keyed by their statistic ("stat", which defaults to "good" for renorm).
+REQUIRED = {
+    "site": ("region", "p"),
+    "reach": ("region", "p", "source", "word"),
+    "allwords": ("p", "m", "L", "R"),
+    "wierman": ("region", "p", "sources", "word"),
+    "decay": ("p", "L", "R", "m_list"),
+    "crossing": ("n", "h", "gamma", "delta"),
+    "domination": ("n", "gamma", "delta"),
+    "xi5n": ("n", "gamma"),
+    "good": ("p", "k", "word"),
+    "explore": ("p", "k", "word", "n", "tdensity"),
+    "emn": ("p", "k", "word", "n", "m"),
+}
 
 
 def region_from_spec(spec) -> Region:
@@ -133,17 +150,23 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         return
     if spec.trials < 1:
         v.append("trials must be >= 1")
-
-    def check_p(key="p"):
-        if not 0.0 <= float(p.get(key, -1)) <= 1.0:
-            v.append(f"{key} must lie in [0, 1]")
-
-    def check_region(key="region"):
+    stat = p.get("stat", "good") if spec.kind == "renorm" else p.get("stat")
+    if spec.kind in STATS and stat not in STATS[spec.kind]:
+        v.append(f"stat must be one of {', '.join(STATS[spec.kind])}")
+        return
+    name = stat if spec.kind in STATS else spec.kind
+    missing = [key for key in REQUIRED[name] if key not in p]
+    if missing:
+        v.extend(f"{name} needs {key!r}" for key in missing)
+        return
+    if spec.kind not in STATS and not 0.0 <= float(p["p"]) <= 1.0:
+        v.append("p must lie in [0, 1]")
+    region = None
+    if "region" in REQUIRED[name]:
         try:
-            return region_from_spec(p[key])
+            region = region_from_spec(p["region"])
         except (KeyError, TypeError, ValueError, DomainError) as e:
             v.append(f"bad region: {e}")
-            return None
 
     def check_vertices(points, region, what):
         for pt in points:
@@ -154,201 +177,180 @@ def _validate(spec: ExperimentSpec, v: list[str]):
             elif region is not None and not region.contains(tuple(pt)):
                 v.append(f"{what} {list(pt)} is not a point of the {region.dim}-d region")
 
-    if spec.kind == "site":
-        check_p()
-        region = check_region()
-        if "vertex" in p:
-            check_vertices([p["vertex"]], region, "vertex")
+    if spec.kind == "site" and "vertex" in p:
+        check_vertices([p["vertex"]], region, "vertex")
     elif spec.kind == "reach":
-        check_p()
-        region = check_region()
-        if "source" not in p:
-            v.append("reach needs a source")
-        else:
-            check_vertices([p["source"]], region, "source")
-        if "word" not in p:
-            v.append("reach needs a word")
+        check_vertices([p["source"]], region, "source")
         if int(p.get("max_index", 0)) > 1 << 20:
             v.append("max_index beyond the search guard")
     elif spec.kind == "allwords":
-        check_p()
-        L = int(p.get("L", 0))
-        mode = p.get("mode", "exact")
+        L, m, R = int(p["L"]), int(p["m"]), int(p["R"])
         if not 1 <= L <= 24:
             v.append("L must lie in 1..24")
-        if mode == "relaxed" and L > 12:
+        if p.get("mode", "exact") == "relaxed" and L > 12:
             v.append("relaxed allwords capped at L <= 12")
-        if int(p.get("m", 0)) < 0 or int(p.get("R", 0)) < int(p.get("m", 0)):
+        if m < 0 or R < m:
             v.append("need R >= m >= 0")
-        if int(p.get("R", 0)) > 64:
+        if R > 64:
             v.append("horizon radius capped at 64")
     elif spec.kind == "wierman":
-        check_p()
-        if float(p.get("p", 1)) > 0.5:
+        if float(p["p"]) > 0.5:
             v.append("coupling needs p <= 1/2 (flip colors to fold p)")
-        region = check_region()
-        if not p.get("sources"):
+        if not p["sources"]:
             v.append("wierman needs source vertices")
-        else:
-            check_vertices(p["sources"], region, "source")
-        if "word" not in p:
-            v.append("wierman needs a word")
+        check_vertices(p["sources"], region, "source")
     elif spec.kind == "oriented":
-        if p.get("stat") not in ("crossing", "domination", "xi5n"):
-            v.append("stat must be crossing, domination, or xi5n")
-        if not 0.0 <= float(p.get("gamma", -1)) <= 1.0:
+        if not 0.0 <= float(p["gamma"]) <= 1.0:
             v.append("gamma must lie in [0, 1]")
-        n = int(p.get("n", 0))
+        n = int(p["n"])
         if n < 4:
             v.append("n must be >= 4")
-        if p.get("stat") == "domination":
+        if stat == "domination":
             if n % 2:
                 v.append("domination needs even n")
-            if not 0 < float(p.get("delta", 1)) < 0.1:
+            if not 0 < float(p["delta"]) < 0.1:
                 v.append("domination needs delta in (0, 1/10)")
-        if p.get("stat") == "crossing" and not 0 < float(p.get("delta", 0)) <= 1:
+        if stat == "crossing" and not 0 < float(p["delta"]) <= 1:
             v.append("crossing needs delta in (0, 1]")
     elif spec.kind == "renorm":
         try:
-            RenormParams(
-                int(p.get("d", 3)), float(p.get("p", 0.5)), int(p.get("k", 2)),
-                float(p.get("delta", 1e-6)), int(p.get("h", 4)),
-            )
+            _renorm_params(p)
         except DomainError as e:
             v.append(str(e))
-        if "word" not in p:
-            v.append("renorm needs a word")
-        u, h = p.get("u", [0, 0, 2]), int(p.get("h", 4))
-        found = len(v)
-        check_vertices([u], None, "u")
-        if len(v) == found and (len(u) != 3 or not is_macro_vertex(tuple(u), h)):
-            v.append(f"u {list(u)} is not a macro vertex for h={h} (three integers, "
-                     "macro parity, 0 < u3 < h)")
         if int(p.get("n", 1)) < 1 or int(p.get("m", 1)) < 1:
             v.append("need n, m >= 1")
+        if stat == "good":
+            u, h = p.get("u", [0, 0, 2]), int(p.get("h", 4))
+            found = len(v)
+            check_vertices([u], None, "u")
+            if len(v) == found and (len(u) != 3 or not is_macro_vertex(tuple(u), h)):
+                v.append(f"u {list(u)} is not a macro vertex for h={h} (three integers, "
+                         "macro parity, 0 < u3 < h)")
+        elif stat == "explore":
+            if int(p["n"]) < 3:
+                v.append("explore needs n >= 3")
+            if not 0.0 <= float(p["tdensity"]) <= 1.0:
+                v.append("tdensity must lie in [0, 1]")
+        elif int(p["m"]) > int(p["n"]):
+            v.append("emn needs n >= m")
     elif spec.kind == "decay":
-        check_p()
-        L = int(p.get("L", 0))
-        R = int(p.get("R", 0))
-        mode = p.get("mode", "relaxed")
+        L, R, ms = int(p["L"]), int(p["R"]), p["m_list"]
         if not 1 <= L <= 24:
             v.append("L must lie in 1..24")
-        if mode == "relaxed" and (L > 12 or R > 64):
+        if p.get("mode", "relaxed") == "relaxed" and (L > 12 or R > 64):
             v.append("relaxed decay capped at L <= 12, R <= 64")
-        ms = p.get("m_list", [])
         if not ms or any(int(m) < 0 for m in ms):
             v.append("m_list must hold nonnegative radii")
         if ms and R < max(int(m) for m in ms):
             v.append("R must cover every m")
 
 
-# -- per-kind trial functions (module level so they pickle) -------------------
+# -- per-kind range functions (module level so they pickle) -------------------
+#
+# Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
 
 
-def _trial_site(params, seed, t) -> int:
+def _renorm_params(p) -> RenormParams:
+    return RenormParams(int(p.get("d", 3)), float(p["p"]), int(p["k"]),
+                        float(p.get("delta", 1e-6)), int(p.get("h", 4)))
+
+
+def _site_trials(params, seed, t0, t1) -> list[int]:
     region = region_from_spec(params["region"])
-    cfg = sample(region, float(params["p"]), RngStream(seed, t))
-    return int(cfg.bit_at(tuple(params.get("vertex", region.min_point()))))
+    p = float(params["p"])
+    vertex = tuple(params.get("vertex", region.min_point()))
+    return [int(sample(region, p, RngStream(seed, t)).bit_at(vertex)) for t in range(t0, t1)]
 
 
-def _trial_reach(params, seed, t) -> int:
+def _reach_trials(params, seed, t0, t1) -> list[int]:
     region = region_from_spec(params["region"])
-    cfg = sample(region, float(params["p"]), RngStream(seed, t))
+    p = float(params["p"])
     word = word_from_spec(params["word"])
     length = params.get("max_index")
     if length is None:
         if not isinstance(word, Word):
             raise DomainError("reach with a generator word needs max_index")
         length = word.length - 1
+    length = int(length)
     src = SourceSet.single(tuple(params["source"]), word)
-    mode = params.get("mode", "exact")
-    if mode == "relaxed":
-        res = relaxed_word_reach(cfg, src, int(length), collect_arrivals=False)
-    else:
-        res = exact_word_reach(cfg, src, int(length), stop_at_index=int(length))
-    return int(bool((res.index_hits >> int(length)) & 1))
+    relaxed = params.get("mode", "exact") == "relaxed"
+    out = []
+    for t in range(t0, t1):
+        cfg = sample(region, p, RngStream(seed, t))
+        if relaxed:
+            res = relaxed_word_reach(cfg, src, length, collect_arrivals=False)
+        else:
+            res = exact_word_reach(cfg, src, length, stop_at_index=length)
+        out.append((res.index_hits >> length) & 1)
+    return out
 
 
-def _trial_allwords_failure(params, seed, t) -> int:
-    R = int(params["R"])
-    m = int(params["m"])
+def _allwords_failures(params, seed, t0, t1) -> list[int]:
     d = int(params.get("d", 3))
-    cfg = sample(box(R, d), float(params["p"]), RngStream(seed, t))
-    ok, _ = sees_all_words(
-        cfg, box(m, d), int(params["L"]), mode=params.get("mode", "exact")
-    )
-    return int(not ok)
+    horizon, ball = box(int(params["R"]), d), box(int(params["m"]), d)
+    p, L, mode = float(params["p"]), int(params["L"]), params.get("mode", "exact")
+    return [
+        int(not sees_all_words(sample(horizon, p, RngStream(seed, t)), ball, L, mode=mode)[0])
+        for t in range(t0, t1)
+    ]
 
 
-def _trial_wierman(params, seed, t) -> int:
+def _wierman_trials(params, seed, t0, t1) -> list[int]:
     region = region_from_spec(params["region"])
     sources = [tuple(s) for s in params["sources"]]
     word = word_from_spec(params["word"])
-    pair = wierman_couple(
-        region, sources, word, float(params["p"]), RngStream(seed, t),
-        start_index=int(params.get("start_index", 0)),
-    )
-    ok, _ = verify_coupling(pair)
-    return int(ok)
+    p, start = float(params["p"]), int(params.get("start_index", 0))
+    out = []
+    for t in range(t0, t1):
+        pair = wierman_couple(region, sources, word, p, RngStream(seed, t), start_index=start)
+        out.append(int(verify_coupling(pair)[0]))
+    return out
 
 
-def _trial_renorm_good(params, seed, t) -> int:
-    rp = RenormParams(
-        int(params.get("d", 3)), float(params["p"]), int(params["k"]),
-        float(params.get("delta", 1e-6)), int(params.get("h", 4)),
-    )
+def _renorm_good_trials(params, seed, t0, t1) -> list[int]:
+    rp = _renorm_params(params)
     u = tuple(params.get("u", (0, 0, 2)))
     word = word_from_spec(params["word"])
-    k, d = rp.k, rp.d
-    su = list(u) + [0] * (d - 3)
+    mode = params.get("mode", "exact")
+    k = rp.k
+    su = list(u) + [0] * (rp.d - 3)
     window = Region(tuple((k * s - 2 * k - 2, k * s + 2 * k + 2) for s in su))
-    cfg = sample(window, rp.p, RngStream(seed, t))
     seed_set = SeedSet.full_face(u, rp)
-    return int(good_event(cfg, seed_set, word, rp, mode=params.get("mode", "exact")))
+    return [
+        int(good_event(sample(window, rp.p, RngStream(seed, t)), seed_set, word, rp, mode=mode))
+        for t in range(t0, t1)
+    ]
 
 
-_TRIALS = {
-    "site": _trial_site,
-    "reach": _trial_reach,
-    "allwords": _trial_allwords_failure,
-    "wierman": _trial_wierman,
-    "renorm": _trial_renorm_good,
+_BERNOULLI = {
+    "site": _site_trials,
+    "reach": _reach_trials,
+    "allwords": _allwords_failures,
+    "wierman": _wierman_trials,
+    "renorm": _renorm_good_trials,
 }
 
 
-def _threads() -> int:
-    """Worker processes: WORDPERC_THREADS, clamped to [1, os.cpu_count()]."""
-    try:
-        want = int(os.environ.get("WORDPERC_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(want, os.cpu_count() or 1))
+def _decay_failures(p, L, ms, R, d, mode, seed, t0, t1) -> list[int]:
+    """Per trial, how many radii of ms (ascending) fail before the first
+    one whose ball sees every word."""
+    horizon = box(R, d)
+    balls = [box(m, d) for m in ms]
+    out = []
+    for t in range(t0, t1):
+        cfg = sample(horizon, p, RngStream(seed, t))
+        fails = 0
+        for ball in balls:
+            if sees_all_words(cfg, ball, L, mode=mode)[0]:
+                # larger balls only add start vertices; no further failures
+                break
+            fails += 1
+        out.append(fails)
+    return out
 
 
-def _run_bernoulli(kind, params, trials, seed) -> Estimate:
-    fn = _TRIALS[kind]
-    workers = _threads()
-    t0 = time.time()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            succ = sum(ex.map(fn, *zip(*[(params, seed, t) for t in range(trials)])))
-    else:
-        succ = sum(fn(params, seed, t) for t in range(trials))
-    return Estimate(
-        int(succ), trials, wall_time_s=time.time() - t0, seed_range=(0, trials - 1)
-    )
-
-
-def decay_experiment(
-    p: float,
-    L: int,
-    m_list,
-    R: int,
-    trials: int,
-    seed: int,
-    d: int = 3,
-    mode: str = "relaxed",
-) -> dict:
+def decay_experiment(p: float, L: int, m_list, R: int, trials: int, seed: int, d: int = 3,
+                     mode: str = "relaxed") -> dict:
     """Failure frequency q_m of reading all length-L words from the ball
     of radius m inside the shared radius-R horizon, for each m.
 
@@ -359,15 +361,9 @@ def decay_experiment(
     ms = sorted(int(m) for m in m_list)
     if mode == "relaxed" and (L > 12 or R > 64):
         raise CapacityError("relaxed decay capped at L <= 12, R <= 64")
-    horizon = box(R, d)
     failures = {m: 0 for m in ms}
-    for t in range(trials):
-        cfg = sample(horizon, p, RngStream(seed, t))
-        for m in ms:
-            ok, _ = sees_all_words(cfg, box(m, d), L, mode=mode)
-            if ok:
-                # larger balls only add start vertices; no further failures
-                break
+    for fails in run_trials(_decay_failures, (p, L, ms, R, d, mode, seed), trials):
+        for m in ms[:fails]:
             failures[m] += 1
     rows = []
     xs, ys = [], []
@@ -412,48 +408,37 @@ def run(spec: ExperimentSpec) -> dict:
     if violations:
         raise ValidationError(violations)
     params, trials, seed = spec.params, spec.trials, spec.seed
-    if spec.kind in _TRIALS:
-        est = _run_bernoulli(spec.kind, params, trials, seed)
-        result = est.to_dict()
-        if spec.kind == "allwords":
-            result["event"] = "some length-L word unseen"
-    elif spec.kind == "decay":
+    stat = params.get("stat")
+    if spec.kind == "decay":
         result = decay_experiment(
             float(params["p"]), int(params["L"]), params["m_list"], int(params["R"]),
             trials, seed, int(params.get("d", 3)), params.get("mode", "relaxed"),
         )
     elif spec.kind == "oriented":
-        stat = params["stat"]
+        n, gamma = int(params["n"]), params["gamma"]
         if stat == "crossing":
             result = crossing_stat(
-                trials, int(params["n"]), int(params["h"]), float(params["gamma"]),
-                float(params["delta"]), seed, thin=bool(params.get("thin", False)),
+                trials, n, int(params["h"]), float(gamma), float(params["delta"]), seed,
+                thin=bool(params.get("thin", False)),
             )
         elif stat == "domination":
-            result = domination_probe(
-                float(params["gamma"]), float(params["delta"]), int(params["n"]),
-                trials, seed,
+            result = domination_probe(float(gamma), float(params["delta"]), n, trials, seed)
+        else:
+            result = xi5n_stat(trials, n, gamma, seed)
+    elif spec.kind == "renorm" and stat in ("explore", "emn"):
+        rp, word = _renorm_params(params), word_from_spec(params["word"])
+        mode = params.get("mode", "exact")
+        if stat == "explore":
+            result = exploration_stat(
+                trials, int(params["n"]), word, rp, float(params["tdensity"]), seed, mode
             )
-        else:  # xi5n marginal frequencies
-            n = int(params["n"])
-            verts = planar_window_for_xi(n)
-            col0 = [v for v in verts if v[0] == 0 and -n <= v[1] <= n]
-            counts: dict[int, int] = {}
-            for t in range(trials):
-                cfg = sample_oriented(
-                    "planar", verts, float(params["gamma"]), RngStream(seed, t)
-                )
-                for y in xi_column_reach(cfg, col0, n):
-                    counts[y] = counts.get(y, 0) + 1
-            result = {
-                "kind": "xi5n",
-                "n": n,
-                "gamma": params["gamma"],
-                "trials": trials,
-                "per_y_frequency": {str(y): c / trials for y, c in sorted(counts.items())},
-            }
+        else:
+            result = emn_stat(trials, int(params["m"]), int(params["n"]), word, rp, seed, mode)
     else:
-        raise ValidationError([f"unhandled kind {spec.kind!r}"])
+        successes = sum(run_trials(_BERNOULLI[spec.kind], (params, seed), trials))
+        result = Estimate(successes, trials).to_dict()
+        if spec.kind == "allwords":
+            result["event"] = "some length-L word unseen"
     return {"schema": SCHEMA_RESULT, "spec": spec.to_dict(), "result": result}
 
 

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .estimate import binomial_tail_geq, wilson_interval
+from .estimate import binomial_tail_geq, frequency, run_trials, wilson_interval
 from .geometry import is_macro_vertex
 from .rng import RngStream
 
@@ -116,25 +117,20 @@ class SlabWindows:
         return frozenset(self.B)
 
 
-def slab_windows(n: int, h: int) -> SlabWindows:
+def slab_windows(n: int, h: int, m=None) -> SlabWindows:
+    """The full window, or with m the thin one of y-extent ceil(m)."""
     if n < 3 or h < 2:
         raise DomainError("slab windows need n >= 3, h >= 2")
+    w = n if m is None else int(math.ceil(m))
     cL, cR = snap_left_column(n), snap_right_column(n)
-    B = slab_rect((n + 1, 2 * n - 1), (-2 * n + 1, 2 * n - 1), h)
-    L = slab_rect((cL, cL), (-n, n), h)
-    R = slab_rect((cR, cR), (-n, n), h)
-    return SlabWindows(n, h, None, B, L, R)
+    B = slab_rect((n + 1, 2 * n - 1), (-2 * w + 1, 2 * w - 1), h)
+    L = slab_rect((cL, cL), (-w, w), h)
+    R = slab_rect((cR, cR), (-w, w), h)
+    return SlabWindows(n, h, None if m is None else w, B, L, R)
 
 
 def slab_windows_thin(n: int, h: int, m) -> SlabWindows:
-    if n < 3 or h < 2:
-        raise DomainError("slab windows need n >= 3, h >= 2")
-    mm = int(math.ceil(m))
-    cL, cR = snap_left_column(n), snap_right_column(n)
-    B = slab_rect((n + 1, 2 * n - 1), (-2 * mm + 1, 2 * mm - 1), h)
-    L = slab_rect((cL, cL), (-mm, mm), h)
-    R = slab_rect((cR, cR), (-mm, mm), h)
-    return SlabWindows(n, h, mm, B, L, R)
+    return slab_windows(n, h, m)
 
 
 class _Layout:
@@ -400,16 +396,27 @@ def sample_seed_set(vertices, density: float, rng: RngStream, counter0: int = 0)
     return sorted(rng.choose_subset(sorted(vertices), k, counter0))
 
 
-def crossing_stat(
-    trials: int,
-    n: int,
-    h: int,
-    gamma: float,
-    delta: float,
-    master_seed: int,
-    thin: bool = False,
-    seed_sampler=None,
-) -> dict:
+def _crossing_trials(win, gamma, delta, master_seed, threshold, t0, t1) -> list[bool]:
+    """Crossing verdicts of trials t0..t1-1; trial t owns streams 2t
+    (seed set) and 2t + 1 (site bits)."""
+    lay = _layout("slab", win.B, win.h)
+    cR = lay.column(snap_right_column(win.n))
+    R_col = lay.mask(win.R)[cR]
+    out = []
+    for t in range(t0, t1):
+        S = sample_seed_set(win.L, delta, RngStream(master_seed, 2 * t))
+        bits = RngStream(master_seed, 2 * t + 1).uniform_block(0, len(lay.vertices)) < gamma
+        seeds = lay.mask(S)
+        reach = _sweep(OrientedConfig("slab", lay, bits, h=win.h), seeds, seeded=True)
+        # the exploration's U_inf is S plus the seeded reach (acceptance 4);
+        # S lies on column cL, which is column cR only when n <= 4
+        hit = ((reach[cR] | seeds[cR]) & R_col).bit_count()
+        out.append(hit > threshold if win.m is not None else hit >= threshold)
+    return out
+
+
+def crossing_stat(trials: int, n: int, h: int, gamma: float, delta: float, master_seed: int,
+                  thin: bool = False) -> dict:
     """Monte Carlo frequency of the right-column crossing event.
 
     Full windows: the event is |U_inf n R_n| >= |R_n| / 1000.  Thin
@@ -420,26 +427,8 @@ def crossing_stat(
     if not win.L:
         raise DomainError("left column is empty; increase n")
     threshold = (n / 20.0) if thin else (len(win.R) / 1000.0)
-    lay = _layout("slab", win.B, h)
-    cR = lay.column(snap_right_column(n))
-    R_col = lay.mask(win.R)[cR]
-    successes = 0
-    for t in range(trials):
-        seed_stream = RngStream(master_seed, 2 * t)
-        bit_stream = RngStream(master_seed, 2 * t + 1)
-        if seed_sampler is None:
-            S = sample_seed_set(win.L, delta, seed_stream)
-        else:
-            S = seed_sampler(seed_stream, win.L)
-        bits = bit_stream.uniform_block(0, len(lay.vertices)) < gamma
-        seeds = lay.mask(S)
-        reach = _sweep(OrientedConfig("slab", lay, bits, h=h), seeds, seeded=True)
-        # the exploration's U_inf is S plus the seeded reach (acceptance 4);
-        # S lies on column cL, which is column cR only when n <= 4
-        hit = ((reach[cR] | seeds[cR]) & R_col).bit_count()
-        ok = hit > threshold if thin else hit >= threshold
-        successes += ok
-    lo, hi = wilson_interval(successes, trials)
+    args = (win, gamma, delta, master_seed, threshold)
+    successes = sum(run_trials(_crossing_trials, args, trials))
     return {
         "kind": "crossing",
         "window": "thin" if thin else "full",
@@ -449,8 +438,7 @@ def crossing_stat(
         "delta": delta,
         "trials": trials,
         "successes": successes,
-        "frequency": successes / trials,
-        "wilson95": [lo, hi],
+        **frequency(successes, trials),
         "threshold": threshold,
         "right_column_size": len(win.R),
     }
@@ -462,14 +450,38 @@ def planar_window_for_xi(n: int, y_margin: int | None = None):
     return planar_rect(0, 5 * n, -Y, Y)
 
 
-def domination_probe(
-    gamma: float,
-    delta: float,
-    n: int,
-    trials: int,
-    master_seed: int,
-    thresholds=None,
-) -> dict:
+def _domination_trials(gamma, delta, n, master_seed, t0, t1) -> list[tuple]:
+    """(|xi^S_5n n W|, and the three path events) of trials t0..t1-1;
+    trial t owns streams 2t (seed set) and 2t + 1 (site bits)."""
+    verts = planar_window_for_xi(n)
+    lay = _layout("planar", verts, None)
+    col0 = tuple(v for v in lay.vertices if v[0] == 0 and -n <= v[1] <= n)
+    c5 = lay.column(5 * n)
+    at_5n = [v for v in lay.vertices if v[0] == 5 * n]
+    W_col = lay.mask(v for v in at_5n if -n <= v[1] <= n)[c5]
+    top_col = lay.mask(v for v in at_5n if v[1] >= n)[c5]
+    bottom_col = lay.mask(v for v in at_5n if v[1] <= -n)[c5]
+    quarter = max(1, (delta / 4) * n)
+    seed_density = min(1.0, delta * n / max(1, len(col0)))  # |S| >= delta * n
+    low_band = lay.mask(v for v in col0 if v[1] <= -n + quarter)
+    high_band = lay.mask(v for v in col0 if v[1] >= n - quarter)
+    out = []
+    for t in range(t0, t1):
+        S = sample_seed_set(col0, seed_density, RngStream(master_seed, 2 * t))
+        cfg = sample_oriented("planar", verts, gamma, RngStream(master_seed, 2 * t + 1))
+
+        def at_column_5n(seeds):
+            return _sweep(cfg, seeds, seeded=False)[c5]
+
+        xi = (at_column_5n(lay.mask(S)) & W_col).bit_count()
+        ok1 = at_column_5n(lay.mask(v for v in S if -n + quarter <= v[1] <= n - quarter)) != 0
+        ok2 = (at_column_5n(low_band) & top_col) != 0
+        ok3 = (at_column_5n(high_band) & bottom_col) != 0
+        out.append((xi, ok1, ok2, ok3))
+    return out
+
+
+def domination_probe(gamma: float, delta: float, n: int, trials: int, master_seed: int) -> dict:
     """Statistical probe of the product-1/2 domination heuristic.
 
     For random S of density delta on the left column, estimates the
@@ -482,40 +494,16 @@ def domination_probe(
         raise DomainError("domination probe needs even n >= 4")
     if not 0 < delta < 0.1:
         raise DomainError("delta must lie in (0, 1/10)")
-    verts = planar_window_for_xi(n)
-    lay = _layout("planar", verts, None)
-    col0 = tuple(v for v in lay.vertices if v[0] == 0 and -n <= v[1] <= n)
-    c5 = lay.column(5 * n)
-    at_5n = [v for v in lay.vertices if v[0] == 5 * n]
-    W_col = lay.mask(v for v in at_5n if -n <= v[1] <= n)[c5]
-    top_col = lay.mask(v for v in at_5n if v[1] >= n)[c5]
-    bottom_col = lay.mask(v for v in at_5n if v[1] <= -n)[c5]
-    W = W_col.bit_count()
-    if thresholds is None:
-        thresholds = sorted({1, max(1, W // 4), max(1, W // 2)})
-    quarter = max(1, (delta / 4) * n)
-    seed_density = min(1.0, delta * n / max(1, len(col0)))  # |S| >= delta * n
-    low_band = lay.mask(v for v in col0 if v[1] <= -n + quarter)
-    high_band = lay.mask(v for v in col0 if v[1] >= n - quarter)
-    counts = {s: 0 for s in thresholds}
-    comp = {"s_prime_to_column": 0, "down_diagonal": 0, "up_diagonal": 0, "all_three": 0}
-    for t in range(trials):
-        S = sample_seed_set(col0, seed_density, RngStream(master_seed, 2 * t))
-        cfg = sample_oriented("planar", verts, gamma, RngStream(master_seed, 2 * t + 1))
-
-        def at_column_5n(seeds):
-            return _sweep(cfg, seeds, seeded=False)[c5]
-
-        xi = (at_column_5n(lay.mask(S)) & W_col).bit_count()
-        for s in thresholds:
-            counts[s] += xi >= s
-        ok1 = at_column_5n(lay.mask(v for v in S if -n + quarter <= v[1] <= n - quarter)) != 0
-        ok2 = (at_column_5n(low_band) & top_col) != 0
-        ok3 = (at_column_5n(high_band) & bottom_col) != 0
-        comp["s_prime_to_column"] += ok1
-        comp["down_diagonal"] += ok2
-        comp["up_diagonal"] += ok3
-        comp["all_three"] += ok1 and ok2 and ok3
+    W = len(planar_rect(5 * n, 5 * n, -n, n))  # the target column |y| <= n
+    thresholds = sorted({1, max(1, W // 4), max(1, W // 2)})
+    outcomes = run_trials(_domination_trials, (gamma, delta, n, master_seed), trials)
+    counts = {s: sum(xi >= s for xi, *_ in outcomes) for s in thresholds}
+    comp = {
+        "s_prime_to_column": sum(o[1] for o in outcomes),
+        "down_diagonal": sum(o[2] for o in outcomes),
+        "up_diagonal": sum(o[3] for o in outcomes),
+        "all_three": sum(o[1] and o[2] and o[3] for o in outcomes),
+    }
     events = []
     for s in thresholds:
         lo, hi = wilson_interval(counts[s], trials)
@@ -529,10 +517,6 @@ def domination_probe(
                 "dominates": lo >= bench,
             }
         )
-    comps = {}
-    for name, c in comp.items():
-        lo, hi = wilson_interval(c, trials)
-        comps[name] = {"frequency": c / trials, "wilson95": [lo, hi]}
     return {
         "kind": "domination",
         "gamma": gamma,
@@ -541,6 +525,31 @@ def domination_probe(
         "trials": trials,
         "target_column_size": W,
         "increasing_events": events,
-        "path_events": comps,
+        "path_events": {name: frequency(c, trials) for name, c in comp.items()},
         "note": "statistical probe of finitely many increasing events, not a proof",
+    }
+
+
+def _xi5n_trials(n, gamma, master_seed, t0, t1) -> list[set[int]]:
+    """xi_column_reach from the column-0 segment |y| <= n, per trial."""
+    verts = planar_window_for_xi(n)
+    col0 = [v for v in verts if v[0] == 0 and -n <= v[1] <= n]
+    out = []
+    for t in range(t0, t1):
+        cfg = sample_oriented("planar", verts, gamma, RngStream(master_seed, t))
+        out.append(xi_column_reach(cfg, col0, n))
+    return out
+
+
+def xi5n_stat(trials: int, n: int, gamma, master_seed: int) -> dict:
+    """Marginal frequency, per y in [-n, n], of an open oriented path from
+    the column-0 segment |y| <= n to (5n, y); trial t owns stream t."""
+    outcomes = run_trials(_xi5n_trials, (n, float(gamma), master_seed), trials)
+    counts = Counter(y for ys in outcomes for y in ys)
+    return {
+        "kind": "xi5n",
+        "n": n,
+        "gamma": gamma,
+        "trials": trials,
+        "per_y_frequency": {str(y): c / trials for y, c in sorted(counts.items())},
     }

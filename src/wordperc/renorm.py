@@ -34,8 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import Configuration
+from .config import Configuration, sample
 from .errors import CapacityError, DomainError
+from .estimate import frequency, run_trials
 from .geometry import (
     Region,
     block_count_constant,
@@ -47,6 +48,7 @@ from .geometry import (
     slab_window,
 )
 from .oriented import explore, slab_windows
+from .rng import RngStream
 from .words import has_period_two
 from .search import (
     SourceSet,
@@ -449,3 +451,60 @@ def macro_exploration(
         audit_no_requeries=no_requeries,
         audit_box_overlaps=tuple(overlaps),
     )
+
+
+def _emn_trials(m, n, xi, params, mode, master_seed, t0, t1) -> list[bool]:
+    """E_mn verdicts of trials t0..t1-1; trial t samples the slab from stream t."""
+    win = slab_window(params.h, params.k, params.d, half_width=params.k * n + 2)
+    out = []
+    for t in range(t0, t1):
+        cfg = sample(win, params.p, RngStream(master_seed, t))
+        out.append(event_Emn(cfg, m, n, xi, params, mode=mode)[0])
+    return out
+
+
+def emn_stat(trials: int, m: int, n: int, xi, params: RenormParams, master_seed: int,
+             mode: str) -> dict:
+    """Monte Carlo frequency of the event E_mn with a Wilson 95% interval."""
+    successes = sum(run_trials(_emn_trials, (m, n, xi, params, mode, master_seed), trials))
+    return {
+        "kind": "emn",
+        "m": m,
+        "n": n,
+        "successes": successes,
+        "trials": trials,
+        **frequency(successes, trials),
+        "mode": mode,
+    }
+
+
+def _exploration_trials(n, xi, params, tdensity, mode, master_seed, t0, t1) -> list[tuple]:
+    """(right hits, clean audits, |T'|) of trials t0..t1-1.  Trial t
+    samples the window from stream t and keeps each micro left-column
+    point, at offset 0, with probability tdensity from stream 2^32 + t."""
+    window = micro_window(n, params)
+    col = micro_left_column(n, params).points_array()
+    out = []
+    for t in range(t0, t1):
+        cfg = sample(window, params.p, RngStream(master_seed, t))
+        keep = RngStream(master_seed, (1 << 32) + t).uniform_block(0, len(col)) < tdensity
+        T = {tuple(pt): 0 for pt in col[keep].tolist()}
+        rep = macro_exploration(cfg, T, xi, params, n, mode=mode)
+        clean = rep.audit_no_requeries and not rep.audit_box_overlaps
+        out.append((rep.right_hits, clean, rep.T_prime_size))
+    return out
+
+
+def exploration_stat(trials: int, n: int, xi, params: RenormParams, tdensity: float,
+                     master_seed: int, mode: str) -> dict:
+    """Micro-to-macro explorations from random seed columns: the mean
+    right-column hits, the trials with clean audits, and every |T'|."""
+    args = (n, xi, params, tdensity, mode, master_seed)
+    outcomes = run_trials(_exploration_trials, args, trials)
+    return {
+        "kind": "explore",
+        "trials": trials,
+        "mean_right_hits": sum(hits for hits, _, _ in outcomes) / trials,
+        "audits_clean": sum(clean for _, clean, _ in outcomes),
+        "t_prime_sizes": [size for _, _, size in outcomes],
+    }

@@ -306,3 +306,48 @@ def test_site_spec_vertex_outside_region(tmp_path, capsys):
     code, err = run_cli_err(["--spec", spath], capsys)
     assert code == 2
     assert "[3, 0]" in err
+
+
+def test_crossing_spec_without_h(tmp_path, capsys):
+    spath = spec_file(tmp_path, "oriented", {"stat": "crossing", "n": 6, "gamma": 0.9,
+                                             "delta": 0.3})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "crossing needs 'h'" in err
+
+
+def test_allwords_spec_without_m(tmp_path, capsys):
+    spath = spec_file(tmp_path, "allwords", {"p": 0.5, "L": 2, "R": 1, "d": 2})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "allwords needs 'm'" in err
+
+
+def test_allwords_spec_without_R(tmp_path, capsys):
+    spath = spec_file(tmp_path, "allwords", {"p": 0.5, "m": 0, "L": 2, "d": 2})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "allwords needs 'R'" in err
+
+
+def test_decay_spec_without_R(tmp_path, capsys):
+    spath = spec_file(tmp_path, "decay", {"p": 0.5, "L": 2, "m_list": [0], "d": 2})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "decay needs 'R'" in err
+
+
+def test_explore_spec_without_tdensity(tmp_path, capsys):
+    spath = spec_file(tmp_path, "renorm", {"stat": "explore", "p": 0.5, "k": 2,
+                                           "word": "alt", "n": 3})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "explore needs 'tdensity'" in err
+
+
+def test_emn_spec_without_m(tmp_path, capsys):
+    spath = spec_file(tmp_path, "renorm", {"stat": "emn", "p": 0.5, "k": 2,
+                                           "word": "alt", "n": 2})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "emn needs 'm'" in err

@@ -4,10 +4,9 @@ import os
 import pytest
 
 from wordperc.errors import ValidationError
-from wordperc.estimate import Estimate, wilson_interval
+from wordperc.estimate import Estimate, _threads, wilson_interval
 from wordperc.harness import (
     ExperimentSpec,
-    _threads,
     canonical_json,
     decay_experiment,
     parse_region_argument,
