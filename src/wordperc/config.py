@@ -3,7 +3,9 @@
 A Configuration stores one bit per region point, packed LSB-first into
 64-bit words by point rank (first coordinate fastest). Sampling consumes
 one uniform per site in rank order, so identical (region, p, master_seed,
-stream_id) give identical bytes on every platform.
+stream_id) give identical bytes on every platform. sample_block draws the
+colours of a range of trials (streams) at once; sample is its one-trial
+case.
 
 Binary file format (.wpc): magic "WPC1", u32 version=1, u32 dim,
 dim x (i64 lo, i64 hi), f64 p, u64 master_seed, u64 stream_id, then
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .geometry import Region
-from .rng import RngStream
+from .rng import RngStream, raw_grid, uniforms
 
 MAX_ENUM_SITES = 25
 
@@ -83,14 +85,19 @@ class Configuration:
         return cls.from_bools(region, np.fromiter(bits, dtype=bool, count=region.volume), provenance)
 
 
-def sample(region: Region, p: float, rng: RngStream) -> Configuration:
-    """Bernoulli(p) product sample; site i uses the stream's draw i."""
+def sample_block(region: Region, p: float, master_seed: int, t0: int, t1: int) -> np.ndarray:
+    """Bernoulli(p) colours of trials t0..t1-1 as a (t1 - t0, volume) bool
+    array in rank order: trial t uses stream (master_seed, t), site i its
+    draw i."""
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    u = rng.uniform_block(0, region.volume)
-    return Configuration.from_bools(
-        region, u < p, Provenance(p, rng.master_seed, rng.stream_id)
-    )
+    return uniforms(raw_grid(master_seed, t0, t1, 0, region.volume)) < p
+
+
+def sample(region: Region, p: float, rng: RngStream) -> Configuration:
+    """Bernoulli(p) product sample; site i uses the stream's draw i."""
+    bits = sample_block(region, p, rng.master_seed, rng.stream_id, rng.stream_id + 1)[0]
+    return Configuration.from_bools(region, bits, Provenance(p, rng.master_seed, rng.stream_id))
 
 
 def enumerate_configs(region: Region):

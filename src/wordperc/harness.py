@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import sample
+from .config import sample, sample_block
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, run_trials, wilson_interval
 from .geometry import Region, box, is_macro_vertex, lambda_box
 from .oriented import crossing_stat, domination_probe, xi5n_stat
 from .renorm import RenormParams, SeedSet, emn_stat, exploration_stat, good_event
-from .rng import RngStream
-from .search import SourceSet, exact_word_reach, relaxed_word_reach, sees_all_words
+from .rng import RngStream, raw_grid, uniforms
+from .search import SourceSet, exact_word_reach, relaxed_reach_block, sees_all_words
 from .wierman import verify_coupling, wierman_couple
 from .words import Word, WordGenerator, generator_from_spec, parse_word_argument
 
@@ -241,6 +241,8 @@ def _validate(spec: ExperimentSpec, v: list[str]):
             v.append("relaxed decay capped at L <= 12, R <= 64")
         if not ms or any(int(m) < 0 for m in ms):
             v.append("m_list must hold nonnegative radii")
+        if len({int(m) for m in ms}) < len(ms):
+            v.append("m_list repeats a radius")
         if ms and R < max(int(m) for m in ms):
             v.append("R must cover every m")
 
@@ -248,6 +250,17 @@ def _validate(spec: ExperimentSpec, v: list[str]):
 # -- per-kind range functions (module level so they pickle) -------------------
 #
 # Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
+# Site and batched reach ranges draw their trials in blocks of at most
+# BLOCK_SITES sites, which bounds their memory whatever the trial count.
+
+BLOCK_SITES = 1 << 14
+
+
+def _blocks(t0: int, t1: int, sites: int) -> list[tuple[int, int]]:
+    """[t0, t1) as consecutive blocks of at most BLOCK_SITES // sites
+    trials (at least one)."""
+    size = max(1, BLOCK_SITES // sites)
+    return [(b, min(b + size, t1)) for b in range(t0, t1, size)]
 
 
 def _renorm_params(p) -> RenormParams:
@@ -256,10 +269,14 @@ def _renorm_params(p) -> RenormParams:
 
 
 def _site_trials(params, seed, t0, t1) -> list[int]:
+    """The vertex's colour, draw rank(vertex) of each trial's stream."""
     region = region_from_spec(params["region"])
     p = float(params["p"])
-    vertex = tuple(params.get("vertex", region.min_point()))
-    return [int(sample(region, p, RngStream(seed, t)).bit_at(vertex)) for t in range(t0, t1)]
+    rank = region.rank(tuple(params.get("vertex", region.min_point())))
+    out = []
+    for b0, b1 in _blocks(t0, t1, 1):
+        out += (uniforms(raw_grid(seed, b0, b1, rank, 1)[:, 0]) < p).astype(int).tolist()
+    return out
 
 
 def _reach_trials(params, seed, t0, t1) -> list[int]:
@@ -273,16 +290,19 @@ def _reach_trials(params, seed, t0, t1) -> list[int]:
         length = word.length - 1
     length = int(length)
     src = SourceSet.single(tuple(params["source"]), word)
-    relaxed = params.get("mode", "exact") == "relaxed"
-    out = []
-    for t in range(t0, t1):
-        cfg = sample(region, p, RngStream(seed, t))
-        if relaxed:
-            res = relaxed_word_reach(cfg, src, length, collect_arrivals=False)
-        else:
-            res = exact_word_reach(cfg, src, length, stop_at_index=length)
-        out.append((res.index_hits >> length) & 1)
-    return out
+    if params.get("mode", "exact") == "relaxed" or length <= 1:
+        # a walk of at most one step cannot revisit a site, so exact reach
+        # of index 0 or 1 is the relaxed event
+        out = []
+        for b0, b1 in _blocks(t0, t1, region.volume):
+            colors = sample_block(region, p, seed, b0, b1)
+            out += relaxed_reach_block(region, colors, src, length).astype(int).tolist()
+        return out
+    return [
+        exact_word_reach(sample(region, p, RngStream(seed, t)), src, length,
+                         stop_at_index=length).index_hits >> length & 1
+        for t in range(t0, t1)
+    ]
 
 
 def _allwords_failures(params, seed, t0, t1) -> list[int]:

@@ -273,7 +273,8 @@ def event_Emn(
     True iff a subset T of the inner boundary of the scale-n box, of
     density 8 * delta, is word-reached from the scale-(m+1) boundary with
     offsets at most C * n; decided by taking T = the full reachable
-    subset.  n = m is the whole probability space by definition.
+    subset.  n = m is the whole probability space by definition.  An
+    exact search may use EXACT_NODE_BUDGET search-tree nodes.
     Returns (occurred, T).
     """
     if not 1 <= m <= n:
@@ -297,7 +298,8 @@ def event_Emn(
         tgt = np.zeros(cfg.region.volume, dtype=bool)
         for y in targets:
             tgt[cfg.region.rank(y)] = True
-        res = exact_word_reach(cfg, sources, bound, prune_targets=(tgt, "membership"))
+        res = exact_word_reach(cfg, sources, bound, prune_targets=(tgt, "membership"),
+                               node_budget=_budget(None))
     T = {y for y in res.min_arrival if y in targets}
     return len(T) >= 8 * params.delta * len(targets), T
 

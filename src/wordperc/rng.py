@@ -8,7 +8,9 @@ README): a stream is identified by (master_seed, stream_id), both 64-bit.
     u53(i) = (raw(i) >> 11) * 2^-53                             in [0, 1)
     bernoulli(p, i) = u53(i) < p
 
-mix64 is the SplitMix64 finalizer. Distinct (master_seed, stream_id)
+mix64 is the SplitMix64 finalizer; mix64_array is the same arithmetic on
+a uint64 array, shared by a stream's raw_block and raw_grid, which draws
+a (stream, index) grid at once. Distinct (master_seed, stream_id)
 pairs give streams that are independent for testing purposes; identical
 pairs reproduce identical bit sequences. Trials of a Monte Carlo run own
 stream_ids 0..trials-1 so they parallelize without shared state.
@@ -39,6 +41,42 @@ def mix64(x: int) -> int:
     return x
 
 
+# uint64 array arithmetic wraps mod 2^64 (numpy checks overflow only on
+# scalars), which is the arithmetic of mix64 and the stream formulas
+_U = np.uint64
+_A_GOLDEN, _A_MIX1, _A_MIX2 = _U(GOLDEN), _U(_MIX1), _U(_MIX2)
+_A30, _A27, _A31 = _U(30), _U(27), _U(31)
+
+
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """mix64 of every element of a uint64 array, in place; returns x."""
+    x ^= x >> _A30
+    x *= _A_MIX1
+    x ^= x >> _A27
+    x *= _A_MIX2
+    x ^= x >> _A31
+    return x
+
+
+def _draws(bases: np.ndarray, start: int, count: int) -> np.ndarray:
+    """raw(start..start+count-1) of the streams with the given bases, one
+    row per base (a 0-d bases array gives one flat row)."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return mix64_array(bases[..., None] + idx * _A_GOLDEN)
+
+
+def raw_grid(master_seed: int, t0: int, t1: int, start: int, count: int) -> np.ndarray:
+    """raw(start..start+count-1) of streams t0..t1-1 as a (t1 - t0, count)
+    array; row k is bit-identical to RngStream(master_seed, t0 + k).raw_block."""
+    streams = _U(t0 & MASK64) + np.arange(t1 - t0, dtype=np.uint64)
+    return _draws(mix64_array(_U(master_seed & MASK64) ^ streams * _A_GOLDEN), start, count)
+
+
+def uniforms(raw: np.ndarray) -> np.ndarray:
+    """u53 of an array of raw words."""
+    return (raw >> _U(11)).astype(np.float64) * _INV53
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Stateless counter-based stream; all draws are pure in (seed, id, i)."""
@@ -63,19 +101,10 @@ class RngStream:
 
     def raw_block(self, start: int, count: int) -> np.ndarray:
         """Vectorized raw(start..start+count-1); bit-identical to raw()."""
-        base = np.uint64(self.base)
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            x = base + idx * np.uint64(GOLDEN)
-            x ^= x >> np.uint64(30)
-            x *= np.uint64(_MIX1)
-            x ^= x >> np.uint64(27)
-            x *= np.uint64(_MIX2)
-            x ^= x >> np.uint64(31)
-        return x
+        return _draws(np.array(self.base, dtype=np.uint64), start, count)
 
     def uniform_block(self, start: int, count: int) -> np.ndarray:
-        return (self.raw_block(start, count) >> np.uint64(11)).astype(np.float64) * _INV53
+        return uniforms(self.raw_block(start, count))
 
     # -- convenience draws used by samplers ---------------------------------
 

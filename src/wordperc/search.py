@@ -26,6 +26,12 @@ states that can still resolve one.  The exact search is a single
 depth-first loop (``_paths``) with an int visited set over
 ``neighbor_steps``.
 
+``relaxed_reach_block`` runs the relaxed sweep for a block of trials at
+once (multi-spin coding, after Jacobs and Rebbi, J. Comput. Phys. 41,
+1981): trial k is the k-th copy of the region along an extra axis that
+``_step`` never steps, the per-axis edge masks repeated once per copy,
+so one sweep over the stacked bitset advances every trial.
+
 ``sees_all_words`` walks the word trie depth first: the front of a prefix
 is its parent's front stepped and masked by its last letter, so words
 sharing a prefix share its fronts, an empty front settles a whole
@@ -46,7 +52,7 @@ import numpy as np
 from .config import Configuration
 from .errors import CapacityError, DomainError
 from .geometry import Region, neighbor_steps
-from .words import Word, WordGenerator, has_period_two
+from .words import Word, WordGenerator, _tile, has_period_two
 
 MAX_INDEX = 1 << 20
 Point = tuple[int, ...]
@@ -140,10 +146,15 @@ def _bits(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _unpack(bits: int, volume: int) -> np.ndarray:
+    """A bitset as a rank-order 0/1 array of the given length."""
+    raw = np.frombuffer(bits.to_bytes((volume + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=volume, bitorder="little")
+
+
 def _ranks(bits: int, volume: int) -> np.ndarray:
     """The set ranks of a bitset, ascending."""
-    raw = np.frombuffer(bits.to_bytes((volume + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    return np.flatnonzero(_unpack(bits, volume))
 
 
 @lru_cache(maxsize=16)
@@ -181,18 +192,22 @@ def _sweep(lattice, allowed, letters: int, indices, seeds: dict, front: int = 0)
 def _prepare(cfg: Configuration, sources: SourceSet, max_index: int, within):
     """The region, the sites each letter may occupy (0-sites and 1-sites
     inside the mask, as bitsets) and each word id's (rank, offset) sources."""
+    groups = _groups(cfg.region, sources, max_index)
+    return cfg.region, _allowed(cfg, within), groups
+
+
+def _groups(region: Region, sources: SourceSet, max_index: int):
+    """Each word id's (rank, offset) sources with offset <= max_index."""
     if max_index < 0:
         raise DomainError("max_index must be nonnegative")
     if max_index > MAX_INDEX:
         raise CapacityError(f"max_index capped at {MAX_INDEX}")
-    region = cfg.region
-    allowed = _allowed(cfg, within)
     groups: dict[int, list[tuple[int, int]]] = {}
     for v, t, wid in sources.entries:
         r = int(region.rank(v))  # also validates dimension and membership
         if t <= max_index:
             groups.setdefault(wid, []).append((r, t))
-    return region, allowed, groups
+    return groups
 
 
 def _allowed(cfg: Configuration, within):
@@ -287,6 +302,45 @@ def relaxed_word_reach(
         if arr_bits is not None:
             result.arrivals[pt] = arr_bits[r]
     return result
+
+
+def relaxed_reach_block(
+    region: Region, colors: np.ndarray, sources: SourceSet, max_index: int
+) -> np.ndarray:
+    """For each row of colors (one trial's rank-order colouring of region),
+    whether relaxed_word_reach on it reaches anything at max_index (bit
+    max_index of its index_hits).  The rows are stacked as copies of the
+    region along an extra axis that _step never takes, and a trial
+    succeeds iff its copy of the front at max_index is nonempty."""
+    groups = _groups(region, sources, max_index)
+    if colors.ndim != 2 or colors.shape[1] != region.volume:
+        raise DomainError("colour block shape mismatch")
+    copies, volume = colors.shape
+    sites = copies * volume
+    flat = colors.ravel()  # bit k * volume + r is rank r of trial k
+    allowed = (_bits(~flat), _bits(flat))
+    repunit = _tile(1, volume, sites)  # bit k * volume for every trial k
+    lattice = [(stride, up * repunit, down * repunit)
+               for stride, up, down in _lattice(region.intervals)]
+    hits = 0
+    for wid, srcs in groups.items():
+        letters = _letters(sources.words[wid], max_index)
+        period2 = has_period_two(letters, max_index)
+        seeds = {t: bits * repunit for t, bits in _seeds(srcs).items()}
+        t_last = max(seeds)
+        prev = prev2 = None
+        indices = range(min(seeds), max_index + 1)
+        for t, front in _sweep(lattice, allowed, letters.bits, indices, seeds):
+            if not front and t >= t_last:
+                break
+            # past the last seed, period-2 letters repeat the fronts of two
+            # steps back, and a copy of the front is empty at both parities
+            # or at neither (an empty front stays empty)
+            if period2 and t_last <= t - 2 and front == prev2:
+                break
+            prev2, prev = prev, front
+        hits |= front
+    return _unpack(hits, sites).reshape(copies, volume).any(axis=1)
 
 
 def _useful_table(lattice, allowed, letters, t0, t1, target, minarr, flavor):

@@ -1,0 +1,178 @@
+"""Block statistics against their per-trial references.
+
+Site and reach ranges sample a block of trials at once and, for relaxed
+reach and exact reach up to index 1, sweep the whole block in one stacked
+bitset.  Every per-trial outcome must equal the one-configuration search
+run on sample(region, p, RngStream(seed, t)), for ranges that start past
+0 and cross block boundaries, serially and fanned out over two workers.
+"""
+
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wordperc import harness
+from wordperc.config import Configuration, sample, sample_block
+from wordperc.estimate import run_trials
+from wordperc.geometry import Region
+from wordperc.rng import RngStream
+from wordperc.search import (SourceSet, exact_word_reach, relaxed_reach_block,
+                             relaxed_word_reach)
+
+WORDS = st.one_of(
+    st.text("01", min_size=1, max_size=14),
+    st.sampled_from(["alt", "ones", "zeros", "periodic:110", "minrun:M=2,seed=1",
+                     "product:q=0.5,seed=2", "product:q=0.3,seed=5"]),
+)
+
+
+@st.composite
+def reach_specs(draw):
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    source = [draw(st.integers(1, s)) for s in sizes]
+    word = draw(WORDS)
+    literal = set(word) <= {"0", "1"}
+    params = {"region": {"kind": "intervals", "intervals": [[0, s] for s in sizes]},
+              "p": draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0])),
+              "word": word, "source": source}
+    if draw(st.booleans()):
+        params["mode"] = "relaxed"
+        params["max_index"] = draw(st.integers(0, len(word) - 1 if literal else 20))
+    else:  # exact: batched up to index 1, a depth-first search from index 2
+        params["max_index"] = draw(st.integers(0, min(3, len(word) - 1) if literal else 3))
+    if literal and draw(st.booleans()):
+        del params["max_index"]  # the whole literal word
+        if params.get("mode") != "relaxed":
+            params["word"] = word[:4]
+    return params
+
+
+def reach_reference(params, seed, t0, t1):
+    """Per-trial relaxed or exact search on each trial's own sample."""
+    region = harness.region_from_spec(params["region"])
+    word = harness.word_from_spec(params["word"])
+    length = params.get("max_index", getattr(word, "length", 0) - 1)
+    src = SourceSet.single(tuple(params["source"]), word)
+    out = []
+    for t in range(t0, t1):
+        cfg = sample(region, params["p"], RngStream(seed, t))
+        if params.get("mode") == "relaxed":
+            res = relaxed_word_reach(cfg, src, length)
+        else:
+            res = exact_word_reach(cfg, src, length, stop_at_index=length)
+        out.append(res.index_hits >> length & 1)
+    return out
+
+
+def site_reference(params, seed, t0, t1):
+    region = harness.region_from_spec(params["region"])
+    vertex = tuple(params["vertex"])
+    return [sample(region, params["p"], RngStream(seed, t)).bit_at(vertex) for t in range(t0, t1)]
+
+
+SEEDS = st.sampled_from([0, 1, 7, 2**63, 2**64 - 1, -5])
+
+
+@given(reach_specs(), SEEDS, st.integers(1, 50), st.integers(1, 40), st.integers(1, 200))
+@settings(max_examples=120, deadline=None)
+# the source's colour never matches letter 0: no trial succeeds
+@example({"region": {"kind": "intervals", "intervals": [[0, 2], [0, 2]]}, "p": 0.0,
+          "word": "10", "source": [1, 1]}, 3, 5, 30, 16)
+@example({"region": {"kind": "intervals", "intervals": [[0, 3]]}, "p": 1.0,
+          "word": "0", "source": [2], "max_index": 0}, 2**63, 1, 9, 4)
+def test_reach_block_matches_per_trial(params, seed, t0, trials, block):
+    with mock.patch.object(harness, "BLOCK_SITES", block):
+        got = harness._reach_trials(params, seed, t0, t0 + trials)
+    assert got == reach_reference(params, seed, t0, t0 + trials)
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.data(),
+       st.sampled_from([0.0, 0.3, 0.5, 1.0]), SEEDS, st.integers(1, 50),
+       st.integers(1, 60), st.integers(1, 20))
+@settings(max_examples=60, deadline=None)
+def test_site_block_matches_per_trial(sizes, data, p, seed, t0, trials, block):
+    vertex = [data.draw(st.integers(1, s)) for s in sizes]
+    params = {"region": {"kind": "intervals", "intervals": [[0, s] for s in sizes]},
+              "p": p, "vertex": vertex}
+    with mock.patch.object(harness, "BLOCK_SITES", block):
+        got = harness._site_trials(params, seed, t0, t0 + trials)
+    assert got == site_reference(params, seed, t0, t0 + trials)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data(), SEEDS,
+       st.integers(1, 30), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_reach_block_several_sources_and_words(sizes, data, seed, trials, max_index):
+    """Sources at several offsets reading several words: the block is the
+    union of the per-word sweeps, like relaxed_word_reach's index_hits."""
+    region = Region(tuple((0, s) for s in sizes))
+    words = [harness.word_from_spec(data.draw(WORDS.filter(
+        lambda w: not set(w) <= {"0", "1"} or len(w) > max_index))) for _ in range(2)]
+    entries = tuple(
+        (tuple(data.draw(st.integers(1, s)) for s in sizes), data.draw(st.integers(0, 14)),
+         data.draw(st.integers(0, 1)))
+        for _ in range(data.draw(st.integers(1, 4))))
+    sources = SourceSet(entries, tuple(words))
+    colors = sample_block(region, 0.5, seed, 3, 3 + trials)
+    want = [relaxed_word_reach(Configuration.from_bools(region, row), sources,
+                               max_index).index_hits >> max_index & 1 for row in colors]
+    assert relaxed_reach_block(region, colors, sources, max_index).tolist() == want
+
+
+def test_reach_block_front_repeats_under_aperiodic_word():
+    # sites 1, 2, 3 coloured 0, 0, 1 from site 1: the fronts {1}, {2}, {1}
+    # repeat two steps back, yet letter 3 of 00011 ends every walk
+    region = Region(((0, 3),))
+    colors = np.array([[False, False, True], [False, False, False]])
+    sources = SourceSet.single((1,), harness.word_from_spec("00011"))
+    assert relaxed_reach_block(region, colors, sources, 4).tolist() == [False, False]
+    assert relaxed_reach_block(region, colors, sources, 2).tolist() == [True, True]
+
+
+def test_blocks_bounded():
+    # consecutive blocks of at most BLOCK_SITES sites, or of one trial
+    for sites in (1, 4, 2197, harness.BLOCK_SITES, harness.BLOCK_SITES + 1):
+        end = 5 + 3 * harness.BLOCK_SITES // sites + 2
+        ranges = harness._blocks(5, end, sites)
+        assert [t for b0, b1 in ranges for t in range(b0, b1)] == list(range(5, end))
+        assert all(b1 - b0 == 1 or (b1 - b0) * sites <= harness.BLOCK_SITES
+                   for b0, b1 in ranges)
+
+
+def test_reach_block_exceeding_block_sites():
+    # one trial per block when the region alone is larger than a block
+    params = {"region": {"kind": "intervals", "intervals": [[0, 131], [0, 127]]},
+              "p": 0.5, "word": "alt", "source": [60, 60], "max_index": 9,
+              "mode": "relaxed"}
+    assert 131 * 127 > harness.BLOCK_SITES
+    assert harness._reach_trials(params, 11, 4, 7) == reach_reference(params, 11, 4, 7)
+
+
+FANNED = (
+    ("reach", {"region": {"kind": "intervals", "intervals": [[-1, 1], [-1, 1]]},
+               "p": 0.5, "word": "10", "source": [0, 0]}),
+    ("reach", {"region": {"kind": "box", "m": 2, "d": 3}, "p": 0.5, "word": "alt",
+               "source": [0, 0, 0], "max_index": 12, "mode": "relaxed"}),
+    ("reach", {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.4,
+               "word": {"kind": "product", "q": 0.5, "seed": 3}, "source": [1, 0],
+               "max_index": 1}),
+    ("site", {"region": {"kind": "box", "m": 1, "d": 3}, "p": 0.3, "vertex": [1, 0, -1]}),
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind,params", FANNED, ids=[f"{k}{i}" for i, (k, _) in
+                                                      enumerate(FANNED)])
+def test_fanned_block_outcomes(kind, params, workers, monkeypatch):
+    cpus = os.cpu_count() or 1  # let WORDPERC_THREADS reach 2 on a one-core host
+    monkeypatch.setattr(os, "cpu_count", lambda: max(workers, cpus))
+    monkeypatch.setenv("WORDPERC_THREADS", str(workers))
+    trials, seed = 301, 9
+    got = run_trials(harness._BERNOULLI[kind], (params, seed), trials)
+    reference = site_reference if kind == "site" else reach_reference
+    assert got == reference(params, seed, 0, trials)
+    assert np.mean(got) not in (0.0, 1.0)  # the specs decide some trials each way

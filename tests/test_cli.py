@@ -351,3 +351,20 @@ def test_emn_spec_without_m(tmp_path, capsys):
     code, err = run_cli_err(["--spec", spath], capsys)
     assert code == 2
     assert "emn needs 'm'" in err
+
+
+def test_renorm_emn_exact_node_budget(capsys):
+    # the exact boundary search is bounded like the box searches: exit 3
+    code, err = run_cli_err(["renorm", "--stat", "emn", "--mode", "exact", "--k", "2",
+                             "--h", "2", "--p", "0.5", "--word", "product:q=0.5,seed=3",
+                             "--n", "2", "--m", "1", "--trials", "3"], capsys)
+    assert code == 3
+    assert "node budget" in err
+
+
+def test_decay_repeated_radius(capsys):
+    code, err = run_cli_err(["decay", "--p", "0.5", "--L", "3", "--R", "2", "--m-list", "0,0",
+                             "--dim", "2", "--mode", "exact", "--trials", "20", "--seed", "1"],
+                            capsys)
+    assert code == 2
+    assert "m_list repeats a radius" in err

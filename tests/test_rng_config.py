@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wordperc import harness
 from wordperc.config import (
     Configuration,
     enumerate_configs,
     flip_colors,
     read_wpc,
     sample,
+    sample_block,
     write_wpc,
 )
 from wordperc.errors import CapacityError
@@ -19,6 +25,32 @@ def test_stream_scalar_vs_block():
     block = s.raw_block(0, 100)
     for i in range(100):
         assert int(block[i]) == s.raw(i)
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+       st.sampled_from([0, 1, 2**63, 2**63 + 12345, 2**64 - 1, -1, -2**40]),
+       st.integers(1, 2**40), st.integers(1, 12), st.integers(1, 100))
+@settings(max_examples=80, deadline=None)
+# a region larger than a block: one trial per block
+@example([129, 128], 0.3, 2**63, 3, 2, harness.BLOCK_SITES)
+# streams past 2^64 - 1 wrap to 0, 1, ... as mix64's reduction does
+@example([3, 5], 0.5, -1, 2**64 - 2, 4, 30)
+def test_sample_block_bit_exact(sizes, p, seed, t0, trials, block):
+    """Blocks of a range, stacked, are the per-trial samples and the scalar
+    Bernoulli draws, across block boundaries (t0 > 0)."""
+    region = Region(tuple((-1, s - 1) for s in sizes))
+    with mock.patch.object(harness, "BLOCK_SITES", block):
+        ranges = harness._blocks(t0, t0 + trials, region.volume)
+    rows = np.concatenate([sample_block(region, p, seed, b0, b1) for b0, b1 in ranges])
+    assert rows.shape == (trials, region.volume)
+    for k, row in enumerate(rows):
+        stream = RngStream(seed, t0 + k)
+        assert (row == sample(region, p, stream).bools()).all()
+        if region.volume <= 216:  # the scalar draws, for small regions
+            assert row.tolist() == [stream.bernoulli(p, i) for i in range(region.volume)]
+        else:
+            assert (row == (stream.uniform_block(0, region.volume) < p)).all()
 
 
 def choose_subset_scalar(stream, items, size, i0):
