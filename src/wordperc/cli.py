@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -35,6 +36,19 @@ def _parse_vertex(text: str):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise DomainError(f"vertex {text!r} is not comma-separated integers")
+
+
+def _check_outputs(args):
+    """Refuse an --out or --csv path that cannot be written, before any
+    trial runs: its folder must exist and the path must not be a folder."""
+    for path in (getattr(args, "out", None), getattr(args, "csv", None)):
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise DomainError(f"cannot write {path}: no folder {folder}")
+        if os.path.isdir(path):
+            raise DomainError(f"cannot write {path}: it is a folder")
 
 
 def _emit(doc: dict, args, wall: float):
@@ -309,6 +323,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_outputs(args)
         if args.spec:
             with open(args.spec) as f:
                 spec = ExperimentSpec.from_dict(json.load(f), out=args.out)

@@ -27,6 +27,9 @@ from .geometry import Region
 from .rng import RngStream, raw_grid, uniforms
 
 MAX_ENUM_SITES = 25
+# Sites one trial may sample; a larger region or window ends in a
+# CapacityError before any draw instead of exhausting memory.
+MAX_SITES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,9 @@ def sample_block(region: Region, p: float, master_seed: int, t0: int, t1: int) -
     """Bernoulli(p) colours of trials t0..t1-1 as a (t1 - t0, volume) bool
     array in rank order: trial t uses stream (master_seed, t), site i its
     draw i."""
+    if region.volume > MAX_SITES:
+        raise CapacityError(f"sampling capped at {MAX_SITES} sites per trial, "
+                            f"the region has {region.volume}")
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
     return uniforms(raw_grid(master_seed, t0, t1, 0, region.volume)) < p

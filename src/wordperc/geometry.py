@@ -168,13 +168,14 @@ def neighbor_ranks(intervals) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def neighbor_steps(intervals) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+def neighbor_steps(sizes) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     """neighbor_ranks as plain-int offsets, for scalar loops, where numpy
     element access is slow: the in-region neighbors of rank r are r + s
     for s in steps[kind[r]], in neighbor_ranks order.  kind[r] is the
     bitmask of r's in-region neighbor columns, a small int, so the table
-    holds no per-rank tuples."""
-    table = neighbor_ranks(intervals)
+    holds no per-rank tuples.  Ranks and offsets do not depend on where
+    the region lies, so the table is keyed on its axis sizes alone."""
+    table = neighbor_ranks(tuple((0, size) for size in sizes))
     inside = table >= 0
     step = table - np.arange(len(table))[:, None]  # constant down a column where inside
     offsets = [int(step[inside[:, j], j][0]) if inside[:, j].any() else 0

@@ -26,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import sample, sample_block
+from .config import Configuration, sample, sample_block
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, run_trials, wilson_interval
 from .geometry import Region, box, is_macro_vertex, lambda_box
 from .oriented import crossing_stat, domination_probe, xi5n_stat
-from .renorm import RenormParams, SeedSet, emn_stat, exploration_stat, good_event
+from .renorm import (RenormParams, SeedSet, emn_stat, exploration_stat, good_event,
+                     walk_good_events, walks_decide)
 from .rng import RngStream, raw_grid, uniforms
 from .search import SourceSet, exact_word_reach, relaxed_reach_block, sees_all_words
 from .wierman import verify_coupling, wierman_couple
@@ -127,8 +128,12 @@ class ExperimentSpec:
         missing = [k for k in ("kind", "params", "trials", "seed") if k not in d]
         if missing:
             raise ValidationError([f"spec is missing {k!r}" for k in missing])
+        wrong = [f"spec {k!r} must be an integer, not {d[k]!r}" for k in ("trials", "seed")
+                 if not isinstance(d[k], int) or isinstance(d[k], bool)]
+        if wrong:
+            raise ValidationError(wrong)
         try:
-            return cls(d["kind"], dict(d["params"]), int(d["trials"]), int(d["seed"]), out)
+            return cls(d["kind"], dict(d["params"]), d["trials"], d["seed"], out)
         except (TypeError, ValueError) as e:
             raise ValidationError([f"malformed spec: {e}"])
 
@@ -250,8 +255,8 @@ def _validate(spec: ExperimentSpec, v: list[str]):
 # -- per-kind range functions (module level so they pickle) -------------------
 #
 # Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
-# Site and batched reach ranges draw their trials in blocks of at most
-# BLOCK_SITES sites, which bounds their memory whatever the trial count.
+# Site, reach and renorm good-event ranges draw their trials in blocks of at
+# most BLOCK_SITES sites, which bounds their memory whatever the trial count.
 
 BLOCK_SITES = 1 << 14
 
@@ -328,6 +333,9 @@ def _wierman_trials(params, seed, t0, t1) -> list[int]:
 
 
 def _renorm_good_trials(params, seed, t0, t1) -> list[int]:
+    """Good events of the full face of u on the window B^u padded by k + 2.
+    Walk-decided events run a block of trials in one stacked sweep; the
+    others keep one self-avoiding search per trial."""
     rp = _renorm_params(params)
     u = tuple(params.get("u", (0, 0, 2)))
     word = word_from_spec(params["word"])
@@ -335,11 +343,20 @@ def _renorm_good_trials(params, seed, t0, t1) -> list[int]:
     k = rp.k
     su = list(u) + [0] * (rp.d - 3)
     window = Region(tuple((k * s - 2 * k - 2, k * s + 2 * k + 2) for s in su))
-    seed_set = SeedSet.full_face(u, rp)
-    return [
-        int(good_event(sample(window, rp.p, RngStream(seed, t)), seed_set, word, rp, mode=mode))
-        for t in range(t0, t1)
-    ]
+    out = []
+    for b0, b1 in _blocks(t0, t1, window.volume):
+        # sampling comes first: sample_block refuses an oversized window
+        # before the seed and the word's prefix are built
+        colors = sample_block(window, rp.p, seed, b0, b1)
+        if b0 == t0:
+            seed_set = SeedSet.full_face(u, rp)
+            walks = walks_decide(word, mode, rp.C * (u[0] + 2))
+        if walks:
+            out += walk_good_events(window, colors, seed_set, word, rp).astype(int).tolist()
+        else:
+            out += [int(good_event(Configuration.from_bools(window, row), seed_set, word, rp,
+                                   mode=mode)) for row in colors]
+    return out
 
 
 _BERNOULLI = {

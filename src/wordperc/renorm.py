@@ -24,6 +24,14 @@ search decides it (relaxed mode or a period-<=2 word): the verdict is the
 good-event threshold on that search's per-face arrivals.  Otherwise the
 early-stopping self-avoiding search decides, and accepted boxes run a
 second, minimal-arrival search for their seeds.
+
+F^u u B^u is itself a box, so every box search runs on that region
+alone, its colours gathered from the window through cached ranks; a
+restricted box keeps rank and neighbor order, so results and node counts
+are those of the window search masked to it.  walk_good_events decides
+the walk-decided good events of a block of trials with one stacked
+relaxed sweep (search.relaxed_reach_block); good_event's walk branch is
+its one-trial case.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from .words import has_period_two
 from .search import (
     SourceSet,
     exact_word_reach,
-    region_mask,
+    relaxed_reach_block,
     relaxed_word_reach,
 )
 
@@ -134,14 +142,59 @@ def is_delta_seed(seed: SeedSet, delta: float, params: RenormParams) -> bool:
     return all(t <= budget for _, t in seed.entries)
 
 
-def box_domain(u, params: RenormParams, region: Region) -> np.ndarray:
-    """Mask of F^u u B^u inside a configuration region."""
-    face = macro_face(u, params.k, params.d)
-    bx = macro_box(u, params.k, params.d)
-    for part in (face, bx):
-        if not part.issubset(region):
+def _ranks_within(part: Region, region: Region) -> np.ndarray:
+    """The ranks in region of the points of part, a box inside it, in
+    part's own rank order."""
+    ranks = np.zeros(1, dtype=np.int64)
+    stride = 1
+    for (lo, hi), (rlo, rhi) in zip(part.intervals, region.intervals):
+        axis = np.arange(lo - rlo, hi - rlo, dtype=np.int64) * stride
+        ranks = (axis[:, None] + ranks).ravel()  # first coordinate fastest
+        stride *= rhi - rlo
+    return ranks
+
+
+@lru_cache(maxsize=256)
+def _search_box(u, k: int, d: int) -> Region:
+    """F^u u B^u as a region of its own: (k u1 - k - 1, k u1 + k] on the
+    first axis and B^u's intervals on the others."""
+    face, bx = macro_face(u, k, d), macro_box(u, k, d)
+    ivs = ((face.intervals[0][0], bx.intervals[0][1]),) + bx.intervals[1:]
+    return Region(ivs, "macro-search", (u, k))
+
+
+@lru_cache(maxsize=256)
+def _box_view(u, k: int, d: int, intervals) -> tuple[Region, np.ndarray]:
+    """F^u u B^u and the ranks of its points in the window with these
+    intervals, the gather of its colours.  Restricting a box keeps rank
+    order, so a search on it visits what a search masked to it inside
+    the window visits, in the same order."""
+    window = Region(intervals)
+    for part in (macro_face(u, k, d), macro_box(u, k, d)):
+        if not part.issubset(window):
             raise DomainError(f"{part.kind} of {u} not inside the configuration")
-    return region_mask(region, [face, bx])
+    box = _search_box(u, k, d)
+    ranks = _ranks_within(box, window)
+    ranks.setflags(write=False)
+    return box, ranks
+
+
+def _restrict(cfg: Configuration, u, params: RenormParams) -> Configuration:
+    """The configuration on F^u u B^u alone."""
+    box, ranks = _box_view(u, params.k, params.d, cfg.region.intervals)
+    return Configuration.from_bools(box, cfg.bools()[ranks])
+
+
+@lru_cache(maxsize=256)
+def _out_faces(u, k: int, d: int, outs: tuple) -> np.ndarray:
+    """Over F^u u B^u in its rank order, one boolean column per out-neighbor
+    v of outs: the points of F^v inside the box, all a box search can reach."""
+    box = _search_box(u, k, d)
+    faces = np.zeros((box.volume, len(outs)), dtype=bool)
+    for j, v in enumerate(outs):
+        faces[_ranks_within(macro_face(v, k, d).intersect(box), box), j] = True
+    faces.setflags(write=False)
+    return faces
 
 
 def _need(params: RenormParams) -> int:
@@ -150,7 +203,7 @@ def _need(params: RenormParams) -> int:
     return max(1, math.ceil(threshold - 1e-12))
 
 
-def _walks_decide(xi, mode: str, bound: int) -> bool:
+def walks_decide(xi, mode: str, bound: int) -> bool:
     """Whether the walk (relaxed) search answers the box question."""
     if mode not in ("exact", "relaxed"):
         raise DomainError(f"unknown search mode {mode!r}")
@@ -164,19 +217,22 @@ def _face_points(v, k: int, d: int) -> tuple[Point, ...]:
     return tuple(map(tuple, macro_face(v, k, d).points_array().tolist()))
 
 
+def _sources(seed: SeedSet, xi) -> SourceSet:
+    return SourceSet.uniform(seed.vertices(), xi, [t for _, t in seed.entries])
+
+
 def _face_arrivals(cfg, seed: SeedSet, xi, params, outs, bound, walks, node_budget) -> dict:
-    """One search from the seed inside F^u u B^u up to index bound; for
-    every out-neighbor v, the face points of F^v it reaches with their
-    minimal arrivals, read through the face's own points."""
-    mask = box_domain(seed.u, params, cfg.region)
-    sources = SourceSet.uniform(seed.vertices(), xi, [t for _, t in seed.entries])
+    """One search from the seed on F^u u B^u up to index bound; for every
+    out-neighbor v, the face points of F^v it reaches with their minimal
+    arrivals, read through the face's own points."""
+    box = _restrict(cfg, seed.u, params)
     if walks:
-        res = relaxed_word_reach(cfg, sources, bound, within=mask, collect_arrivals=False)
+        res = relaxed_word_reach(box, _sources(seed, xi), bound, collect_arrivals=False)
     else:
-        faces = region_mask(cfg.region, [macro_face(v, params.k, params.d) for v in outs])
+        faces = _out_faces(seed.u, params.k, params.d, tuple(outs))
         res = exact_word_reach(
-            cfg, sources, bound, within=mask, node_budget=_budget(node_budget),
-            prune_targets=(faces, "min"),
+            box, _sources(seed, xi), bound, node_budget=_budget(node_budget),
+            prune_targets=(faces.any(axis=1), "min"),
         )
     arrival = res.min_arrival
     return {
@@ -204,8 +260,26 @@ def seed_sets_from(
     if not outs:
         return {}
     bound = params.C * (u[0] + 2) if t_membership is None else t_membership
-    walks = _walks_decide(xi, mode, bound)
+    walks = walks_decide(xi, mode, bound)
     return _face_arrivals(cfg, seed, xi, params, outs, bound, walks, node_budget)
+
+
+def walk_good_events(window: Region, colors: np.ndarray, seed: SeedSet, xi,
+                     params: RenormParams) -> np.ndarray:
+    """good_event of the delta-seed for every row of colors, one trial's
+    rank-order colouring of the window, where the walk search decides it
+    (walks_decide).  One stacked relaxed sweep of the rows' F^u u B^u
+    gives each trial's reached sites, and a trial is good iff every
+    out-neighbor face holds at least the needed number of them."""
+    u = seed.u
+    outs = tuple(macro_out_neighbors(u, params.h))
+    if not outs:
+        return np.ones(len(colors), dtype=bool)
+    box, ranks = _box_view(u, params.k, params.d, window.intervals)
+    reached = relaxed_reach_block(box, colors[:, ranks], _sources(seed, xi),
+                                  params.C * (u[0] + 2), reached=True)
+    counts = reached @ _out_faces(u, params.k, params.d, outs).astype(np.int64)
+    return (counts >= _need(params)).all(axis=1)
 
 
 def good_event(
@@ -217,7 +291,8 @@ def good_event(
     node_budget: int | None = None,
 ) -> bool:
     """Whether the seed propagates 64000*delta-dense seeds to every
-    out-neighbor face while reading the word inside F^u u B^u.  An exact
+    out-neighbor face while reading the word inside F^u u B^u.  A walk
+    decided event is the one-trial case of walk_good_events; an exact
     search may use node_budget search-tree nodes (EXACT_NODE_BUDGET when
     None)."""
     if not is_delta_seed(seed, params.delta, params):
@@ -228,22 +303,16 @@ def good_event(
         return True
     need = _need(params)
     bound = params.C * (u[0] + 2)
-    if _walks_decide(xi, mode, bound):
-        grown = _face_arrivals(cfg, seed, xi, params, outs, bound, True, node_budget)
-        return all(len(got) >= need for got in grown.values())
-    mask = box_domain(u, params, cfg.region)
-    sources = SourceSet.uniform(seed.vertices(), xi, [t for _, t in seed.entries])
-    face_masks = [
-        region_mask(cfg.region, [macro_face(v, params.k, params.d)]) for v in outs
-    ]
+    if walks_decide(xi, mode, bound):
+        return bool(walk_good_events(cfg.region, cfg.bools()[None], seed, xi, params)[0])
+    faces = _out_faces(u, params.k, params.d, tuple(outs))
     res = exact_word_reach(
-        cfg,
-        sources,
+        _restrict(cfg, u, params),
+        _sources(seed, xi),
         bound,
-        within=mask,
-        early_stop=[(fm, need) for fm in face_masks],
+        early_stop=[(faces[:, j], need) for j in range(len(outs))],
         node_budget=_budget(node_budget),
-        prune_targets=(np.logical_or.reduce(face_masks), "membership"),
+        prune_targets=(faces.any(axis=1), "membership"),
     )
     reached = res.min_arrival
     return all(
@@ -252,11 +321,12 @@ def good_event(
     )
 
 
-def lambda_boundary(n: int, params: RenormParams) -> set[Point]:
+@lru_cache(maxsize=16)
+def lambda_boundary(n: int, params: RenormParams) -> frozenset[Point]:
     """Inner boundary of the slab box at scale n, within the slab."""
     lam = lambda_box(n, params.h, params.k, params.d)
     amb = slab_window(params.h, params.k, params.d, params.k * n + 2)
-    return inner_boundary(lam, amb)
+    return frozenset(inner_boundary(lam, amb))
 
 
 def event_Emn(
@@ -389,7 +459,7 @@ def macro_exploration(
         seed = SeedSet.from_dict(u, arrivals.get(u, {}))
         if not seed.entries or not is_delta_seed(seed, params.delta, params):
             return False
-        if _walks_decide(xi, mode, C * (u[0] + 2)):
+        if walks_decide(xi, mode, C * (u[0] + 2)):
             # one walk search: the good event is the threshold on its faces
             grown = seed_sets_from(cfg, seed, xi, params, mode=mode)
             ok = all(len(got) >= need for got in grown.values())
@@ -428,12 +498,9 @@ def macro_exploration(
     no_requeries = len(queried) == len(set(queried))
     overlaps = []
     qs = sorted(set(queried))
-    for i, a in enumerate(qs):
-        box_a = macro_box(a, k, params.d)
-        face_a = macro_face(a, k, params.d)
-        for b in qs[i + 1 :]:
-            box_b = macro_box(b, k, params.d)
-            face_b = macro_face(b, k, params.d)
+    parts = [(macro_box(a, k, params.d), macro_face(a, k, params.d)) for a in qs]
+    for i, (a, (box_a, face_a)) in enumerate(zip(qs, parts)):
+        for b, (box_b, face_b) in zip(qs[i + 1 :], parts[i + 1 :]):
             if box_a.intersect(box_b) is not None:
                 overlaps.append((a, b, "box-box"))
             if face_a.intersect(face_b) is not None:

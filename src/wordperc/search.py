@@ -158,15 +158,24 @@ def _ranks(bits: int, volume: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _lattice(intervals) -> tuple[tuple[int, int, int], ...]:
-    """Per axis (stride, up, down): up holds the ranks r whose neighbor
-    r + stride is in the region, down those whose r - stride is."""
-    pts = Region(intervals).points_array()
+def _lattice(sizes) -> tuple[tuple[int, int, int], ...]:
+    """Per axis (stride, up, down) of a region with these axis sizes: up
+    holds the ranks r whose neighbor r + stride is in the region, down
+    those whose r - stride is.  Keyed on the shape alone, so every box of
+    one shape shares an entry."""
+    volume = 1
+    for size in sizes:
+        volume *= size
     out = []
     stride = 1
-    for axis, (lo, hi) in enumerate(intervals):
-        out.append((stride, _bits(pts[:, axis] < hi), _bits(pts[:, axis] > lo + 1)))
-        stride *= hi - lo
+    for size in sizes:
+        # along an axis of this size, the ranks repeat in runs of stride
+        # sites per coordinate; all but the last run step up, all but the
+        # first step down
+        inner = (1 << stride * (size - 1)) - 1
+        out.append((stride, _tile(inner, stride * size, volume),
+                    _tile(inner << stride, stride * size, volume)))
+        stride *= size
     return tuple(out)
 
 
@@ -241,7 +250,7 @@ def one_connected_set(
     if within is not None:
         colors = colors & np.asarray(within, bool)
     open_ = _bits(colors)
-    lattice = _lattice(reg.intervals)
+    lattice = _lattice(reg.sizes)
     front = 0
     for v in S:
         if not reg.contains(v):
@@ -263,7 +272,7 @@ def relaxed_word_reach(
 ) -> ReachResult:
     """Product-state BFS; reached pairs form a superset of the exact ones."""
     region, allowed, groups = _prepare(cfg, sources, max_index, within)
-    lattice = _lattice(region.intervals)
+    lattice = _lattice(region.sizes)
     result = ReachResult(region, exact=False)
     minarr = np.full(region.volume, MAX_INDEX + 1, dtype=np.int64)
     arr_bits: dict[int, int] | None = {} if collect_arrivals else None
@@ -305,13 +314,18 @@ def relaxed_word_reach(
 
 
 def relaxed_reach_block(
-    region: Region, colors: np.ndarray, sources: SourceSet, max_index: int
+    region: Region, colors: np.ndarray, sources: SourceSet, max_index: int,
+    reached: bool = False,
 ) -> np.ndarray:
     """For each row of colors (one trial's rank-order colouring of region),
     whether relaxed_word_reach on it reaches anything at max_index (bit
     max_index of its index_hits).  The rows are stacked as copies of the
     region along an extra axis that _step never takes, and a trial
-    succeeds iff its copy of the front at max_index is nonempty."""
+    succeeds iff its copy of the front at max_index is nonempty.
+
+    With reached, the (rows, volume) 0/1 array of the sites each trial
+    reaches at some index up to max_index instead: the union of the
+    fronts, which are the vertices of relaxed_word_reach's min_arrival."""
     groups = _groups(region, sources, max_index)
     if colors.ndim != 2 or colors.shape[1] != region.volume:
         raise DomainError("colour block shape mismatch")
@@ -321,8 +335,8 @@ def relaxed_reach_block(
     allowed = (_bits(~flat), _bits(flat))
     repunit = _tile(1, volume, sites)  # bit k * volume for every trial k
     lattice = [(stride, up * repunit, down * repunit)
-               for stride, up, down in _lattice(region.intervals)]
-    hits = 0
+               for stride, up, down in _lattice(region.sizes)]
+    hits = seen = 0
     for wid, srcs in groups.items():
         letters = _letters(sources.words[wid], max_index)
         period2 = has_period_two(letters, max_index)
@@ -331,6 +345,7 @@ def relaxed_reach_block(
         prev = prev2 = None
         indices = range(min(seeds), max_index + 1)
         for t, front in _sweep(lattice, allowed, letters.bits, indices, seeds):
+            seen |= front
             if not front and t >= t_last:
                 break
             # past the last seed, period-2 letters repeat the fronts of two
@@ -340,6 +355,8 @@ def relaxed_reach_block(
                 break
             prev2, prev = prev, front
         hits |= front
+    if reached:
+        return _unpack(seen, sites).reshape(copies, volume)
     return _unpack(hits, sites).reshape(copies, volume).any(axis=1)
 
 
@@ -421,8 +438,8 @@ def exact_word_reach(
     minimal arrivals; full (vertex, index) pair sets are NOT preserved.
     """
     region, allowed, groups = _prepare(cfg, sources, max_index, within)
-    lattice = _lattice(region.intervals)
-    kind, steps = neighbor_steps(region.intervals)
+    lattice = _lattice(region.sizes)
+    kind, steps = neighbor_steps(region.sizes)
     result = ReachResult(region, exact=True)
     if want_witness:
         result.witnesses = {}
@@ -566,11 +583,11 @@ def sees_all_words(
     if not starts:
         raise DomainError("from-region does not meet the configuration region")
     allowed = _allowed(cfg, within)
-    lattice = _lattice(reg.intervals)
+    lattice = _lattice(reg.sizes)
     if mode == "exact":
         if length > (allowed[0] | allowed[1]).bit_count():
             return False, Word(0, length)  # no self-avoiding path is that long
-        kind, steps = neighbor_steps(reg.intervals)
+        kind, steps = neighbor_steps(reg.sizes)
         ranks = _ranks(starts, reg.volume).tolist()
 
         def reached_end(rank: int, t: int, path: list):

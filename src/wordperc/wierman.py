@@ -131,7 +131,7 @@ def wierman_couple(
     if len(words) != len(sources):
         raise DomainError("need one word per source")
     vol = region.volume
-    kind, steps = neighbor_steps(region.intervals)
+    kind, steps = neighbor_steps(region.sizes)
     # the uniforms enter only through u < p and u < 2p; as bytes they index
     # to small ints, so the scalar loop allocates no float per draw
     block = rng.uniform_block(0, 2 * vol)

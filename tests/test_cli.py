@@ -368,3 +368,84 @@ def test_decay_repeated_radius(capsys):
                             capsys)
     assert code == 2
     assert "m_list repeats a radius" in err
+
+
+# -- oversized regions end in exit 3 before any draw --------------------------
+#
+# sample_block refuses a region above config.MAX_SITES before it draws or
+# allocates anything, so these run in-process without using memory.
+
+
+def test_sample_oversized_box(tmp_path, capsys):
+    code, err = run_cli_err(["sample", "--region", "box:m=2000,d=3", "--p", "0.5",
+                             "--out", str(tmp_path / "c.wpc")], capsys)
+    assert code == 3
+    assert "sampling capped" in err
+    assert not (tmp_path / "c.wpc").exists()
+
+
+def test_renorm_good_oversized_window(capsys):
+    code, err = run_cli_err(["renorm", "--k", "400", "--p", "0.5", "--word", "alt",
+                             "--trials", "1"], capsys)
+    assert code == 3
+    assert "sampling capped" in err
+
+
+def test_decay_exact_oversized_horizon(capsys):
+    code, err = run_cli_err(["decay", "--p", "0.5", "--L", "3", "--R", "2000", "--m-list", "0",
+                             "--mode", "exact", "--trials", "1"], capsys)
+    assert code == 3
+    assert "sampling capped" in err
+
+
+# -- output paths are checked before the run ------------------------------------
+
+
+def test_out_in_missing_folder_fails_before_the_run(tmp_path, capsys):
+    out = tmp_path / "missing" / "w.json"
+    code, stdout = run_cli(["wierman", "--region", "box:m=2,d=2", "--p", "0.5",
+                            "--sources", "0,0", "--word", "alt", "--trials", "5",
+                            "--out", str(out)])
+    assert code == 2
+    assert stdout == ""  # no result document
+    assert "cannot write" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_csv_that_is_a_folder_fails_before_the_run(tmp_path, capsys):
+    code, stdout = run_cli(["decay", "--p", "0.5", "--L", "2", "--R", "2", "--m-list", "0,1",
+                            "--dim", "2", "--trials", "5", "--csv", str(tmp_path)])
+    assert code == 2
+    assert stdout == ""
+    assert "is a folder" in capsys.readouterr().err
+
+
+# -- spec trials and seed must be JSON integers ----------------------------------
+
+
+def _site_spec(tmp_path, **fields):
+    spec = {"kind": "site", "params": {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.5},
+            "trials": 3, "seed": 1, **fields}
+    spath = str(tmp_path / "spec.json")
+    json.dump(spec, open(spath, "w"))
+    return spath
+
+
+def test_spec_trials_not_an_integer(tmp_path, capsys):
+    code, stdout = run_cli(["--spec", _site_spec(tmp_path, trials=3.7)])
+    assert code == 2
+    assert stdout == ""
+    assert "'trials' must be an integer" in capsys.readouterr().err
+
+
+def test_spec_seed_not_an_integer(tmp_path, capsys):
+    code, stdout = run_cli(["--spec", _site_spec(tmp_path, seed=1.5)])
+    assert code == 2
+    assert stdout == ""
+    assert "'seed' must be an integer" in capsys.readouterr().err
+
+
+def test_spec_trials_boolean(tmp_path, capsys):
+    code, stdout = run_cli(["--spec", _site_spec(tmp_path, trials=True)])
+    assert code == 2
+    assert "'trials' must be an integer" in capsys.readouterr().err

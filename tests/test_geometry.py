@@ -200,7 +200,7 @@ def test_neighbor_ranks_consistency():
 ])
 def test_neighbor_steps_match_neighbor_ranks(region):
     table = neighbor_ranks(region.intervals)
-    kind, steps = neighbor_steps(region.intervals)
+    kind, steps = neighbor_steps(region.sizes)
     for r in range(region.volume):
         assert [r + s for s in steps[kind[r]]] == [int(u) for u in table[r] if u >= 0]
 

@@ -1,0 +1,250 @@
+"""Renormalization boxes searched as regions of their own, and good events
+decided a block of trials at a time, against the window-masked kernels.
+
+F^u u B^u is a box, so renorm gathers its colours from the window and
+searches that region alone.  Every ReachResult (arrival and minimal-arrival
+dicts in their iteration order, witnesses, index hits) and every
+depth-first node count must equal those of the same search on the whole
+window masked to F^u u B^u.  Walk-decided good events of a block of trials
+must equal the per-trial verdicts read from the masked relaxed search.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wordperc import harness, renorm, search
+from wordperc.config import sample
+from wordperc.errors import CapacityError
+from wordperc.geometry import (Region, macro_box, macro_face, macro_out_neighbors,
+                               neighbor_ranks, neighbor_steps)
+from wordperc.renorm import RenormParams, SeedSet, good_event, seed_sets_from
+from wordperc.rng import RngStream
+from wordperc.search import SourceSet, exact_word_reach, region_mask, relaxed_word_reach
+from wordperc.words import has_period_two
+
+# macro vertices for h = 4, at several positions and with 2 to 4 out-neighbors
+VERTICES = [(0, 0, 2), (2, 1, 1), (2, -1, 3), (4, 0, 2), (6, 1, 1)]
+WORDS = ["alt", "ones", "periodic:110", "product:q=0.5,seed=2", "product:q=0.3,seed=7"]
+
+
+def window_around(u, k, d, pads):
+    """A window holding F^u u B^u and its out-neighbors' faces, padded
+    unevenly so the box sits at a different place in each window."""
+    su = list(u) + [0] * (d - 3)
+    return Region(tuple((k * s - k - 2 - lo, k * s + 2 * k + hi)
+                        for s, lo, hi in zip(su, pads[::2], pads[1::2])))
+
+
+def same_result(a, b):
+    assert list(a.min_arrival.items()) == list(b.min_arrival.items())
+    assert list(a.arrivals.items()) == list(b.arrivals.items())
+    assert a.index_hits == b.index_hits
+    assert a.exact == b.exact
+    assert a.witnesses == b.witnesses
+    if a.witnesses is not None:
+        assert list(a.witnesses) == list(b.witnesses)
+
+
+def counted(thunk):
+    """(result or "cap", depth-first nodes) of a search call."""
+    nodes = [0]
+    paths = search._paths
+
+    def counting(steps, kind, ok, t_lo, t_hi, cap, start, t_start, visit):
+        def visit_counted(*args):
+            nodes[0] += 1
+            visit(*args)
+
+        paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start, visit_counted)
+
+    with mock.patch.object(search, "_paths", counting):
+        try:
+            return thunk(), nodes[0]
+        except CapacityError:
+            return "cap", nodes[0]
+
+
+@st.composite
+def box_cases(draw):
+    k = draw(st.sampled_from([2, 4]))
+    params = RenormParams(d=3, p=0.5, k=k, delta=1e-6, h=4)
+    u = draw(st.sampled_from(VERTICES))
+    window = window_around(u, k, 3, draw(st.lists(st.integers(0, 2), min_size=6, max_size=6)))
+    p = draw(st.sampled_from([0.3, 0.45, 0.5, 0.6]))
+    cfg = sample(window, p, RngStream(draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 99))))
+    face = list(macro_face(u, k, 3).iter_points())
+    picks = draw(st.lists(st.sampled_from(face), min_size=1, max_size=len(face), unique=True))
+    top = min(params.C * u[0], 80)  # delta-seed offsets, kept short for speed
+    seed = SeedSet.from_dict(u, {v: draw(st.integers(0, top)) for v in picks})
+    word = harness.word_from_spec(draw(st.sampled_from(WORDS)))
+    return params, u, cfg, seed, word
+
+
+@given(box_cases(), st.booleans(), st.integers(0, 60))
+@settings(max_examples=40, deadline=None)
+def test_relaxed_box_search_matches_masked_window(case, collect, max_index):
+    params, u, cfg, seed, word = case
+    bound = max(max_index, max(t for _, t in seed.entries))
+    sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
+    mask = region_mask(cfg.region, [macro_face(u, params.k, 3), macro_box(u, params.k, 3)])
+    box = renorm._restrict(cfg, u, params)
+    assert box.region.volume == (2 * params.k + 1) * (2 * params.k) ** 2
+    # the good event's bound too, where full arrival sets stay cheap
+    for t in (bound,) if collect else (bound, params.C * (u[0] + 2)):
+        same_result(relaxed_word_reach(box, sources, t, collect_arrivals=collect),
+                    relaxed_word_reach(cfg, sources, t, within=mask, collect_arrivals=collect))
+
+
+@given(box_cases(), st.sampled_from(["early_stop", "min", "membership", "witness"]),
+       st.integers(0, 40), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+@example(  # the good event's own search: early stop and membership pruning
+    (RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4), (0, 0, 2),
+     sample(window_around((0, 0, 2), 2, 3, [1, 0, 2, 1, 0, 2]), 0.5, RngStream(3, 4)),
+     SeedSet.full_face((0, 0, 2), RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)),
+     harness.word_from_spec("product:q=0.5,seed=2")), "early_stop", 250, 2)
+def test_exact_box_search_matches_masked_window(case, flavor, max_index, need):
+    params, u, cfg, seed, word = case
+    k = params.k
+    bound = max(max_index, max(t for _, t in seed.entries))
+    sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
+    outs = macro_out_neighbors(u, params.h)
+    mask = region_mask(cfg.region, [macro_face(u, k, 3), macro_box(u, k, 3)])
+    box = renorm._restrict(cfg, u, params)
+
+    def kwargs(region):
+        faces = [region_mask(region, [macro_face(v, k, 3)]) for v in outs]
+        union = region_mask(region, [macro_face(v, k, 3) for v in outs])
+        if flavor == "early_stop":
+            return {"early_stop": [(f, need) for f in faces],
+                    "prune_targets": (union, "membership")}
+        if flavor == "witness":
+            return {"want_witness": True}
+        return {"prune_targets": (union, flavor)}
+
+    got, got_nodes = counted(lambda: exact_word_reach(
+        box, sources, bound, node_budget=4000, **kwargs(box.region)))
+    want, want_nodes = counted(lambda: exact_word_reach(
+        cfg, sources, bound, within=mask, node_budget=4000, **kwargs(cfg.region)))
+    assert got_nodes == want_nodes
+    if want == "cap":
+        assert got == "cap"
+    else:
+        same_result(got, want)
+
+
+def masked_good_event(cfg, seed, word, params, mode, node_budget=None):
+    """The good event read from the window search masked to F^u u B^u: the
+    relaxed search where it decides, else the early-stopping exact search
+    pruned to the out-neighbor faces."""
+    k, u = params.k, seed.u
+    mask = region_mask(cfg.region, [macro_face(u, k, params.d), macro_box(u, k, params.d)])
+    sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
+    outs = macro_out_neighbors(u, params.h)
+    if not outs:
+        return True
+    bound, need = params.C * (u[0] + 2), renorm._need(params)
+    if mode == "relaxed" or has_period_two(word, bound):
+        res = relaxed_word_reach(cfg, sources, bound, within=mask, collect_arrivals=False)
+    else:
+        faces = [region_mask(cfg.region, [macro_face(v, k, params.d)]) for v in outs]
+        res = exact_word_reach(cfg, sources, bound, within=mask,
+                               early_stop=[(f, need) for f in faces],
+                               node_budget=node_budget or renorm.EXACT_NODE_BUDGET,
+                               prune_targets=(np.logical_or.reduce(faces), "membership"))
+    return all(sum(y in res.min_arrival for y in macro_face(v, k, params.d).iter_points())
+               >= need for v in outs)
+
+
+GOOD_CASES = [(w, "relaxed") for w in ("alt", "ones", "periodic:110", "product:q=0.5,seed=2")]
+GOOD_CASES += [("alt", "exact"), ("zeros", "exact")]  # period 2: the walk search decides
+GOOD_CASES += [("product:q=0.5,seed=2", "exact")]  # one self-avoiding search per trial
+
+
+@given(st.sampled_from(GOOD_CASES), st.sampled_from([(0, 0, 2, 4), (2, 1, 1, 4), (2, -1, 3, 4),
+                                                     (2, 1, 1, 2)]),
+       st.floats(0.3, 0.6), st.integers(0, 2**64 - 1), st.integers(1, 200), st.integers(1, 9),
+       st.integers(1, 4), st.integers(0, 1727))
+@settings(max_examples=40, deadline=None)
+@example(("alt", "exact"), (0, 0, 2, 4), 0.5, 1, 5, 1, 1, 0)  # one-trial range
+@example(("zeros", "exact"), (2, 1, 1, 4), 0.5, 3, 17, 9, 4, 1000)  # mixed verdicts in a block
+@example(("product:q=0.5,seed=2", "exact"), (0, 0, 2, 4), 0.3, 5, 2, 8, 3, 5)
+def test_walk_good_block_matches_per_trial(case, where, p, seed, t0, trials, per_block, extra):
+    word, mode = case
+    u, h = where[:3], where[3]
+    params = {"p": p, "k": 2, "h": h, "word": word, "mode": mode, "u": list(u)}
+    rp = harness._renorm_params(params)
+    window = Region(tuple((2 * s - 6, 2 * s + 6) for s in u))
+    # blocks of per_block trials of the 1,728-site window
+    with mock.patch.object(harness, "BLOCK_SITES", per_block * window.volume + extra):
+        got = harness._renorm_good_trials(params, seed, t0, t0 + trials)
+    full = SeedSet.full_face(u, rp)
+    xi = harness.word_from_spec(word)
+    cfgs = [sample(window, p, RngStream(seed, t)) for t in range(t0, t0 + trials)]
+    assert got == [int(masked_good_event(cfg, full, xi, rp, mode)) for cfg in cfgs]
+    assert got == [int(good_event(cfg, full, xi, rp, mode=mode)) for cfg in cfgs]
+
+
+@pytest.mark.parametrize("word,p", [("alt", 0.3), ("periodic:110", 0.3), ("ones", 0.55)])
+def test_walk_good_block_k4(word, p):
+    params = {"p": p, "k": 4, "word": word, "mode": "relaxed"}
+    rp = harness._renorm_params(params)
+    with mock.patch.object(harness, "BLOCK_SITES", 3 * 8000):
+        got = harness._renorm_good_trials(params, 17, 3, 11)
+    window = Region(((-10, 10), (-10, 10), (-2, 18)))
+    full, xi = SeedSet.full_face((0, 0, 2), rp), harness.word_from_spec(word)
+    assert got == [int(masked_good_event(sample(window, p, RngStream(17, t)), full, xi, rp,
+                                         "relaxed")) for t in range(3, 11)]
+    assert 0 < sum(got) < len(got)
+
+
+@given(box_cases())
+@settings(max_examples=30, deadline=None)
+def test_exact_box_events_match_masked_window(case):
+    """good_event and seed_sets_from in exact mode: the same verdicts, seeds
+    and depth-first node counts as the masked window searches."""
+    params, u, cfg, seed, word = case
+    if has_period_two(word, params.C * (u[0] + 2)):
+        return
+    budget = 3000
+    got = counted(lambda: good_event(cfg, seed, word, params, node_budget=budget))
+    assert got == counted(lambda: masked_good_event(cfg, seed, word, params, "exact", budget))
+    k, outs = params.k, macro_out_neighbors(u, params.h)
+    mask = region_mask(cfg.region, [macro_face(u, k, 3), macro_box(u, k, 3)])
+    sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
+
+    def masked_seeds():
+        res = exact_word_reach(cfg, sources, params.C * (u[0] + 2), within=mask,
+                               node_budget=budget, prune_targets=(
+                                   region_mask(cfg.region, [macro_face(v, k, 3) for v in outs]),
+                                   "min"))
+        return {v: {y: res.min_arrival[y] for y in macro_face(v, k, 3).iter_points()
+                    if y in res.min_arrival} for v in outs}
+
+    got = counted(lambda: seed_sets_from(cfg, seed, word, params, node_budget=budget))
+    want = counted(masked_seeds)
+    assert got == want
+    if got[0] != "cap":
+        assert [list(got[0][v].items()) for v in outs] == [list(want[0][v].items()) for v in outs]
+
+
+def test_tables_keyed_on_shape():
+    """One shape at two positions: the same lattice masks and neighbor steps
+    as the tables computed from each region's own points."""
+    for ivs in ((((-3, 1), (4, 8), (0, 2))), ((10, 14), (-2, 2), (-7, -5))):
+        region = Region(ivs)
+        pts = region.points_array()
+        stride, want = 1, []
+        for axis, (lo, hi) in enumerate(ivs):
+            want.append((stride, search._bits(pts[:, axis] < hi),
+                         search._bits(pts[:, axis] > lo + 1)))
+            stride *= hi - lo
+        assert search._lattice(region.sizes) == tuple(want)
+        kind, steps = neighbor_steps(region.sizes)
+        table = neighbor_ranks(ivs)
+        for r in range(region.volume):
+            assert [r + s for s in steps[kind[r]]] == [int(v) for v in table[r] if v >= 0]
