@@ -30,6 +30,24 @@ MAX_ENUM_SITES = 25
 # Sites one trial may sample; a larger region or window ends in a
 # CapacityError before any draw instead of exhausting memory.
 MAX_SITES = 1 << 24
+# Sites one block of trials may draw: block samplers take their trials in
+# blocks of at most BLOCK_SITES sites (or of one trial), which bounds their
+# memory whatever the trial count.
+BLOCK_SITES = 1 << 14
+
+
+def check_sites(sites: int, what: str = "region"):
+    """CapacityError when one trial would sample more than MAX_SITES sites."""
+    if sites > MAX_SITES:
+        raise CapacityError(f"sampling capped at {MAX_SITES} sites per trial, "
+                            f"the {what} has {sites}")
+
+
+def trial_blocks(t0: int, t1: int, sites: int) -> list[tuple[int, int]]:
+    """[t0, t1) as consecutive blocks of at most BLOCK_SITES // sites
+    trials (at least one)."""
+    size = max(1, BLOCK_SITES // sites)
+    return [(b, min(b + size, t1)) for b in range(t0, t1, size)]
 
 
 @dataclass(frozen=True)
@@ -92,9 +110,7 @@ def sample_block(region: Region, p: float, master_seed: int, t0: int, t1: int) -
     """Bernoulli(p) colours of trials t0..t1-1 as a (t1 - t0, volume) bool
     array in rank order: trial t uses stream (master_seed, t), site i its
     draw i."""
-    if region.volume > MAX_SITES:
-        raise CapacityError(f"sampling capped at {MAX_SITES} sites per trial, "
-                            f"the region has {region.volume}")
+    check_sites(region.volume)
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
     return uniforms(raw_grid(master_seed, t0, t1, 0, region.volume)) < p

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Configuration, sample, sample_block
+from .config import Configuration, sample, sample_block, trial_blocks
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, run_trials, wilson_interval
 from .geometry import Region, box, is_macro_vertex, lambda_box
@@ -256,16 +256,7 @@ def _validate(spec: ExperimentSpec, v: list[str]):
 #
 # Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
 # Site, reach and renorm good-event ranges draw their trials in blocks of at
-# most BLOCK_SITES sites, which bounds their memory whatever the trial count.
-
-BLOCK_SITES = 1 << 14
-
-
-def _blocks(t0: int, t1: int, sites: int) -> list[tuple[int, int]]:
-    """[t0, t1) as consecutive blocks of at most BLOCK_SITES // sites
-    trials (at least one)."""
-    size = max(1, BLOCK_SITES // sites)
-    return [(b, min(b + size, t1)) for b in range(t0, t1, size)]
+# most config.BLOCK_SITES sites (config.trial_blocks).
 
 
 def _renorm_params(p) -> RenormParams:
@@ -279,7 +270,7 @@ def _site_trials(params, seed, t0, t1) -> list[int]:
     p = float(params["p"])
     rank = region.rank(tuple(params.get("vertex", region.min_point())))
     out = []
-    for b0, b1 in _blocks(t0, t1, 1):
+    for b0, b1 in trial_blocks(t0, t1, 1):
         out += (uniforms(raw_grid(seed, b0, b1, rank, 1)[:, 0]) < p).astype(int).tolist()
     return out
 
@@ -299,7 +290,7 @@ def _reach_trials(params, seed, t0, t1) -> list[int]:
         # a walk of at most one step cannot revisit a site, so exact reach
         # of index 0 or 1 is the relaxed event
         out = []
-        for b0, b1 in _blocks(t0, t1, region.volume):
+        for b0, b1 in trial_blocks(t0, t1, region.volume):
             colors = sample_block(region, p, seed, b0, b1)
             out += relaxed_reach_block(region, colors, src, length).astype(int).tolist()
         return out
@@ -344,7 +335,7 @@ def _renorm_good_trials(params, seed, t0, t1) -> list[int]:
     su = list(u) + [0] * (rp.d - 3)
     window = Region(tuple((k * s - 2 * k - 2, k * s + 2 * k + 2) for s in su))
     out = []
-    for b0, b1 in _blocks(t0, t1, window.volume):
+    for b0, b1 in trial_blocks(t0, t1, window.volume):
         # sampling comes first: sample_block refuses an oversized window
         # before the seed and the word's prefix are built
         colors = sample_block(window, rp.p, seed, b0, b1)

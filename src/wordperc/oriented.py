@@ -28,6 +28,16 @@ reached(c) = (shifts(reached(c - 1)) | sources(c)) & open(c), or, when
 seeded, shifts(reached(c - 1) | sources(c - 1)) & open(c).  explore()
 stays a one-vertex-at-a-time exploration: renormalization needs its
 stateful verdicts, and it is the independent oracle of the sweep.
+
+The statistics (crossing, domination, xi5n) run a block of trials in one
+sweep: a column int holds one copy of the window's column per trial,
+separated by zero guard bits at least as wide as the largest shift, so
+no reach leaks from one copy into the next.  Blocks draw at most
+config.BLOCK_SITES sites (or one trial).  Their window layouts are built
+once per parameter set, (n, h, m) for slab windows and n for the xi
+window, and keep arrays only.  A window of more than config.MAX_SITES
+sites, counted from its bounds, raises CapacityError before any vertex
+is built.
 """
 
 from __future__ import annotations
@@ -40,10 +50,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .config import check_sites, trial_blocks
 from .errors import DomainError
 from .estimate import binomial_tail_geq, frequency, run_trials, wilson_interval
 from .geometry import is_macro_vertex
-from .rng import RngStream
+from .rng import RngStream, raw_grid, shuffled_prefix, uniforms
+from .words import _tile
 
 PlanarVertex = tuple[int, int]
 SlabVertex = tuple[int, int, int]
@@ -69,8 +81,22 @@ def slab_out(v):
     )
 
 
+def _parity_count(lo: int, hi: int, r: int) -> int:
+    """Integers in [lo, hi] congruent to r mod 2."""
+    return max(0, (hi - lo - (r - lo) % 2) // 2 + 1)
+
+
+def rect_sites(x_rng, y_rng, h=None) -> int:
+    """len(planar_rect(*x_rng, *y_rng)), or with h len(slab_rect(x_rng,
+    y_rng, h)), in O(1): column x = 2j holds the y (and z) of j's parity."""
+    j_lo, j_hi = -(-x_rng[0] // 2), x_rng[1] // 2
+    return sum(_parity_count(j_lo, j_hi, r) * _parity_count(*y_rng, r)
+               * (1 if h is None else _parity_count(1, h - 1, r)) for r in (0, 1))
+
+
 def planar_rect(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> tuple[PlanarVertex, ...]:
     """Planar vertices in [x_lo, x_hi] x [y_lo, y_hi], sorted."""
+    check_sites(rect_sites((x_lo, x_hi), (y_lo, y_hi)), "window")
     out = []
     for x in range(x_lo + (x_lo % 2), x_hi + 1, 2):
         par = (x // 2) % 2
@@ -82,6 +108,7 @@ def planar_rect(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> tuple[PlanarVerte
 
 def slab_rect(x_rng, y_rng, h: int) -> tuple[SlabVertex, ...]:
     """Macro vertices with x in [x_rng], y in [y_rng], 0 < z < h, sorted."""
+    check_sites(rect_sites(x_rng, y_rng, h), "window")
     out = []
     for x in range(x_rng[0] + (x_rng[0] % 2), x_rng[1] + 1, 2):
         par = (x // 2) % 2
@@ -107,7 +134,7 @@ class SlabWindows:
 
     n: int
     h: int
-    m: float | None  # None for the full window, else the thin half-width
+    m: int | None  # None for the full window, else the thin half-width
     B: tuple[SlabVertex, ...]
     L: tuple[SlabVertex, ...]
     R: tuple[SlabVertex, ...]
@@ -117,16 +144,22 @@ class SlabWindows:
         return frozenset(self.B)
 
 
-def slab_windows(n: int, h: int, m=None) -> SlabWindows:
-    """The full window, or with m the thin one of y-extent ceil(m)."""
+def _slab_key(n: int, h: int, m=None) -> tuple[int, int, int | None]:
+    """(n, h, m) of a slab window, m as its integer thin half-width."""
     if n < 3 or h < 2:
         raise DomainError("slab windows need n >= 3, h >= 2")
-    w = n if m is None else int(math.ceil(m))
+    return n, h, None if m is None else int(math.ceil(m))
+
+
+def slab_windows(n: int, h: int, m=None) -> SlabWindows:
+    """The full window, or with m the thin one of y-extent ceil(m)."""
+    n, h, m = _slab_key(n, h, m)
+    w = n if m is None else m
     cL, cR = snap_left_column(n), snap_right_column(n)
     B = slab_rect((n + 1, 2 * n - 1), (-2 * w + 1, 2 * w - 1), h)
     L = slab_rect((cL, cL), (-w, w), h)
     R = slab_rect((cR, cR), (-w, w), h)
-    return SlabWindows(n, h, None if m is None else w, B, L, R)
+    return SlabWindows(n, h, m, B, L, R)
 
 
 def slab_windows_thin(n: int, h: int, m) -> SlabWindows:
@@ -142,6 +175,11 @@ class _Layout:
     either end of a row lands on a bit that holds no vertex.  The
     out-neighbors of a column's bits are then its shifts by each of
     `steps`, both ways, in the next column.
+
+    A block of copies (one per trial, or per seed set) stacks copy i of
+    every column at bit i * pitch: the copy's `width` bits, then zero
+    guard bits as many as the largest step, so no shift carries a bit
+    from one copy into its neighbour.
     """
 
     def __init__(self, kind: str, vertices, h):
@@ -151,7 +189,7 @@ class _Layout:
             if not check(v):
                 raise DomainError(f"{v} is not a vertex of the {kind} graph")
         self.kind = kind
-        self.vertices = vertices if verts == vertices else verts
+        self.sites = len(verts)
         self.dim = 2 if kind == "planar" else 3
         pts = np.array(verts, dtype=np.int64).reshape(len(verts), self.dim)
         lo = pts.min(axis=0) if len(pts) else np.zeros(self.dim, dtype=np.int64)
@@ -163,23 +201,43 @@ class _Layout:
         self.steps = (self.stride - 1, self.stride + 1) if kind == "slab" else (1,)
         self.ncols = int(span[0]) // 2 + 1
         self.ny = int(span[1])
-        self.row_bytes = (self.ny * self.stride + 7) // 8
+        self.width = self.ny * self.stride
+        self.pitch = self.width + self.steps[-1]
+        self.pts = pts
         rel = pts - lo
-        bit = rel[:, 1] * self.stride + (rel[:, 2] if kind == "slab" else 0)
-        self.flat = rel[:, 0] // 2 * (8 * self.row_bytes) + bit
-        self.inside = self.pack(np.ones(len(verts), dtype=bool))
+        self.col = rel[:, 0] // 2
+        self.bit = rel[:, 1] * self.stride + (rel[:, 2] if kind == "slab" else 0)
+        self.inside = self.pack(np.ones((1, len(verts)), dtype=bool))
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The window's vertices, sorted; derived when first asked, so a
+        layout kept for a parameter set holds arrays only."""
+        return tuple(map(tuple, self.pts.tolist()))
 
     @cached_property
     def index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
 
     def pack(self, bits) -> list[int]:
-        """Per-vertex bits (sorted vertex order) as one int per column."""
-        grid = np.zeros(self.ncols * 8 * self.row_bytes, dtype=bool)
-        grid[self.flat] = bits
-        data = np.packbits(grid, bitorder="little").tobytes()
-        nb = self.row_bytes
+        """A (copies, vertices) block of per-vertex bits (sorted vertex
+        order) as one int per column, copy i at bit i * pitch."""
+        nb = (len(bits) * self.pitch + 7) // 8
+        grid = np.zeros(self.ncols * 8 * nb, dtype=bool)
+        grid[self.col * (8 * nb) + self.bit + self.pitch * np.arange(len(bits))[:, None]] = bits
+        data = memoryview(np.packbits(grid, bitorder="little"))
         return [int.from_bytes(data[i:i + nb], "little") for i in range(0, len(data), nb)]
+
+    def unpack(self, col: int, copies: int) -> np.ndarray:
+        """A stacked column int as a (copies, width) 0/1 array."""
+        nbits = copies * self.pitch
+        raw = np.frombuffer(col.to_bytes((nbits + 7) // 8, "little"), np.uint8)
+        rows = np.unpackbits(raw, count=nbits, bitorder="little").reshape(copies, self.pitch)
+        return rows[:, :self.width]
+
+    def tile(self, col: int, copies: int) -> int:
+        """A one-copy column int repeated in each of the copies."""
+        return _tile(col, self.pitch, copies * self.pitch)
 
     def cell(self, v):
         """(column, bit) of a window vertex, or None."""
@@ -217,6 +275,20 @@ class _Layout:
             out.append((x, self.y0 + dy, self.z0 + dz)[:self.dim])
         return out
 
+    def in_column(self, x: int, y_lo: int, y_hi: int) -> np.ndarray:
+        """Sorted-order indices of the window vertices (x, y, ...) with
+        y_lo <= y <= y_hi."""
+        pts = self.pts
+        return np.flatnonzero((pts[:, 0] == x) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi))
+
+    def sweep_block(self, columns: list[int], c_src: int, sources: int, seeded: bool,
+                    c_dst: int, copies: int) -> np.ndarray:
+        """Column c_dst of a stacked sweep whose sources all lie in column
+        c_src, as a (copies, width) 0/1 array."""
+        seeds = [0] * self.ncols
+        seeds[c_src] = sources
+        return self.unpack(_sweep(columns, self.steps, seeds, seeded)[c_dst], copies)
+
 
 @lru_cache(maxsize=32)
 def _cached_layout(kind, vertices, h) -> _Layout:
@@ -242,9 +314,9 @@ class OrientedConfig:
         self.h = h
         self.vertices = self.layout.vertices
         self.open = np.asarray(open_bits, dtype=bool)
-        if self.open.shape != (len(self.vertices),):
+        if self.open.shape != (self.layout.sites,):
             raise DomainError("open-bit array shape mismatch")
-        self.columns = self.layout.pack(self.open)
+        self.columns = self.layout.pack(self.open[None])
         self.gamma = gamma
         self.provenance = provenance
 
@@ -259,24 +331,32 @@ class OrientedConfig:
         return bool(self.open[self.index[v]])
 
 
+def _sample_block(lay: _Layout, gamma: float, master_seed: int, s0: int, s1: int,
+                  step: int = 1) -> np.ndarray:
+    """Open bits of streams s0, s0 + step, ... below s1, one (sorted
+    vertex order) row per stream: vertex i is open when the stream's
+    uniform i is below gamma."""
+    if not 0.0 <= gamma <= 1.0:
+        raise DomainError("gamma must lie in [0, 1]")
+    return uniforms(raw_grid(master_seed, s0, s1, 0, lay.sites, step)) < gamma
+
+
 def sample_oriented(kind, vertices, gamma, rng: RngStream, h=None) -> OrientedConfig:
     """Each vertex open with probability gamma; bits consumed in sorted
     vertex order."""
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError("gamma must lie in [0, 1]")
     lay = _layout(kind, vertices, h)
-    u = rng.uniform_block(0, len(lay.vertices))
-    return OrientedConfig(kind, lay, u < gamma, gamma, (rng.master_seed, rng.stream_id), h=h)
+    bits = _sample_block(lay, gamma, rng.master_seed, rng.stream_id, rng.stream_id + 1)[0]
+    return OrientedConfig(kind, lay, bits, gamma, (rng.master_seed, rng.stream_id), h=h)
 
 
-def _sweep(cfg: OrientedConfig, seeds: list[int], seeded: bool) -> list[int]:
-    """Reach one column at a time; seeds are per-column source masks.
+def _sweep(columns: list[int], steps, seeds: list[int], seeded: bool) -> list[int]:
+    """Reach one column at a time over open columns (stacked or not);
+    seeds are per-column source masks.
 
     A vertex is reached when open and it is a source (unseeded) or an
     out-neighbor of a reached vertex, or of any source when seeded."""
-    steps = cfg.layout.steps
     prev, out = 0, []
-    for o, s in zip(cfg.columns, seeds):
+    for o, s in zip(columns, seeds):
         nxt = 0
         for k in steps:
             nxt |= (prev << k) | (prev >> k)
@@ -299,7 +379,7 @@ def oriented_reach(cfg: OrientedConfig, sources, target=None, seeded=False) -> s
     vertices after the source are all open.
     """
     lay = cfg.layout
-    cols = _sweep(cfg, lay.mask(sources), seeded)
+    cols = _sweep(cfg.columns, lay.steps, lay.mask(sources), seeded)
     reached = {v for c, col in enumerate(cols) for v in lay.points(c, col)}
     if target is not None:
         reached &= set(map(tuple, target))
@@ -315,7 +395,7 @@ def xi_column_reach(cfg: OrientedConfig, A, n: int) -> set[int]:
         if a[0] != 0:
             raise DomainError("A must lie on the column x = 0")
     lay = cfg.layout
-    cols = _sweep(cfg, lay.mask(A), False)
+    cols = _sweep(cfg.columns, lay.steps, lay.mask(A), False)
     c = lay.column(5 * n)
     if not 0 <= c < lay.ncols:
         return set()
@@ -392,26 +472,65 @@ def forward_cone(S, window, kind="slab") -> set:
 
 def sample_seed_set(vertices, density: float, rng: RngStream, counter0: int = 0):
     """Deterministic random subset of ceil(density * |vertices|) vertices."""
-    k = max(1, math.ceil(density * len(vertices)))
-    return sorted(rng.choose_subset(sorted(vertices), k, counter0))
+    verts = sorted(vertices)
+    picks = _seed_picks(len(verts), density, rng.master_seed, rng.stream_id,
+                        rng.stream_id + 1, 1, counter0)[0]
+    return sorted(verts[j] for j in picks)
 
 
-def _crossing_trials(win, gamma, delta, master_seed, threshold, t0, t1) -> list[bool]:
-    """Crossing verdicts of trials t0..t1-1; trial t owns streams 2t
-    (seed set) and 2t + 1 (site bits)."""
-    lay = _layout("slab", win.B, win.h)
-    cR = lay.column(snap_right_column(win.n))
-    R_col = lay.mask(win.R)[cR]
+def _seed_picks(count: int, density: float, master_seed: int, s0: int, s1: int,
+                step: int = 1, counter0: int = 0) -> list[list[int]]:
+    """Per stream s0, s0 + step, ... below s1, the sorted-order positions
+    of the ceil(density * count) seeds it picks: a partial Fisher-Yates
+    shuffle of the positions, draw j being the stream's uniform counter0 + j."""
+    k = max(1, math.ceil(density * count))
+    if k > count:
+        raise ValueError("sample larger than population")
+    draws = uniforms(raw_grid(master_seed, s0, s1, counter0, k, step)).tolist()
+    return [shuffled_prefix(list(range(count)), row) for row in draws]
+
+
+def _stack(masks: list[int], pitch: int) -> int:
+    """One-copy column ints laid side by side, copy i at bit i * pitch."""
+    out = 0
+    for i, m in enumerate(masks):
+        out |= m << (i * pitch)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _slab_layout(n: int, h: int, m: int | None) -> _Layout:
+    """The layout of slab_windows(n, h, m).B, built once per (n, h, m)."""
+    return _Layout("slab", slab_windows(n, h, m).B, h)
+
+
+def _crossing_trials(key, gamma, delta, master_seed, threshold, t0, t1) -> list[bool]:
+    """Crossing verdicts of trials t0..t1-1 on the window of key = (n, h,
+    m), a block of trials per sweep; trial t owns streams 2t (seed set)
+    and 2t + 1 (site bits)."""
+    n, h, m = key
+    lay = _slab_layout(n, h, m)
+    xL, xR = snap_left_column(n), snap_right_column(n)
+    w = n if m is None else m
+    L_pow = [1 << b for b in lay.bit[lay.in_column(xL, -w, w)].tolist()]
+    on_R = np.zeros(lay.width, dtype=bool)
+    on_R[lay.bit[lay.in_column(xR, -w, w)]] = True
+    # R is empty when its column holds no vertex (h = 2 keeps one column
+    # parity), and that column may lie past the window's last one
+    cL, cR = lay.column(xL), min(lay.column(xR), lay.ncols - 1)
     out = []
-    for t in range(t0, t1):
-        S = sample_seed_set(win.L, delta, RngStream(master_seed, 2 * t))
-        bits = RngStream(master_seed, 2 * t + 1).uniform_block(0, len(lay.vertices)) < gamma
-        seeds = lay.mask(S)
-        reach = _sweep(OrientedConfig("slab", lay, bits, h=win.h), seeds, seeded=True)
-        # the exploration's U_inf is S plus the seeded reach (acceptance 4);
-        # S lies on column cL, which is column cR only when n <= 4
-        hit = ((reach[cR] | seeds[cR]) & R_col).bit_count()
-        out.append(hit > threshold if win.m is not None else hit >= threshold)
+    for b0, b1 in trial_blocks(t0, t1, lay.sites):
+        copies = b1 - b0
+        picks = _seed_picks(len(L_pow), delta, master_seed, 2 * b0, 2 * b1, 2)
+        S = _stack([sum(L_pow[j] for j in p) for p in picks], lay.pitch)
+        cols = lay.pack(_sample_block(lay, gamma, master_seed, 2 * b0 + 1, 2 * b1 + 1, 2))
+        reach = lay.sweep_block(cols, cL, S, True, cR, copies)
+        if cL == cR:
+            # the exploration's U_inf is S plus the seeded reach (acceptance
+            # 4); S lies on column cL, which is column cR only when n <= 4
+            reach |= lay.unpack(S, copies)
+        hits = (reach & on_R).sum(axis=1)
+        out += (hits > threshold if m is not None else hits >= threshold).tolist()
     return out
 
 
@@ -423,11 +542,14 @@ def crossing_stat(trials: int, n: int, h: int, gamma: float, delta: float, maste
     windows (B_{n, n/h}): the event is N > n / 20, with N the number of
     right-column vertices reached.  Reports a Wilson 95% interval.
     """
-    win = slab_windows_thin(n, h, n / h) if thin else slab_windows(n, h)
-    if not win.L:
+    key = _slab_key(n, h, n / h if thin else None)
+    w = n if key[2] is None else key[2]
+    cL, cR = snap_left_column(n), snap_right_column(n)
+    if not rect_sites((cL, cL), (-w, w), h):
         raise DomainError("left column is empty; increase n")
-    threshold = (n / 20.0) if thin else (len(win.R) / 1000.0)
-    args = (win, gamma, delta, master_seed, threshold)
+    right_size = rect_sites((cR, cR), (-w, w), h)
+    threshold = (n / 20.0) if thin else (right_size / 1000.0)
+    args = (key, gamma, delta, master_seed, threshold)
     successes = sum(run_trials(_crossing_trials, args, trials))
     return {
         "kind": "crossing",
@@ -440,7 +562,7 @@ def crossing_stat(trials: int, n: int, h: int, gamma: float, delta: float, maste
         "successes": successes,
         **frequency(successes, trials),
         "threshold": threshold,
-        "right_column_size": len(win.R),
+        "right_column_size": right_size,
     }
 
 
@@ -450,34 +572,44 @@ def planar_window_for_xi(n: int, y_margin: int | None = None):
     return planar_rect(0, 5 * n, -Y, Y)
 
 
+@lru_cache(maxsize=8)
+def _xi_layout(n: int) -> _Layout:
+    """The layout of planar_window_for_xi(n), built once per n."""
+    return _Layout("planar", planar_window_for_xi(n), None)
+
+
 def _domination_trials(gamma, delta, n, master_seed, t0, t1) -> list[tuple]:
     """(|xi^S_5n n W|, and the three path events) of trials t0..t1-1;
-    trial t owns streams 2t (seed set) and 2t + 1 (site bits)."""
-    verts = planar_window_for_xi(n)
-    lay = _layout("planar", verts, None)
-    col0 = tuple(v for v in lay.vertices if v[0] == 0 and -n <= v[1] <= n)
-    c5 = lay.column(5 * n)
-    at_5n = [v for v in lay.vertices if v[0] == 5 * n]
-    W_col = lay.mask(v for v in at_5n if -n <= v[1] <= n)[c5]
-    top_col = lay.mask(v for v in at_5n if v[1] >= n)[c5]
-    bottom_col = lay.mask(v for v in at_5n if v[1] <= -n)[c5]
+    trial t owns streams 2t (seed set) and 2t + 1 (site bits).  One sweep
+    runs a block of trials with four copies each: the seed sets S, S'
+    (S inside the middle band), the low band and the high band, copy
+    k * T + i holding set k of the block's trial i."""
+    lay = _xi_layout(n)
+    col0 = lay.in_column(0, -n, n)
+    y0s, pows = lay.pts[col0, 1].tolist(), [1 << b for b in lay.bit[col0].tolist()]
     quarter = max(1, (delta / 4) * n)
     seed_density = min(1.0, delta * n / max(1, len(col0)))  # |S| >= delta * n
-    low_band = lay.mask(v for v in col0 if v[1] <= -n + quarter)
-    high_band = lay.mask(v for v in col0 if v[1] >= n - quarter)
+    middle = [-n + quarter <= y <= n - quarter for y in y0s]
+    low_band = sum(b for y, b in zip(y0s, pows) if y <= -n + quarter)
+    high_band = sum(b for y, b in zip(y0s, pows) if y >= n - quarter)
+    y5 = lay.y0 + np.arange(lay.width)  # the y of each bit of column 5n
+    in_W, top, bottom = np.abs(y5) <= n, y5 >= n, y5 <= -n
+    c0, c5 = lay.column(0), lay.column(5 * n)
     out = []
-    for t in range(t0, t1):
-        S = sample_seed_set(col0, seed_density, RngStream(master_seed, 2 * t))
-        cfg = sample_oriented("planar", verts, gamma, RngStream(master_seed, 2 * t + 1))
-
-        def at_column_5n(seeds):
-            return _sweep(cfg, seeds, seeded=False)[c5]
-
-        xi = (at_column_5n(lay.mask(S)) & W_col).bit_count()
-        ok1 = at_column_5n(lay.mask(v for v in S if -n + quarter <= v[1] <= n - quarter)) != 0
-        ok2 = (at_column_5n(low_band) & top_col) != 0
-        ok3 = (at_column_5n(high_band) & bottom_col) != 0
-        out.append((xi, ok1, ok2, ok3))
+    for b0, b1 in trial_blocks(t0, t1, lay.sites):
+        T, span = b1 - b0, (b1 - b0) * lay.pitch
+        picks = _seed_picks(len(col0), seed_density, master_seed, 2 * b0, 2 * b1, 2)
+        S = _stack([sum(pows[j] for j in p) for p in picks], lay.pitch)
+        S_mid = _stack([sum(pows[j] for j in p if middle[j]) for p in picks], lay.pitch)
+        sources = (S | S_mid << span | lay.tile(low_band, T) << 2 * span
+                   | lay.tile(high_band, T) << 3 * span)
+        block = lay.pack(_sample_block(lay, gamma, master_seed, 2 * b0 + 1, 2 * b1 + 1, 2))
+        sets = _tile(1, span, 4 * span)
+        cols = [c * sets for c in block]
+        r = lay.sweep_block(cols, c0, sources, False, c5, 4 * T).reshape(4, T, lay.width)
+        xi = (r[0] & in_W).sum(axis=1)
+        out += zip(xi.tolist(), r[1].any(axis=1).tolist(), (r[2] & top).any(axis=1).tolist(),
+                   (r[3] & bottom).any(axis=1).tolist())
     return out
 
 
@@ -494,7 +626,7 @@ def domination_probe(gamma: float, delta: float, n: int, trials: int, master_see
         raise DomainError("domination probe needs even n >= 4")
     if not 0 < delta < 0.1:
         raise DomainError("delta must lie in (0, 1/10)")
-    W = len(planar_rect(5 * n, 5 * n, -n, n))  # the target column |y| <= n
+    W = rect_sites((5 * n, 5 * n), (-n, n))  # the target column |y| <= n
     thresholds = sorted({1, max(1, W // 4), max(1, W // 2)})
     outcomes = run_trials(_domination_trials, (gamma, delta, n, master_seed), trials)
     counts = {s: sum(xi >= s for xi, *_ in outcomes) for s in thresholds}
@@ -531,13 +663,21 @@ def domination_probe(gamma: float, delta: float, n: int, trials: int, master_see
 
 
 def _xi5n_trials(n, gamma, master_seed, t0, t1) -> list[set[int]]:
-    """xi_column_reach from the column-0 segment |y| <= n, per trial."""
-    verts = planar_window_for_xi(n)
-    col0 = [v for v in verts if v[0] == 0 and -n <= v[1] <= n]
+    """xi_column_reach from the column-0 segment |y| <= n, per trial, a
+    block of trials per sweep."""
+    if n % 2:
+        raise DomainError("xi_column_reach needs even n")
+    lay = _xi_layout(n)
+    col0 = sum(1 << b for b in lay.bit[lay.in_column(0, -n, n)].tolist())
+    y5 = lay.y0 + np.arange(lay.width)  # the y of each bit of column 5n
+    in_W = np.abs(y5) <= n
+    y_W = y5[in_W]
+    c0, c5 = lay.column(0), lay.column(5 * n)
     out = []
-    for t in range(t0, t1):
-        cfg = sample_oriented("planar", verts, gamma, RngStream(master_seed, t))
-        out.append(xi_column_reach(cfg, col0, n))
+    for b0, b1 in trial_blocks(t0, t1, lay.sites):
+        cols = lay.pack(_sample_block(lay, gamma, master_seed, b0, b1))
+        rows = lay.sweep_block(cols, c0, lay.tile(col0, b1 - b0), False, c5, b1 - b0)[:, in_W]
+        out += [set(y_W[row.astype(bool)].tolist()) for row in rows]
     return out
 
 

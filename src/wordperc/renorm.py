@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import Configuration, sample
+from .config import Configuration, check_sites, sample
 from .errors import CapacityError, DomainError
 from .estimate import frequency, run_trials
 from .geometry import (
@@ -552,6 +552,7 @@ def _exploration_trials(n, xi, params, tdensity, mode, master_seed, t0, t1) -> l
     samples the window from stream t and keeps each micro left-column
     point, at offset 0, with probability tdensity from stream 2^32 + t."""
     window = micro_window(n, params)
+    check_sites(window.volume)  # before the seed column is built
     col = micro_left_column(n, params).points_array()
     out = []
     for t in range(t0, t1):

@@ -65,10 +65,12 @@ def _draws(bases: np.ndarray, start: int, count: int) -> np.ndarray:
     return mix64_array(bases[..., None] + idx * _A_GOLDEN)
 
 
-def raw_grid(master_seed: int, t0: int, t1: int, start: int, count: int) -> np.ndarray:
-    """raw(start..start+count-1) of streams t0..t1-1 as a (t1 - t0, count)
-    array; row k is bit-identical to RngStream(master_seed, t0 + k).raw_block."""
-    streams = _U(t0 & MASK64) + np.arange(t1 - t0, dtype=np.uint64)
+def raw_grid(master_seed: int, t0: int, t1: int, start: int, count: int,
+             step: int = 1) -> np.ndarray:
+    """raw(start..start+count-1) of streams t0, t0 + step, ... below t1, one
+    row per stream; row k is bit-identical to
+    RngStream(master_seed, t0 + k * step).raw_block."""
+    streams = _U(t0 & MASK64) + np.arange(0, t1 - t0, step, dtype=np.uint64)
     return _draws(mix64_array(_U(master_seed & MASK64) ^ streams * _A_GOLDEN), start, count)
 
 
@@ -113,13 +115,20 @@ class RngStream:
         return int(self.uniform(i) * n)
 
     def choose_subset(self, items, size: int, i0: int = 0):
-        """Deterministic partial Fisher-Yates sample of `size` items."""
+        """Deterministic partial Fisher-Yates sample of `size` items; draw j
+        is uniform(i0 + j)."""
         pool = list(items)
-        n = len(pool)
-        if size > n:
+        if size > len(pool):
             raise ValueError("sample larger than population")
-        # draw j is uniform(i0 + j); the product is randint_below's
-        for j, u in enumerate(self.uniform_block(i0, size).tolist()):
-            k = j + int(u * (n - j))
-            pool[j], pool[k] = pool[k], pool[j]
-        return pool[:size]
+        return shuffled_prefix(pool, self.uniform_block(i0, size).tolist())
+
+
+def shuffled_prefix(pool: list, draws) -> list:
+    """The first len(draws) items of a partial Fisher-Yates shuffle of pool
+    (in place): uniform draw j swaps item j with item j + int(u * (n - j)),
+    the product of randint_below."""
+    n = len(pool)
+    for j, u in enumerate(draws):
+        k = j + int(u * (n - j))
+        pool[j], pool[k] = pool[k], pool[j]
+    return pool[:len(draws)]

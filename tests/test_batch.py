@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wordperc import harness
+from wordperc import config, harness
 from wordperc.config import Configuration, sample, sample_block
 from wordperc.estimate import run_trials
 from wordperc.geometry import Region
@@ -85,7 +85,7 @@ SEEDS = st.sampled_from([0, 1, 7, 2**63, 2**64 - 1, -5])
 @example({"region": {"kind": "intervals", "intervals": [[0, 3]]}, "p": 1.0,
           "word": "0", "source": [2], "max_index": 0}, 2**63, 1, 9, 4)
 def test_reach_block_matches_per_trial(params, seed, t0, trials, block):
-    with mock.patch.object(harness, "BLOCK_SITES", block):
+    with mock.patch.object(config, "BLOCK_SITES", block):
         got = harness._reach_trials(params, seed, t0, t0 + trials)
     assert got == reach_reference(params, seed, t0, t0 + trials)
 
@@ -98,7 +98,7 @@ def test_site_block_matches_per_trial(sizes, data, p, seed, t0, trials, block):
     vertex = [data.draw(st.integers(1, s)) for s in sizes]
     params = {"region": {"kind": "intervals", "intervals": [[0, s] for s in sizes]},
               "p": p, "vertex": vertex}
-    with mock.patch.object(harness, "BLOCK_SITES", block):
+    with mock.patch.object(config, "BLOCK_SITES", block):
         got = harness._site_trials(params, seed, t0, t0 + trials)
     assert got == site_reference(params, seed, t0, t0 + trials)
 
@@ -135,11 +135,11 @@ def test_reach_block_front_repeats_under_aperiodic_word():
 
 def test_blocks_bounded():
     # consecutive blocks of at most BLOCK_SITES sites, or of one trial
-    for sites in (1, 4, 2197, harness.BLOCK_SITES, harness.BLOCK_SITES + 1):
-        end = 5 + 3 * harness.BLOCK_SITES // sites + 2
-        ranges = harness._blocks(5, end, sites)
+    for sites in (1, 4, 2197, config.BLOCK_SITES, config.BLOCK_SITES + 1):
+        end = 5 + 3 * config.BLOCK_SITES // sites + 2
+        ranges = config.trial_blocks(5, end, sites)
         assert [t for b0, b1 in ranges for t in range(b0, b1)] == list(range(5, end))
-        assert all(b1 - b0 == 1 or (b1 - b0) * sites <= harness.BLOCK_SITES
+        assert all(b1 - b0 == 1 or (b1 - b0) * sites <= config.BLOCK_SITES
                    for b0, b1 in ranges)
 
 
@@ -148,7 +148,7 @@ def test_reach_block_exceeding_block_sites():
     params = {"region": {"kind": "intervals", "intervals": [[0, 131], [0, 127]]},
               "p": 0.5, "word": "alt", "source": [60, 60], "max_index": 9,
               "mode": "relaxed"}
-    assert 131 * 127 > harness.BLOCK_SITES
+    assert 131 * 127 > config.BLOCK_SITES
     assert harness._reach_trials(params, 11, 4, 7) == reach_reference(params, 11, 4, 7)
 
 

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+
+import pytest
 
 from wordperc import renorm
 from wordperc.cli import main
@@ -389,6 +392,28 @@ def test_renorm_good_oversized_window(capsys):
                              "--trials", "1"], capsys)
     assert code == 3
     assert "sampling capped" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oriented", "--stat", "crossing", "--n", "100000", "--gamma", "0.5"],
+    ["oriented", "--stat", "crossing", "--n", "100000", "--gamma", "0.5", "--thin"],
+    ["oriented", "--stat", "domination", "--n", "100000", "--gamma", "0.5", "--delta", "0.05"],
+    ["oriented", "--stat", "xi5n", "--n", "100000", "--gamma", "0.5"],
+    ["renorm", "--stat", "explore", "--k", "2", "--h", "4", "--p", "0.5", "--word", "alt",
+     "--n", "100000", "--mode", "relaxed"],
+], ids=["crossing", "crossing-thin", "domination", "xi5n", "explore"])
+def test_oversized_oriented_and_explore_windows(argv, capsys):
+    # windows are counted from their bounds and refused before any vertex
+    # or seed column is built
+    tracemalloc.start()
+    try:
+        code, err = run_cli_err(argv + ["--trials", "1"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "sampling capped" in err
+    assert peak < 4 << 20
 
 
 def test_decay_exact_oversized_horizon(capsys):

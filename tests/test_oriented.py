@@ -1,15 +1,26 @@
 import hashlib
 import json
+import math
+import os
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from wordperc.errors import DomainError
+from wordperc import config
+from wordperc.errors import CapacityError, DomainError
 from wordperc.harness import ExperimentSpec, canonical_json, run
 from wordperc.geometry import is_macro_vertex
 from wordperc.oriented import (
     OrientedConfig,
+    _crossing_trials,
+    _domination_trials,
+    _Layout,
+    _xi5n_trials,
     crossing_stat,
     domination_probe,
     explore,
@@ -19,6 +30,7 @@ from wordperc.oriented import (
     planar_out,
     planar_rect,
     planar_window_for_xi,
+    rect_sites,
     sample_oriented,
     sample_seed_set,
     slab_out,
@@ -29,7 +41,7 @@ from wordperc.oriented import (
     snap_right_column,
     xi_column_reach,
 )
-from wordperc.rng import RngStream
+from wordperc.rng import RngStream, raw_grid
 
 # -- result pins -----------------------------------------------------------------
 #
@@ -88,7 +100,13 @@ def record_pins() -> dict:
     }
 
 
-def test_results_byte_identical_to_pins():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_results_byte_identical_to_pins(workers, monkeypatch):
+    # with two workers, every pin's trials split into two ranges, each
+    # starting a block of its own
+    cpus = os.cpu_count() or 1  # let WORDPERC_THREADS reach 2 on a one-core host
+    monkeypatch.setattr(os, "cpu_count", lambda: max(workers, cpus))
+    monkeypatch.setenv("WORDPERC_THREADS", str(workers))
     pins = json.loads(PIN_FILE.read_text())
     got = record_pins()
     assert got.keys() == pins.keys()
@@ -347,3 +365,196 @@ def test_domination_probe_monotone_in_gamma():
     for i in range(len(rs[0]["increasing_events"])):
         freqs = [r["increasing_events"][i]["frequency"] for r in rs]
         assert freqs == sorted(freqs)
+
+
+# -- blocks of trials against per-trial oracles ------------------------------------
+#
+# Each statistic sweeps a block of trials stacked in one column int.  Every
+# trial's verdict must equal the brute-force reach on the configuration its
+# own streams draw, for ranges that start past 0 and cross block boundaries
+# (BLOCK_SITES patched down to a few trials).  The references draw their seed
+# sets with RngStream.choose_subset and their site bits with uniform_block.
+
+SEEDS = st.sampled_from([0, 1, 7, 2**63, 2**64 - 1])
+GAMMAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def reference_seed_set(vertices, density, seed, stream):
+    k = max(1, math.ceil(density * len(vertices)))
+    return sorted(RngStream(seed, stream).choose_subset(sorted(vertices), k))
+
+
+def crossing_reference(win, gamma, delta, seed, threshold, t):
+    S = reference_seed_set(win.L, delta, seed, 2 * t)
+    bits = RngStream(seed, 2 * t + 1).uniform_block(0, len(win.B)) < gamma
+    cfg = OrientedConfig("slab", win.B, bits, h=win.h)
+    hit = len((brute_seeded_reach(cfg, S) | set(S)) & set(win.R))
+    return hit > threshold if win.m is not None else hit >= threshold
+
+
+def domination_reference(gamma, delta, n, seed, t):
+    verts = planar_window_for_xi(n)
+    col0 = [v for v in verts if v[0] == 0 and -n <= v[1] <= n]
+    quarter = max(1, (delta / 4) * n)
+    S = reference_seed_set(col0, min(1.0, delta * n / len(col0)), seed, 2 * t)
+    bits = RngStream(seed, 2 * t + 1).uniform_block(0, len(verts)) < gamma
+    cfg = OrientedConfig("planar", verts, bits)
+
+    def at_5n(sources):
+        return {v[1] for v in brute_oriented_reach(cfg, sources) if v[0] == 5 * n}
+
+    return (len({y for y in at_5n(S) if -n <= y <= n}),
+            bool(at_5n([v for v in S if -n + quarter <= v[1] <= n - quarter])),
+            any(y >= n for y in at_5n([v for v in col0 if v[1] <= -n + quarter])),
+            any(y <= -n for y in at_5n([v for v in col0 if v[1] >= n - quarter])))
+
+
+def xi5n_reference(n, gamma, seed, t):
+    verts = planar_window_for_xi(n)
+    bits = RngStream(seed, t).uniform_block(0, len(verts)) < gamma
+    cfg = OrientedConfig("planar", verts, bits)
+    col0 = [v for v in verts if v[0] == 0 and -n <= v[1] <= n]
+    return {v[1] for v in brute_oriented_reach(cfg, col0) if v[0] == 5 * n and -n <= v[1] <= n}
+
+
+@st.composite
+def crossing_windows(draw):
+    n, h = draw(st.integers(3, 9)), draw(st.integers(2, 7))
+    m = draw(st.one_of(st.none(), st.floats(0.2, n)))
+    win = slab_windows(n, h, m)
+    assume(win.L)
+    threshold = draw(st.sampled_from([0, 0.5, 1, 2.5, len(win.R) / 1000, n / 20]))
+    return win, threshold
+
+
+@given(crossing_windows(), GAMMAS, st.floats(0.01, 1.0), SEEDS, st.integers(1, 40),
+       st.integers(1, 6), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+@example((slab_windows(3, 4), 0), 0.7, 0.5, 1, 1, 1, 1)  # cL == cR, one trial
+@example((slab_windows(8, 6, 2.0), 0.5), 1.0, 0.3, 5, 3, 5, 2)  # thin, all open
+@example((slab_windows(9, 2), 0), 0.5, 0.5, 1, 1, 2, 1)  # R's column past the window
+def test_crossing_block_matches_per_trial(window, gamma, delta, seed, t0, trials, per_block):
+    win, threshold = window
+    with mock.patch.object(config, "BLOCK_SITES", per_block * len(win.B)):
+        got = _crossing_trials((win.n, win.h, win.m), gamma, delta, seed, threshold, t0,
+                               t0 + trials)
+    assert got == [crossing_reference(win, gamma, delta, seed, threshold, t)
+                   for t in range(t0, t0 + trials)]
+
+
+@given(st.sampled_from([4, 6, 8]), GAMMAS, st.floats(0.001, 0.099), SEEDS,
+       st.integers(1, 40), st.integers(1, 5), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+@example(4, 0.8, 0.09, 3, 1, 1, 1)  # one trial
+def test_domination_block_matches_per_trial(n, gamma, delta, seed, t0, trials, per_block):
+    sites = len(planar_window_for_xi(n))
+    with mock.patch.object(config, "BLOCK_SITES", per_block * sites):
+        got = _domination_trials(gamma, delta, n, seed, t0, t0 + trials)
+    assert got == [domination_reference(gamma, delta, n, seed, t)
+                   for t in range(t0, t0 + trials)]
+
+
+@given(st.sampled_from([4, 6, 8]), GAMMAS, SEEDS, st.integers(1, 40), st.integers(1, 6),
+       st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+@example(4, 0.75, 9, 1, 1, 1)  # one trial
+def test_xi5n_block_matches_per_trial(n, gamma, seed, t0, trials, per_block):
+    sites = len(planar_window_for_xi(n))
+    with mock.patch.object(config, "BLOCK_SITES", per_block * sites):
+        got = _xi5n_trials(n, gamma, seed, t0, t0 + trials)
+    assert got == [xi5n_reference(n, gamma, seed, t) for t in range(t0, t0 + trials)]
+
+
+SPLIT_CASES = {
+    "crossing": (_crossing_trials, ((6, 6, None), 0.8, 0.3, 4, 1.0)),
+    "crossing_thin": (_crossing_trials, ((12, 6, 2), 0.7, 0.3, 4, 0.6)),
+    "domination": (_domination_trials, (0.75, 0.05, 8, 4)),
+    "xi5n": (_xi5n_trials, (6, 0.7, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+@given(st.integers(0, 30), st.integers(1, 12), st.data())
+@settings(max_examples=10, deadline=None)
+def test_range_outcomes_do_not_depend_on_split(name, t0, trials, data):
+    fn, args = SPLIT_CASES[name]
+    whole = fn(*args, t0, t0 + trials)
+    mid = data.draw(st.integers(t0, t0 + trials))
+    with mock.patch.object(config, "BLOCK_SITES", data.draw(st.integers(1, 5000))):
+        assert fn(*args, t0, mid) + fn(*args, mid, t0 + trials) == whole
+
+
+@given(SEEDS, st.integers(0, 2**64 - 1), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 2), st.integers(0, 100), st.integers(0, 20))
+@settings(max_examples=60, deadline=None)
+@example(1, 2**64 - 3, 3, 2, 0, 0, 4)  # streams wrap past 2^64 - 1
+def test_raw_grid_step_rows_are_streams(seed, t0, streams, step, extra, start, count):
+    # rows are the streams t0 + k * step below the stop, which may fall
+    # anywhere up to the next stream
+    stop = t0 + (streams - 1) * step + 1 + min(extra, step - 1)
+    grid = raw_grid(seed, t0, stop, start, count, step)
+    assert grid.shape == (streams, count)
+    for k, row in enumerate(grid):
+        assert (row == RngStream(seed, t0 + k * step).raw_block(start, count)).all()
+
+
+@pytest.mark.parametrize("kind,verts", [
+    ("planar", planar_rect(0, 8, 0, 5)),  # six rows: a zero guard would leak
+    ("slab", slab_rect((0, 8), (0, 3), 6)),
+])
+def test_block_copies_do_not_leak_across_guards(kind, verts):
+    # all-open copies alternate with isolated ones (all open, no source):
+    # reach shifted off the top of a copy must not enter the next one
+    lay = _Layout(kind, verts, 6 if kind == "slab" else None)
+    copies = 6
+    cols = lay.pack(np.ones((copies, len(verts)), dtype=bool))
+    first = [v for v in verts if v[0] == 0]
+    col0 = lay.mask(first)[0]
+    seeds = sum(col0 << (i * lay.pitch) for i in range(0, copies, 2))
+    last = lay.ncols - 1
+    got = lay.sweep_block(cols, 0, seeds, False, last, copies)
+    cfg = OrientedConfig(kind, verts, np.ones(len(verts), dtype=bool), h=6)
+    want = np.zeros(lay.width, dtype=np.uint8)
+    for v in brute_oriented_reach(cfg, first):
+        if v[0] == 2 * last:
+            want[lay.cell(v)[1]] = 1
+    assert want.any()
+    for i, row in enumerate(got):
+        assert (row == (want if i % 2 == 0 else 0)).all()
+
+
+def test_sample_seed_set_is_choose_subset_of_sorted_vertices():
+    win = slab_windows(9, 6)
+    for t in range(20):
+        for density in (0.01, 0.3, 1.0):
+            assert (sample_seed_set(win.L, density, RngStream(5, t))
+                    == reference_seed_set(win.L, density, 5, t))
+
+
+# -- window sizes ------------------------------------------------------------------
+
+
+@given(st.integers(-9, 9), st.integers(-1, 12), st.integers(-9, 9), st.integers(-1, 12),
+       st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_rect_sites_counts_rect_vertices(x_lo, x_len, y_lo, y_len, h):
+    x_rng, y_rng = (x_lo, x_lo + x_len), (y_lo, y_lo + y_len)
+    assert rect_sites(x_rng, y_rng) == len(planar_rect(*x_rng, *y_rng))
+    assert rect_sites(x_rng, y_rng, h) == len(slab_rect(x_rng, y_rng, h))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: slab_windows(100000, 6),
+    lambda: slab_windows_thin(100000, 6, 100000 / 6),  # the accordion's window
+    lambda: planar_window_for_xi(100000),
+])
+def test_oversized_windows_refused_before_any_vertex(build):
+    # the cap is checked from the window's bounds: nothing is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="sampling capped"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

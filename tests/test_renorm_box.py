@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wordperc import harness, renorm, search
+from wordperc import config, harness, renorm, search
 from wordperc.config import sample
 from wordperc.errors import CapacityError
 from wordperc.geometry import (Region, macro_box, macro_face, macro_out_neighbors,
@@ -180,7 +180,7 @@ def test_walk_good_block_matches_per_trial(case, where, p, seed, t0, trials, per
     rp = harness._renorm_params(params)
     window = Region(tuple((2 * s - 6, 2 * s + 6) for s in u))
     # blocks of per_block trials of the 1,728-site window
-    with mock.patch.object(harness, "BLOCK_SITES", per_block * window.volume + extra):
+    with mock.patch.object(config, "BLOCK_SITES", per_block * window.volume + extra):
         got = harness._renorm_good_trials(params, seed, t0, t0 + trials)
     full = SeedSet.full_face(u, rp)
     xi = harness.word_from_spec(word)
@@ -193,7 +193,7 @@ def test_walk_good_block_matches_per_trial(case, where, p, seed, t0, trials, per
 def test_walk_good_block_k4(word, p):
     params = {"p": p, "k": 4, "word": word, "mode": "relaxed"}
     rp = harness._renorm_params(params)
-    with mock.patch.object(harness, "BLOCK_SITES", 3 * 8000):
+    with mock.patch.object(config, "BLOCK_SITES", 3 * 8000):
         got = harness._renorm_good_trials(params, 17, 3, 11)
     window = Region(((-10, 10), (-10, 10), (-2, 18)))
     full, xi = SeedSet.full_face((0, 0, 2), rp), harness.word_from_spec(word)

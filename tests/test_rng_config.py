@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wordperc import harness
+from wordperc import config
 from wordperc.config import (
     Configuration,
     enumerate_configs,
@@ -33,15 +33,15 @@ def test_stream_scalar_vs_block():
        st.integers(1, 2**40), st.integers(1, 12), st.integers(1, 100))
 @settings(max_examples=80, deadline=None)
 # a region larger than a block: one trial per block
-@example([129, 128], 0.3, 2**63, 3, 2, harness.BLOCK_SITES)
+@example([129, 128], 0.3, 2**63, 3, 2, config.BLOCK_SITES)
 # streams past 2^64 - 1 wrap to 0, 1, ... as mix64's reduction does
 @example([3, 5], 0.5, -1, 2**64 - 2, 4, 30)
 def test_sample_block_bit_exact(sizes, p, seed, t0, trials, block):
     """Blocks of a range, stacked, are the per-trial samples and the scalar
     Bernoulli draws, across block boundaries (t0 > 0)."""
     region = Region(tuple((-1, s - 1) for s in sizes))
-    with mock.patch.object(harness, "BLOCK_SITES", block):
-        ranges = harness._blocks(t0, t0 + trials, region.volume)
+    with mock.patch.object(config, "BLOCK_SITES", block):
+        ranges = config.trial_blocks(t0, t0 + trials, region.volume)
     rows = np.concatenate([sample_block(region, p, seed, b0, b1) for b0, b1 in ranges])
     assert rows.shape == (trials, region.volume)
     for k, row in enumerate(rows):
