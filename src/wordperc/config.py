@@ -4,8 +4,11 @@ A Configuration stores one bit per region point, packed LSB-first into
 64-bit words by point rank (first coordinate fastest). Sampling consumes
 one uniform per site in rank order, so identical (region, p, master_seed,
 stream_id) give identical bytes on every platform. sample_block draws the
-colours of a range of trials (streams) at once; sample is its one-trial
-case.
+colours of a range of trials (streams) at once, comparing raw words with
+an integer threshold (rng.below); every Monte Carlo range function takes
+its configurations as rows of such blocks, over trial_blocks, and
+Configuration.from_bools keeps the row as its bools() cache. sample is the
+one-trial case, for the CLI and the tests.
 
 Binary file format (.wpc): magic "WPC1", u32 version=1, u32 dim,
 dim x (i64 lo, i64 hi), f64 p, u64 master_seed, u64 stream_id, then
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .geometry import Region
-from .rng import RngStream, raw_grid, uniforms
+from .rng import RngStream, below, raw_grid
 
 MAX_ENUM_SITES = 25
 # Sites one trial may sample; a larger region or window ends in a
@@ -93,13 +96,18 @@ class Configuration:
 
     @classmethod
     def from_bools(cls, region: Region, bits: np.ndarray, provenance=None):
-        bits = np.asarray(bits, dtype=bool)
+        """The coloring of a rank-order bool array; a read-only copy of the
+        array becomes the bools() cache, so no search unpacks it again."""
+        bits = np.array(bits, dtype=bool)
         if bits.shape != (region.volume,):
             raise DomainError("bit array shape mismatch")
         packed = np.packbits(bits, bitorder="little")
         buf = np.zeros((len(bits) + 63) // 64 * 8, dtype=np.uint8)
         buf[: len(packed)] = packed
-        return cls(region, tuple(buf.view(np.uint64).tolist()), provenance)
+        cfg = cls(region, tuple(buf.view(np.uint64).tolist()), provenance)
+        bits.setflags(write=False)
+        object.__setattr__(cfg, "_bools", bits)
+        return cfg
 
     @classmethod
     def from_bits(cls, region: Region, bits, provenance=None):
@@ -113,7 +121,15 @@ def sample_block(region: Region, p: float, master_seed: int, t0: int, t1: int) -
     check_sites(region.volume)
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    return uniforms(raw_grid(master_seed, t0, t1, 0, region.volume)) < p
+    return below(raw_grid(master_seed, t0, t1, 0, region.volume), p)
+
+
+def sample_trials(region: Region, p: float, master_seed: int, t0: int, t1: int):
+    """The configurations of trials t0..t1-1, each equal to sample(region,
+    p, RngStream(master_seed, t)), drawn a block of trials at a time."""
+    for b0, b1 in trial_blocks(t0, t1, region.volume):
+        for t, row in enumerate(sample_block(region, p, master_seed, b0, b1), b0):
+            yield Configuration.from_bools(region, row, Provenance(p, master_seed, t))
 
 
 def sample(region: Region, p: float, rng: RngStream) -> Configuration:

@@ -13,7 +13,8 @@ Every kind and statistic runs its trials through estimate.run_trials,
 which fans contiguous trial ranges out over WORDPERC_THREADS processes
 and returns the per-trial outcomes in trial order; each statistic reduces
 them as a serial loop would, so the result does not depend on the worker
-count.
+count.  Within a range, trials are sampled a block at a time
+(config.sample_block, config.sample_trials); see the range functions.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Configuration, sample, sample_block, trial_blocks
+from .config import Configuration, sample_block, sample_trials, trial_blocks
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, run_trials, wilson_interval
 from .geometry import Region, box, is_macro_vertex, lambda_box
 from .oriented import crossing_stat, domination_probe, xi5n_stat
 from .renorm import (RenormParams, SeedSet, emn_stat, exploration_stat, good_event,
                      walk_good_events, walks_decide)
-from .rng import RngStream, raw_grid, uniforms
+from .rng import RngStream, below, raw_grid
 from .search import SourceSet, exact_word_reach, relaxed_reach_block, sees_all_words
 from .wierman import verify_coupling, wierman_couple
 from .words import Word, WordGenerator, generator_from_spec, parse_word_argument
@@ -64,6 +65,8 @@ REQUIRED = {
 def region_from_spec(spec) -> Region:
     if isinstance(spec, Region):
         return spec
+    if not isinstance(spec, dict):
+        raise DomainError(f"a region is an object with a kind, not {spec!r}")
     kind = spec.get("kind", "intervals")
     if kind in ("box", "ball"):
         return box(int(spec["m"]), int(spec.get("d", 3)))
@@ -95,7 +98,10 @@ def word_from_spec(spec):
         return spec
     if isinstance(spec, str):
         return parse_word_argument(spec)
-    return generator_from_spec(spec)
+    try:
+        return generator_from_spec(spec)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise DomainError(f"{spec!r}: {e}")
 
 
 def word_to_spec(word):
@@ -143,7 +149,7 @@ def validate(spec: ExperimentSpec) -> list[str]:
     v: list[str] = []
     try:
         _validate(spec, v)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         v.append(f"malformed parameter: {e}")
     return v
 
@@ -170,8 +176,13 @@ def _validate(spec: ExperimentSpec, v: list[str]):
     if "region" in REQUIRED[name]:
         try:
             region = region_from_spec(p["region"])
-        except (KeyError, TypeError, ValueError, DomainError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError, DomainError) as e:
             v.append(f"bad region: {e}")
+    if "word" in REQUIRED[name]:
+        try:
+            word_from_spec(p["word"])
+        except DomainError as e:
+            v.append(f"bad word: {e}")
 
     def check_vertices(points, region, what):
         for pt in points:
@@ -186,6 +197,8 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         check_vertices([p["vertex"]], region, "vertex")
     elif spec.kind == "reach":
         check_vertices([p["source"]], region, "source")
+        if p.get("mode", "exact") not in ("exact", "relaxed"):
+            v.append(f"reach mode must be exact or relaxed, not {p['mode']!r}")
         if int(p.get("max_index", 0)) > 1 << 20:
             v.append("max_index beyond the search guard")
     elif spec.kind == "allwords":
@@ -255,8 +268,9 @@ def _validate(spec: ExperimentSpec, v: list[str]):
 # -- per-kind range functions (module level so they pickle) -------------------
 #
 # Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
-# Site, reach and renorm good-event ranges draw their trials in blocks of at
-# most config.BLOCK_SITES sites (config.trial_blocks).
+# Every range that samples a region draws its trials as rows of
+# config.sample_block, in blocks of at most config.BLOCK_SITES sites
+# (config.trial_blocks); the coupling draws its own pair per trial.
 
 
 def _renorm_params(p) -> RenormParams:
@@ -271,11 +285,15 @@ def _site_trials(params, seed, t0, t1) -> list[int]:
     rank = region.rank(tuple(params.get("vertex", region.min_point())))
     out = []
     for b0, b1 in trial_blocks(t0, t1, 1):
-        out += (uniforms(raw_grid(seed, b0, b1, rank, 1)[:, 0]) < p).astype(int).tolist()
+        out += below(raw_grid(seed, b0, b1, rank, 1)[:, 0], p).astype(int).tolist()
     return out
 
 
 def _reach_trials(params, seed, t0, t1) -> list[int]:
+    """Whether each trial reaches index max_index (the literal word's last
+    index by default).  One relaxed sweep decides a block; exact reach past
+    index 1 then searches only the trials that sweep reaches, since exact
+    reach is a subset of relaxed reach."""
     region = region_from_spec(params["region"])
     p = float(params["p"])
     word = word_from_spec(params["word"])
@@ -286,29 +304,40 @@ def _reach_trials(params, seed, t0, t1) -> list[int]:
         length = word.length - 1
     length = int(length)
     src = SourceSet.single(tuple(params["source"]), word)
-    if params.get("mode", "exact") == "relaxed" or length <= 1:
-        # a walk of at most one step cannot revisit a site, so exact reach
-        # of index 0 or 1 is the relaxed event
-        out = []
-        for b0, b1 in trial_blocks(t0, t1, region.volume):
-            colors = sample_block(region, p, seed, b0, b1)
+    # a walk of at most one step cannot revisit a site, so exact reach of
+    # index 0 or 1 is the relaxed event
+    exact = params.get("mode", "exact") != "relaxed" and length > 1
+    out = []
+    for b0, b1 in trial_blocks(t0, t1, region.volume):
+        colors = sample_block(region, p, seed, b0, b1)
+        if not exact:
             out += relaxed_reach_block(region, colors, src, length).astype(int).tolist()
-        return out
-    return [
-        exact_word_reach(sample(region, p, RngStream(seed, t)), src, length,
-                         stop_at_index=length).index_hits >> length & 1
-        for t in range(t0, t1)
-    ]
+            continue
+        # exact reach is a subset of relaxed reach, so a trial the sweep does
+        # not reach at length fails without a search.  The sweep reads the
+        # word up to length, the search only below volume (no self-avoiding
+        # walk is longer), so from length >= volume on every trial searches
+        if length < region.volume:
+            screen = relaxed_reach_block(region, colors, src, length)
+        else:
+            screen = [True] * len(colors)
+        for row, hit in zip(colors, screen):
+            if hit:
+                res = exact_word_reach(Configuration.from_bools(region, row), src, length,
+                                       stop_at_index=length)
+                hit = res.index_hits >> length & 1
+            out.append(int(hit))
+    return out
 
 
 def _allwords_failures(params, seed, t0, t1) -> list[int]:
+    """Whether each trial's radius-m ball misses some length-L word inside
+    the radius-R horizon."""
     d = int(params.get("d", 3))
     horizon, ball = box(int(params["R"]), d), box(int(params["m"]), d)
     p, L, mode = float(params["p"]), int(params["L"]), params.get("mode", "exact")
-    return [
-        int(not sees_all_words(sample(horizon, p, RngStream(seed, t)), ball, L, mode=mode)[0])
-        for t in range(t0, t1)
-    ]
+    return [int(not sees_all_words(cfg, ball, L, mode=mode)[0])
+            for cfg in sample_trials(horizon, p, seed, t0, t1)]
 
 
 def _wierman_trials(params, seed, t0, t1) -> list[int]:
@@ -365,8 +394,7 @@ def _decay_failures(p, L, ms, R, d, mode, seed, t0, t1) -> list[int]:
     horizon = box(R, d)
     balls = [box(m, d) for m in ms]
     out = []
-    for t in range(t0, t1):
-        cfg = sample(horizon, p, RngStream(seed, t))
+    for cfg in sample_trials(horizon, p, seed, t0, t1):
         fails = 0
         for ball in balls:
             if sees_all_words(cfg, ball, L, mode=mode)[0]:

@@ -54,7 +54,7 @@ from .config import check_sites, trial_blocks
 from .errors import DomainError
 from .estimate import binomial_tail_geq, frequency, run_trials, wilson_interval
 from .geometry import is_macro_vertex
-from .rng import RngStream, raw_grid, shuffled_prefix, uniforms
+from .rng import RngStream, below, raw_grid, shuffled_prefix, uniforms
 from .words import _tile
 
 PlanarVertex = tuple[int, int]
@@ -338,7 +338,7 @@ def _sample_block(lay: _Layout, gamma: float, master_seed: int, s0: int, s1: int
     uniform i is below gamma."""
     if not 0.0 <= gamma <= 1.0:
         raise DomainError("gamma must lie in [0, 1]")
-    return uniforms(raw_grid(master_seed, s0, s1, 0, lay.sites, step)) < gamma
+    return below(raw_grid(master_seed, s0, s1, 0, lay.sites, step), gamma)
 
 
 def sample_oriented(kind, vertices, gamma, rng: RngStream, h=None) -> OrientedConfig:

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import Configuration, check_sites, sample
+from .config import Configuration, check_sites, sample_trials
 from .errors import CapacityError, DomainError
 from .estimate import frequency, run_trials
 from .geometry import (
@@ -525,11 +525,8 @@ def macro_exploration(
 def _emn_trials(m, n, xi, params, mode, master_seed, t0, t1) -> list[bool]:
     """E_mn verdicts of trials t0..t1-1; trial t samples the slab from stream t."""
     win = slab_window(params.h, params.k, params.d, half_width=params.k * n + 2)
-    out = []
-    for t in range(t0, t1):
-        cfg = sample(win, params.p, RngStream(master_seed, t))
-        out.append(event_Emn(cfg, m, n, xi, params, mode=mode)[0])
-    return out
+    return [event_Emn(cfg, m, n, xi, params, mode=mode)[0]
+            for cfg in sample_trials(win, params.p, master_seed, t0, t1)]
 
 
 def emn_stat(trials: int, m: int, n: int, xi, params: RenormParams, master_seed: int,
@@ -555,8 +552,7 @@ def _exploration_trials(n, xi, params, tdensity, mode, master_seed, t0, t1) -> l
     check_sites(window.volume)  # before the seed column is built
     col = micro_left_column(n, params).points_array()
     out = []
-    for t in range(t0, t1):
-        cfg = sample(window, params.p, RngStream(master_seed, t))
+    for t, cfg in enumerate(sample_trials(window, params.p, master_seed, t0, t1), t0):
         keep = RngStream(master_seed, (1 << 32) + t).uniform_block(0, len(col)) < tdensity
         T = {tuple(pt): 0 for pt in col[keep].tolist()}
         rep = macro_exploration(cfg, T, xi, params, n, mode=mode)

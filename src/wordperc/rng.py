@@ -8,6 +8,10 @@ README): a stream is identified by (master_seed, stream_id), both 64-bit.
     u53(i) = (raw(i) >> 11) * 2^-53                             in [0, 1)
     bernoulli(p, i) = u53(i) < p
 
+Blocks of Bernoulli draws (below) compare the raw words with an integer
+threshold instead: u53(i) < p iff raw(i) < ceil(p * 2^53) * 2^11, both
+sides exact, so the bits are those of the float comparison.
+
 mix64 is the SplitMix64 finalizer; mix64_array is the same arithmetic on
 a uint64 array, shared by a stream's raw_block and raw_grid, which draws
 a (stream, index) grid at once. Distinct (master_seed, stream_id)
@@ -18,6 +22,7 @@ stream_ids 0..trials-1 so they parallelize without shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +82,20 @@ def raw_grid(master_seed: int, t0: int, t1: int, start: int, count: int,
 def uniforms(raw: np.ndarray) -> np.ndarray:
     """u53 of an array of raw words."""
     return (raw >> _U(11)).astype(np.float64) * _INV53
+
+
+def below(raw: np.ndarray, p: float) -> np.ndarray:
+    """uniforms(raw) < p, bit for bit, without converting to floats.
+
+    p * 2^53 is exact, so the integer u53 lies below it iff it lies below
+    its ceiling c, iff raw < c << 11.  For p < 1, c <= 2^53 - 1 and the
+    threshold is at most 2^64 - 2048; p >= 1 holds for every draw, and
+    p <= 0 (or nan) for none."""
+    if p >= 1.0:
+        return np.ones(raw.shape, dtype=bool)
+    if not p > 0.0:
+        return np.zeros(raw.shape, dtype=bool)
+    return raw < _U(math.ceil(p * 2.0 ** 53) << 11)
 
 
 @dataclass(frozen=True)

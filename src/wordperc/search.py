@@ -30,13 +30,16 @@ depth-first loop (``_paths``) with an int visited set over
 once (multi-spin coding, after Jacobs and Rebbi, J. Comput. Phys. 41,
 1981): trial k is the k-th copy of the region along an extra axis that
 ``_step`` never steps, the per-axis edge masks repeated once per copy,
-so one sweep over the stacked bitset advances every trial.
+so one sweep over the stacked bitset advances every trial.  Since exact
+reach is a subset of relaxed reach, the same sweep screens a block for
+exact reach: a trial it does not reach at max_index needs no search.
 
 ``sees_all_words`` walks the word trie depth first: the front of a prefix
 is its parent's front stepped and masked by its last letter, so words
 sharing a prefix share its fronts, an empty front settles a whole
 subtree, and an exact leaf runs the depth-first loop pruned by the chain
-of fronts along its word.
+of fronts along its word.  Its start ball and horizon masks are cached
+per pair of region intervals, since every trial asks for the same ones.
 
 Searches run inside an optional boolean mask over the configuration's
 region (used for non-product domains like a box plus its seed face).
@@ -139,6 +142,16 @@ def region_mask(region: Region, parts) -> np.ndarray:
             sub &= (pts[:, axis] > lo) & (pts[:, axis] <= hi)
         mask |= sub
     return mask
+
+
+@lru_cache(maxsize=32)
+def _part_mask(intervals, part) -> tuple[np.ndarray, int]:
+    """region_mask of the subregion with intervals part in the region with
+    these intervals, read-only, and its bitset; cached per pair, since
+    sees_all_words asks for the same start ball and horizon every trial."""
+    mask = region_mask(Region(intervals), [Region(part)])
+    mask.setflags(write=False)
+    return mask, _bits(mask)
 
 
 def _bits(mask: np.ndarray) -> int:
@@ -325,7 +338,10 @@ def relaxed_reach_block(
 
     With reached, the (rows, volume) 0/1 array of the sites each trial
     reaches at some index up to max_index instead: the union of the
-    fronts, which are the vertices of relaxed_word_reach's min_arrival."""
+    fronts, which are the vertices of relaxed_word_reach's min_arrival.
+
+    The sweep reads every word up to max_index, so a word shorter than
+    that is a DomainError even where no walk could get so far."""
     groups = _groups(region, sources, max_index)
     if colors.ndim != 2 or colors.shape[1] != region.volume:
         raise DomainError("colour block shape mismatch")
@@ -576,10 +592,10 @@ def sees_all_words(
     if length == 0:
         return True, None
     reg = cfg.region
-    within = None if horizon is None else region_mask(reg, [horizon])
+    within = None if horizon is None else _part_mask(reg.intervals, horizon.intervals)[0]
     starts = 0
     if from_region.dim == reg.dim:
-        starts = _bits(region_mask(reg, [from_region]))
+        starts = _part_mask(reg.intervals, from_region.intervals)[1]
     if not starts:
         raise DomainError("from-region does not meet the configuration region")
     allowed = _allowed(cfg, within)

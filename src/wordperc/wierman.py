@@ -22,12 +22,13 @@ Undiscovered vertices are filled i.i.d. at the end, in rank order, two
 uniforms each (omega, then omega_tilde).
 
 Draws: every vertex consumes at most two uniforms, so a pair takes all of
-them from one block, uniform_block(0, 2 * volume), in exploration order:
+them from one block, raw_block(0, 2 * volume), in exploration order:
 one per table draw, two per start_index=1 source and per filled vertex.
-The block is bit-identical to scalar draws, so identical inputs reproduce
-identical pairs bit for bit.  Word letters are read lazily, each (word,
-index) once, so a finite Word that is too short fails only when the
-exploration actually reaches its end.
+The block is read only as u < p and u < 2p (rng.below, the bits of the
+float comparisons) and is bit-identical to scalar draws, so identical
+inputs reproduce identical pairs bit for bit.  Word letters are read
+lazily, each (word, index) once, so a finite Word that is too short fails
+only when the exploration actually reaches its end.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .config import Configuration, Provenance
 from .errors import DomainError
 from .geometry import Region, neighbor_steps
-from .rng import RngStream
+from .rng import RngStream, below
 from .search import one_connected_set
 from .words import Word, WordGenerator
 
@@ -134,9 +135,9 @@ def wierman_couple(
     kind, steps = neighbor_steps(region.sizes)
     # the uniforms enter only through u < p and u < 2p; as bytes they index
     # to small ints, so the scalar loop allocates no float per draw
-    block = rng.uniform_block(0, 2 * vol)
-    lt_p = block < p
-    below_p, below_2p = lt_p.tobytes(), (block < 2 * p).tobytes()
+    raw = rng.raw_block(0, 2 * vol)
+    lt_p = below(raw, p)
+    below_p, below_2p = lt_p.tobytes(), below(raw, 2 * p).tobytes()
     k = 0  # uniforms consumed
     rows = _letter_rows(words)
     # omega is written only on exploration, so before the fill its 1s are

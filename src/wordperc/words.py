@@ -298,6 +298,8 @@ def has_period_two(word, upto: int) -> bool:
 
 def generator_from_spec(spec: dict) -> WordGenerator:
     """Inverse of WordGenerator.spec, used by the CLI and saved specs."""
+    if not isinstance(spec, dict):
+        raise DomainError(f"a word generator is an object with a kind, not {spec!r}")
     kind = spec.get("kind")
     if kind == "constant":
         return ConstantWord(int(spec["value"]))

@@ -1,10 +1,12 @@
 """Block statistics against their per-trial references.
 
-Site and reach ranges sample a block of trials at once and, for relaxed
-reach and exact reach up to index 1, sweep the whole block in one stacked
-bitset.  Every per-trial outcome must equal the one-configuration search
-run on sample(region, p, RngStream(seed, t)), for ranges that start past
-0 and cross block boundaries, serially and fanned out over two workers.
+Site, reach, all-words and decay ranges sample a block of trials at once.
+Relaxed reach and exact reach up to index 1 sweep the whole block in one
+stacked bitset; exact reach past index 1 searches only the trials that
+sweep reaches.  Every per-trial outcome must equal the one-configuration
+search run on sample(region, p, RngStream(seed, t)), for ranges that
+start past 0 and cross block boundaries, serially and fanned out over two
+workers.
 """
 
 import os
@@ -18,10 +20,10 @@ from hypothesis import strategies as st
 from wordperc import config, harness
 from wordperc.config import Configuration, sample, sample_block
 from wordperc.estimate import run_trials
-from wordperc.geometry import Region
+from wordperc.geometry import Region, box
 from wordperc.rng import RngStream
 from wordperc.search import (SourceSet, exact_word_reach, relaxed_reach_block,
-                             relaxed_word_reach)
+                             relaxed_word_reach, sees_all_words)
 
 WORDS = st.one_of(
     st.text("01", min_size=1, max_size=14),
@@ -42,12 +44,12 @@ def reach_specs(draw):
     if draw(st.booleans()):
         params["mode"] = "relaxed"
         params["max_index"] = draw(st.integers(0, len(word) - 1 if literal else 20))
-    else:  # exact: batched up to index 1, a depth-first search from index 2
-        params["max_index"] = draw(st.integers(0, min(3, len(word) - 1) if literal else 3))
+    else:  # exact: batched up to index 1, screened depth-first searches from 2
+        params["max_index"] = draw(st.integers(0, min(8, len(word) - 1) if literal else 8))
     if literal and draw(st.booleans()):
         del params["max_index"]  # the whole literal word
         if params.get("mode") != "relaxed":
-            params["word"] = word[:4]
+            params["word"] = word[:9]
     return params
 
 
@@ -76,6 +78,11 @@ def site_reference(params, seed, t0, t1):
 
 SEEDS = st.sampled_from([0, 1, 7, 2**63, 2**64 - 1, -5])
 
+# five zeros from the middle of a 2 x 3 box: a relaxed walk may bounce
+# between two 0-sites, a self-avoiding one needs five of the six sites
+MIXED = {"region": {"kind": "intervals", "intervals": [[0, 2], [0, 3]]}, "p": 0.3,
+         "word": "00000", "source": [1, 2], "mode": "exact"}
+
 
 @given(reach_specs(), SEEDS, st.integers(1, 50), st.integers(1, 40), st.integers(1, 200))
 @settings(max_examples=120, deadline=None)
@@ -84,10 +91,73 @@ SEEDS = st.sampled_from([0, 1, 7, 2**63, 2**64 - 1, -5])
           "word": "10", "source": [1, 1]}, 3, 5, 30, 16)
 @example({"region": {"kind": "intervals", "intervals": [[0, 3]]}, "p": 1.0,
           "word": "0", "source": [2], "max_index": 0}, 2**63, 1, 9, 4)
+# max_index past the volume: the word is too short for a sweep to index 5,
+# but not for the exact search, which reads letters only up to index 1
+@example({"region": {"kind": "intervals", "intervals": [[0, 2]]}, "p": 0.5,
+          "word": "01", "source": [1], "max_index": 5}, 1, 3, 4, 2)
+# blocks that mix trials the sweep screens out, trials it reaches that
+# the exact search does not, and trials that reach (see the test below)
+@example(MIXED, 1, 3, 60, 24)
 def test_reach_block_matches_per_trial(params, seed, t0, trials, block):
     with mock.patch.object(config, "BLOCK_SITES", block):
         got = harness._reach_trials(params, seed, t0, t0 + trials)
     assert got == reach_reference(params, seed, t0, t0 + trials)
+
+
+def test_exact_reach_screen_mixes_rows():
+    """The MIXED example's trials fall in all three classes of the screen."""
+    region = harness.region_from_spec(MIXED["region"])
+    src = SourceSet.single((1, 2), harness.word_from_spec("00000"))
+    colors = sample_block(region, MIXED["p"], 1, 3, 63)
+    screen = relaxed_reach_block(region, colors, src, 4).tolist()
+    exact = reach_reference(MIXED, 1, 3, 63)
+    assert {(s, e) for s, e in zip(screen, exact)} == {(False, 0), (True, 0), (True, 1)}
+
+
+def allwords_reference(params, seed, t0, t1):
+    d = params["d"]
+    horizon, ball = box(params["R"], d), box(params["m"], d)
+    return [int(not sees_all_words(sample(horizon, params["p"], RngStream(seed, t)), ball,
+                                   params["L"], mode=params["mode"])[0])
+            for t in range(t0, t1)]
+
+
+def decay_reference(p, L, ms, R, d, mode, seed, t0, t1):
+    """Failures before the first radius whose ball sees every word."""
+    out = []
+    for t in range(t0, t1):
+        cfg = sample(box(R, d), p, RngStream(seed, t))
+        seen = [sees_all_words(cfg, box(m, d), L, mode=mode)[0] for m in ms]
+        out.append(seen.index(True) if True in seen else len(ms))
+    return out
+
+
+@st.composite
+def allwords_specs(draw):
+    R = draw(st.integers(1, 2))
+    return {"p": draw(st.sampled_from([0.0, 0.3, 0.5, 0.8])), "m": draw(st.integers(0, R)),
+            "L": draw(st.integers(1, 4)), "R": R, "d": draw(st.integers(1, 3)),
+            "mode": draw(st.sampled_from(["exact", "relaxed"]))}
+
+
+@given(allwords_specs(), SEEDS, st.integers(1, 50), st.integers(1, 30), st.integers(1, 200))
+@settings(max_examples=40, deadline=None)
+def test_allwords_block_matches_per_trial(params, seed, t0, trials, block):
+    with mock.patch.object(config, "BLOCK_SITES", block):
+        got = harness._allwords_failures(params, seed, t0, t0 + trials)
+    assert got == allwords_reference(params, seed, t0, t0 + trials)
+
+
+@given(allwords_specs(), st.data(), SEEDS, st.integers(1, 50), st.integers(1, 30),
+       st.integers(1, 200))
+@settings(max_examples=40, deadline=None)
+def test_decay_block_matches_per_trial(params, data, seed, t0, trials, block):
+    R = params["R"]
+    ms = sorted(data.draw(st.sets(st.integers(0, R), min_size=1)))
+    args = (params["p"], params["L"], ms, R, params["d"], params["mode"], seed)
+    with mock.patch.object(config, "BLOCK_SITES", block):
+        got = harness._decay_failures(*args, t0, t0 + trials)
+    assert got == decay_reference(*args, t0, t0 + trials)
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.data(),
@@ -153,26 +223,36 @@ def test_reach_block_exceeding_block_sites():
 
 
 FANNED = (
-    ("reach", {"region": {"kind": "intervals", "intervals": [[-1, 1], [-1, 1]]},
-               "p": 0.5, "word": "10", "source": [0, 0]}),
-    ("reach", {"region": {"kind": "box", "m": 2, "d": 3}, "p": 0.5, "word": "alt",
-               "source": [0, 0, 0], "max_index": 12, "mode": "relaxed"}),
-    ("reach", {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.4,
-               "word": {"kind": "product", "q": 0.5, "seed": 3}, "source": [1, 0],
-               "max_index": 1}),
-    ("site", {"region": {"kind": "box", "m": 1, "d": 3}, "p": 0.3, "vertex": [1, 0, -1]}),
+    ("reach0", "reach", {"region": {"kind": "intervals", "intervals": [[-1, 1], [-1, 1]]},
+                         "p": 0.5, "word": "10", "source": [0, 0]}),
+    ("reach1", "reach", {"region": {"kind": "box", "m": 2, "d": 3}, "p": 0.5, "word": "alt",
+                         "source": [0, 0, 0], "max_index": 12, "mode": "relaxed"}),
+    ("reach2", "reach", {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.4,
+                         "word": {"kind": "product", "q": 0.5, "seed": 3}, "source": [1, 0],
+                         "max_index": 1}),
+    ("site3", "site", {"region": {"kind": "box", "m": 1, "d": 3}, "p": 0.3,
+                       "vertex": [1, 0, -1]}),
+    # exact reach past index 1: depth-first searches behind the block screen
+    ("reach4", "reach", {"region": {"kind": "box", "m": 1, "d": 3}, "p": 0.5, "word": "alt",
+                         "source": [0, 0, 0], "max_index": 6}),
+    ("allwords5", "allwords", {"p": 0.5, "m": 1, "L": 4, "R": 2, "d": 2, "mode": "exact"}),
+    ("decay6", "decay", (0.5, 3, [0, 1], 2, 2, "relaxed")),
 )
+REFERENCES = {"reach": reach_reference, "site": site_reference,
+              "allwords": allwords_reference, "decay": decay_reference}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kind,params", FANNED, ids=[f"{k}{i}" for i, (k, _) in
-                                                      enumerate(FANNED)])
+@pytest.mark.parametrize("kind,params", [f[1:] for f in FANNED], ids=[f[0] for f in FANNED])
 def test_fanned_block_outcomes(kind, params, workers, monkeypatch):
     cpus = os.cpu_count() or 1  # let WORDPERC_THREADS reach 2 on a one-core host
     monkeypatch.setattr(os, "cpu_count", lambda: max(workers, cpus))
     monkeypatch.setenv("WORDPERC_THREADS", str(workers))
     trials, seed = 301, 9
-    got = run_trials(harness._BERNOULLI[kind], (params, seed), trials)
-    reference = site_reference if kind == "site" else reach_reference
-    assert got == reference(params, seed, 0, trials)
-    assert np.mean(got) not in (0.0, 1.0)  # the specs decide some trials each way
+    if kind == "decay":
+        fn, args = harness._decay_failures, params
+    else:
+        fn, args = harness._BERNOULLI[kind], (params,)
+    got = run_trials(fn, (*args, seed), trials)
+    assert got == REFERENCES[kind](*args, seed, 0, trials)
+    assert len(set(got)) > 1  # the specs decide some trials each way

@@ -474,3 +474,50 @@ def test_spec_trials_boolean(tmp_path, capsys):
     code, stdout = run_cli(["--spec", _site_spec(tmp_path, trials=True)])
     assert code == 2
     assert "'trials' must be an integer" in capsys.readouterr().err
+
+
+# -- spec values of the wrong JSON type end in exit 2, not a traceback -----------
+
+WORD_SPECS = {
+    "reach": {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.5, "source": [0, 0]},
+    "wierman": {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.4, "sources": [[0, 0]]},
+    "renorm": {"p": 0.5, "k": 2},
+}
+
+
+@pytest.mark.parametrize("word", [5, [1, 0], None, {"kind": "product", "q": "x"}],
+                         ids=["int", "list", "null", "product-q-text"])
+@pytest.mark.parametrize("kind", sorted(WORD_SPECS))
+def test_spec_word_of_wrong_type(tmp_path, capsys, kind, word):
+    # validate parses the word, so it is a listed violation before any trial
+    spath = spec_file(tmp_path, kind, {**WORD_SPECS[kind], "word": word})
+    code, stdout = run_cli(["--spec", spath])
+    assert code == 2
+    assert stdout == ""
+    assert "bad word" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region", [5, [1, 2]], ids=["int", "list"])
+def test_spec_region_of_wrong_type(tmp_path, capsys, region):
+    spath = spec_file(tmp_path, "reach", {**WORD_SPECS["reach"], "region": region,
+                                          "word": "10"})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "bad region" in err
+
+
+def test_reach_spec_unknown_mode(tmp_path, capsys):
+    spath = spec_file(tmp_path, "reach", {**WORD_SPECS["reach"], "word": "10",
+                                          "mode": "fast"})
+    code, stdout = run_cli(["--spec", spath])
+    assert code == 2
+    assert stdout == ""
+    assert "reach mode must be exact or relaxed, not 'fast'" in capsys.readouterr().err
+
+
+def test_spec_infinite_integer_parameter(tmp_path, capsys):
+    # JSON Infinity where an integer belongs: int() overflows
+    spath = spec_file(tmp_path, "allwords", {"p": 0.5, "m": 0, "L": float("inf"), "R": 1})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 2
+    assert "malformed parameter" in err

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -13,11 +14,12 @@ from wordperc.config import (
     read_wpc,
     sample,
     sample_block,
+    sample_trials,
     write_wpc,
 )
 from wordperc.errors import CapacityError
 from wordperc.geometry import Region, box
-from wordperc.rng import RngStream
+from wordperc.rng import RngStream, below, uniforms
 
 
 def test_stream_scalar_vs_block():
@@ -42,15 +44,31 @@ def test_sample_block_bit_exact(sizes, p, seed, t0, trials, block):
     region = Region(tuple((-1, s - 1) for s in sizes))
     with mock.patch.object(config, "BLOCK_SITES", block):
         ranges = config.trial_blocks(t0, t0 + trials, region.volume)
+        cfgs = list(sample_trials(region, p, seed, t0, t0 + trials))
     rows = np.concatenate([sample_block(region, p, seed, b0, b1) for b0, b1 in ranges])
     assert rows.shape == (trials, region.volume)
-    for k, row in enumerate(rows):
+    for k, (row, cfg) in enumerate(zip(rows, cfgs, strict=True)):
         stream = RngStream(seed, t0 + k)
-        assert (row == sample(region, p, stream).bools()).all()
+        assert cfg == sample(region, p, stream)  # bits and provenance
+        assert (row == cfg.bools()).all()
         if region.volume <= 216:  # the scalar draws, for small regions
             assert row.tolist() == [stream.bernoulli(p, i) for i in range(region.volume)]
         else:
             assert (row == (stream.uniform_block(0, region.volume) < p)).all()
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0 ** -53, 0.3, 0.5, 1 - 2.0 ** -53, 1.0])
+def test_below_is_the_float_comparison(p):
+    """below(raw, p) == uniforms(raw) < p on random words and on the words
+    around the threshold ceil(p * 2^53) << 11, where the two flip."""
+    thr = math.ceil(p * 2.0 ** 53) << 11
+    edges = [w for w in (thr - 1, thr) if 0 <= w < 1 << 64]
+    near = [w for k in range(-4096, 4097, 7) if 0 <= (w := thr + k) < 1 << 64]
+    raw = np.concatenate([RngStream(17, 4).raw_block(0, 4096),
+                          np.array(edges + near + [0, (1 << 64) - 1], dtype=np.uint64)])
+    assert (below(raw, p) == (uniforms(raw) < p)).all()
+    if 0 < p < 1:  # the boundary words straddle p
+        assert below(np.array(edges, dtype=np.uint64), p).tolist() == [True, False]
 
 
 def choose_subset_scalar(stream, items, size, i0):
@@ -164,6 +182,18 @@ def test_bit_rank_layout():
     assert cfg.bit_at((1, 0)) == 0
     assert cfg.bit_at((0, 1)) == 0
     assert cfg.bit_at((1, 1)) == 1
+
+
+def test_from_bools_keeps_a_read_only_copy():
+    # the row becomes the bools() cache, so a later write to the caller's
+    # array must not reach the configuration
+    r = Region(((0, 3), (0, 2)))
+    row = np.array([1, 0, 0, 1, 1, 0], dtype=bool)
+    cfg = Configuration.from_bools(r, row)
+    row[:] = False
+    assert cfg.bools().tolist() == [True, False, False, True, True, False]
+    assert not cfg.bools().flags.writeable
+    assert cfg == Configuration.from_bits(r, [1, 0, 0, 1, 1, 0])
 
 
 def test_wpc_roundtrip(tmp_path):
