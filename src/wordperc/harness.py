@@ -314,13 +314,10 @@ def _reach_trials(params, seed, t0, t1) -> list[int]:
             out += relaxed_reach_block(region, colors, src, length).astype(int).tolist()
             continue
         # exact reach is a subset of relaxed reach, so a trial the sweep does
-        # not reach at length fails without a search.  The sweep reads the
-        # word up to length, the search only below volume (no self-avoiding
-        # walk is longer), so from length >= volume on every trial searches
-        if length < region.volume:
-            screen = relaxed_reach_block(region, colors, src, length)
-        else:
-            screen = [True] * len(colors)
+        # not reach at length fails without a search.  No self-avoiding walk
+        # gets past index volume - 1, and the search reads the word only that
+        # far, so the sweep stops there too: it reads the same letters
+        screen = relaxed_reach_block(region, colors, src, min(length, region.volume - 1))
         for row, hit in zip(colors, screen):
             if hit:
                 res = exact_word_reach(Configuration.from_bools(region, row), src, length,

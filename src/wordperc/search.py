@@ -38,8 +38,9 @@ exact reach: a trial it does not reach at max_index needs no search.
 is its parent's front stepped and masked by its last letter, so words
 sharing a prefix share its fronts, an empty front settles a whole
 subtree, and an exact leaf runs the depth-first loop pruned by the chain
-of fronts along its word.  Its start ball and horizon masks are cached
-per pair of region intervals, since every trial asks for the same ones.
+of fronts along its word.  Its start-ball bitsets and horizon masks are
+cached apart, per pair of region intervals, since every trial asks for
+the same ones.
 
 Searches run inside an optional boolean mask over the configuration's
 region (used for non-product domains like a box plus its seed face).
@@ -144,14 +145,32 @@ def region_mask(region: Region, parts) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=32)
-def _part_mask(intervals, part) -> tuple[np.ndarray, int]:
+@lru_cache(maxsize=4)
+def _part_mask(intervals, part) -> np.ndarray:
     """region_mask of the subregion with intervals part in the region with
-    these intervals, read-only, and its bitset; cached per pair, since
-    sees_all_words asks for the same start ball and horizon every trial."""
+    these intervals, read-only; cached per pair, since sees_all_words asks
+    for the same horizon every trial."""
     mask = region_mask(Region(intervals), [Region(part)])
     mask.setflags(write=False)
-    return mask, _bits(mask)
+    return mask
+
+
+_PART_BITS: dict[tuple, int] = {}  # (intervals, part) -> _part_bits
+
+
+def _part_bits(intervals, part) -> int:
+    """The bitset of _part_mask, cached per pair apart from the mask, so an
+    entry holds one int.  The cache is bounded by the bits it holds, 2^27
+    (16 MiB), not by its entries: the up to 65 start balls of a decay run
+    in a radius-64 horizon in d = 3 all stay.  A pair that would pass the
+    bound empties it first."""
+    bits = _PART_BITS.get((intervals, part))
+    if bits is None:
+        bits = _bits(region_mask(Region(intervals), [Region(part)]))
+        if sum(b.bit_length() for b in _PART_BITS.values()) + bits.bit_length() > 1 << 27:
+            _PART_BITS.clear()
+        _PART_BITS[intervals, part] = bits
+    return bits
 
 
 def _bits(mask: np.ndarray) -> int:
@@ -592,10 +611,10 @@ def sees_all_words(
     if length == 0:
         return True, None
     reg = cfg.region
-    within = None if horizon is None else _part_mask(reg.intervals, horizon.intervals)[0]
+    within = None if horizon is None else _part_mask(reg.intervals, horizon.intervals)
     starts = 0
     if from_region.dim == reg.dim:
-        starts = _part_mask(reg.intervals, from_region.intervals)[1]
+        starts = _part_bits(reg.intervals, from_region.intervals)
     if not starts:
         raise DomainError("from-region does not meet the configuration region")
     allowed = _allowed(cfg, within)

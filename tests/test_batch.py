@@ -95,6 +95,10 @@ MIXED = {"region": {"kind": "intervals", "intervals": [[0, 2], [0, 3]]}, "p": 0.
 # but not for the exact search, which reads letters only up to index 1
 @example({"region": {"kind": "intervals", "intervals": [[0, 2]]}, "p": 0.5,
           "word": "01", "source": [1], "max_index": 5}, 1, 3, 4, 2)
+# max_index past the volume with a long word: the sweep to index 2 keeps
+# some trials, whose searches find no walk that long
+@example({"region": {"kind": "intervals", "intervals": [[0, 3]]}, "p": 0.5,
+          "word": "0101010", "source": [2], "max_index": 5}, 1, 0, 24, 6)
 # blocks that mix trials the sweep screens out, trials it reaches that
 # the exact search does not, and trials that reach (see the test below)
 @example(MIXED, 1, 3, 60, 24)
