@@ -7,7 +7,8 @@ stream_id) give identical bytes on every platform. sample_block draws the
 colours of a range of trials (streams) at once, comparing raw words with
 an integer threshold (rng.below); every Monte Carlo range function takes
 its configurations as rows of such blocks, over trial_blocks, and
-Configuration.from_bools keeps the row as its bools() cache. sample is the
+Configuration.from_rows packs a block's rows at once, each keeping its row
+as the bools() cache (from_bools is the one-row case). sample is the
 one-trial case, for the CLI and the tests.
 
 Binary file format (.wpc): magic "WPC1", u32 version=1, u32 dim,
@@ -95,19 +96,30 @@ class Configuration:
         return int(self.bools().sum())
 
     @classmethod
-    def from_bools(cls, region: Region, bits: np.ndarray, provenance=None):
-        """The coloring of a rank-order bool array; a read-only copy of the
-        array becomes the bools() cache, so no search unpacks it again."""
-        bits = np.array(bits, dtype=bool)
-        if bits.shape != (region.volume,):
+    def from_rows(cls, region: Region, rows, provenances) -> list["Configuration"]:
+        """The colorings of the rows of a (k, volume) rank-order bool array,
+        with one provenance each, packed at once; a read-only copy of the
+        block holds every row's bools() cache, so no search unpacks it."""
+        rows = np.asarray(rows)
+        vol = region.volume
+        if rows.ndim != 2 or rows.shape[1] != vol:
             raise DomainError("bit array shape mismatch")
-        packed = np.packbits(bits, bitorder="little")
-        buf = np.zeros((len(bits) + 63) // 64 * 8, dtype=np.uint8)
-        buf[: len(packed)] = packed
-        cfg = cls(region, tuple(buf.view(np.uint64).tolist()), provenance)
+        # the copy, zero-padded to whole 64-bit words
+        bits = np.zeros((len(rows), (vol + 63) // 64 * 64), dtype=bool)
+        bits[:, :vol] = rows
         bits.setflags(write=False)
-        object.__setattr__(cfg, "_bools", bits)
-        return cfg
+        packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        out = []
+        for row, words, prov in zip(bits[:, :vol], packed.tolist(), provenances):
+            cfg = cls(region, tuple(words), prov)
+            object.__setattr__(cfg, "_bools", row)
+            out.append(cfg)
+        return out
+
+    @classmethod
+    def from_bools(cls, region: Region, bits: np.ndarray, provenance=None):
+        """The coloring of a rank-order bool array (from_rows' one-row case)."""
+        return cls.from_rows(region, np.asarray(bits)[None], (provenance,))[0]
 
     @classmethod
     def from_bits(cls, region: Region, bits, provenance=None):

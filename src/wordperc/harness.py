@@ -34,9 +34,9 @@ from .geometry import Region, box, is_macro_vertex, lambda_box
 from .oriented import crossing_stat, domination_probe, xi5n_stat
 from .renorm import (RenormParams, SeedSet, emn_stat, exploration_stat, good_event,
                      walk_good_events, walks_decide)
-from .rng import RngStream, below, raw_grid
+from .rng import below, raw_grid
 from .search import SourceSet, exact_word_reach, relaxed_reach_block, sees_all_words
-from .wierman import verify_coupling, wierman_couple
+from .wierman import couple_block, verify_block
 from .words import Word, WordGenerator, generator_from_spec, parse_word_argument
 
 SCHEMA_SPEC = "wordperc-spec/1"
@@ -217,6 +217,9 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         if not p["sources"]:
             v.append("wierman needs source vertices")
         check_vertices(p["sources"], region, "source")
+        start = p.get("start_index", 0)
+        if not isinstance(start, int) or isinstance(start, bool) or start not in (0, 1):
+            v.append(f"start_index must be the integer 0 or 1, not {start!r}")
     elif spec.kind == "oriented":
         if not 0.0 <= float(p["gamma"]) <= 1.0:
             v.append("gamma must lie in [0, 1]")
@@ -270,7 +273,8 @@ def _validate(spec: ExperimentSpec, v: list[str]):
 # Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
 # Every range that samples a region draws its trials as rows of
 # config.sample_block, in blocks of at most config.BLOCK_SITES sites
-# (config.trial_blocks); the coupling draws its own pair per trial.
+# (config.trial_blocks); the coupling couples and verifies a block of pairs
+# at a time, two draws per site (wierman.couple_block, verify_block).
 
 
 def _renorm_params(p) -> RenormParams:
@@ -338,14 +342,16 @@ def _allwords_failures(params, seed, t0, t1) -> list[int]:
 
 
 def _wierman_trials(params, seed, t0, t1) -> list[int]:
+    """Whether each trial's coupling certificate verifies; each site takes
+    two draws, so a block of pairs draws at most BLOCK_SITES uniforms."""
     region = region_from_spec(params["region"])
     sources = [tuple(s) for s in params["sources"]]
     word = word_from_spec(params["word"])
-    p, start = float(params["p"]), int(params.get("start_index", 0))
+    p, start = float(params["p"]), params.get("start_index", 0)
     out = []
-    for t in range(t0, t1):
-        pair = wierman_couple(region, sources, word, p, RngStream(seed, t), start_index=start)
-        out.append(int(verify_coupling(pair)[0]))
+    for b0, b1 in trial_blocks(t0, t1, 2 * region.volume):
+        pairs = couple_block(region, sources, word, p, seed, b0, b1, start_index=start)
+        out += [int(ok) for ok, _ in verify_block(pairs)]
     return out
 
 

@@ -47,10 +47,12 @@ def mix64(x: int) -> int:
 
 
 # uint64 array arithmetic wraps mod 2^64 (numpy checks overflow only on
-# scalars), which is the arithmetic of mix64 and the stream formulas
+# scalars), which is the arithmetic of mix64 and the stream formulas.  The
+# constants are 0-d arrays rather than numpy scalars: an operation between
+# arrays skips the scalar conversion, which dominates on a short row
 _U = np.uint64
-_A_GOLDEN, _A_MIX1, _A_MIX2 = _U(GOLDEN), _U(_MIX1), _U(_MIX2)
-_A30, _A27, _A31 = _U(30), _U(27), _U(31)
+_A_GOLDEN, _A_MIX1, _A_MIX2, _A30, _A27, _A31 = (
+    np.array(c, dtype=np.uint64) for c in (GOLDEN, _MIX1, _MIX2, 30, 27, 31))
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Three searches with one contract between them:
 
-* ``one_connected_set``: ordinary 1-connectivity (the constant word).
+* ``one_connected_set``: ordinary 1-connectivity (the constant word), the
+  one-row case of ``one_connected_block``.
 * ``relaxed_word_reach``: BFS over (vertex, word-index) product states,
   allowing revisits.  A superset of the exact semantics, linear in
   |region| * max_index; always labeled as an upper bound.
@@ -33,6 +34,8 @@ once (multi-spin coding, after Jacobs and Rebbi, J. Comput. Phys. 41,
 so one sweep over the stacked bitset advances every trial.  Since exact
 reach is a subset of relaxed reach, the same sweep screens a block for
 exact reach: a trial it does not reach at max_index needs no search.
+``one_connected_block`` runs the constant word 1 over the same stacked
+lattice to its fixpoint, the 1-clusters of a block of colourings at once.
 
 ``sees_all_words`` walks the word trie depth first: the front of a prefix
 is its parent's front stepped and masked by its last letter, so words
@@ -270,29 +273,60 @@ def _seeds(srcs) -> dict[int, int]:
     return by_t
 
 
+@lru_cache(maxsize=16)
+def _stacked(sizes, copies: int):
+    """The lattice of `copies` copies of a region with these axis sizes side
+    by side along an extra axis that _step never takes (the per-axis edge
+    masks repeated once per copy), and the repunit with bit k * volume set
+    for every copy k.  Cached, since a range's blocks but its last have one
+    size; one copy is the lattice itself."""
+    lattice = _lattice(sizes)
+    if copies == 1:
+        return lattice, 1
+    volume = 1
+    for size in sizes:
+        volume *= size
+    repunit = _tile(1, volume, copies * volume)
+    return tuple((stride, up * repunit, down * repunit) for stride, up, down in lattice), repunit
+
+
+def one_connected_block(region: Region, colors: np.ndarray, S) -> np.ndarray:
+    """For each row of colors (one rank-order colouring of region), the
+    sites 1-connected to S through 1-sites, as a (rows, volume) bool array;
+    S members count only if their own site is 1.  The constant word 1 swept
+    to its fixpoint, every row a copy of the stacked sweep of
+    relaxed_reach_block."""
+    if colors.ndim != 2 or colors.shape[1] != region.volume:
+        raise DomainError("colour block shape mismatch")
+    copies, volume = colors.shape
+    seeds = 0
+    for v in S:
+        try:
+            seeds |= 1 << int(region.rank(v))
+        except DomainError:
+            raise DomainError(f"{v} outside region") from None
+    lattice, repunit = _stacked(region.sizes, copies)
+    open_ = _bits(colors.ravel())
+    seen = front = seeds * repunit & open_
+    while front:
+        front = _step(front, lattice) & open_ & ~seen
+        seen |= front
+    return _unpack(seen, copies * volume).reshape(copies, volume).view(bool)
+
+
 def one_connected_set(
     cfg: Configuration, S, region: Region | None = None, within=None
 ) -> set[Point]:
     """Vertices 1-connected to S through 1-sites; S members count only if
-    their own site is 1.  The constant word 1 swept to its fixpoint."""
+    their own site is 1.  one_connected_block's one-row case."""
     reg = cfg.region
     if region is not None and region.intervals != reg.intervals:
         raise DomainError("one_connected_set region must match the configuration")
     colors = cfg.bools()
     if within is not None:
         colors = colors & np.asarray(within, bool)
-    open_ = _bits(colors)
-    lattice = _lattice(reg.sizes)
-    front = 0
-    for v in S:
-        if not reg.contains(v):
-            raise DomainError(f"{v} outside region")
-        front |= 1 << int(reg.rank(v))
-    seen = front = front & open_
-    while front:
-        front = _step(front, lattice) & open_ & ~seen
-        seen |= front
-    return set(map(tuple, reg.points_array()[_ranks(seen, reg.volume)].tolist()))
+    seen = one_connected_block(reg, colors[None], S)[0]
+    return set(map(tuple, reg.points_array()[seen].tolist()))
 
 
 def relaxed_word_reach(
@@ -368,9 +402,7 @@ def relaxed_reach_block(
     sites = copies * volume
     flat = colors.ravel()  # bit k * volume + r is rank r of trial k
     allowed = (_bits(~flat), _bits(flat))
-    repunit = _tile(1, volume, sites)  # bit k * volume for every trial k
-    lattice = [(stride, up * repunit, down * repunit)
-               for stride, up, down in _lattice(region.sizes)]
+    lattice, repunit = _stacked(region.sizes, copies)
     hits = seen = 0
     for wid, srcs in groups.items():
         letters = _letters(sources.words[wid], max_index)

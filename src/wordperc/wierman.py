@@ -21,14 +21,26 @@ independent Bernoulli(p) draw; it is available via start_index=1.
 Undiscovered vertices are filled i.i.d. at the end, in rank order, two
 uniforms each (omega, then omega_tilde).
 
-Draws: every vertex consumes at most two uniforms, so a pair takes all of
-them from one block, raw_block(0, 2 * volume), in exploration order:
-one per table draw, two per start_index=1 source and per filled vertex.
-The block is read only as u < p and u < 2p (rng.below, the bits of the
-float comparisons) and is bit-identical to scalar draws, so identical
-inputs reproduce identical pairs bit for bit.  Word letters are read
-lazily, each (word, index) once, so a finite Word that is too short fails
-only when the exploration actually reaches its end.
+Draws: every vertex consumes at most two uniforms, so pair t takes all of
+them from row t of one grid, raw_grid(seed, t0, t1, 0, 2 * volume), which
+couple_block draws for a block of trials (config.trial_blocks over
+2 * volume sites), in exploration order: one per table draw, two per
+start_index=1 source and per filled vertex.  The grid is read only as
+u < p and u < 2p (rng.below, the bits of the float comparisons), and its
+row t is bit-identical to stream t's scalar draws, so identical inputs
+reproduce identical pairs bit for bit.
+
+The table's omega colour is u < p whatever the letter, so the exploration
+order depends on omega alone: the per-row loop only explores, recording
+each vertex's parent, depth and tree.  One finish over the block then
+reads each distinct word once (Word.letters, WordGenerator.letters), as
+far as the deepest vertex that reads it, and sets omega_tilde to "u < 2p
+and omega equal to the letter", which is the table since u < p implies
+u < 2p.  A finite Word that is too short fails only when an exploration
+reads past its end.  verify_block checks a block of certificates with
+array operations and the stacked 1-connectivity sweep of
+search.one_connected_block; wierman_couple and verify_coupling are the
+one-row cases of couple_block and verify_block.
 """
 
 from __future__ import annotations
@@ -37,16 +49,20 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .config import Configuration, Provenance
+from .config import Configuration, Provenance, check_sites
 from .errors import DomainError
 from .geometry import Region, neighbor_steps
-from .rng import RngStream, below
-from .search import one_connected_set
+from .rng import RngStream, below, raw_grid
+from .search import one_connected_block
 from .words import Word, WordGenerator
 
 
 class CoupledPair:
     """Result of one coupling run; array-backed, views built on demand."""
+
+    # (parent, depth and tree planes, row) of the couple_block block whose
+    # rows the pair's forest arrays are
+    _block = None
 
     def __init__(self, region, omega, omega_tilde, parent, root_idx, depth,
                  explored, sources, words, start_index, provenance):
@@ -74,38 +90,165 @@ class CoupledPair:
         return path[::-1]
 
 
-def _letter(word, i: int) -> int:
-    if isinstance(word, Word):
-        if i >= word.length:
+def _letters_at(words, root, depth, reads) -> np.ndarray:
+    """Letter depth[x] of words[root[x]] at every position x where reads
+    holds, in order.  Each distinct word object is read once, as far as the
+    deepest read (a finite Word only to its end); a read past the end of a
+    finite Word fails as too short."""
+    at = depth[reads]
+    n = int(at.max(initial=-1)) + 1
+    own: dict[int, tuple] = {}  # distinct word -> (table row, word)
+    row_of = [own.setdefault(id(w), (len(own), w))[0] for w in words]
+    letters = []
+    for _, w in own.values():
+        if isinstance(w, Word):
+            letters.append(w.letters()[:n])
+        elif isinstance(w, WordGenerator):
+            letters.append(w.letters(n))
+        else:
+            raise DomainError("words must be Word or WordGenerator instances")
+    if len(letters) == 1:  # every tree reads the same word
+        if len(letters[0]) < n:
             raise DomainError("coupling word too short; use a generator")
-        return word[i]
-    if isinstance(word, WordGenerator):
-        return word.bit(i)
-    raise DomainError("words must be Word or WordGenerator instances")
+        return letters[0][at]
+    rows = np.array(row_of, dtype=np.intp)[root[reads]]
+    table = np.zeros((len(letters), n), dtype=bool)
+    for row, word in enumerate(letters):
+        table[row, :len(word)] = word
+        if len(word) < n and (at[rows == row] >= len(word)).any():
+            raise DomainError("coupling word too short; use a generator")
+    return table[rows, at]
 
 
-def _letter_rows(words) -> list[list[int]]:
-    """One lazily grown letter list per source; sources that share a word
-    object share its list."""
-    rows: dict[int, list[int]] = {}
-    return [rows.setdefault(id(w), []) for w in words]
+def couple_block(
+    region: Region,
+    S,
+    words,
+    p: float,
+    master_seed: int,
+    t0: int,
+    t1: int,
+    start_index: int = 0,
+) -> list[CoupledPair]:
+    """The coupled pairs of trials t0..t1-1 on `region` from sources S with
+    their words; pair t draws from stream (master_seed, t) and equals
+    wierman_couple(..., RngStream(master_seed, t), start_index).  A region
+    above config.MAX_SITES is refused before any draw."""
+    if not 0.0 <= p <= 0.5:
+        raise DomainError(
+            "coupling table needs p <= 1/2; flip colors to fold p into range"
+        )
+    if start_index not in (0, 1):
+        raise DomainError("start_index must be 0 or 1")
+    sources = tuple(tuple(v) for v in S)
+    if len(set(sources)) != len(sources):
+        raise DomainError("duplicate source vertices")
+    if isinstance(words, (Word, WordGenerator)):
+        words = [words] * len(sources)
+    words = tuple(words)
+    if len(words) != len(sources):
+        raise DomainError("need one word per source")
+    src_ranks = []
+    for v in sources:
+        try:
+            src_ranks.append(region.rank(v))
+        except DomainError:
+            raise DomainError(f"source {v} outside the region") from None
+    vol = region.volume
+    check_sites(vol)
+    kind, steps = neighbor_steps(region.sizes)
+    rows, span = t1 - t0, 2 * vol
+    raw = raw_grid(master_seed, t0, t1, 0, span)
+    lt_p, lt_2p = below(raw, p), below(raw, 2 * p)
+    del raw
+    # as bytes the draws index to small ints, so the loop allocates nothing
+    # per draw; k runs over the whole block, row t's draws at t * span
+    below_p, below_2p = lt_p.tobytes(), lt_2p.tobytes()
+    # the block's planes: parent rank (-1 root, -2 unexplored), depth and
+    # tree of every vertex (-1 unexplored); then omega of every explored
+    # vertex, the u < 2p bit of its draw (a start_index=1 source's free
+    # omega_tilde color instead) and the explored flags
+    n = rows * vol
+    forest = np.full((3, rows, vol), -1, dtype=np.int64)
+    forest[0] = -2
+    planes, flags = memoryview(forest.reshape(-1)), bytearray(3 * n)
+    stripes = memoryview(flags)
+    ends = []  # draws each row consumed before its fill
+    for row in range(rows):
+        k, a, b = row * span, row * vol, row * vol + vol
+        parent, depth, tree = planes[a:b], planes[n + a:n + b], planes[2 * n + a:2 * n + b]
+        aux = stripes[n + a:n + b]
+        # omega is written only on exploration, so before the fill its 1s
+        # are exactly the explored 1-vertices, the ones that may adopt
+        omega = bytearray(vol)
+        seen = bytearray(vol)  # explored or queued; every queued vertex gets explored
+        for i, r in enumerate(src_ranks):
+            parent[r], depth[r], tree[r] = -1, 0, i
+            aux[r] = below_p[k + 1] if start_index else below_2p[k]
+            seen[r] = 1
+            if below_p[k]:
+                omega[r] = 1
+            k += 1 + start_index
+        # frontier: unexplored neighbors of explored 1-vertices, popped in
+        # rank order
+        heap = []
+        for r in src_ranks:
+            if omega[r]:
+                for s in steps[kind[r]]:
+                    x = r + s
+                    if not seen[x]:
+                        seen[x] = 1
+                        heap.append(x)
+        heapify(heap)
+        while heap:
+            r = heappop(heap)
+            # minimum explored 1-neighbor adopts the new vertex; one exists,
+            # since r was queued by one and explored vertices stay explored
+            for s in steps[kind[r]]:
+                y = r + s
+                if omega[y]:
+                    break
+            parent[r] = y
+            depth[r] = depth[y] + 1
+            tree[r] = tree[y]
+            aux[r] = below_2p[k]
+            if below_p[k]:
+                omega[r] = 1
+                for s in steps[kind[r]]:
+                    x = r + s
+                    if not seen[x]:
+                        seen[x] = 1
+                        heappush(heap, x)
+            k += 1
+        flags[a:b], flags[2 * n + a:2 * n + b] = omega, seen
+        ends.append(k - row * span)
+    del below_p, below_2p, lt_2p  # the fill reads lt_p alone
 
+    parent, depth, tree = forest[0], forest[1], forest[2]
+    flags = np.frombuffer(flags, dtype=bool).reshape(3, rows, vol)
+    om, ti, explored = flags[0], flags[1], flags[2]
+    # the three-way table on every vertex that reads its word: omega_tilde
+    # is the letter where u < p, else 1 iff the letter is 0 and u < 2p; as
+    # u < p implies u < 2p, that is u < 2p and omega equal to the letter
+    reads = explored & (depth > 0) if start_index else explored
+    ti[reads] &= om[reads] == _letters_at(words, tree, depth, reads)
+    # fill undiscovered vertices i.i.d., two uniforms each (omega, then
+    # omega_tilde), rank order
+    for row, k in enumerate(ends):
+        rest = ~explored[row]
+        end = k + 2 * np.count_nonzero(rest)
+        om[row][rest] = lt_p[row, k:end:2]
+        ti[row][rest] = lt_p[row, k + 1:end:2]
 
-def _read(row: list[int], word, i: int) -> int:
-    """Letter i of word, first reading every letter not yet in row."""
-    while len(row) <= i:
-        row.append(_letter(word, len(row)))
-    return row[i]
-
-
-def _table(below_p: int, below_2p: int, letter: int) -> tuple[int, int]:
-    """The three-way coupling table: colors (omega, omega_tilde) from a
-    uniform u, given as the outcomes of u < p and u < 2p."""
-    if below_p:
-        return 1, letter
-    if letter == 0 and below_2p:
-        return 0, 1
-    return 0, 0
+    provs = [Provenance(p, master_seed, t) for t in range(t0, t1)]
+    configs = Configuration.from_rows(region, flags[:2].reshape(2 * rows, vol), provs * 2)
+    pairs = []
+    for row in range(rows):
+        pair = CoupledPair(region, configs[row], configs[rows + row], parent[row], tree[row],
+                           depth[row], explored[row], sources, words, start_index, provs[row])
+        pair._block = (forest, row)
+        pairs.append(pair)
+    return pairs
 
 
 def wierman_couple(
@@ -117,175 +260,112 @@ def wierman_couple(
     start_index: int = 0,
 ) -> CoupledPair:
     """Grow the coupled pair on `region` from sources S with their words."""
-    if not 0.0 <= p <= 0.5:
-        raise DomainError(
-            "coupling table needs p <= 1/2; flip colors to fold p into range"
-        )
-    if start_index not in (0, 1):
-        raise DomainError("start_index must be 0 or 1")
-    sources = [tuple(v) for v in S]
-    if len(set(sources)) != len(sources):
-        raise DomainError("duplicate source vertices")
-    if isinstance(words, (Word, WordGenerator)):
-        words = [words] * len(sources)
-    words = list(words)
-    if len(words) != len(sources):
-        raise DomainError("need one word per source")
-    vol = region.volume
-    kind, steps = neighbor_steps(region.sizes)
-    # the uniforms enter only through u < p and u < 2p; as bytes they index
-    # to small ints, so the scalar loop allocates no float per draw
-    raw = rng.raw_block(0, 2 * vol)
-    lt_p = below(raw, p)
-    below_p, below_2p = lt_p.tobytes(), below(raw, 2 * p).tobytes()
-    k = 0  # uniforms consumed
-    rows = _letter_rows(words)
-    # omega is written only on exploration, so before the fill its 1s are
-    # exactly the explored 1-vertices, the ones that may adopt
-    omega = bytearray(vol)
-    tilde = bytearray(vol)
-    seen = bytearray(vol)  # explored or queued; every queued vertex gets explored
-    at = {}  # explored 1-vertex -> (depth, source index)
-    record = []  # (rank, parent, depth, source index) per explored vertex
+    return couple_block(region, S, words, p, rng.master_seed, rng.stream_id,
+                        rng.stream_id + 1, start_index)[0]
 
-    for i, v in enumerate(sources):
-        if not region.contains(v):
-            raise DomainError(f"source {v} outside the region")
-        r = region.rank(v)
-        if start_index == 0:
-            w, wt = _table(below_p[k], below_2p[k], _read(rows[i], words[i], 0))
-            k += 1
-        else:
-            w, wt = below_p[k], below_p[k + 1]
-            k += 2
-        omega[r], tilde[r], seen[r] = w, wt, 1
-        record.append((r, -1, 0, i))
-        if w:
-            at[r] = (0, i)
 
-    # frontier: unexplored neighbors of explored 1-vertices, popped in rank order
-    heap = []
-    for r in at:
-        for s in steps[kind[r]]:
-            x = r + s
-            if not seen[x]:
-                seen[x] = 1
-                heap.append(x)
-    heapify(heap)
-    while heap:
-        r = heappop(heap)
-        # minimum explored 1-neighbor adopts the new vertex; one exists,
-        # since r was queued by one and explored vertices stay explored
-        for s in steps[kind[r]]:
-            y = r + s
-            if omega[y]:
+def verify_block(pairs) -> list[tuple[bool, str | None]]:
+    """verify_coupling of each pair, with O(volume) array operations over
+    the whole block.  The pairs share their region, sources, words and
+    start_index, as couple_block's do.
+
+    search.one_connected_block recomputes the 1-clusters of S
+    independently, in one stacked sweep; each must equal its forest's
+    explored 1-vertices.  Every explored non-root must hang under an
+    explored 1-vertex, one level deeper and in the same tree, and every
+    root must be the source its tree names, at depth 0.  Then every parent
+    is a cluster vertex, so the branches of cluster vertices run through
+    cluster vertices only, and a vertex's offset on its branch is its
+    depth.  Checking each cluster vertex's own omega_tilde letter against
+    word[root_idx][depth] therefore checks every branch letter, which is
+    what replaying the branches would do.
+
+    Returns one (ok, info) per pair; info locates the pair's first failure.
+    """
+    if not pairs:
+        return []
+    head = pairs[0]
+    region, sources, words = head.region, head.sources, head.words
+    if any((q.region, q.sources, q.words, q.start_index)
+           != (region, sources, words, head.start_index) for q in pairs[1:]):
+        raise DomainError("verify_block needs pairs of one region, sources, words "
+                          "and start_index")
+    omega = np.array([q.omega.bools() for q in pairs])
+    tilde = np.array([q.omega_tilde.bools() for q in pairs])
+    explored = np.array([q._explored for q in pairs])
+    rows, vol = omega.shape
+    # the rows of one block, in order, are checked on its planes; other
+    # pairs on copies of their arrays
+    forest = head._block and head._block[0]
+    if forest is not None and forest.shape[1] == rows and all(
+            q._block and q._block[0] is forest and q._block[1] == i
+            for i, q in enumerate(pairs)):
+        parent, depth, root_idx = forest
+    else:
+        parent = np.array([q._parent for q in pairs])
+        depth = np.array([q._depth for q in pairs])
+        root_idx = np.array([q._root_idx for q in pairs])
+    ones = explored & omega
+    stray = one_connected_block(region, omega, sources) != ones
+    # the forest checks run on the explored vertices only: the rank-th
+    # vertex of row row_of, x = base + rank flat over the block
+    row_of, rank = explored.nonzero()
+    base = row_of * vol
+    x = base + rank
+    up, dep, tree = parent.ravel()[x], depth.ravel()[x], root_idx.ravel()[x]
+    kid = up != -1
+    # a root must sit at depth 0 on the source its tree names; a name out
+    # of range points at the sentinel rank -1
+    n_src = len(sources)
+    src_rank = np.array([region.rank(s) for s in sources] + [-1])
+    names = np.where((tree >= 0) & (tree < n_src), tree, n_src)
+    misplaced = ~kid & ((dep != 0) | (src_rank[names] != rank))
+    # each kid's parent wrapped into the region (a parent out of range is
+    # no rank at all), then made flat over the block
+    orphan = up % vol
+    orphan, up = kid & (orphan != up), orphan + base
+    # (what fails, message) in the order they are reported
+    checks = [
+        (orphan, "explored vertex {v} has no parent"),
+        (kid & ~ones.ravel()[up], "{v}: parent is not an explored 1-vertex"),
+        (kid & (dep != depth.ravel()[up] + 1), "{v}: depth is not its parent's plus one"),
+        (kid & (tree != root_idx.ravel()[up]), "{v}: tree differs from its parent's"),
+        (misplaced, "root {v} is not its tree's source at depth 0"),
+    ]
+    failed = stray.any(axis=1)
+    failed[row_of[checks[0][0] | checks[1][0] | checks[2][0] | checks[3][0] | misplaced]] = True
+    # read letters only where the forest holds up: there depths and trees
+    # are those of real branches
+    reads = ones.ravel()[x] & ~failed[row_of]
+    if head.start_index:
+        reads &= dep > 0
+    wrong = tilde.ravel()[x[reads]] != _letters_at(words, tree, dep, reads)
+    if np.count_nonzero(wrong):
+        misread = np.zeros(len(x), dtype=bool)
+        misread[reads] = wrong
+        checks.append((misread, "{v} misreads its tree's word at depth {d}"))
+        failed[row_of[misread]] = True
+
+    out = [(True, None)] * rows
+    for row in failed.nonzero()[0].tolist():
+        if stray[row].any():
+            pts = region.points_array()[stray[row]]
+            out[row] = (False, "forest 1-vertices disagree with the 1-cluster at "
+                               f"{sorted(map(tuple, pts.tolist()))[:3]}")
+            continue
+        mine = row_of == row
+        for fails, text in checks:
+            bad = (fails & mine).nonzero()[0]
+            if bad.size:
+                r = int(rank[bad[0]])
+                out[row] = (False, text.format(v=region.unrank(r), d=depth[row, r]))
                 break
-        d, i = at[y]
-        d += 1
-        row = rows[i]
-        w, wt = _table(below_p[k], below_2p[k],
-                       row[d] if d < len(row) else _read(row, words[i], d))
-        k += 1
-        omega[r], tilde[r] = w, wt
-        record.append((r, y, d, i))
-        if w:
-            at[r] = (d, i)
-            for s in steps[kind[r]]:
-                x = r + s
-                if not seen[x]:
-                    seen[x] = 1
-                    heappush(heap, x)
-
-    # fill undiscovered vertices i.i.d., two uniforms each, rank order
-    om = np.frombuffer(omega, dtype=bool)
-    ti = np.frombuffer(tilde, dtype=bool)
-    explored = np.frombuffer(seen, dtype=bool)
-    rest = np.flatnonzero(~explored)
-    n = rest.size
-    om[rest] = lt_p[k:k + 2 * n:2]
-    ti[rest] = lt_p[k + 1:k + 2 * n:2]
-
-    rec = np.array(record, dtype=np.int64).reshape(-1, 4)
-
-    def scatter(col, none):
-        out = np.full(vol, none, dtype=np.int64)
-        out[rec[:, 0]] = rec[:, col]
-        return out
-
-    prov = Provenance(p, rng.master_seed, rng.stream_id)
-    return CoupledPair(
-        region,
-        Configuration.from_bools(region, om, prov),
-        Configuration.from_bools(region, ti, prov),
-        scatter(1, -2),
-        scatter(3, -1),
-        scatter(2, -1),
-        explored,
-        tuple(sources),
-        tuple(words),
-        start_index,
-        prov,
-    )
+    return out
 
 
 def verify_coupling(pair: CoupledPair):
-    """Check the certificate with O(volume) array operations.
-
-    one_connected_set recomputes the 1-cluster of S independently; it must
-    equal the forest's explored 1-vertices.  Every explored non-root must
-    hang under an explored 1-vertex, one level deeper and in the same tree,
-    and every root must be the source its tree names, at depth 0.  Then
-    every parent is a cluster vertex, so the branches of cluster vertices
-    run through cluster vertices only, and a vertex's offset on its branch
-    is its depth.  Checking each cluster vertex's own omega_tilde letter
-    against word[root_idx][depth] therefore checks every branch letter,
-    which is what replaying the branches would do.
+    """Check one pair's certificate (verify_block's one-row case).
 
     Returns (ok, info); info locates a failure.
     """
-    region = pair.region
-    omega_bits = pair.omega.bools()
-    tilde_bits = pair.omega_tilde.bools()
-    explored, parent = pair._explored, pair._parent
-    depth, root_idx = pair._depth, pair._root_idx
-    ones = explored & omega_bits
-    cluster = one_connected_set(pair.omega, pair.sources)
-    forest_ones = set(map(tuple, region.points_array()[ones].tolist()))
-    if cluster != forest_ones:
-        missing = cluster ^ forest_ones
-        return False, f"forest 1-vertices disagree with the 1-cluster at {sorted(missing)[:3]}"
-
-    n_src = len(pair.sources)
-    e = np.flatnonzero(explored)
-    pe = parent[e]
-    is_root = pe == -1
-    roots, kids, pk = e[is_root], e[~is_root], pe[~is_root]
-    bad = (pk < 0) | (pk >= region.volume)
-    if bad.any():
-        return False, f"explored vertex {region.unrank(int(kids[bad.argmax()]))} has no parent"
-    for bad, what in (
-        (~ones[pk], "parent is not an explored 1-vertex"),
-        (depth[kids] != depth[pk] + 1, "depth is not its parent's plus one"),
-        (root_idx[kids] != root_idx[pk], "tree differs from its parent's"),
-    ):
-        if bad.any():
-            return False, f"{region.unrank(int(kids[bad.argmax()]))}: {what}"
-    # a root must sit at depth 0 on the source its tree names; a name out
-    # of range points at the sentinel rank -1
-    names = root_idx[roots]
-    names = np.where((names >= 0) & (names < n_src), names, n_src)
-    src_rank = np.array([region.rank(s) for s in pair.sources] + [-1], dtype=np.int64)
-    bad = (depth[roots] != 0) | (src_rank[names] != roots)
-    if bad.any():
-        r = int(roots[bad.argmax()])
-        return False, f"root {region.unrank(r)} is not its tree's source at depth 0"
-
-    c = np.flatnonzero(ones & (depth >= pair.start_index))
-    rows = _letter_rows(pair.words)
-    want = [_read(rows[i], pair.words[i], d)
-            for i, d in zip(root_idx[c].tolist(), depth[c].tolist())]
-    bad = tilde_bits[c] != np.array(want, dtype=bool)
-    if bad.any():
-        r = int(c[bad.argmax()])
-        return False, f"{region.unrank(r)} misreads its tree's word at depth {depth[r]}"
-    return True, None
+    return verify_block([pair])[0]

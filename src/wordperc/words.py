@@ -2,7 +2,10 @@
 
 Words are bit-packed value types: index 0 is the least significant bit.
 Generators are pure functions of (parameters, seed) and satisfy prefix
-consistency: prefix(n) is always a prefix of prefix(n+1).
+consistency: prefix(n) is always a prefix of prefix(n+1), so a generator
+keeps the longest prefix read so far and serves shorter ones from it.
+letters() gives a word's letters, and a generator's first n, as a
+read-only bool array for vectorized reads.
 """
 
 from __future__ import annotations
@@ -64,6 +67,17 @@ class Word:
     def to_tuple(self) -> tuple[int, ...]:
         return tuple(self)
 
+    def letters(self) -> np.ndarray:
+        """The letters as a read-only bool array, letter i at index i
+        (cached)."""
+        cached = self.__dict__.get("_letters")
+        if cached is None:
+            raw = np.frombuffer(self.bits.to_bytes((self.length + 7) // 8, "little"), np.uint8)
+            cached = np.unpackbits(raw, count=self.length, bitorder="little").view(bool)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_letters", cached)
+        return cached
+
     def complement(self) -> "Word":
         mask = (1 << self.length) - 1
         return Word(self.bits ^ mask, self.length)
@@ -99,11 +113,28 @@ class WordGenerator:
     """Deterministic infinite word; subclasses fill in _bit or _extend."""
 
     kind = "abstract"
+    _known: Word | None = None  # the longest prefix read so far
 
     def prefix(self, n: int) -> Word:
+        """Letters 0..n-1.  By prefix consistency a shorter prefix is a mask
+        of a longer one, so the longest prefix read so far is kept and
+        serves every shorter one."""
         if n < 0:
             raise DomainError("negative prefix length")
-        return Word(self._prefix_bits(n), n)
+        known = self._known
+        if known is None or known.length < n:
+            known = self._known = Word(self._prefix_bits(n), n)
+        if known.length == n:
+            return known
+        return Word(known.bits & ((1 << n) - 1), n)
+
+    def letters(self, n: int) -> np.ndarray:
+        """Letters 0..n-1 as a read-only bool array, a view of the longest
+        prefix read so far."""
+        known = self._known
+        if n < 0 or known is None or known.length < n:
+            known = self.prefix(n)
+        return known.letters()[:n]
 
     def _prefix_bits(self, n: int) -> int:
         """Letters 0..n-1 packed LSB-first; kinds override it with block forms."""

@@ -1,6 +1,7 @@
 """Block statistics against their per-trial references.
 
-Site, reach, all-words and decay ranges sample a block of trials at once.
+Site, reach, all-words and decay ranges sample a block of trials at once,
+and wierman ranges couple and verify a block of pairs at once.
 Relaxed reach and exact reach up to index 1 sweep the whole block in one
 stacked bitset; exact reach past index 1 searches only the trials that
 sweep reaches.  Every per-trial outcome must equal the one-configuration
@@ -19,11 +20,14 @@ from hypothesis import strategies as st
 
 from wordperc import config, harness
 from wordperc.config import Configuration, sample, sample_block
+from wordperc.errors import DomainError
 from wordperc.estimate import run_trials
 from wordperc.geometry import Region, box
 from wordperc.rng import RngStream
 from wordperc.search import (SourceSet, exact_word_reach, relaxed_reach_block,
                              relaxed_word_reach, sees_all_words)
+from wordperc.wierman import couple_block, verify_coupling, wierman_couple
+from wordperc.words import AlternatingWord, ProductWord, Word
 
 WORDS = st.one_of(
     st.text("01", min_size=1, max_size=14),
@@ -226,6 +230,86 @@ def test_reach_block_exceeding_block_sites():
     assert harness._reach_trials(params, 11, 4, 7) == reach_reference(params, 11, 4, 7)
 
 
+def pair_arrays(pair):
+    return [pair.omega.bools(), pair.omega_tilde.bools(), pair._explored, pair._parent,
+            pair._root_idx, pair._depth]
+
+
+def coupled_or_error(fn):
+    try:
+        return fn()
+    except DomainError as e:
+        return str(e)
+
+
+# word factories by the number of sources, with the spec word of those a
+# spec can name
+COUPLING_WORDS = {
+    "alt": (lambda n: AlternatingWord(), "alt"),
+    "product": (lambda n: ProductWord(0.5, seed=3), "product:q=0.5,seed=3"),
+    "finite": (lambda n: Word.from_string("1101"), "1101"),
+    "short": (lambda n: Word.from_string("1"), "1"),  # read past its end below a 1-source
+    "empty": (lambda n: Word.from_string(""), None),  # fails wherever a letter is read
+    "mixed": (lambda n: [(ProductWord(0.5, seed=3), AlternatingWord(),
+                          Word.from_string("01" * 9))[i % 3] for i in range(n)], None),
+}
+
+
+@st.composite
+def coupling_setups(draw):
+    """A box of one to three axes and one to three distinct sources in it."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    region = Region(tuple((0, s) for s in sizes))
+    ranks = draw(st.lists(st.integers(0, region.volume - 1), min_size=1, max_size=3,
+                          unique=True))
+    return region, [region.unrank(r) for r in ranks]
+
+
+@given(coupling_setups(), st.sampled_from(sorted(COUPLING_WORDS)),
+       st.sampled_from([0.0, 0.2, 0.35, 0.5]), st.integers(0, 1), SEEDS, st.integers(0, 50),
+       st.integers(1, 25), st.integers(1, 200))
+@settings(max_examples=80, deadline=None)
+# a one-letter word: the trials whose source is a 1 read past its end
+@example((Region(((0, 3), (0, 3))), [(2, 2)]), "short", 0.5, 0, 1, 3, 12, 40)
+def test_wierman_block_rows_match_per_trial(setup, word, p, start_index, seed, t0, trials,
+                                            block):
+    """Every row of every block (blocks of a patched BLOCK_SITES) is the pair
+    wierman_couple draws for its trial, and the range's outcomes are those
+    pairs' certificates; a word too short for some trial fails both."""
+    region, sources = setup
+    make, spec_word = COUPLING_WORDS[word]
+    words = make(len(sources))
+    t1 = t0 + trials
+
+    def per_trial():
+        return [wierman_couple(region, sources, words, p, RngStream(seed, t), start_index)
+                for t in range(t0, t1)]
+
+    def blocks():
+        return [pair for b0, b1 in config.trial_blocks(t0, t1, 2 * region.volume)
+                for pair in couple_block(region, sources, words, p, seed, b0, b1, start_index)]
+
+    with mock.patch.object(config, "BLOCK_SITES", block):
+        got = coupled_or_error(blocks)
+        if spec_word is not None:
+            params = {"region": {"kind": "intervals", "intervals": [[0, s] for s in region.sizes]},
+                      "p": p, "sources": [list(v) for v in sources], "word": spec_word,
+                      "start_index": start_index}
+            outcomes = coupled_or_error(lambda: harness._wierman_trials(params, seed, t0, t1))
+    want = coupled_or_error(per_trial)
+    if isinstance(want, str):
+        assert got == want == "coupling word too short; use a generator"
+        assert spec_word is None or outcomes == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.provenance == b.provenance
+        for x, y in zip(pair_arrays(a), pair_arrays(b), strict=True):
+            np.testing.assert_array_equal(x, y)
+    if spec_word is not None:
+        assert outcomes == [int(verify_coupling(pair)[0]) for pair in want] == [1] * trials
+
+
 FANNED = (
     ("reach0", "reach", {"region": {"kind": "intervals", "intervals": [[-1, 1], [-1, 1]]},
                          "p": 0.5, "word": "10", "source": [0, 0]}),
@@ -241,9 +325,25 @@ FANNED = (
                          "source": [0, 0, 0], "max_index": 6}),
     ("allwords5", "allwords", {"p": 0.5, "m": 1, "L": 4, "R": 2, "d": 2, "mode": "exact"}),
     ("decay6", "decay", (0.5, 3, [0, 1], 2, 2, "relaxed")),
+    # pairs coupled and verified a block at a time, with a source whose
+    # start_index=1 colours are free draws
+    ("wierman7", "wierman", {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.45,
+                             "sources": [[0, 0], [1, 1]], "word": "alt", "start_index": 1}),
 )
+
+
+def wierman_reference(params, seed, t0, t1):
+    region = harness.region_from_spec(params["region"])
+    sources = [tuple(v) for v in params["sources"]]
+    word = harness.word_from_spec(params["word"])
+    return [int(verify_coupling(wierman_couple(region, sources, word, params["p"],
+                                               RngStream(seed, t), params["start_index"]))[0])
+            for t in range(t0, t1)]
+
+
 REFERENCES = {"reach": reach_reference, "site": site_reference,
-              "allwords": allwords_reference, "decay": decay_reference}
+              "allwords": allwords_reference, "decay": decay_reference,
+              "wierman": wierman_reference}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -259,4 +359,5 @@ def test_fanned_block_outcomes(kind, params, workers, monkeypatch):
         fn, args = harness._BERNOULLI[kind], (params,)
     got = run_trials(fn, (*args, seed), trials)
     assert got == REFERENCES[kind](*args, seed, 0, trials)
-    assert len(set(got)) > 1  # the specs decide some trials each way
+    # the specs decide some trials each way; every coupling certificate holds
+    assert len(set(got)) > 1 or kind == "wierman" and set(got) == {1}

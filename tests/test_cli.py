@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from wordperc import renorm
+from wordperc import config, renorm, wierman
 from wordperc.cli import main
 
 
@@ -504,6 +504,42 @@ def test_spec_region_of_wrong_type(tmp_path, capsys, region):
     code, err = run_cli_err(["--spec", spath], capsys)
     assert code == 2
     assert "bad region" in err
+
+
+@pytest.mark.parametrize("start_index", ["x", None, 1.5, True, 2],
+                         ids=["text", "null", "float", "bool", "two"])
+def test_spec_wierman_start_index_not_zero_or_one(tmp_path, capsys, start_index):
+    # only the JSON integers 0 and 1 pass; 1.5 and true used to run as 1
+    spath = spec_file(tmp_path, "wierman", {**WORD_SPECS["wierman"], "word": "alt",
+                                            "start_index": start_index})
+    code, stdout = run_cli(["--spec", spath])
+    assert code == 2
+    assert stdout == ""
+    assert "start_index must be the integer 0 or 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start_index", [0, 1])
+def test_spec_wierman_start_index_zero_or_one(tmp_path, start_index):
+    spath = spec_file(tmp_path, "wierman", {**WORD_SPECS["wierman"], "word": "alt",
+                                            "start_index": start_index})
+    code, stdout = run_cli(["--spec", spath])
+    assert code == 0
+    assert json.loads(stdout)["result"]["successes"] == 3
+
+
+def test_wierman_region_above_the_cap(capsys, monkeypatch):
+    # box(10, 2) has 441 sites; with the cap at 100 the run is refused before
+    # the block's draws, so nothing large is allocated
+    monkeypatch.setattr(config, "MAX_SITES", 100)
+
+    def no_draws(*args):
+        raise AssertionError("drew past the cap")
+
+    monkeypatch.setattr(wierman, "raw_grid", no_draws)
+    code, err = run_cli_err(["wierman", "--region", "box:m=10,d=2", "--p", "0.4",
+                             "--sources", "0,0", "--word", "alt", "--trials", "2"], capsys)
+    assert code == 3
+    assert "sampling capped at 100 sites per trial, the region has 441" in err
 
 
 def test_reach_spec_unknown_mode(tmp_path, capsys):

@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wordperc import config, wierman
 from wordperc.config import Configuration
-from wordperc.errors import DomainError
+from wordperc.errors import CapacityError, DomainError
 from wordperc.geometry import Region, box
 from wordperc.rng import RngStream
 from wordperc.search import SourceSet, exact_word_reach, verify_witness
-from wordperc.wierman import CoupledPair, verify_coupling, wierman_couple
+from wordperc.wierman import (CoupledPair, couple_block, verify_block, verify_coupling,
+                              wierman_couple)
 from wordperc.words import AlternatingWord, ConstantWord, ProductWord, Word
 
 R33 = Region(((-2, 1), (-2, 1)))
@@ -72,6 +74,31 @@ def test_pairs_bit_identical_to_pins():
     got = record_pins()
     assert got.keys() == pins.keys()
     assert [k for k in pins if got[k] != pins[k]] == []
+
+
+def test_block_rows_bit_identical_to_pins():
+    # the pins' seeds are consecutive streams, so one block holds them all
+    pins = json.loads(PIN_FILE.read_text())
+    got = {}
+    for ri, (rname, (region, sources, p)) in enumerate(PIN_REGIONS.items()):
+        for wname, make in PIN_WORDS.items():
+            for start_index in (0, 1):
+                pairs = couple_block(region, sources, make(len(sources)), p, 100 + ri,
+                                     PIN_SEEDS[0], PIN_SEEDS[-1] + 1, start_index)
+                for seed, pair in zip(PIN_SEEDS, pairs, strict=True):
+                    got[f"{rname}/{wname}/{start_index}/{seed}"] = pair_digest(pair)
+    assert got == pins
+
+
+def test_block_refused_above_the_cap_before_any_draw(monkeypatch):
+    monkeypatch.setattr(config, "MAX_SITES", 100)
+
+    def no_draws(*args):
+        raise AssertionError("drew past the cap")
+
+    monkeypatch.setattr(wierman, "raw_grid", no_draws)
+    with pytest.raises(CapacityError, match="the region has 441"):
+        couple_block(box(10, 2), [(0, 0)], AlternatingWord(), 0.4, 1, 0, 5)
 
 
 def test_p_above_half_rejected():
@@ -368,3 +395,32 @@ def test_trees_vertex_disjoint():
             assert path[0] in pair.sources and path[-1] == v
             if len(path) > 1:
                 assert path[:-1] == pair.branch(path[-2])
+
+
+def test_verify_block_flags_only_the_tampered_row():
+    pairs = couple_block(R33, [(-1, -1), (1, 1)], AlternatingWord(), 0.5, 30, 0, 40)
+    assert verify_block(pairs) == [(True, None)] * len(pairs)
+    deep = [i for i, q in enumerate(pairs)
+            if (q._explored & q.omega.bools() & (q._depth >= 1)).any()]
+    assert deep
+    for i, tamper in ((deep[0], "tilde"), (deep[-1], "depth")):
+        q = pairs[i]
+        if tamper == "tilde":
+            ones = q._explored & q.omega.bools()
+            bad = flip_tilde(q, int(np.flatnonzero(ones)[np.argmax(q._depth[ones])]))
+        else:
+            depth = q._depth.copy()
+            depth[int(explored_kids(q)[0])] += 1
+            bad = mutated(q, depth=depth)
+        block = pairs[:i] + [bad] + pairs[i + 1:]
+        got = verify_block(block)
+        assert got[i] == verify_coupling(bad)
+        assert not got[i][0]
+        assert got[:i] + got[i + 1:] == [(True, None)] * (len(pairs) - 1)
+
+
+def test_verify_block_needs_one_coupling_setup():
+    a = wierman_couple(R33, [(0, 0)], AlternatingWord(), 0.4, RngStream(1, 0))
+    b = wierman_couple(R33, [(0, 0)], AlternatingWord(), 0.4, RngStream(1, 1), start_index=1)
+    with pytest.raises(DomainError, match="one region"):
+        verify_block([a, b])
