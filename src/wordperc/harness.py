@@ -348,11 +348,10 @@ def _wierman_trials(params, seed, t0, t1) -> list[int]:
     sources = [tuple(s) for s in params["sources"]]
     word = word_from_spec(params["word"])
     p, start = float(params["p"]), params.get("start_index", 0)
-    out = []
-    for b0, b1 in trial_blocks(t0, t1, 2 * region.volume):
-        pairs = couple_block(region, sources, word, p, seed, b0, b1, start_index=start)
-        out += [int(ok) for ok, _ in verify_block(pairs)]
-    return out
+    # a block's pairs die before the next block draws
+    return [int(ok) for b0, b1 in trial_blocks(t0, t1, 2 * region.volume)
+            for ok, _ in verify_block(couple_block(region, sources, word, p, seed, b0, b1,
+                                                   start_index=start))]
 
 
 def _renorm_good_trials(params, seed, t0, t1) -> list[int]:

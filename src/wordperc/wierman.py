@@ -25,22 +25,24 @@ Draws: every vertex consumes at most two uniforms, so pair t takes all of
 them from row t of one grid, raw_grid(seed, t0, t1, 0, 2 * volume), which
 couple_block draws for a block of trials (config.trial_blocks over
 2 * volume sites), in exploration order: one per table draw, two per
-start_index=1 source and per filled vertex.  The grid is read only as
-u < p and u < 2p (rng.below, the bits of the float comparisons), and its
-row t is bit-identical to stream t's scalar draws, so identical inputs
-reproduce identical pairs bit for bit.
+start_index=1 source and per filled vertex; wierman_couple draws its one
+row with the stream's raw_block.  The draws are read only as u < p and
+u < 2p (rng.below, the bits of the float comparisons), and row t is
+bit-identical to stream t's scalar draws, so identical inputs reproduce
+identical pairs bit for bit.
 
 The table's omega colour is u < p whatever the letter, so the exploration
 order depends on omega alone: the per-row loop only explores, recording
 each vertex's parent, depth and tree.  One finish over the block then
 reads each distinct word once (Word.letters, WordGenerator.letters), as
-far as the deepest vertex that reads it, and sets omega_tilde to "u < 2p
-and omega equal to the letter", which is the table since u < p implies
+far as the block's deepest vertex, and sets omega_tilde to "u < 2p and
+omega equal to the letter", which is the table since u < p implies
 u < 2p.  A finite Word that is too short fails only when an exploration
 reads past its end.  verify_block checks a block of certificates with
 array operations and the stacked 1-connectivity sweep of
-search.one_connected_block; wierman_couple and verify_coupling are the
-one-row cases of couple_block and verify_block.
+search.one_connected_block, reading the words itself rather than through
+the finish; wierman_couple and verify_coupling are the one-row cases of
+couple_block and verify_block.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ from .words import Word, WordGenerator
 
 class CoupledPair:
     """Result of one coupling run; array-backed, views built on demand."""
-
-    # (parent, depth and tree planes, row) of the couple_block block whose
-    # rows the pair's forest arrays are
-    _block = None
 
     def __init__(self, region, omega, omega_tilde, parent, root_idx, depth,
                  explored, sources, words, start_index, provenance):
@@ -90,34 +88,29 @@ class CoupledPair:
         return path[::-1]
 
 
-def _letters_at(words, root, depth, reads) -> np.ndarray:
-    """Letter depth[x] of words[root[x]] at every position x where reads
-    holds, in order.  Each distinct word object is read once, as far as the
-    deepest read (a finite Word only to its end); a read past the end of a
-    finite Word fails as too short."""
-    at = depth[reads]
-    n = int(at.max(initial=-1)) + 1
-    own: dict[int, tuple] = {}  # distinct word -> (table row, word)
-    row_of = [own.setdefault(id(w), (len(own), w))[0] for w in words]
-    letters = []
-    for _, w in own.values():
-        if isinstance(w, Word):
-            letters.append(w.letters()[:n])
-        elif isinstance(w, WordGenerator):
-            letters.append(w.letters(n))
-        else:
-            raise DomainError("words must be Word or WordGenerator instances")
-    if len(letters) == 1:  # every tree reads the same word
-        if len(letters[0]) < n:
+def _letter_plane(words, tree, depth, start_index) -> np.ndarray:
+    """Letter depth[x] of words[tree[x]] at every vertex x of the planes
+    (anything at unexplored vertices, where both are -1).  Each distinct
+    word object is read once, as far as the deepest vertex (a finite Word
+    only to its end); a read past the end of a finite Word, at a depth of
+    at least start_index, fails as too short."""
+    n = int(depth.max(initial=0)) + 1  # every source is explored at depth 0
+    table = np.zeros((len(words), n), dtype=bool)  # row i: words[i]'s letters
+    read: dict[int, np.ndarray] = {}
+    for i, w in enumerate(words):
+        letters = read.get(id(w))
+        if letters is None:
+            if isinstance(w, Word):
+                letters = w.letters()[:n]
+            elif isinstance(w, WordGenerator):
+                letters = w.letters(n)
+            else:
+                raise DomainError("words must be Word or WordGenerator instances")
+            read[id(w)] = letters
+        table[i, :len(letters)] = letters
+        if len(letters) < n and (depth[tree == i] >= max(len(letters), start_index)).any():
             raise DomainError("coupling word too short; use a generator")
-        return letters[0][at]
-    rows = np.array(row_of, dtype=np.intp)[root[reads]]
-    table = np.zeros((len(letters), n), dtype=bool)
-    for row, word in enumerate(letters):
-        table[row, :len(word)] = word
-        if len(word) < n and (at[rows == row] >= len(word)).any():
-            raise DomainError("coupling word too short; use a generator")
-    return table[rows, at]
+    return table[tree, depth]
 
 
 def couple_block(
@@ -134,6 +127,29 @@ def couple_block(
     their words; pair t draws from stream (master_seed, t) and equals
     wierman_couple(..., RngStream(master_seed, t), start_index).  A region
     above config.MAX_SITES is refused before any draw."""
+    return _couple(region, S, words, p, start_index,
+                   lambda span: raw_grid(master_seed, t0, t1, 0, span),
+                   [Provenance(p, master_seed, t) for t in range(t0, t1)])
+
+
+def wierman_couple(
+    region: Region,
+    S,
+    words,
+    p: float,
+    rng: RngStream,
+    start_index: int = 0,
+) -> CoupledPair:
+    """Grow the coupled pair on `region` from sources S with their words
+    (couple_block's one-row case, drawn from the stream's own base)."""
+    return _couple(region, S, words, p, start_index,
+                   lambda span: rng.raw_block(0, span)[None],
+                   [Provenance(p, rng.master_seed, rng.stream_id)])[0]
+
+
+def _couple(region, S, words, p, start_index, draw, provs) -> list[CoupledPair]:
+    """One pair per row of the raw grid draw(2 * volume), in order, with
+    the given provenances (one per row)."""
     if not 0.0 <= p <= 0.5:
         raise DomainError(
             "coupling table needs p <= 1/2; flip colors to fold p into range"
@@ -157,8 +173,8 @@ def couple_block(
     vol = region.volume
     check_sites(vol)
     kind, steps = neighbor_steps(region.sizes)
-    rows, span = t1 - t0, 2 * vol
-    raw = raw_grid(master_seed, t0, t1, 0, span)
+    rows, span = len(provs), 2 * vol
+    raw = draw(span)
     lt_p, lt_2p = below(raw, p), below(raw, 2 * p)
     del raw
     # as bytes the draws index to small ints, so the loop allocates nothing
@@ -229,9 +245,10 @@ def couple_block(
     om, ti, explored = flags[0], flags[1], flags[2]
     # the three-way table on every vertex that reads its word: omega_tilde
     # is the letter where u < p, else 1 iff the letter is 0 and u < 2p; as
-    # u < p implies u < 2p, that is u < 2p and omega equal to the letter
-    reads = explored & (depth > 0) if start_index else explored
-    ti[reads] &= om[reads] == _letters_at(words, tree, depth, reads)
+    # u < p implies u < 2p, that is u < 2p and omega equal to the letter.
+    # Vertices at a depth below start_index keep their draw: a
+    # start_index=1 source its free colour, an unexplored vertex its fill
+    ti &= (om == _letter_plane(words, tree, depth, start_index)) | (depth < start_index)
     # fill undiscovered vertices i.i.d., two uniforms each (omega, then
     # omega_tilde), rank order
     for row, k in enumerate(ends):
@@ -240,28 +257,10 @@ def couple_block(
         om[row][rest] = lt_p[row, k:end:2]
         ti[row][rest] = lt_p[row, k + 1:end:2]
 
-    provs = [Provenance(p, master_seed, t) for t in range(t0, t1)]
     configs = Configuration.from_rows(region, flags[:2].reshape(2 * rows, vol), provs * 2)
-    pairs = []
-    for row in range(rows):
-        pair = CoupledPair(region, configs[row], configs[rows + row], parent[row], tree[row],
-                           depth[row], explored[row], sources, words, start_index, provs[row])
-        pair._block = (forest, row)
-        pairs.append(pair)
-    return pairs
-
-
-def wierman_couple(
-    region: Region,
-    S,
-    words,
-    p: float,
-    rng: RngStream,
-    start_index: int = 0,
-) -> CoupledPair:
-    """Grow the coupled pair on `region` from sources S with their words."""
-    return couple_block(region, S, words, p, rng.master_seed, rng.stream_id,
-                        rng.stream_id + 1, start_index)[0]
+    return [CoupledPair(region, configs[row], configs[rows + row], parent[row], tree[row],
+                        depth[row], explored[row], sources, words, start_index, provs[row])
+            for row in range(rows)]
 
 
 def verify_block(pairs) -> list[tuple[bool, str | None]]:
@@ -294,17 +293,9 @@ def verify_block(pairs) -> list[tuple[bool, str | None]]:
     tilde = np.array([q.omega_tilde.bools() for q in pairs])
     explored = np.array([q._explored for q in pairs])
     rows, vol = omega.shape
-    # the rows of one block, in order, are checked on its planes; other
-    # pairs on copies of their arrays
-    forest = head._block and head._block[0]
-    if forest is not None and forest.shape[1] == rows and all(
-            q._block and q._block[0] is forest and q._block[1] == i
-            for i, q in enumerate(pairs)):
-        parent, depth, root_idx = forest
-    else:
-        parent = np.array([q._parent for q in pairs])
-        depth = np.array([q._depth for q in pairs])
-        root_idx = np.array([q._root_idx for q in pairs])
+    parent = np.array([q._parent for q in pairs])
+    depth = np.array([q._depth for q in pairs])
+    root_idx = np.array([q._root_idx for q in pairs])
     ones = explored & omega
     stray = one_connected_block(region, omega, sources) != ones
     # the forest checks run on the explored vertices only: the rank-th
@@ -339,7 +330,20 @@ def verify_block(pairs) -> list[tuple[bool, str | None]]:
     reads = ones.ravel()[x] & ~failed[row_of]
     if head.start_index:
         reads &= dep > 0
-    wrong = tilde.ravel()[x[reads]] != _letters_at(words, tree, dep, reads)
+    # each source's word read afresh (not through the coupling's finish):
+    # letter dep of words[tree] at every read
+    at, trees = dep[reads], tree[reads]
+    want = np.zeros(len(at), dtype=bool)
+    for i, w in enumerate(words):
+        mine = trees == i
+        if mine.any():
+            d = at[mine]
+            n = int(d.max()) + 1
+            letters = w.letters() if isinstance(w, Word) else w.letters(n)
+            if len(letters) < n:
+                raise DomainError("coupling word too short; use a generator")
+            want[mine] = letters[d]
+    wrong = tilde.ravel()[x[reads]] != want
     if np.count_nonzero(wrong):
         misread = np.zeros(len(x), dtype=bool)
         misread[reads] = wrong

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -417,6 +418,31 @@ def test_verify_block_flags_only_the_tampered_row():
         assert got[i] == verify_coupling(bad)
         assert not got[i][0]
         assert got[:i] + got[i + 1:] == [(True, None)] * (len(pairs) - 1)
+
+
+def test_verify_block_reads_letters_apart_from_the_finish(monkeypatch):
+    # a finish that sets omega_tilde from the wrong letters must not pass:
+    # the verifier reads the words itself
+    finish = wierman._letter_plane
+    monkeypatch.setattr(wierman, "_letter_plane", lambda *args: ~finish(*args))
+    pairs = couple_block(R33, [(-1, -1), (1, 1)], ProductWord(0.5, seed=3), 0.45, 31, 0, 30)
+    reads = [bool((q._explored & q.omega.bools()).any()) for q in pairs]
+    assert any(reads)
+    for read, (ok, info) in zip(reads, verify_block(pairs), strict=True):
+        assert ok is not read
+        assert read is False or "misreads its tree's word" in info
+
+
+def test_verify_block_checks_the_pairs_own_arrays():
+    pairs = couple_block(R33, [(0, 0)], AlternatingWord(), 0.5, 32, 0, 20)
+    i = next(i for i, q in enumerate(pairs) if len(explored_kids(q)))
+    bad = copy.copy(pairs[i])
+    bad._depth = bad._depth.copy()
+    bad._depth[int(explored_kids(bad)[0])] += 1
+    got = verify_block(pairs[:i] + [bad] + pairs[i + 1:])
+    assert got[i] == verify_coupling(bad) == (False, got[i][1])
+    assert "depth is not its parent's plus one" in got[i][1]
+    assert got[:i] + got[i + 1:] == [(True, None)] * (len(pairs) - 1)
 
 
 def test_verify_block_needs_one_coupling_setup():
