@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .rng import RngStream
+from .rng import RngStream, below
 
 MAX_ENUM_LENGTH = 24
 
@@ -218,8 +218,9 @@ class ProductWord(WordGenerator):
         return int(self._stream.bernoulli(self.q, i))
 
     def _prefix_bits(self, n: int) -> int:
-        # uniform_block(0, n)[i] is bit-identical to uniform(i)
-        packed = np.packbits(self._stream.uniform_block(0, n) < self.q, bitorder="little")
+        # below(raw_block(0, n), q)[i] is bit-identical to bernoulli(q, i),
+        # with no float conversion
+        packed = np.packbits(below(self._stream.raw_block(0, n), self.q), bitorder="little")
         return int.from_bytes(packed.tobytes(), "little")
 
     def spec(self):
