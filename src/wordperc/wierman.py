@@ -330,8 +330,8 @@ def verify_block(pairs) -> list[tuple[bool, str | None]]:
     reads = ones.ravel()[x] & ~failed[row_of]
     if head.start_index:
         reads &= dep > 0
-    # each source's word read afresh (not through the coupling's finish):
-    # letter dep of words[tree] at every read
+    # the letters the branches must carry, letter dep of words[tree], read
+    # here from each source's word: the finish's own reads are what is checked
     at, trees = dep[reads], tree[reads]
     want = np.zeros(len(at), dtype=bool)
     for i, w in enumerate(words):
