@@ -38,6 +38,16 @@ def _parse_vertex(text: str):
         raise DomainError(f"vertex {text!r} is not comma-separated integers")
 
 
+def _parse_radii(text: str) -> list[int]:
+    radii = []
+    for item in text.split(","):
+        try:
+            radii.append(int(item))
+        except ValueError:
+            raise DomainError(f"--m-list item {item!r} is not an integer") from None
+    return radii
+
+
 def _check_outputs(args):
     """Refuse an --out or --csv path that cannot be written, before any
     trial runs: its folder must exist and the path must not be a folder."""
@@ -60,6 +70,9 @@ def _emit(doc: dict, args, wall: float):
 
 
 def cmd_sample(args):
+    for name, value in (("--seed", args.seed), ("--stream", args.stream)):
+        if not 0 <= value < 1 << 64:
+            raise DomainError(f"{name} must lie in [0, 2^64), not {value}")
     region = parse_region_argument(args.region)
     if args.dim is not None and region.dim != args.dim:
         region = parse_region_argument(f"{args.region},d={args.dim}")
@@ -166,7 +179,7 @@ def cmd_renorm(args):
 
 def cmd_decay(args):
     params = {"p": args.p, "L": args.L, "R": args.R,
-              "m_list": [int(m) for m in args.m_list.split(",")], "d": args.dim,
+              "m_list": _parse_radii(args.m_list), "d": args.dim,
               "mode": args.mode}
     return _run_spec("decay", params, args)
 
@@ -175,9 +188,12 @@ def cmd_oracle(args):
     """Exhaustive small-instance self-checks."""
     from .config import enumerate_configs
     from .geometry import Region
-    from .oracles import connected_bruteforce, saw_reach_bruteforce
+    from .oracles import connected_bruteforce, saw_reach_bruteforce, walk_reach_bruteforce
     from .search import one_connected_set
+    from .words import AlternatingWord, ConstantWord, PeriodicWord
 
+    if args.stride < 1:
+        raise DomainError(f"--stride must be at least 1, not {args.stride}")
     failures = 0
 
     def check(name, ok):
@@ -218,6 +234,18 @@ def cmd_oracle(args):
             if not exact.issubset(relaxed):
                 ok = False
     check("exact = path enumeration and exact <= relaxed on 3x3", ok)
+
+    ok = True
+    # period-2 words stop the sweep early; 110 runs it to the last index
+    generators = [AlternatingWord(), ConstantWord(1), PeriodicWord("110")]
+    for i, cfg in enumerate(enumerate_configs(r33)):
+        if i % args.stride:
+            continue
+        for w in generators:
+            src = SourceSet.uniform([(0, 0), (-1, 1)], w, [0, 3])
+            if relaxed_word_reach(cfg, src, 12).pairs() != walk_reach_bruteforce(cfg, src, 12):
+                ok = False
+    check("relaxed = walk enumeration on 3x3", ok)
 
     return 1 if failures else 0
 

@@ -177,25 +177,18 @@ _MAGIC = b"WPC1"
 
 
 def write_wpc(cfg: Configuration, path: str):
+    """Write cfg as a .wpc file.  Everything is packed before the file is
+    opened, so a value that does not fit its field leaves no file."""
+    prov = cfg.provenance
+    data = [_MAGIC, struct.pack("<II", 1, cfg.region.dim)]
+    data += [struct.pack("<qq", lo, hi) for lo, hi in cfg.region.intervals]
+    if prov is None:
+        data.append(struct.pack("<dQQ", math.nan, 0, 0))
+    else:
+        data.append(struct.pack("<dQQ", prov.p, prov.master_seed, prov.stream_id))
+    data.append(struct.pack(f"<{len(cfg.words)}Q", *cfg.words))
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", 1))
-        f.write(struct.pack("<I", cfg.region.dim))
-        for lo, hi in cfg.region.intervals:
-            f.write(struct.pack("<qq", lo, hi))
-        if cfg.provenance is None:
-            f.write(struct.pack("<dQQ", math.nan, 0, 0))
-        else:
-            f.write(
-                struct.pack(
-                    "<dQQ",
-                    cfg.provenance.p,
-                    cfg.provenance.master_seed,
-                    cfg.provenance.stream_id,
-                )
-            )
-        for w in cfg.words:
-            f.write(struct.pack("<Q", w))
+        f.write(b"".join(data))
 
 
 def read_wpc(path: str) -> Configuration:

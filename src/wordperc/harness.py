@@ -161,6 +161,8 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         return
     if spec.trials < 1:
         v.append("trials must be >= 1")
+    if not 0 <= spec.seed < 1 << 64:
+        v.append("seed must lie in [0, 2^64)")
     stat = p.get("stat", "good") if spec.kind == "renorm" else p.get("stat")
     if spec.kind in STATS and stat not in STATS[spec.kind]:
         v.append(f"stat must be one of {', '.join(STATS[spec.kind])}")

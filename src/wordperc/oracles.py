@@ -7,6 +7,8 @@ module, so they can act as oracles for it.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .config import Configuration
 from .geometry import Region, neighbors
 from .search import SourceSet, _letters
@@ -44,6 +46,40 @@ def saw_reach_bruteforce(
             continue
         extend(v, t0, letters, {v})
     return reached
+
+
+def walk_reach_bruteforce(
+    cfg: Configuration, sources: SourceSet, max_index: int, allowed=None
+) -> set:
+    """All (vertex, index) pairs reachable along walks, revisits allowed.
+
+    Plain breadth-first search over (point, index, word id) states, one
+    state at a time; for oracle use only.
+    """
+    region = cfg.region
+    ok = (lambda p: True) if allowed is None else (lambda p: p in allowed)
+    letters = {}
+    seen = set()
+    queue = deque()
+    for v, t0, wid in sources.entries:
+        v = tuple(v)
+        if t0 > max_index or not ok(v):
+            continue
+        if wid not in letters:
+            letters[wid] = _letters(sources.words[wid], max_index)
+        if cfg.bit_at(v) == letters[wid][t0] and (v, t0, wid) not in seen:
+            seen.add((v, t0, wid))
+            queue.append((v, t0, wid))
+    while queue:
+        v, t, wid = queue.popleft()
+        if t == max_index:
+            continue
+        for u in neighbors(v, region):
+            state = (u, t + 1, wid)
+            if ok(u) and state not in seen and cfg.bit_at(u) == letters[wid][t + 1]:
+                seen.add(state)
+                queue.append(state)
+    return {(v, t) for v, t, _ in seen}
 
 
 def connected_bruteforce(cfg: Configuration, S, region: Region | None = None) -> set:

@@ -31,7 +31,9 @@ restricted box keeps rank and neighbor order, so results and node counts
 are those of the window search masked to it.  walk_good_events decides
 the walk-decided good events of a block of trials with one stacked
 relaxed sweep (search.relaxed_reach_block); good_event's walk branch is
-its one-trial case.
+its one-trial case.  Every other search reads its face points off its
+fronts (search.ReachResult) through cached bitsets of the faces in the
+box, or of the scale-n boundary in the window, in face-point order.
 """
 
 from __future__ import annotations
@@ -186,15 +188,23 @@ def _restrict(cfg: Configuration, u, params: RenormParams) -> Configuration:
 
 
 @lru_cache(maxsize=256)
-def _out_faces(u, k: int, d: int, outs: tuple) -> np.ndarray:
-    """Over F^u u B^u in its rank order, one boolean column per out-neighbor
-    v of outs: the points of F^v inside the box, all a box search can reach."""
+def _out_faces(u, k: int, d: int, outs: tuple) -> tuple:
+    """The points of F^v inside F^u u B^u, all a box search can reach, for
+    every out-neighbor v of outs, over the box in its rank order: as one
+    boolean column per v; per v as a bitset and as (point, rank) pairs in
+    rank order; and as one bitset of them all."""
     box = _search_box(u, k, d)
-    faces = np.zeros((box.volume, len(outs)), dtype=bool)
+    columns = np.zeros((box.volume, len(outs)), dtype=bool)
+    faces, union = [], 0
     for j, v in enumerate(outs):
-        faces[_ranks_within(macro_face(v, k, d).intersect(box), box), j] = True
-    faces.setflags(write=False)
-    return faces
+        part = macro_face(v, k, d).intersect(box)
+        ranks = _ranks_within(part, box).tolist()
+        columns[ranks, j] = True
+        bits = sum(1 << r for r in ranks)
+        faces.append((bits, tuple(zip(map(tuple, part.points_array().tolist()), ranks))))
+        union |= bits
+    columns.setflags(write=False)
+    return columns, tuple(faces), union
 
 
 def _need(params: RenormParams) -> int:
@@ -221,26 +231,6 @@ def _sources(seed: SeedSet, xi) -> SourceSet:
     return SourceSet.uniform(seed.vertices(), xi, [t for _, t in seed.entries])
 
 
-def _face_arrivals(cfg, seed: SeedSet, xi, params, outs, bound, walks, node_budget) -> dict:
-    """One search from the seed on F^u u B^u up to index bound; for every
-    out-neighbor v, the face points of F^v it reaches with their minimal
-    arrivals, read through the face's own points."""
-    box = _restrict(cfg, seed.u, params)
-    if walks:
-        res = relaxed_word_reach(box, _sources(seed, xi), bound, collect_arrivals=False)
-    else:
-        faces = _out_faces(seed.u, params.k, params.d, tuple(outs))
-        res = exact_word_reach(
-            box, _sources(seed, xi), bound, node_budget=_budget(node_budget),
-            prune_targets=(faces.any(axis=1), "min"),
-        )
-    arrival = res.min_arrival
-    return {
-        v: {y: arrival[y] for y in _face_points(v, params.k, params.d) if y in arrival}
-        for v in outs
-    }
-
-
 def seed_sets_from(
     cfg: Configuration,
     seed: SeedSet,
@@ -256,12 +246,20 @@ def seed_sets_from(
     bound, C * v1 by default.  An exact search may use node_budget
     search-tree nodes (EXACT_NODE_BUDGET when None)."""
     u = seed.u
-    outs = macro_out_neighbors(u, params.h)
+    outs = tuple(macro_out_neighbors(u, params.h))
     if not outs:
         return {}
     bound = params.C * (u[0] + 2) if t_membership is None else t_membership
-    walks = walks_decide(xi, mode, bound)
-    return _face_arrivals(cfg, seed, xi, params, outs, bound, walks, node_budget)
+    columns, faces, union = _out_faces(u, params.k, params.d, outs)
+    box = _restrict(cfg, u, params)
+    if walks_decide(xi, mode, bound):
+        res = relaxed_word_reach(box, _sources(seed, xi), bound)
+    else:
+        res = exact_word_reach(box, _sources(seed, xi), bound, node_budget=_budget(node_budget),
+                               prune_targets=(columns.any(axis=1), "min"))
+    first = res.first_arrivals(union)
+    return {v: {y: first[r] for y, r in points if r in first}
+            for v, (_, points) in zip(outs, faces)}
 
 
 def walk_good_events(window: Region, colors: np.ndarray, seed: SeedSet, xi,
@@ -278,7 +276,7 @@ def walk_good_events(window: Region, colors: np.ndarray, seed: SeedSet, xi,
     box, ranks = _box_view(u, params.k, params.d, window.intervals)
     reached = relaxed_reach_block(box, colors[:, ranks], _sources(seed, xi),
                                   params.C * (u[0] + 2), reached=True)
-    counts = reached @ _out_faces(u, params.k, params.d, outs).astype(np.int64)
+    counts = reached @ _out_faces(u, params.k, params.d, outs)[0].astype(np.int64)
     return (counts >= _need(params)).all(axis=1)
 
 
@@ -305,20 +303,12 @@ def good_event(
     bound = params.C * (u[0] + 2)
     if walks_decide(xi, mode, bound):
         return bool(walk_good_events(cfg.region, cfg.bools()[None], seed, xi, params)[0])
-    faces = _out_faces(u, params.k, params.d, tuple(outs))
-    res = exact_word_reach(
-        _restrict(cfg, u, params),
-        _sources(seed, xi),
-        bound,
-        early_stop=[(faces[:, j], need) for j in range(len(outs))],
-        node_budget=_budget(node_budget),
-        prune_targets=(faces.any(axis=1), "membership"),
-    )
-    reached = res.min_arrival
-    return all(
-        sum(y in reached for y in _face_points(v, params.k, params.d)) >= need
-        for v in outs
-    )
+    columns, faces, _ = _out_faces(u, params.k, params.d, tuple(outs))
+    res = exact_word_reach(_restrict(cfg, u, params), _sources(seed, xi), bound,
+                           early_stop=[(columns[:, j], need) for j in range(len(outs))],
+                           node_budget=_budget(node_budget),
+                           prune_targets=(columns.any(axis=1), "membership"))
+    return all((res.reached & bits).bit_count() >= need for bits, _ in faces)
 
 
 @lru_cache(maxsize=16)
@@ -327,6 +317,18 @@ def lambda_boundary(n: int, params: RenormParams) -> frozenset[Point]:
     lam = lambda_box(n, params.h, params.k, params.d)
     amb = slab_window(params.h, params.k, params.d, params.k * n + 2)
     return frozenset(inner_boundary(lam, amb))
+
+
+@lru_cache(maxsize=16)
+def _boundary_sites(n: int, params: RenormParams, intervals) -> tuple[np.ndarray, tuple]:
+    """lambda_boundary(n) in the window with these intervals, which holds
+    it: its rank-order mask and its (point, rank) pairs."""
+    window = Region(intervals)
+    points = tuple((y, int(window.rank(y))) for y in sorted(lambda_boundary(n, params)))
+    mask = np.zeros(window.volume, dtype=bool)
+    mask[[r for _, r in points]] = True
+    mask.setflags(write=False)
+    return mask, points
 
 
 def event_Emn(
@@ -354,23 +356,17 @@ def event_Emn(
     lam_n = lambda_box(n, params.h, params.k, params.d)
     if not lam_n.issubset(cfg.region):
         raise DomainError("configuration window too small for the scale-n box")
-    sources_pts = sorted(lambda_boundary(m + 1, params))
-    targets = lambda_boundary(n, params)
+    sources = SourceSet.uniform(sorted(lambda_boundary(m + 1, params)), xi)
+    target_mask, targets = _boundary_sites(n, params, cfg.region.intervals)
     bound = params.C * n if t_bound is None else t_bound
-    if bound > 1 << 20:
+    if bound > 1 << 20:  # before walks_decide reads the word up to bound
         raise CapacityError("offset bound beyond the search guard")
-    sources = SourceSet.uniform(sources_pts, xi)
-    if mode not in ("exact", "relaxed"):
-        raise DomainError(f"unknown search mode {mode!r}")
-    if mode == "relaxed" or has_period_two(xi, bound):
-        res = relaxed_word_reach(cfg, sources, bound, collect_arrivals=False)
+    if walks_decide(xi, mode, bound):
+        res = relaxed_word_reach(cfg, sources, bound)
     else:
-        tgt = np.zeros(cfg.region.volume, dtype=bool)
-        for y in targets:
-            tgt[cfg.region.rank(y)] = True
-        res = exact_word_reach(cfg, sources, bound, prune_targets=(tgt, "membership"),
+        res = exact_word_reach(cfg, sources, bound, prune_targets=(target_mask, "membership"),
                                node_budget=_budget(None))
-    T = {y for y in res.min_arrival if y in targets}
+    T = {y for y, r in targets if res.reached >> r & 1}
     return len(T) >= 8 * params.delta * len(targets), T
 
 

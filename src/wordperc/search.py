@@ -27,13 +27,19 @@ states that can still resolve one.  The exact search is a single
 depth-first loop (``_paths``) with an int visited set over
 ``neighbor_steps``.
 
-``relaxed_reach_block`` runs the relaxed sweep for a block of trials at
-once (multi-spin coding, after Jacobs and Rebbi, J. Comput. Phys. 41,
-1981): trial k is the k-th copy of the region along an extra axis that
-``_step`` never steps, the per-axis edge masks repeated once per copy,
-so one sweep over the stacked bitset advances every trial.  Since exact
-reach is a subset of relaxed reach, the same sweep screens a block for
-exact reach: a trial it does not reach at max_index needs no search.
+Both searches return their fronts, one rank-order bitset of the sites
+reached at each index, in a ``ReachResult`` of at most (max_index + 1) *
+volume bits; arrival sets, minimal arrivals and index hits are views of
+them.  The one relaxed sweep loop, ``_relaxed_sweep``, stops early once
+a period-2 word's fronts repeat, and the result keeps the last two.
+``relaxed_reach_block`` runs it for a block of trials at once and keeps
+no fronts, ``relaxed_word_reach`` being its one-copy case (multi-spin
+coding, after Jacobs and Rebbi, J. Comput. Phys. 41, 1981): trial k
+is the k-th copy of the region along an extra axis that ``_step`` never
+steps, the per-axis edge masks repeated once per copy, so one sweep over
+the stacked bitset advances every trial.  Since exact reach is a subset
+of relaxed reach, the same sweep screens a block for exact reach: a
+trial it does not reach at max_index needs no search.
 ``one_connected_block`` runs the constant word 1 over the same stacked
 lattice to its fixpoint, the 1-clusters of a block of colourings at once.
 
@@ -51,8 +57,9 @@ region (used for non-product domains like a box plus its seed face).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 import numpy as np
 
@@ -93,28 +100,73 @@ class SourceSet:
 
 @dataclass
 class ReachResult:
-    """Reached (vertex, index) pairs; arrival sets are integer bitsets."""
+    """Reached (vertex, index) pairs as one rank-order bitset of sites per
+    index: fronts[t] holds the ranks reached at index t.  A word whose
+    relaxed sweep stopped on a period-2 repeat at index s adds (s, F_{s-1},
+    F_s) to tails: at every index t in (s, max_index] it also reaches F_s
+    if t - s is even and F_{s-1} if odd, which adds no vertex.  The views
+    are built on first use, their dicts in rank order."""
 
     region: Region
-    arrivals: dict = field(default_factory=dict)  # Point -> int bitset of t
-    min_arrival: dict = field(default_factory=dict)  # Point -> smallest t
-    witnesses: dict | None = None  # Point -> path (vertex tuple)
+    fronts: list[int]
+    max_index: int
     exact: bool = True
-    index_hits: int = 0  # bitset of indices at which anything was reached
+    tails: tuple = ()
+    witnesses: dict | None = None  # Point -> path (vertex tuple)
+
+    def _indexed(self):
+        """(front, bitset of the indices it is reached at), tails included."""
+        for t, front in enumerate(self.fronts):
+            yield front, 1 << t
+        for s, odd, even in self.tails:
+            n = self.max_index - s
+            yield odd, _tile(1, 2, n) << s + 1
+            yield even, _tile(2, 2, n) << s + 1
+
+    @cached_property
+    def reached(self) -> int:
+        """The sites reached at some index, as a bitset."""
+        return reduce(or_, self.fronts, 0)
+
+    def first_arrivals(self, sites: int = -1) -> dict[int, int]:
+        """Rank -> first index reached, for the reached ranks of sites, in rank order."""
+        first: dict[int, int] = {}
+        left = sites & self.reached
+        for t, front in enumerate(self.fronts):
+            if new := front & left:
+                first.update(dict.fromkeys(_ranks(new, self.region.volume).tolist(), t))
+                left ^= new
+        return dict(sorted(first.items()))
+
+    def _points(self, by_rank: dict) -> dict:
+        pts = self.region.points_array()[list(by_rank)].tolist()
+        return dict(zip(map(tuple, pts), by_rank.values()))
+
+    @cached_property
+    def min_arrival(self) -> dict:
+        """Point -> smallest index it is reached at."""
+        return self._points(self.first_arrivals())
+
+    @cached_property
+    def arrivals(self) -> dict:
+        """Point -> int bitset of the indices it is reached at."""
+        bits: dict[int, int] = {}
+        for front, indices in self._indexed():
+            for r in _ranks(front, self.region.volume).tolist():
+                bits[r] = bits.get(r, 0) | indices
+        return self._points(dict(sorted(bits.items())))
+
+    @cached_property
+    def index_hits(self) -> int:
+        """Bitset of the indices at which anything is reached."""
+        return reduce(or_, (indices for front, indices in self._indexed() if front), 0)
 
     def vertices(self) -> set[Point]:
         return set(self.min_arrival)
 
     def pairs(self) -> set[tuple[Point, int]]:
-        out = set()
-        for v, bits in self.arrivals.items():
-            t = 0
-            while bits:
-                if bits & 1:
-                    out.add((v, t))
-                bits >>= 1
-                t += 1
-        return out
+        return {(v, t) for v, bits in self.arrivals.items()
+                for t in range(bits.bit_length()) if bits >> t & 1}
 
     def contains_pair(self, v: Point, t: int) -> bool:
         return bool((self.arrivals.get(tuple(v), 0) >> t) & 1)
@@ -192,12 +244,14 @@ def _ranks(bits: int, volume: int) -> np.ndarray:
     return np.flatnonzero(_unpack(bits, volume))
 
 
-@lru_cache(maxsize=16)
-def _lattice(sizes) -> tuple[tuple[int, int, int], ...]:
-    """Per axis (stride, up, down) of a region with these axis sizes: up
-    holds the ranks r whose neighbor r + stride is in the region, down
-    those whose r - stride is.  Keyed on the shape alone, so every box of
-    one shape shares an entry."""
+@lru_cache(maxsize=32)
+def _stacked(sizes, copies: int = 1):
+    """Per axis (stride, up, down) of `copies` copies of a region with these
+    axis sizes side by side along an extra axis that _step never takes: up
+    holds the ranks r whose neighbor r + stride is in their copy, down
+    those whose r - stride is; and the repunit with bit k * volume set for
+    every copy k.  Keyed on the shape and the copies alone, so every box of
+    one shape shares an entry, and so do a range's blocks but its last."""
     volume = 1
     for size in sizes:
         volume *= size
@@ -208,10 +262,10 @@ def _lattice(sizes) -> tuple[tuple[int, int, int], ...]:
         # sites per coordinate; all but the last run step up, all but the
         # first step down
         inner = (1 << stride * (size - 1)) - 1
-        out.append((stride, _tile(inner, stride * size, volume),
-                    _tile(inner << stride, stride * size, volume)))
+        out.append((stride, _tile(inner, stride * size, copies * volume),
+                    _tile(inner << stride, stride * size, copies * volume)))
         stride *= size
-    return tuple(out)
+    return tuple(out), _tile(1, volume, copies * volume)
 
 
 def _step(front: int, lattice) -> int:
@@ -231,13 +285,6 @@ def _sweep(lattice, allowed, letters: int, indices, seeds: dict, front: int = 0)
     for t in indices:
         front = (_step(front, lattice) | seeds.get(t, 0)) & allowed[letters >> t & 1]
         yield t, front
-
-
-def _prepare(cfg: Configuration, sources: SourceSet, max_index: int, within):
-    """The region, the sites each letter may occupy (0-sites and 1-sites
-    inside the mask, as bitsets) and each word id's (rank, offset) sources."""
-    groups = _groups(cfg.region, sources, max_index)
-    return cfg.region, _allowed(cfg, within), groups
 
 
 def _groups(region: Region, sources: SourceSet, max_index: int):
@@ -271,23 +318,6 @@ def _seeds(srcs) -> dict[int, int]:
     for r, t in srcs:
         by_t[t] = by_t.get(t, 0) | 1 << r
     return by_t
-
-
-@lru_cache(maxsize=16)
-def _stacked(sizes, copies: int):
-    """The lattice of `copies` copies of a region with these axis sizes side
-    by side along an extra axis that _step never takes (the per-axis edge
-    masks repeated once per copy), and the repunit with bit k * volume set
-    for every copy k.  Cached, since a range's blocks but its last have one
-    size; one copy is the lattice itself."""
-    lattice = _lattice(sizes)
-    if copies == 1:
-        return lattice, 1
-    volume = 1
-    for size in sizes:
-        volume *= size
-    repunit = _tile(1, volume, copies * volume)
-    return tuple((stride, up * repunit, down * repunit) for stride, up, down in lattice), repunit
 
 
 def one_connected_block(region: Region, colors: np.ndarray, S) -> np.ndarray:
@@ -329,54 +359,44 @@ def one_connected_set(
     return set(map(tuple, reg.points_array()[seen].tolist()))
 
 
-def relaxed_word_reach(
-    cfg: Configuration,
-    sources: SourceSet,
-    max_index: int,
-    within=None,
-    collect_arrivals: bool = True,
-) -> ReachResult:
-    """Product-state BFS; reached pairs form a superset of the exact ones."""
-    region, allowed, groups = _prepare(cfg, sources, max_index, within)
-    lattice = _lattice(region.sizes)
-    result = ReachResult(region, exact=False)
-    minarr = np.full(region.volume, MAX_INDEX + 1, dtype=np.int64)
-    arr_bits: dict[int, int] | None = {} if collect_arrivals else None
+def _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit=1):
+    """Yield (t, F_t, tail) along the relaxed sweep of each word id's
+    sources in turn, seeded once per copy of the repunit.  An id's sweep
+    stops past its last seed at an empty front, or, for period-2 letters,
+    at a front equal to the one two steps back: its fronts then alternate
+    F_{t-1}, F_t up to max_index, and tail is F_{t-1} (else None)."""
     for wid, srcs in groups.items():
         letters = _letters(sources.words[wid], max_index)
-        # period-2 letter windows repeat once the frontier matches two steps
-        # back; arrivals are then complete (minima only; full arrival
-        # bitsets keep accumulating, so no shortcut there)
-        period2 = arr_bits is None and has_period_two(letters, max_index)
-        seeds = _seeds(srcs)
+        period2 = has_period_two(letters, max_index)
+        seeds = {t: bits * repunit for t, bits in _seeds(srcs).items()}
         t_last = max(seeds)
-        seen = 0
         prev = prev2 = None
         indices = range(min(seeds), max_index + 1)
         for t, front in _sweep(lattice, allowed, letters.bits, indices, seeds):
-            if front:
-                result.index_hits |= 1 << t
-                new = front & ~seen
-                if new:
-                    hit = _ranks(new, region.volume)
-                    minarr[hit] = np.minimum(minarr[hit], t)
-                    seen |= new
-                if arr_bits is not None:
-                    for r in _ranks(front, region.volume).tolist():
-                        arr_bits[r] = arr_bits.get(r, 0) | 1 << t
-            elif t >= t_last:
-                break
             if period2 and t_last <= t - 2 and front == prev2:
-                result.index_hits |= ((1 << (max_index - t + 1)) - 1) << t
+                yield t, front, prev
+                break
+            yield t, front, None
+            if not front and t >= t_last:
                 break
             prev2, prev = prev, front
-    reached = np.flatnonzero(minarr <= MAX_INDEX)
-    for r, pt in zip(reached.tolist(), region.points_array()[reached].tolist()):
-        pt = tuple(pt)
-        result.min_arrival[pt] = int(minarr[r])
-        if arr_bits is not None:
-            result.arrivals[pt] = arr_bits[r]
-    return result
+
+
+def relaxed_word_reach(cfg: Configuration, sources: SourceSet, max_index: int,
+                       within=None) -> ReachResult:
+    """Product-state BFS; reached pairs form a superset of the exact ones.
+    The one-copy relaxed sweep, its words' fronts united index by index."""
+    region, groups = cfg.region, _groups(cfg.region, sources, max_index)
+    allowed = _allowed(cfg, within)
+    lattice, _ = _stacked(region.sizes, 1)
+    fronts: list[int] = []
+    tails = []
+    for t, front, tail in _relaxed_sweep(lattice, allowed, sources, groups, max_index):
+        fronts += [0] * (t + 1 - len(fronts))
+        fronts[t] |= front
+        if tail is not None:
+            tails.append((t, tail, front))
+    return ReachResult(region, fronts, max_index, exact=False, tails=tuple(tails))
 
 
 def relaxed_reach_block(
@@ -404,24 +424,12 @@ def relaxed_reach_block(
     allowed = (_bits(~flat), _bits(flat))
     lattice, repunit = _stacked(region.sizes, copies)
     hits = seen = 0
-    for wid, srcs in groups.items():
-        letters = _letters(sources.words[wid], max_index)
-        period2 = has_period_two(letters, max_index)
-        seeds = {t: bits * repunit for t, bits in _seeds(srcs).items()}
-        t_last = max(seeds)
-        prev = prev2 = None
-        indices = range(min(seeds), max_index + 1)
-        for t, front in _sweep(lattice, allowed, letters.bits, indices, seeds):
-            seen |= front
-            if not front and t >= t_last:
-                break
-            # past the last seed, period-2 letters repeat the fronts of two
-            # steps back, and a copy of the front is empty at both parities
-            # or at neither (an empty front stays empty)
-            if period2 and t_last <= t - 2 and front == prev2:
-                break
-            prev2, prev = prev, front
-        hits |= front
+    for t, front, tail in _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit):
+        seen |= front
+        # past the last seed, a copy of a period-2 front is empty at both
+        # parities or at neither (an empty front stays empty)
+        if t == max_index or tail is not None:
+            hits |= front
     if reached:
         return _unpack(seen, sites).reshape(copies, volume)
     return _unpack(hits, sites).reshape(copies, volume).any(axis=1)
@@ -504,12 +512,11 @@ def exact_word_reach(
     preserves the reached-vertex set on the mask, "min" also preserves
     minimal arrivals; full (vertex, index) pair sets are NOT preserved.
     """
-    region, allowed, groups = _prepare(cfg, sources, max_index, within)
-    lattice = _lattice(region.sizes)
+    region, groups = cfg.region, _groups(cfg.region, sources, max_index)
+    allowed = _allowed(cfg, within)
+    lattice = _stacked(region.sizes)[0]
     kind, steps = neighbor_steps(region.sizes)
-    result = ReachResult(region, exact=True)
-    if want_witness:
-        result.witnesses = {}
+    witnesses = {} if want_witness else None
     mask_volume = (allowed[0] | allowed[1]).bit_count()
     targets = None
     if early_stop:
@@ -521,7 +528,7 @@ def exact_word_reach(
         if flavor not in ("membership", "min"):
             raise DomainError(f"unknown prune flavor {flavor!r}")
 
-    arr_bits: dict[int, int] = {}
+    fronts: dict[int, int] = {}  # t -> ranks reached at t
     minarr: dict[int, int] = {}
     stale = 0  # improved target arrivals since the useful table was built
 
@@ -532,11 +539,10 @@ def exact_word_reach(
             minarr[rank] = t
             if target_mask is not None and target_mask[rank]:
                 stale += 1
-        arr_bits[rank] = arr_bits.get(rank, 0) | (1 << t)
-        result.index_hits |= 1 << t
+        fronts[t] = fronts.get(t, 0) | 1 << rank
         if prev is None:
             if want_witness:
-                result.witnesses[region.unrank(rank)] = tuple(
+                witnesses[region.unrank(rank)] = tuple(
                     region.unrank(entry[0]) for entry in stack
                 )
             if targets:
@@ -595,11 +601,8 @@ def exact_word_reach(
                 _paths(steps, kind, ok, t_lo, t1, cap, start, t_start, visit)
     except _StopSearch:
         pass
-    for r, bits in arr_bits.items():
-        pt = region.unrank(r)
-        result.arrivals[pt] = bits
-        result.min_arrival[pt] = minarr[r]
-    return result
+    fronts_list = [fronts.get(t, 0) for t in range(max(fronts, default=-1) + 1)]
+    return ReachResult(region, fronts_list, max_index, exact=True, witnesses=witnesses)
 
 
 def verify_witness(cfg: Configuration, path, word, t_start: int) -> bool:
@@ -650,7 +653,7 @@ def sees_all_words(
     if not starts:
         raise DomainError("from-region does not meet the configuration region")
     allowed = _allowed(cfg, within)
-    lattice = _lattice(reg.sizes)
+    lattice = _stacked(reg.sizes)[0]
     if mode == "exact":
         if length > (allowed[0] | allowed[1]).bit_count():
             return False, Word(0, length)  # no self-avoiding path is that long

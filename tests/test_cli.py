@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +8,8 @@ import pytest
 
 from wordperc import config, renorm, wierman
 from wordperc.cli import main
+from wordperc.geometry import box
+from wordperc.rng import RngStream
 
 
 def run_cli(args):
@@ -131,7 +134,22 @@ def test_spec_file_roundtrip(tmp_path):
 def test_oracle_command():
     code, out = run_cli(["oracle", "--stride", "17"])
     assert code == 0
-    assert out.count("PASS") == 3 and "FAIL" not in out
+    assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_oracle_stride_below_one(stride, capsys):
+    code, err = run_cli_err(["oracle", "--stride", stride], capsys)
+    assert code == 2
+    assert f"--stride must be at least 1, not {stride}" in err
+
+
+@pytest.mark.parametrize("m_list, item", [("a", "'a'"), ("", "''"), ("0,,1", "''")])
+def test_decay_m_list_item_not_an_integer(m_list, item, capsys):
+    code, err = run_cli_err(["decay", "--p", "0.5", "--L", "2", "--R", "2", "--m-list", m_list,
+                             "--trials", "3"], capsys)
+    assert code == 2
+    assert f"--m-list item {item} is not an integer" in err
 
 
 def test_console_entrypoint_help():
@@ -387,6 +405,23 @@ def test_sample_oversized_box(tmp_path, capsys):
     assert not (tmp_path / "c.wpc").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", -1), ("--stream", -1), ("--seed", 2**70),
+                                         ("--stream", 2**64)])
+def test_sample_seed_outside_64_bits_leaves_no_file(tmp_path, capsys, flag, value):
+    out = tmp_path / "c.wpc"
+    code, err = run_cli_err(["sample", "--region", "box:m=2,d=2", "--p", "0.5", flag, str(value),
+                             "--out", str(out)], capsys)
+    assert code == 2
+    assert f"{flag} must lie in [0, 2^64)" in err
+    assert not out.exists()
+    # write_wpc itself packs its header before it opens the file
+    cfg = config.sample(box(2, 2), 0.5, RngStream(1, 0))
+    bad = config.Configuration(cfg.region, cfg.words, config.Provenance(0.5, value, 0))
+    with pytest.raises(struct.error):
+        config.write_wpc(bad, str(out))
+    assert not out.exists()
+
+
 def test_renorm_good_oversized_window(capsys):
     code, err = run_cli_err(["renorm", "--k", "400", "--p", "0.5", "--word", "alt",
                              "--trials", "1"], capsys)
@@ -468,6 +503,14 @@ def test_spec_seed_not_an_integer(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "'seed' must be an integer" in capsys.readouterr().err
+
+
+def test_spec_seed_outside_64_bits(tmp_path, capsys):
+    for seed in (-1, 2**64):
+        code, stdout = run_cli(["--spec", _site_spec(tmp_path, seed=seed)])
+        assert code == 2
+        assert stdout == ""
+        assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
 
 
 def test_spec_trials_boolean(tmp_path, capsys):

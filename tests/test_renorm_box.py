@@ -84,19 +84,18 @@ def box_cases(draw):
     return params, u, cfg, seed, word
 
 
-@given(box_cases(), st.booleans(), st.integers(0, 60))
+@given(box_cases(), st.integers(0, 60))
 @settings(max_examples=40, deadline=None)
-def test_relaxed_box_search_matches_masked_window(case, collect, max_index):
+def test_relaxed_box_search_matches_masked_window(case, max_index):
     params, u, cfg, seed, word = case
     bound = max(max_index, max(t for _, t in seed.entries))
     sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
     mask = region_mask(cfg.region, [macro_face(u, params.k, 3), macro_box(u, params.k, 3)])
     box = renorm._restrict(cfg, u, params)
     assert box.region.volume == (2 * params.k + 1) * (2 * params.k) ** 2
-    # the good event's bound too, where full arrival sets stay cheap
-    for t in (bound,) if collect else (bound, params.C * (u[0] + 2)):
-        same_result(relaxed_word_reach(box, sources, t, collect_arrivals=collect),
-                    relaxed_word_reach(cfg, sources, t, within=mask, collect_arrivals=collect))
+    for t in (bound, params.C * (u[0] + 2)):  # the good event's bound too
+        same_result(relaxed_word_reach(box, sources, t),
+                    relaxed_word_reach(cfg, sources, t, within=mask))
 
 
 @given(box_cases(), st.sampled_from(["early_stop", "min", "membership", "witness"]),
@@ -149,7 +148,7 @@ def masked_good_event(cfg, seed, word, params, mode, node_budget=None):
         return True
     bound, need = params.C * (u[0] + 2), renorm._need(params)
     if mode == "relaxed" or has_period_two(word, bound):
-        res = relaxed_word_reach(cfg, sources, bound, within=mask, collect_arrivals=False)
+        res = relaxed_word_reach(cfg, sources, bound, within=mask)
     else:
         faces = [region_mask(cfg.region, [macro_face(v, k, params.d)]) for v in outs]
         res = exact_word_reach(cfg, sources, bound, within=mask,
@@ -243,7 +242,7 @@ def test_tables_keyed_on_shape():
             want.append((stride, search._bits(pts[:, axis] < hi),
                          search._bits(pts[:, axis] > lo + 1)))
             stride *= hi - lo
-        assert search._lattice(region.sizes) == tuple(want)
+        assert search._stacked(region.sizes)[0] == tuple(want)
         kind, steps = neighbor_steps(region.sizes)
         table = neighbor_ranks(ivs)
         for r in range(region.volume):

@@ -7,7 +7,8 @@ import pytest
 from wordperc.config import Configuration, enumerate_configs, flip_colors, sample
 from wordperc.errors import CapacityError, DomainError
 from wordperc.geometry import Region, box, single_cell
-from wordperc.oracles import connected_bruteforce, distance_map, saw_reach_bruteforce
+from wordperc.oracles import (connected_bruteforce, distance_map, saw_reach_bruteforce,
+                              walk_reach_bruteforce)
 from wordperc.rng import RngStream
 from wordperc.search import (
     SourceSet,
@@ -18,7 +19,8 @@ from wordperc.search import (
     sees_all_words,
     verify_witness,
 )
-from wordperc.words import AlternatingWord, ConstantWord, ProductWord, Word, enumerate_words
+from wordperc.words import (AlternatingWord, ConstantWord, PeriodicWord, ProductWord, Word,
+                            enumerate_words)
 
 R33 = Region(((-2, 1), (-2, 1)))  # 3x3 around the origin
 ORIGIN_CELL = single_cell((0, 0))
@@ -185,10 +187,12 @@ def test_sees_all_words_exact_matches_bruteforce():
 def test_relaxed_modes_agree_on_vertices():
     cfg = sample(R33, 0.5, RngStream(4, 1))
     src = SourceSet.single((0, 0), Word.from_string("10110"))
-    full = relaxed_word_reach(cfg, src, 4, collect_arrivals=True)
-    lean = relaxed_word_reach(cfg, src, 4, collect_arrivals=False)
-    assert full.min_arrival == lean.min_arrival
-    assert full.index_hits == lean.index_hits
+    res = relaxed_word_reach(cfg, src, 4)
+    assert res.min_arrival == {v: (b & -b).bit_length() - 1 for v, b in res.arrivals.items()}
+    hits = 0
+    for bits in res.arrivals.values():
+        hits |= bits
+    assert res.index_hits == hits
 
 
 SQ9 = Region(((-5, 4), (-5, 4)))  # 81 sites, beyond one 64-bit word
@@ -233,6 +237,33 @@ def test_relaxed_minima_over_several_words():
             assert both.min_arrival == expect
 
 
+def test_relaxed_matches_walk_bruteforce():
+    # period-2 words stop their sweeps early and carry a tail to max_index;
+    # two-word sets unite sweeps that stop apart or run to the end
+    period2 = (AlternatingWord(), ConstantWord(1), PeriodicWord("0"))
+    other = (PeriodicWord("110"), ProductWord(0.5, seed=3))
+    pairs_of_words = [(a, b) for a in period2 for b in period2 + other if a is not b]
+    for region in (R33, box(1, 3), Region(((-4, 3),))):
+        pts = list(region.iter_points())
+        for seed in range(2):
+            cfg = sample(region, 0.6, RngStream(81, seed))
+            mask = sample(region, 0.8, RngStream(82, seed)).bools() if seed else None
+            allowed = None if mask is None else {v for v in pts if mask[region.rank(v)]}
+            sets = [SourceSet.single(pts[len(pts) // 2], w) for w in period2 + other]
+            sets += [SourceSet(((pts[0], 0, 0), (pts[-1], 2, 1), (pts[1], 5, 1)), words)
+                     for words in pairs_of_words]
+            for src in sets:
+                for max_index in (4, 57, 200):
+                    want = walk_reach_bruteforce(cfg, src, max_index, allowed)
+                    got = relaxed_word_reach(cfg, src, max_index, mask)
+                    assert got.pairs() == want
+                    first: dict = {}
+                    for v, t in sorted(want, key=lambda pair: pair[1]):
+                        first.setdefault(v, t)
+                    assert got.min_arrival == first
+                    assert got.index_hits == sum({1 << t for _, t in want})
+
+
 # -- result pins -----------------------------------------------------------------
 #
 # SHA-256 of canonical ReachResult contents, recorded (with record_pins) from
@@ -263,10 +294,12 @@ PIN_SEEDS = (0, 1, 2)
 PIN_DENSITY = (0.4, 0.5, 0.65)  # by seed
 
 
-def _canonical(res) -> str:
-    """Sorted JSON of every field of a result."""
+def _canonical(res, arrivals: bool = True) -> str:
+    """Sorted JSON of every field of a result; without arrivals, with its
+    arrivals emptied (what the search's arrival-less mode returned when the
+    pins were recorded)."""
     doc = {
-        "arrivals": sorted((list(v), b) for v, b in res.arrivals.items()),
+        "arrivals": sorted((list(v), b) for v, b in res.arrivals.items()) if arrivals else [],
         "min_arrival": sorted((list(v), t) for v, t in res.min_arrival.items()),
         "exact": res.exact,
         "index_hits": res.index_hits,
@@ -289,8 +322,7 @@ def _pin_calls(region, cfg, word, seed):
     targets = sample(region, 0.3, RngStream(8, seed)).bools()
     on_targets = lambda v: targets[region.rank(v)]  # noqa: E731
     yield "relaxed", lambda: _canonical(relaxed_word_reach(cfg, single, 24))
-    yield "relaxed_lean", lambda: _canonical(
-        relaxed_word_reach(cfg, multi, 24, collect_arrivals=False))
+    yield "relaxed_lean", lambda: _canonical(relaxed_word_reach(cfg, multi, 24), arrivals=False)
     yield "relaxed_within", lambda: _canonical(relaxed_word_reach(cfg, multi, 24, within))
     # the earlier search of regions beyond 64 sites kept a vertex's arrival
     # from the first word that reached it, not the smallest one; those cases
