@@ -247,6 +247,28 @@ def cmd_oracle(args):
                 ok = False
     check("relaxed = walk enumeration on 3x3", ok)
 
+    ok = True
+    # minimal arrivals on the right column and the centre from the left
+    # column, read by two words; the second starts earlier, so it searches
+    # on a table pruned by the first one's minima
+    targets = [v for v in r33.iter_points() if v[0] == 1 or v == (0, 0)]
+    mask = [v in targets for v in r33.iter_points()]
+    left = [(-1, -1), (-1, 0), (-1, 1)]
+    src = SourceSet(tuple((v, t, 0) for v, t in zip(left, (2, 3, 2)))
+                    + tuple((v, t, 1) for v, t in zip(left, (0, 1, 0))),
+                    (Word.from_string("110101101"), Word.from_string("011011010")))
+    for i, cfg in enumerate(enumerate_configs(r33)):
+        if i % args.stride:
+            continue
+        pruned = exact_word_reach(cfg, src, 8, prune_targets=(mask, "min"))
+        want = {}
+        for v, t in saw_reach_bruteforce(cfg, src, 8):
+            if v in targets:
+                want[v] = min(t, want.get(v, t))
+        if {v: t for v, t in pruned.min_arrival.items() if v in targets} != want:
+            ok = False
+    check("pruned exact minima = path enumeration on 3x3", ok)
+
     return 1 if failures else 0
 
 

@@ -62,12 +62,20 @@ REQUIRED = {
 }
 
 
+# the keys each region kind has no default for
+_REGION_KEYS = {"box": ("m",), "ball": ("m",), "lambda": ("n", "h", "k"),
+                "intervals": ("intervals",)}
+
+
 def region_from_spec(spec) -> Region:
     if isinstance(spec, Region):
         return spec
     if not isinstance(spec, dict):
         raise DomainError(f"a region is an object with a kind, not {spec!r}")
     kind = spec.get("kind", "intervals")
+    for key in _REGION_KEYS.get(kind, ()):
+        if key not in spec:
+            raise DomainError(f"a region of kind {kind!r} needs {key!r}")
     if kind in ("box", "ball"):
         return box(int(spec["m"]), int(spec.get("d", 3)))
     if kind == "lambda":

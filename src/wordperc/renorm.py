@@ -61,6 +61,7 @@ from .oriented import explore, slab_windows
 from .rng import RngStream
 from .words import has_period_two
 from .search import (
+    MAX_INDEX,
     SourceSet,
     exact_word_reach,
     relaxed_reach_block,
@@ -214,9 +215,13 @@ def _need(params: RenormParams) -> int:
 
 
 def walks_decide(xi, mode: str, bound: int) -> bool:
-    """Whether the walk (relaxed) search answers the box question."""
+    """Whether the walk (relaxed) search answers the box question.  A
+    bound past the searches' MAX_INDEX is a CapacityError, raised before
+    the word is read up to it."""
     if mode not in ("exact", "relaxed"):
         raise DomainError(f"unknown search mode {mode!r}")
+    if bound > MAX_INDEX:
+        raise CapacityError(f"max_index capped at {MAX_INDEX}")
     # for period-<=2 words on the bipartite lattice, loop erasure makes
     # walk and self-avoiding reachability agree on membership and minima
     return mode == "relaxed" or has_period_two(xi, bound)
@@ -359,8 +364,6 @@ def event_Emn(
     sources = SourceSet.uniform(sorted(lambda_boundary(m + 1, params)), xi)
     target_mask, targets = _boundary_sites(n, params, cfg.region.intervals)
     bound = params.C * n if t_bound is None else t_bound
-    if bound > 1 << 20:  # before walks_decide reads the word up to bound
-        raise CapacityError("offset bound beyond the search guard")
     if walks_decide(xi, mode, bound):
         res = relaxed_word_reach(cfg, sources, bound)
     else:

@@ -24,8 +24,10 @@ alternates steps with masking by the sites whose color is the next
 letter: forward from the sources it gives the relaxed reach and the
 exact search's pruning table, backward from the targets the table of
 states that can still resolve one.  The exact search is a single
-depth-first loop (``_paths``) with an int visited set over
-``neighbor_steps``.
+depth-first generator (``_paths``) with an int visited set over
+``neighbor_steps``: it yields each step, and ``exact_word_reach`` and
+``sees_all_words`` consume the steps in plain loops that record
+arrivals, check their stop rules and return.
 
 Both searches return their fronts, one rank-order bitset of the sites
 reached at each index, in a ``ReachResult`` of at most (max_index + 1) *
@@ -46,10 +48,10 @@ lattice to its fixpoint, the 1-clusters of a block of colourings at once.
 ``sees_all_words`` walks the word trie depth first: the front of a prefix
 is its parent's front stepped and masked by its last letter, so words
 sharing a prefix share its fronts, an empty front settles a whole
-subtree, and an exact leaf runs the depth-first loop pruned by the chain
-of fronts along its word.  Its start-ball bitsets and horizon masks are
-cached apart, per pair of region intervals, since every trial asks for
-the same ones.
+subtree, and an exact leaf iterates the depth-first generator pruned by
+the chain of fronts along its word until a step reaches its last index.
+Its start-ball bitsets and horizon masks are cached apart, per pair of
+region intervals, since every trial asks for the same ones.
 
 Searches run inside an optional boolean mask over the configuration's
 region (used for non-product domains like a box plus its seed face).
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import chain
 from operator import or_
 
 import numpy as np
@@ -435,9 +438,10 @@ def relaxed_reach_block(
     return _unpack(hits, sites).reshape(copies, volume).any(axis=1)
 
 
-def _useful_table(lattice, allowed, letters, t0, t1, target, minarr, flavor):
-    """Backward companion of the forward table: states from which the
-    relaxed dynamics can still resolve a target.
+def _pruned(forward, lattice, allowed, letters, t0, target, minarr, flavor):
+    """The forward table forward[t - t0] cut to the states from which the
+    relaxed dynamics can still resolve a target (the backward companion
+    of the forward table), as a new list.
 
     flavor "membership": a target y is unresolved while unreached.
     flavor "min": y is also worth improving at indices below its best
@@ -445,6 +449,7 @@ def _useful_table(lattice, allowed, letters, t0, t1, target, minarr, flavor):
     sets (membership) and minimal arrivals (min); it must not be used
     when the full (vertex, index) pair set is wanted.
     """
+    t1 = t0 + len(forward) - 1
     best = np.where(target, t1 + 1, -1)  # a target y is wanted at t < best[y]
     if minarr:
         ranks = np.fromiter(minarr, np.int64, len(minarr))
@@ -455,20 +460,16 @@ def _useful_table(lattice, allowed, letters, t0, t1, target, minarr, flavor):
     for t in range(t1, t0 - 1, -1):
         goals[t] = wanted
         wanted |= gains.get(t, 0)
-    table = [f for _, f in _sweep(lattice, allowed, letters, range(t1, t0 - 1, -1), goals)]
-    return table[::-1]
+    useful = [f for _, f in _sweep(lattice, allowed, letters, range(t1, t0 - 1, -1), goals)]
+    return [f & u for f, u in zip(forward, useful[::-1])]
 
 
-class _StopSearch(Exception):
-    pass
-
-
-def _paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start, visit):
+def _paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start):
     """Self-avoiding walks from start at index t_start, depth first in
     neighbor order, whose site at each index t lies in ok[t - t_lo], up to
-    index t_hi and cap sites.  Calls visit(rank, t, path) after every
-    step, path being the stack of (rank, index, untried neighbor steps);
-    visit may stop the walk by raising, or update ok in place."""
+    index t_hi and cap sites.  Yields (rank, t, path) after every step,
+    path being the stack of (rank, index, untried neighbor steps); the
+    caller may stop iterating, or update ok in place between steps."""
     stack = [(start, t_start, iter(steps[kind[start]]))]
     visited = 1 << start
     while stack:
@@ -479,11 +480,22 @@ def _paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start, visit):
             if row >> u & 1 and not visited >> u & 1:
                 stack.append((u, t + 1, iter(steps[kind[u]])))
                 visited |= 1 << u
-                visit(u, t + 1, stack)
+                yield u, t + 1, stack
                 break
         else:
             stack.pop()
             visited ^= 1 << r
+
+
+def _walks_to_end(steps, kind, fronts, starts, length) -> bool:
+    """Whether a self-avoiding walk from one of the start ranks reaches
+    index length - 1 with its site at each index t in fronts[t]."""
+    for r in starts:
+        if fronts[0] >> r & 1:
+            for _, t, _ in _paths(steps, kind, fronts, 0, length - 1, length, r, 0):
+                if t == length - 1:
+                    return True
+    return False
 
 
 def exact_word_reach(
@@ -511,98 +523,81 @@ def exact_word_reach(
     unresolved target is even relaxed-reachable.  flavor "membership"
     preserves the reached-vertex set on the mask, "min" also preserves
     minimal arrivals; full (vertex, index) pair sets are NOT preserved.
+
+    One loop over the sources' starts and the steps of their walks: a
+    step counts against the node budget, each start and step is recorded
+    (arrival, first-arrival counts, witness) and checked against the stop
+    rules, and the pruned table is rebuilt once enough target arrivals
+    improved since the last build.  Node counts, and so which searches
+    exceed a budget, depend on this order.
     """
     region, groups = cfg.region, _groups(cfg.region, sources, max_index)
     allowed = _allowed(cfg, within)
     lattice = _stacked(region.sizes)[0]
     kind, steps = neighbor_steps(region.sizes)
-    witnesses = {} if want_witness else None
     mask_volume = (allowed[0] | allowed[1]).bit_count()
-    targets = None
-    if early_stop:
-        targets = [(np.asarray(m, bool), int(th)) for m, th in early_stop]
-    counts = [0] * len(targets) if targets else None
-    target_mask = flavor = None
+    stops = [(_bits(np.asarray(m, bool)), int(th)) for m, th in early_stop or ()]
+    counts = [0] * len(stops)
+    target_mask, target, flavor = None, 0, None
     if prune_targets is not None:
         target_mask, flavor = np.asarray(prune_targets[0], bool), prune_targets[1]
         if flavor not in ("membership", "min"):
             raise DomainError(f"unknown prune flavor {flavor!r}")
+        target = _bits(target_mask)
+    refresh_after = max(1024, 4 * mask_volume)
 
-    fronts: dict[int, int] = {}  # t -> ranks reached at t
+    fronts: list[int] = []  # fronts[t]: ranks reached at t
+    res = ReachResult(region, fronts, max_index, exact=True,
+                      witnesses={} if want_witness else None)
     minarr: dict[int, int] = {}
-    stale = 0  # improved target arrivals since the useful table was built
-
-    def record(rank: int, t: int, stack: list):
-        nonlocal stale
-        prev = minarr.get(rank)
-        if prev is None or t < prev:
-            minarr[rank] = t
-            if target_mask is not None and target_mask[rank]:
-                stale += 1
-        fronts[t] = fronts.get(t, 0) | 1 << rank
-        if prev is None:
-            if want_witness:
-                witnesses[region.unrank(rank)] = tuple(
-                    region.unrank(entry[0]) for entry in stack
-                )
-            if targets:
-                for i, (m, th) in enumerate(targets):
-                    if m[rank]:
-                        counts[i] += 1
-                if all(c >= th for c, (_, th) in zip(counts, targets)):
-                    raise _StopSearch
-        if stop_at_index is not None and t == stop_at_index:
-            raise _StopSearch
-
     nodes = 0
-
-    def visit(rank: int, t: int, stack: list):
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise CapacityError("exact search exceeded its node budget")
-        record(rank, t, stack)
-        # stale counts only improved prune targets, so it is 0 without them
-        if stale and nodes - nodes_at_refresh >= refresh_after:
-            refresh()
-
     cap = mask_volume if max_path_len is None else min(max_path_len, mask_volume)
-    try:
-        for wid in sorted(groups):
-            srcs = groups[wid]
-            t_lo = min(t for _, t in srcs)
-            t1 = min(max_index, max(t for _, t in srcs) + cap - 1)
-            letters = _letters(sources.words[wid], t1).bits
-            # ok[t - t_lo]: sites a self-avoiding path may occupy at index t
-            sweep = _sweep(lattice, allowed, letters, range(t_lo, t1 + 1), _seeds(srcs))
-            ok = forward = [f for _, f in sweep]
-            if target_mask is not None:
-
-                def refresh():
-                    nonlocal stale, nodes_at_refresh
-                    useful = _useful_table(
-                        lattice, allowed, letters, t_lo, t1, target_mask, minarr, flavor
-                    )
-                    stale, nodes_at_refresh = 0, nodes
-                    ok[:] = [f & u for f, u in zip(forward, useful)]
-
-                nodes_at_refresh = nodes
-                ok = list(forward)
-                refresh()
-                refresh_after = max(1024, 4 * mask_volume)
-            for start, t_start in sorted(srcs, key=lambda s: (s[1], s[0])):
-                if not allowed[letters >> t_start & 1] >> start & 1:
-                    continue
-                record(start, t_start, [(start,)])
-                if not ok[t_start - t_lo] >> start & 1:
-                    continue
-                if stale and nodes - nodes_at_refresh >= refresh_after:
-                    refresh()
-                _paths(steps, kind, ok, t_lo, t1, cap, start, t_start, visit)
-    except _StopSearch:
-        pass
-    fronts_list = [fronts.get(t, 0) for t in range(max(fronts, default=-1) + 1)]
-    return ReachResult(region, fronts_list, max_index, exact=True, witnesses=witnesses)
+    for wid in sorted(groups):
+        srcs = groups[wid]
+        t_lo = min(t for _, t in srcs)
+        t1 = min(max_index, max(t for _, t in srcs) + cap - 1)
+        letters = _letters(sources.words[wid], t1).bits
+        # ok[t - t_lo]: sites a self-avoiding path may occupy at index t
+        sweep = _sweep(lattice, allowed, letters, range(t_lo, t1 + 1), _seeds(srcs))
+        ok = forward = [f for _, f in sweep]
+        if target_mask is not None:
+            ok = _pruned(forward, lattice, allowed, letters, t_lo, target_mask, minarr, flavor)
+        stale, refreshed = 0, nodes  # improved target arrivals, nodes at the last build
+        for start, t_start in sorted(srcs, key=lambda s: (s[1], s[0])):
+            if not allowed[letters >> t_start & 1] >> start & 1:
+                continue
+            walk = _paths(steps, kind, ok, t_lo, t1, cap, start, t_start)
+            for u, t, path in chain([(start, t_start, [(start,)])], walk):
+                if len(path) > 1:  # a step of the walk, not its start
+                    nodes += 1
+                    if node_budget is not None and nodes > node_budget:
+                        raise CapacityError("exact search exceeded its node budget")
+                prev = minarr.get(u)
+                if prev is None or t < prev:
+                    minarr[u] = t
+                    stale += target >> u & 1
+                if t >= len(fronts):
+                    fronts += [0] * (t + 1 - len(fronts))
+                fronts[t] |= 1 << u
+                if prev is None:
+                    if want_witness:
+                        res.witnesses[region.unrank(u)] = tuple(
+                            region.unrank(entry[0]) for entry in path)
+                    if stops:
+                        for i, (bits, _) in enumerate(stops):
+                            counts[i] += bits >> u & 1
+                        if all(c >= th for c, (_, th) in zip(counts, stops)):
+                            return res
+                if t == stop_at_index:
+                    return res
+                if len(path) == 1 and not ok[t - t_lo] >> u & 1:
+                    break  # the start is recorded but no walk leaves it
+                # stale counts only improved prune targets, so it is 0 without them
+                if stale and nodes - refreshed >= refresh_after:
+                    ok[:] = _pruned(forward, lattice, allowed, letters, t_lo, target_mask,
+                                    minarr, flavor)
+                    stale, refreshed = 0, nodes
+    return res
 
 
 def verify_witness(cfg: Configuration, path, word, t_start: int) -> bool:
@@ -660,20 +655,6 @@ def sees_all_words(
         kind, steps = neighbor_steps(reg.sizes)
         ranks = _ranks(starts, reg.volume).tolist()
 
-        def reached_end(rank: int, t: int, path: list):
-            if t == length - 1:
-                raise _StopSearch
-
-        def walks_to_end() -> bool:
-            """Whether a self-avoiding walk reads the word; fronts is its table."""
-            try:
-                for r in ranks:
-                    if fronts[0] >> r & 1:
-                        _paths(steps, kind, fronts, 0, length - 1, length, r, 0, reached_end)
-            except _StopSearch:
-                return True
-            return False
-
     fronts = [0] * length  # fronts[t]: sites a walk reading word[:t + 1] holds at t
     word = t = 0  # letter i is bit i; letters after t are 0 (the 0-children)
     while True:
@@ -683,7 +664,8 @@ def sees_all_words(
             fronts[t] = front
             if not front:
                 break
-        if not front or mode == "exact" and length > 1 and not walks_to_end():
+        if not front or mode == "exact" and length > 1 and not _walks_to_end(
+                steps, kind, fronts, ranks, length):
             return False, Word(word, length)
         while t >= 0 and word >> t & 1:  # back up past walked 1-children
             word ^= 1 << t

@@ -134,7 +134,7 @@ def test_spec_file_roundtrip(tmp_path):
 def test_oracle_command():
     code, out = run_cli(["oracle", "--stride", "17"])
     assert code == 0
-    assert out.count("PASS") == 4 and "FAIL" not in out
+    assert out.count("PASS") == 5 and "FAIL" not in out
 
 
 @pytest.mark.parametrize("stride", ["0", "-1"])
@@ -274,6 +274,34 @@ def test_renorm_spec_u_not_a_macro_vertex(tmp_path, capsys):
         code, err = run_cli_err(["--spec", spath], capsys)
         assert code == 2
         assert shown in err
+
+
+@pytest.mark.parametrize("args, key", [
+    (["sample", "--region", "box:d=2", "--p", "0.5"], "'m'"),
+    (["sample", "--region", "box", "--p", "0.5"], "'m'"),
+    (["sample", "--region", "lambda:n=1", "--p", "0.5"], "'h'"),
+    (["wierman", "--region", "lambda:n=1,k=2", "--p", "0.4", "--word", "alt",
+      "--sources", "0,0,0", "--trials", "2"], "'h'"),
+])
+def test_region_argument_missing_key(args, key, tmp_path, capsys):
+    out = tmp_path / "c.wpc"
+    if args[0] == "sample":
+        args = args + ["--out", str(out)]
+    code, err = run_cli_err(args, capsys)
+    assert code == 2
+    assert f"needs {key}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("u0", [1_000_000, 100_000_000])
+def test_renorm_spec_bound_beyond_search_guard(u0, tmp_path, capsys):
+    """The good event's offset bound C * (u1 + 2) is refused before the
+    product word is read up to it."""
+    spath = spec_file(tmp_path, "renorm", {"p": 0.5, "k": 2, "word": "product:q=0.5,seed=2",
+                                           "u": [u0, 0, 2]})
+    code, err = run_cli_err(["--spec", spath], capsys)
+    assert code == 3
+    assert "max_index capped" in err
 
 
 def test_renorm_tdensity_above_one(capsys):

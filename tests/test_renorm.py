@@ -133,6 +133,23 @@ def test_seed_sets_exact_matches_bruteforce():
             assert entries == expect
 
 
+def test_seed_sets_bound_beyond_search_guard():
+    """A membership bound past search.MAX_INDEX is refused before the
+    product word's prefix is built up to it."""
+    import tracemalloc
+
+    cfg = sample(region_for(U, PAR), 0.5, RngStream(1, 0))
+    seed = SeedSet.full_face(U, PAR)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            seed_sets_from(cfg, seed, ProductWord(0.5, 3), PAR, t_membership=2**23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_good_event_degenerate():
     region = region_for(U, PAR)
     seed = SeedSet.full_face(U, PAR)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from wordperc import config, harness, renorm, search
 from wordperc.config import sample
 from wordperc.errors import CapacityError
-from wordperc.geometry import (Region, macro_box, macro_face, macro_out_neighbors,
+from wordperc.geometry import (Region, box, macro_box, macro_face, macro_out_neighbors,
                                neighbor_ranks, neighbor_steps)
 from wordperc.renorm import RenormParams, SeedSet, good_event, seed_sets_from
 from wordperc.rng import RngStream
@@ -54,12 +54,10 @@ def counted(thunk):
     nodes = [0]
     paths = search._paths
 
-    def counting(steps, kind, ok, t_lo, t_hi, cap, start, t_start, visit):
-        def visit_counted(*args):
+    def counting(*args):
+        for step in paths(*args):
             nodes[0] += 1
-            visit(*args)
-
-        paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start, visit_counted)
+            yield step
 
     with mock.patch.object(search, "_paths", counting):
         try:
@@ -229,6 +227,66 @@ def test_exact_box_events_match_masked_window(case):
     assert got == want
     if got[0] != "cap":
         assert [list(got[0][v].items()) for v in outs] == [list(want[0][v].items()) for v in outs]
+
+
+def stop_case():
+    """An exact reach on box(3, 2) from two sources at offsets 0 and 2."""
+    cfg = sample(box(3, 2), 0.6, RngStream(5, 0))
+    word = harness.word_from_spec("product:q=0.6,seed=1")
+    return cfg, SourceSet.uniform([(0, 0), (-2, 1)], word, [0, 2])
+
+
+def good_case():
+    params = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
+    cfg = sample(window_around((0, 0, 2), 2, 3, [1, 0, 2, 1, 0, 2]), 0.5, RngStream(3, 2))
+    seed = SeedSet.full_face((0, 0, 2), params)
+    return cfg, seed, harness.word_from_spec("product:q=0.5,seed=2"), params
+
+
+@pytest.mark.parametrize("search", ["good_event", "stop_at_index"])
+def test_node_budget_counts_every_node(search):
+    """A search that takes N depth-first nodes returns the same with
+    node_budget=N and raises CapacityError with N - 1."""
+    cfg, src = stop_case()
+    box_cfg, seed, word, params = good_case()
+
+    def run(budget):
+        if search == "good_event":
+            return good_event(box_cfg, seed, word, params, node_budget=budget)
+        return exact_word_reach(cfg, src, 20, stop_at_index=10, node_budget=budget,
+                                want_witness=True)
+
+    want, nodes = counted(lambda: run(None))
+    assert want != "cap" and nodes > 10
+    got, got_nodes = counted(lambda: run(nodes))
+    assert got_nodes == nodes
+    if search == "good_event":
+        assert got == want
+    else:
+        same_result(got, want)
+        assert want.index_hits.bit_length() == 11  # stopped at its first arrival at 10
+    assert counted(lambda: run(nodes - 1)) == ("cap", nodes)
+
+
+def test_early_stop_rules():
+    """early_stop=[] is no early stop; a threshold of 0 stops at the first
+    new vertex, the first start in (offset, rank) order; a threshold of n
+    on every site stops at the n-th."""
+    cfg, src = stop_case()
+    whole = np.ones(cfg.region.volume, bool)
+    want, nodes = counted(lambda: exact_word_reach(cfg, src, 20))
+    got, got_nodes = counted(lambda: exact_word_reach(cfg, src, 20, early_stop=[]))
+    same_result(got, want)
+    assert got_nodes == nodes > 0
+    got, got_nodes = counted(lambda: exact_word_reach(cfg, src, 20, early_stop=[(whole, 0)]))
+    assert got_nodes == 0
+    assert got.min_arrival == {(0, 0): 0}
+    got = exact_word_reach(cfg, src, 20, early_stop=[(whole, 3), (whole, 1)])
+    assert got.reached.bit_count() == 3
+    # a vertex counts once, however often its arrival improves
+    everything = want.reached.bit_count()
+    got = exact_word_reach(cfg, src, 20, early_stop=[(whole, everything)])
+    assert got.reached == want.reached
 
 
 def test_tables_keyed_on_shape():
