@@ -1,20 +1,22 @@
 """Site percolation configurations on finite regions.
 
-A Configuration stores one bit per region point, packed LSB-first into
-64-bit words by point rank (first coordinate fastest). Sampling consumes
-one uniform per site in rank order, so identical (region, p, master_seed,
-stream_id) give identical bytes on every platform. sample_block draws the
-colours of a range of trials (streams) at once, comparing raw words with
-an integer threshold (rng.below); every Monte Carlo range function takes
-its configurations as rows of such blocks, over trial_blocks, and
-Configuration.from_rows packs a block's rows at once, each keeping its row
-as the bools() cache (from_bools is the one-row case). sample is the
-one-trial case, for the CLI and the tests.
+A Configuration holds its colouring as one int, as a Word holds its
+letters: bit r is the colour of the point of rank r (first coordinate
+fastest), the order of every search front; bools() is a cached view.
+Sampling consumes one uniform per site in rank order, so identical
+(region, p, master_seed, stream_id) give identical bits on every
+platform. sample_block draws the colours of a range of trials (streams)
+at once, comparing raw words with an integer threshold (rng.below); every
+Monte Carlo range function takes its configurations as rows of such
+blocks, over trial_blocks, and Configuration.from_rows packs a block's
+rows at once, each keeping its row as the bools() cache (from_bools is
+the one-row case). sample is the one-trial case, for the CLI and the tests.
 
 Binary file format (.wpc): magic "WPC1", u32 version=1, u32 dim,
-dim x (i64 lo, i64 hi), f64 p, u64 master_seed, u64 stream_id, then
-ceil(volume/64) little-endian u64 words of bits. For configurations
-without sampling provenance p is written as NaN and the seeds as 0.
+dim x (i64 lo, i64 hi), f64 p, u64 master_seed, u64 stream_id, then the
+bits as 8 * ceil(volume/64) little-endian bytes, padding bits written as
+0 and dropped on read. For configurations without sampling provenance p
+is written as NaN and the seeds as 0.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .geometry import Region
+from .geometry import Region, check_dim
 from .rng import RngStream, below, raw_grid
+from .words import Word, _pack, _unpack
 
 MAX_ENUM_SITES = 25
 # Sites one trial may sample; a larger region or window ends in a
@@ -63,19 +66,19 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Immutable 0/1 coloring of a region."""
+    """Immutable 0/1 coloring of a region, held as a Word holds its
+    letters: bit r of bits is the colour of the point of rank r."""
 
     region: Region
-    words: tuple[int, ...]  # packed bits, 64 per word, LSB first
+    bits: int
     provenance: Provenance | None = None
 
     def __post_init__(self):
-        need = (self.region.volume + 63) // 64
-        if len(self.words) != need:
-            raise DomainError("bit count does not match region volume")
+        if self.bits < 0 or self.bits >> self.region.volume:
+            raise DomainError("bits outside the region's volume")
 
     def bit(self, rank: int) -> int:
-        return (self.words[rank >> 6] >> (rank & 63)) & 1
+        return self.bits >> rank & 1
 
     def bit_at(self, pt) -> int:
         return self.bit(self.region.rank(pt))
@@ -84,16 +87,13 @@ class Configuration:
         """Rank-ordered boolean array of the coloring (cached, read-only)."""
         cached = getattr(self, "_bools", None)
         if cached is None:
-            raw = np.array(self.words, dtype=np.uint64)
-            cached = np.unpackbits(raw.view(np.uint8), bitorder="little")[
-                : self.region.volume
-            ].astype(bool)
+            cached = _unpack(self.bits, self.region.volume)
             cached.setflags(write=False)
             object.__setattr__(self, "_bools", cached)
         return cached
 
     def ones_count(self) -> int:
-        return int(self.bools().sum())
+        return self.bits.bit_count()
 
     @classmethod
     def from_rows(cls, region: Region, rows, provenances) -> list["Configuration"]:
@@ -104,14 +104,12 @@ class Configuration:
         vol = region.volume
         if rows.ndim != 2 or rows.shape[1] != vol:
             raise DomainError("bit array shape mismatch")
-        # the copy, zero-padded to whole 64-bit words
-        bits = np.zeros((len(rows), (vol + 63) // 64 * 64), dtype=bool)
-        bits[:, :vol] = rows
-        bits.setflags(write=False)
-        packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        rows = rows.astype(bool)
+        rows.setflags(write=False)
+        block, full = _pack(rows), (1 << vol) - 1  # row k at bits k * vol..
         out = []
-        for row, words, prov in zip(bits[:, :vol], packed.tolist(), provenances):
-            cfg = cls(region, tuple(words), prov)
+        for k, (row, prov) in enumerate(zip(rows, provenances)):
+            cfg = cls(region, block >> k * vol & full, prov)
             object.__setattr__(cfg, "_bools", row)
             out.append(cfg)
         return out
@@ -123,7 +121,12 @@ class Configuration:
 
     @classmethod
     def from_bits(cls, region: Region, bits, provenance=None):
-        return cls.from_bools(region, np.fromiter(bits, dtype=bool, count=region.volume), provenance)
+        """The coloring whose letters, in rank order, are bits: one 0 or 1
+        per site, checked as Word.from_bits checks them."""
+        word = Word.from_bits(bits)
+        if word.length != region.volume:
+            raise DomainError(f"{word.length} bits for a region of {region.volume} sites")
+        return cls(region, word.bits, provenance)
 
 
 def sample_block(region: Region, p: float, master_seed: int, t0: int, t1: int) -> np.ndarray:
@@ -151,26 +154,16 @@ def sample(region: Region, p: float, rng: RngStream) -> Configuration:
 
 
 def enumerate_configs(region: Region):
-    """All 2^|region| configurations, in bit-rank order of their codes."""
-    vol = region.volume
-    if vol > MAX_ENUM_SITES:
+    """All 2^|region| configurations, in the order of their bits."""
+    if region.volume > MAX_ENUM_SITES:
         raise CapacityError(f"enumerate_configs capped at {MAX_ENUM_SITES} sites")
-    n_words = (vol + 63) // 64
-    for code in range(1 << vol):
-        words = tuple((code >> (64 * w)) & ((1 << 64) - 1) for w in range(n_words))
-        yield Configuration(region, words)
+    for code in range(1 << region.volume):
+        yield Configuration(region, code)
 
 
 def flip_colors(cfg: Configuration) -> Configuration:
     """Complement every site; derived configs carry no provenance."""
-    vol = cfg.region.volume
-    out = []
-    remaining = vol
-    for w in cfg.words:
-        take = min(64, remaining)
-        out.append(w ^ ((1 << take) - 1))
-        remaining -= take
-    return Configuration(cfg.region, tuple(out), None)
+    return Configuration(cfg.region, cfg.bits ^ (1 << cfg.region.volume) - 1, None)
 
 
 _MAGIC = b"WPC1"
@@ -186,7 +179,7 @@ def write_wpc(cfg: Configuration, path: str):
         data.append(struct.pack("<dQQ", math.nan, 0, 0))
     else:
         data.append(struct.pack("<dQQ", prov.p, prov.master_seed, prov.stream_id))
-    data.append(struct.pack(f"<{len(cfg.words)}Q", *cfg.words))
+    data.append(cfg.bits.to_bytes((cfg.region.volume + 63) // 64 * 8, "little"))
     with open(path, "wb") as f:
         f.write(b"".join(data))
 
@@ -208,15 +201,15 @@ def read_wpc(path: str) -> Configuration:
         if version != 1:
             raise DomainError(f"{path}: unsupported version {version}")
         (dim,) = take("<I")
+        check_dim(dim)
         intervals = tuple(take("<qq") for _ in range(dim))
         region = Region(intervals)
         p, seed, stream = take("<dQQ")
-        n_words = (region.volume + 63) // 64
-        if size != f.tell() + 8 * n_words:
+        n_bytes = (region.volume + 63) // 64 * 8
+        if size != f.tell() + n_bytes:
             raise DomainError(
-                f"{path}: header volume {region.volume} needs {8 * n_words} bytes "
+                f"{path}: header volume {region.volume} needs {n_bytes} bytes "
                 f"of bits, file holds {size - f.tell()}"
             )
-        words = take(f"<{n_words}Q")
-        prov = None if math.isnan(p) else Provenance(p, seed, stream)
-        return Configuration(region, words, prov)
+        bits = int.from_bytes(f.read(n_bytes), "little") & (1 << region.volume) - 1
+        return Configuration(region, bits, None if math.isnan(p) else Provenance(p, seed, stream))

@@ -30,6 +30,14 @@ Point = tuple[int, ...]
 MacroVertex = tuple[int, int, int]
 
 _MAX_VOLUME = 1 << 62
+# Axes a region may have, checked before any per-axis tuple or list is
+# built; past 62 axes of two or more sites the volume exceeds _MAX_VOLUME.
+MAX_DIM = 64
+
+
+def check_dim(d: int):
+    if not 1 <= d <= MAX_DIM:
+        raise DomainError(f"dimension must lie in 1..{MAX_DIM}, not {d}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,7 @@ class Region:
     params: tuple = ()
 
     def __post_init__(self):
-        if len(self.intervals) < 1:
-            raise DomainError("region needs at least one axis")
+        check_dim(len(self.intervals))
         vol = 1
         for lo, hi in self.intervals:
             if lo >= hi:
@@ -225,8 +232,9 @@ def inner_boundary(lamb: Region, ambient: Region) -> set[Point]:
 
 def box(m: int, d: int) -> Region:
     """Closed ball B_m(0) = [-m, m]^d in the sup norm."""
-    if m < 0 or d < 1:
-        raise DomainError("box needs m >= 0, d >= 1")
+    check_dim(d)
+    if m < 0:
+        raise DomainError("box needs m >= 0")
     return Region(tuple((-m - 1, m) for _ in range(d)), "ball", (m,))
 
 
@@ -236,6 +244,7 @@ def lambda_box(n: int, h: int, k: int, d: int = 3) -> Region:
     """The slab box [-kn, kn]^2 x (0, hk] x (-k, k]^(d-3)."""
     if d < 3:
         raise DomainError("lambda_box needs d >= 3")
+    check_dim(d)
     if n < 1 or h < 1 or k < 1:
         raise DomainError("lambda_box needs n, h, k >= 1")
     ivs = [(-k * n - 1, k * n), (-k * n - 1, k * n), (0, h * k)]
@@ -252,6 +261,7 @@ def slab_window(h: int, k: int, d: int, half_width: int) -> Region:
     """
     if d < 3:
         raise DomainError("slab_window needs d >= 3")
+    check_dim(d)
     ivs = [(-half_width - 1, half_width), (-half_width - 1, half_width), (0, h * k)]
     ivs += [(-k, k)] * (d - 3)
     return Region(tuple(ivs), "slab", (h, k, half_width))

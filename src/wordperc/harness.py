@@ -30,7 +30,7 @@ import numpy as np
 from .config import Configuration, sample_block, sample_trials, trial_blocks
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, run_trials, wilson_interval
-from .geometry import Region, box, is_macro_vertex, lambda_box
+from .geometry import MAX_DIM, Region, box, is_macro_vertex, lambda_box
 from .oriented import crossing_stat, domination_probe, xi5n_stat
 from .renorm import (RenormParams, SeedSet, emn_stat, exploration_stat, good_event,
                      walk_good_events, walks_decide)
@@ -182,6 +182,8 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         return
     if spec.kind not in STATS and not 0.0 <= float(p["p"]) <= 1.0:
         v.append("p must lie in [0, 1]")
+    if spec.kind in ("allwords", "decay") and not 1 <= int(p.get("d", 3)) <= MAX_DIM:
+        v.append(f"d must lie in 1..{MAX_DIM}")
     region = None
     if "region" in REQUIRED[name]:
         try:

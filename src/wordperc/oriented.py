@@ -55,7 +55,7 @@ from .errors import DomainError
 from .estimate import binomial_tail_geq, frequency, run_trials, wilson_interval
 from .geometry import is_macro_vertex
 from .rng import RngStream, below, raw_grid, shuffled_prefix, uniforms
-from .words import _tile
+from .words import _tile, _unpack
 
 PlanarVertex = tuple[int, int]
 SlabVertex = tuple[int, int, int]
@@ -229,11 +229,8 @@ class _Layout:
         return [int.from_bytes(data[i:i + nb], "little") for i in range(0, len(data), nb)]
 
     def unpack(self, col: int, copies: int) -> np.ndarray:
-        """A stacked column int as a (copies, width) 0/1 array."""
-        nbits = copies * self.pitch
-        raw = np.frombuffer(col.to_bytes((nbits + 7) // 8, "little"), np.uint8)
-        rows = np.unpackbits(raw, count=nbits, bitorder="little").reshape(copies, self.pitch)
-        return rows[:, :self.width]
+        """A stacked column int as a (copies, width) bool array."""
+        return _unpack(col, copies * self.pitch).reshape(copies, self.pitch)[:, :self.width]
 
     def tile(self, col: int, copies: int) -> int:
         """A one-copy column int repeated in each of the copies."""
@@ -284,7 +281,7 @@ class _Layout:
     def sweep_block(self, columns: list[int], c_src: int, sources: int, seeded: bool,
                     c_dst: int, copies: int) -> np.ndarray:
         """Column c_dst of a stacked sweep whose sources all lie in column
-        c_src, as a (copies, width) 0/1 array."""
+        c_src, as a (copies, width) bool array."""
         seeds = [0] * self.ncols
         seeds[c_src] = sources
         return self.unpack(_sweep(columns, self.steps, seeds, seeded)[c_dst], copies)

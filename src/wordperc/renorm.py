@@ -50,6 +50,7 @@ from .estimate import frequency, run_trials
 from .geometry import (
     Region,
     block_count_constant,
+    check_dim,
     inner_boundary,
     lambda_box,
     macro_box,
@@ -93,6 +94,7 @@ class RenormParams:
     def __post_init__(self):
         if self.d < 3:
             raise DomainError("renormalization needs d >= 3")
+        check_dim(self.d)
         if not 0.0 <= self.p <= 1.0:
             raise DomainError("p must lie in [0, 1]")
         if self.k < 2 or self.k % 2:

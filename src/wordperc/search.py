@@ -50,11 +50,12 @@ is its parent's front stepped and masked by its last letter, so words
 sharing a prefix share its fronts, an empty front settles a whole
 subtree, and an exact leaf iterates the depth-first generator pruned by
 the chain of fronts along its word until a step reaches its last index.
-Its start-ball bitsets and horizon masks are cached apart, per pair of
-region intervals, since every trial asks for the same ones.
+Its start-ball and horizon bitsets are cached per pair of region
+intervals, since every trial asks for the same ones.
 
-Searches run inside an optional boolean mask over the configuration's
-region (used for non-product domains like a box plus its seed face).
+A search masks its colour bitsets straight from ``Configuration.bits``
+(the same rank order), inside an optional region mask (used for
+non-product domains like a box plus its seed face).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import numpy as np
 from .config import Configuration
 from .errors import CapacityError, DomainError
 from .geometry import Region, neighbor_steps
-from .words import Word, WordGenerator, _tile, has_period_two
+from .words import Word, WordGenerator, _pack, _tile, _unpack, has_period_two
 
 MAX_INDEX = 1 << 20
 Point = tuple[int, ...]
@@ -203,43 +204,22 @@ def region_mask(region: Region, parts) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=4)
-def _part_mask(intervals, part) -> np.ndarray:
-    """region_mask of the subregion with intervals part in the region with
-    these intervals, read-only; cached per pair, since sees_all_words asks
-    for the same horizon every trial."""
-    mask = region_mask(Region(intervals), [Region(part)])
-    mask.setflags(write=False)
-    return mask
-
-
 _PART_BITS: dict[tuple, int] = {}  # (intervals, part) -> _part_bits
 
 
 def _part_bits(intervals, part) -> int:
-    """The bitset of _part_mask, cached per pair apart from the mask, so an
-    entry holds one int.  The cache is bounded by the bits it holds, 2^27
-    (16 MiB), not by its entries: the up to 65 start balls of a decay run
-    in a radius-64 horizon in d = 3 all stay.  A pair that would pass the
-    bound empties it first."""
+    """The bitset of the subregion part of the region with these intervals,
+    cached per pair: sees_all_words asks for the same ones every trial.
+    The cache is bounded by the bits it holds, 2^27 (16 MiB), not by its
+    entries: the up to 65 start balls of a decay run in a radius-64 horizon
+    in d = 3 all stay.  A pair that would pass the bound empties it first."""
     bits = _PART_BITS.get((intervals, part))
     if bits is None:
-        bits = _bits(region_mask(Region(intervals), [Region(part)]))
+        bits = _pack(region_mask(Region(intervals), [Region(part)]))
         if sum(b.bit_length() for b in _PART_BITS.values()) + bits.bit_length() > 1 << 27:
             _PART_BITS.clear()
         _PART_BITS[intervals, part] = bits
     return bits
-
-
-def _bits(mask: np.ndarray) -> int:
-    """A rank-order boolean array as a Python-int bitset (bit r = rank r)."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _unpack(bits: int, volume: int) -> np.ndarray:
-    """A bitset as a rank-order 0/1 array of the given length."""
-    raw = np.frombuffer(bits.to_bytes((volume + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, count=volume, bitorder="little")
 
 
 def _ranks(bits: int, volume: int) -> np.ndarray:
@@ -305,14 +285,17 @@ def _groups(region: Region, sources: SourceSet, max_index: int):
 
 
 def _allowed(cfg: Configuration, within):
-    """The 0-sites and the 1-sites inside the mask, as bitsets."""
-    colors = cfg.bools()
-    if within is None:
-        return _bits(~colors), _bits(colors)
-    mask = np.asarray(within, dtype=bool)
-    if mask.shape != (cfg.region.volume,):
-        raise DomainError("within-mask shape mismatch")
-    return _bits(~colors & mask), _bits(colors & mask)
+    """The 0-sites and the 1-sites of cfg inside within (a rank-order bool
+    mask, a bitset, or None for the whole region), as bitsets."""
+    inside = (1 << cfg.region.volume) - 1
+    if isinstance(within, int):
+        inside = within
+    elif within is not None:
+        mask = np.asarray(within, dtype=bool)
+        if mask.shape != (cfg.region.volume,):
+            raise DomainError("within-mask shape mismatch")
+        inside = _pack(mask)
+    return inside & ~cfg.bits, inside & cfg.bits
 
 
 def _seeds(srcs) -> dict[int, int]:
@@ -323,15 +306,9 @@ def _seeds(srcs) -> dict[int, int]:
     return by_t
 
 
-def one_connected_block(region: Region, colors: np.ndarray, S) -> np.ndarray:
-    """For each row of colors (one rank-order colouring of region), the
-    sites 1-connected to S through 1-sites, as a (rows, volume) bool array;
-    S members count only if their own site is 1.  The constant word 1 swept
-    to its fixpoint, every row a copy of the stacked sweep of
-    relaxed_reach_block."""
-    if colors.ndim != 2 or colors.shape[1] != region.volume:
-        raise DomainError("colour block shape mismatch")
-    copies, volume = colors.shape
+def _one_connected(region: Region, open_: int, copies: int, S) -> int:
+    """The sites of the stacked copies of region 1-connected to S through
+    open_, as a bitset: the constant word 1 swept to its fixpoint."""
     seeds = 0
     for v in S:
         try:
@@ -339,27 +316,35 @@ def one_connected_block(region: Region, colors: np.ndarray, S) -> np.ndarray:
         except DomainError:
             raise DomainError(f"{v} outside region") from None
     lattice, repunit = _stacked(region.sizes, copies)
-    open_ = _bits(colors.ravel())
     seen = front = seeds * repunit & open_
     while front:
         front = _step(front, lattice) & open_ & ~seen
         seen |= front
-    return _unpack(seen, copies * volume).reshape(copies, volume).view(bool)
+    return seen
+
+
+def one_connected_block(region: Region, colors: np.ndarray, S) -> np.ndarray:
+    """For each row of colors (one rank-order colouring of region), the
+    sites 1-connected to S through 1-sites, as a (rows, volume) bool array;
+    S members count only if their own site is 1.  Every row is a copy of
+    the stacked sweep of relaxed_reach_block."""
+    if colors.ndim != 2 or colors.shape[1] != region.volume:
+        raise DomainError("colour block shape mismatch")
+    copies, volume = colors.shape
+    seen = _one_connected(region, _pack(colors), copies, S)
+    return _unpack(seen, copies * volume).reshape(copies, volume)
 
 
 def one_connected_set(
     cfg: Configuration, S, region: Region | None = None, within=None
 ) -> set[Point]:
     """Vertices 1-connected to S through 1-sites; S members count only if
-    their own site is 1.  one_connected_block's one-row case."""
+    their own site is 1.  The one-copy case of one_connected_block."""
     reg = cfg.region
     if region is not None and region.intervals != reg.intervals:
         raise DomainError("one_connected_set region must match the configuration")
-    colors = cfg.bools()
-    if within is not None:
-        colors = colors & np.asarray(within, bool)
-    seen = one_connected_block(reg, colors[None], S)[0]
-    return set(map(tuple, reg.points_array()[seen].tolist()))
+    seen = _one_connected(reg, _allowed(cfg, within)[1], 1, S)
+    return set(map(tuple, reg.points_array()[_unpack(seen, reg.volume)].tolist()))
 
 
 def _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit=1):
@@ -423,8 +408,8 @@ def relaxed_reach_block(
         raise DomainError("colour block shape mismatch")
     copies, volume = colors.shape
     sites = copies * volume
-    flat = colors.ravel()  # bit k * volume + r is rank r of trial k
-    allowed = (_bits(~flat), _bits(flat))
+    ones = _pack(colors)  # bit k * volume + r is rank r of trial k
+    allowed = ((1 << sites) - 1 & ~ones, ones)
     lattice, repunit = _stacked(region.sizes, copies)
     hits = seen = 0
     for t, front, tail in _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit):
@@ -455,8 +440,8 @@ def _pruned(forward, lattice, allowed, letters, t0, target, minarr, flavor):
         ranks = np.fromiter(minarr, np.int64, len(minarr))
         arrived = np.fromiter(minarr.values(), np.int64, len(minarr))
         best[ranks] = -1 if flavor == "membership" else np.minimum(best[ranks], arrived)
-    wanted, goals = _bits(best > t1), {}
-    gains = {int(t): _bits(best == t) for t in np.unique(best[(best >= t0) & (best <= t1)])}
+    wanted, goals = _pack(best > t1), {}
+    gains = {int(t): _pack(best == t) for t in np.unique(best[(best >= t0) & (best <= t1)])}
     for t in range(t1, t0 - 1, -1):
         goals[t] = wanted
         wanted |= gains.get(t, 0)
@@ -536,14 +521,14 @@ def exact_word_reach(
     lattice = _stacked(region.sizes)[0]
     kind, steps = neighbor_steps(region.sizes)
     mask_volume = (allowed[0] | allowed[1]).bit_count()
-    stops = [(_bits(np.asarray(m, bool)), int(th)) for m, th in early_stop or ()]
+    stops = [(_pack(np.asarray(m, bool)), int(th)) for m, th in early_stop or ()]
     counts = [0] * len(stops)
     target_mask, target, flavor = None, 0, None
     if prune_targets is not None:
         target_mask, flavor = np.asarray(prune_targets[0], bool), prune_targets[1]
         if flavor not in ("membership", "min"):
             raise DomainError(f"unknown prune flavor {flavor!r}")
-        target = _bits(target_mask)
+        target = _pack(target_mask)
     refresh_after = max(1024, 4 * mask_volume)
 
     fronts: list[int] = []  # fronts[t]: ranks reached at t
@@ -641,7 +626,7 @@ def sees_all_words(
     if length == 0:
         return True, None
     reg = cfg.region
-    within = None if horizon is None else _part_mask(reg.intervals, horizon.intervals)
+    within = None if horizon is None else _part_bits(reg.intervals, horizon.intervals)
     starts = 0
     if from_region.dim == reg.dim:
         starts = _part_bits(reg.intervals, from_region.intervals)

@@ -40,7 +40,7 @@ class Word:
         for b in seq:
             if b not in (0, 1):
                 raise DomainError("word letters must be 0 or 1")
-            bits |= b << n
+            bits |= int(b) << n
             n += 1
         return cls(bits, n)
 
@@ -72,8 +72,7 @@ class Word:
         (cached)."""
         cached = self.__dict__.get("_letters")
         if cached is None:
-            raw = np.frombuffer(self.bits.to_bytes((self.length + 7) // 8, "little"), np.uint8)
-            cached = np.unpackbits(raw, count=self.length, bitorder="little").view(bool)
+            cached = _unpack(self.bits, self.length)
             cached.setflags(write=False)
             object.__setattr__(self, "_letters", cached)
         return cached
@@ -220,8 +219,7 @@ class ProductWord(WordGenerator):
     def _prefix_bits(self, n: int) -> int:
         # below(raw_block(0, n), q)[i] is bit-identical to bernoulli(q, i),
         # with no float conversion
-        packed = np.packbits(below(self._stream.raw_block(0, n), self.q), bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
+        return _pack(below(self._stream.raw_block(0, n), self.q))
 
     def spec(self):
         return {"kind": "product", "q": self.q, "seed": self.seed}
@@ -301,6 +299,18 @@ def _tile(pattern: int, period: int, n: int) -> int:
     copies = -(-n // period)
     repunit = ((1 << period * copies) - 1) // ((1 << period) - 1)
     return pattern * repunit & ((1 << n) - 1)
+
+
+def _pack(flags: np.ndarray) -> int:
+    """A bool array as an int bitset, element i (in C order) at bit i: the
+    LSB-first rank order of configurations, words and search fronts."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of a nonnegative int as a new bool array (_pack's inverse)."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 def has_period_two(word, upto: int) -> bool:

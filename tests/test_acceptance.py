@@ -192,8 +192,8 @@ def test_acceptance_3_wierman_marginals():
     ti_counts = np.zeros(16)
     for t in range(n22):
         pair = wierman_couple(r22, [(0, 0)], word, p22, RngStream(9_000, t))
-        om_counts[pair.omega.words[0]] += 1
-        ti_counts[pair.omega_tilde.words[0]] += 1
+        om_counts[pair.omega.bits] += 1
+        ti_counts[pair.omega_tilde.bits] += 1
     expected = np.array(
         [
             (p22 ** bin(c).count("1")) * ((1 - p22) ** (4 - bin(c).count("1")))

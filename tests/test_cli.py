@@ -1,21 +1,27 @@
+import argparse
+import contextlib
+import dataclasses
+import io
 import json
+import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import wordperc
 from wordperc import config, renorm, wierman
-from wordperc.cli import main
+from wordperc.cli import build_parser, main
 from wordperc.geometry import box
 from wordperc.rng import RngStream
 
 
 def run_cli(args):
-    import contextlib
-    import io
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(args)
@@ -444,7 +450,7 @@ def test_sample_seed_outside_64_bits_leaves_no_file(tmp_path, capsys, flag, valu
     assert not out.exists()
     # write_wpc itself packs its header before it opens the file
     cfg = config.sample(box(2, 2), 0.5, RngStream(1, 0))
-    bad = config.Configuration(cfg.region, cfg.words, config.Provenance(0.5, value, 0))
+    bad = dataclasses.replace(cfg, provenance=config.Provenance(0.5, value, 0))
     with pytest.raises(struct.error):
         config.write_wpc(bad, str(out))
     assert not out.exists()
@@ -628,3 +634,111 @@ def test_spec_infinite_integer_parameter(tmp_path, capsys):
     code, err = run_cli_err(["--spec", spath], capsys)
     assert code == 2
     assert "malformed parameter" in err
+
+
+# -- a dimension past geometry.MAX_DIM is refused before any axis is built ----
+
+
+def _limited():
+    """Cap the child's address space at 2 GiB, so a regression that builds
+    per-axis tuples without bound fails with MemoryError instead of eating
+    the host's memory."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
+HUGE_DIM = str(2 ** 70)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--p", "0.5", "--L", "1", "--R", "1", "--m-list", "1", "--trials", "1",
+     "--dim", HUGE_DIM],
+    ["allwords", "--p", "0.5", "--m", "0", "--L", "1", "--R", "1", "--trials", "1",
+     "--dim", HUGE_DIM],
+    ["sample", "--region", f"box:m=1,d={HUGE_DIM}", "--p", "0.5", "--out", "c.wpc"],
+    ["sample", "--region", "box:m=0", "--dim", HUGE_DIM, "--p", "0.5", "--out", "c.wpc"],
+    ["renorm", "--k", "2", "--p", "0.5", "--word", "ones", "--trials", "1", "--dim", HUGE_DIM],
+    ["--spec", "spec.json"],
+], ids=["decay", "allwords", "sample-region", "sample-dim", "renorm", "spec"])
+def test_huge_dimension_exits_2_at_once(tmp_path, argv):
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"kind": "site", "params": {"region": {"kind": "box", "m": 0, "d": 2 ** 70}, "p": 0.5},
+         "trials": 1, "seed": 0}))
+    src = str(Path(wordperc.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "wordperc.cli", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_limited)
+    assert proc.returncode == 2, proc.stderr
+    assert "must lie in 1..64" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "c.wpc").exists()
+
+
+def test_wpc_header_dimension_past_the_bound(tmp_path, capsys):
+    path = tmp_path / "c.wpc"
+    path.write_bytes(b"WPC1" + struct.pack("<II", 1, 2 ** 32 - 1))
+    code, err = run_cli_err(["reach", "--cfg", str(path), "--word", "1", "--from", "0"], capsys)
+    assert code == 2
+    assert "dimension must lie in 1..64" in err
+
+
+# -- extreme option values end in exit 0, 2 or 3, never in a traceback --------
+
+EXTREMES = ("0", "-1", str(2 ** 63), str(2 ** 70), "nan", "inf", "")
+# small valid arguments per subcommand; the drawn option replaces its own
+FUZZ_BASE = {
+    "sample": ["--region", "box:m=1,d=2", "--p", "0.5", "--out", "c.wpc"],
+    "reach": ["--cfg", "base.wpc", "--word", "101", "--from", "0,0"],
+    "allwords": ["--p", "0.5", "--m", "0", "--L", "2", "--R", "1", "--dim", "2",
+                 "--trials", "2"],
+    "wierman": ["--region", "box:m=1,d=2", "--p", "0.4", "--sources", "0,0", "--word", "alt",
+                "--trials", "2"],
+    "oriented": ["--stat", "crossing", "--n", "4", "--gamma", "0.5", "--trials", "2"],
+    "renorm": ["--k", "2", "--p", "0.5", "--word", "ones", "--trials", "1"],
+    "decay": ["--p", "0.5", "--L", "2", "--R", "2", "--m-list", "0,1", "--dim", "2",
+              "--trials", "2"],
+    "oracle": ["--stride", "64"],
+}
+
+
+def _valued_options():
+    """Per subcommand, the options of its argparse actions that take a value."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [(a.option_strings[0], a.dest) for a in p._actions
+                   if a.option_strings and a.nargs != 0]
+            for name, p in sub.choices.items()}
+
+
+def test_fuzz_base_covers_every_subcommand():
+    assert set(FUZZ_BASE) == set(_valued_options())
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_extreme_option_values_never_trace_back(tmp_path, monkeypatch, data):
+    """One option of one subcommand set to an extreme value, every other
+    option small and valid; trials stay at most 3 and WORDPERC_THREADS
+    unset, so every run is serial and short.  The run exits 0, 2 or 3 and
+    no exception leaves main."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WORDPERC_THREADS", raising=False)
+    if not (tmp_path / "base.wpc").exists():
+        config.write_wpc(config.sample(box(2, 2), 0.5, RngStream(1, 0)), "base.wpc")
+    options = _valued_options()
+    name = data.draw(st.sampled_from(sorted(options)))
+    opt, dest = data.draw(st.sampled_from(options[name]))
+    value = data.draw(st.sampled_from(
+        [v for v in EXTREMES if dest != "trials" or v in ("0", "-1", "nan", "inf", "")]))
+    argv = list(FUZZ_BASE[name])
+    if opt in argv:
+        del argv[argv.index(opt):argv.index(opt) + 2]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([name, *argv, opt, value])
+        except SystemExit as e:  # argparse refuses the value
+            code = e.code
+    assert code in (0, 2, 3), (name, opt, value, err.getvalue())
+    assert "Traceback" not in err.getvalue()

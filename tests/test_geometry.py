@@ -220,3 +220,17 @@ def test_rank_rejects_wrong_dimension():
         with pytest.raises(DomainError):
             r.rank(pt)
     assert r.rank((0, 0)) == 0
+
+
+def test_dimension_bound():
+    from wordperc.geometry import MAX_DIM
+    from wordperc.renorm import RenormParams
+
+    assert box(0, MAX_DIM).volume == 1
+    for make in (lambda d: box(0, d), lambda d: lambda_box(1, 1, 2, d),
+                 lambda d: slab_window(1, 2, d, 3), lambda d: Region(((0, 1),) * d),
+                 lambda d: RenormParams(d, 0.5, 2, 1e-6, 4)):
+        with pytest.raises(DomainError, match="dimension must lie in"):
+            make(MAX_DIM + 1)
+    with pytest.raises(DomainError):
+        Region(())

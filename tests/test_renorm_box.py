@@ -24,7 +24,7 @@ from wordperc.geometry import (Region, box, macro_box, macro_face, macro_out_nei
 from wordperc.renorm import RenormParams, SeedSet, good_event, seed_sets_from
 from wordperc.rng import RngStream
 from wordperc.search import SourceSet, exact_word_reach, region_mask, relaxed_word_reach
-from wordperc.words import has_period_two
+from wordperc.words import _pack, has_period_two
 
 # macro vertices for h = 4, at several positions and with 2 to 4 out-neighbors
 VERTICES = [(0, 0, 2), (2, 1, 1), (2, -1, 3), (4, 0, 2), (6, 1, 1)]
@@ -297,8 +297,7 @@ def test_tables_keyed_on_shape():
         pts = region.points_array()
         stride, want = 1, []
         for axis, (lo, hi) in enumerate(ivs):
-            want.append((stride, search._bits(pts[:, axis] < hi),
-                         search._bits(pts[:, axis] > lo + 1)))
+            want.append((stride, _pack(pts[:, axis] < hi), _pack(pts[:, axis] > lo + 1)))
             stride *= hi - lo
         assert search._stacked(region.sizes)[0] == tuple(want)
         kind, steps = neighbor_steps(region.sizes)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -17,7 +19,7 @@ from wordperc.config import (
     sample_trials,
     write_wpc,
 )
-from wordperc.errors import CapacityError
+from wordperc.errors import CapacityError, DomainError
 from wordperc.geometry import Region, box
 from wordperc.rng import RngStream, below, uniforms
 
@@ -130,9 +132,9 @@ def test_sample_bit_exact_reproducibility():
     r = box(3, 3)
     a = sample(r, 0.37, RngStream(99, 3))
     b = sample(r, 0.37, RngStream(99, 3))
-    assert a.words == b.words
+    assert a.bits == b.bits
     c = sample(r, 0.37, RngStream(99, 4))
-    assert a.words != c.words
+    assert a.bits != c.bits
 
 
 def test_per_site_marginals():
@@ -155,7 +157,7 @@ def test_enumerate_configs_counts():
     r9 = Region(((0, 3), (0, 3)))
     cfgs = list(enumerate_configs(r9))
     assert len(cfgs) == 512
-    assert len({c.words for c in cfgs}) == 512
+    assert len({c.bits for c in cfgs}) == 512
 
 
 def test_enumerate_configs_cap():
@@ -168,7 +170,7 @@ def test_flip_colors_involution():
     cfg = sample(r, 0.5, RngStream(8, 0))
     flipped = flip_colors(cfg)
     assert flipped.provenance is None
-    assert flip_colors(flipped).words == cfg.words
+    assert flip_colors(flipped).bits == cfg.bits
     assert all(flipped.bit(i) == 1 - cfg.bit(i) for i in range(r.volume))
     ones = sample(r, 1.0, RngStream(8, 0))
     assert flip_colors(ones).ones_count() == 0
@@ -202,7 +204,7 @@ def test_wpc_roundtrip(tmp_path):
     path = str(tmp_path / "c.wpc")
     write_wpc(cfg, path)
     back = read_wpc(path)
-    assert back.words == cfg.words
+    assert back.bits == cfg.bits
     assert back.region.intervals == cfg.region.intervals
     assert back.provenance == cfg.provenance
 
@@ -213,3 +215,86 @@ def test_wpc_roundtrip_no_provenance(tmp_path):
     path = str(tmp_path / "c2.wpc")
     write_wpc(cfg, path)
     assert read_wpc(path).provenance is None
+
+
+# SHA-256 of write_wpc's bytes for sample(region, 0.5, RngStream(2026,
+# volume)), with its provenance and without ("-bare"); the volumes sit at
+# and around the 64-bit word boundaries of the bit block.  Recorded from
+# the tuple-of-words writer, so they pin the file layout itself, which a
+# round trip through read_wpc cannot.
+WPC_REGIONS = {1: ((0, 1),), 8: ((0, 2), (0, 2), (0, 2)), 63: ((0, 7), (0, 9)),
+               64: ((0, 8), (0, 8)), 65: ((-3, 2), (0, 13)),
+               125: ((-3, 2), (-3, 2), (-3, 2))}
+WPC_DIGESTS = {
+    "1": "a62e4ed4615a422adf78495cd5e31fd0f6a4147dfdc1409499a34d839b29a658",
+    "1-bare": "4e0c695345ce015691d7da8c333e89f337ca56fa0f8c7376fd1cc4e744c30790",
+    "8": "5bf935d99fbff789e87a2e7dd0797eda2bc3bffd49124c8a2fc07da93757ac57",
+    "8-bare": "3111e2e985a2396d99df56ba6fb561dd0c513614ea4c642fde4909258a34167e",
+    "63": "526977a33b4e854627fdfaf95fd297adfc83c850ee3bdc1f67ad30e9b5b91986",
+    "63-bare": "a15285410e72986cd9e86d95d8bd83241f6c309829153b33c597161be3b56e73",
+    "64": "8f47626428e76d2b484ff2c78e3a2d2970a9276d7efae84c2b6dd80f5f7b7a3a",
+    "64-bare": "bdf49ecb58b7897db53fe2c6a390ed6380594cf360e57589c4c17b5d42d3d511",
+    "65": "630cbca33d4f0cac54e3d18151afa3c006509f177af5f44ece3ab71d3205494a",
+    "65-bare": "df7ae00a6d26212a145aa82c860b342059d9740c30e1af63908bac510fb512dc",
+    "125": "61eaa6c451fd4e1fa012b7aaeb5f2b7b4e0214625f6fd76b3ba0e341056949d4",
+    "125-bare": "dee11c9f1ad10bbc7ad97f048ac31e7848764f1ac091b454fc5ef9274e6a0ab1",
+}
+
+
+@pytest.mark.parametrize("volume", sorted(WPC_REGIONS))
+def test_wpc_bytes_match_golden_digests(tmp_path, volume):
+    cfg = sample(Region(WPC_REGIONS[volume]), 0.5, RngStream(2026, volume))
+    for key, c in ((f"{volume}", cfg),
+                   (f"{volume}-bare", dataclasses.replace(cfg, provenance=None))):
+        path = tmp_path / f"{key}.wpc"
+        write_wpc(c, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WPC_DIGESTS[key]
+        assert read_wpc(str(path)) == c
+
+
+@pytest.mark.parametrize("letters", [[1, 0, 0, 1, 1, 1], [1, 0, 2, 1], [1, 0, 0], [1, 0, -1, 1]])
+def test_from_bits_checks_its_letters(letters):
+    """Too many letters, a letter other than 0 or 1, or too few raise
+    DomainError, as Word.from_bits does, instead of a silent truncation,
+    a 2 read as 1, or a numpy error."""
+    with pytest.raises(DomainError):
+        Configuration.from_bits(Region(((0, 2), (0, 2))), letters)
+
+
+def test_from_bits_takes_numpy_letters_past_64_sites():
+    row = sample(Region(((0, 10), (0, 10))), 0.5, RngStream(5, 0)).bools()
+    cfg = Configuration.from_bits(Region(((0, 10), (0, 10))), row)
+    assert cfg.bools().tolist() == row.tolist() and cfg.bits >> 64
+
+
+@pytest.mark.parametrize("bits", [-1, 1 << 9, (1 << 9) | 1, -(1 << 70)])
+def test_bits_outside_the_volume_are_refused(bits):
+    with pytest.raises(DomainError):
+        Configuration(Region(((0, 3), (0, 3))), bits)
+
+
+def test_read_wpc_drops_padding_bits(tmp_path):
+    """Bits above the volume in the last 64-bit word are written as 0 and
+    ignored on read, as bools() and every search ignored them before."""
+    cfg = sample(Region(((0, 5), (0, 13))), 0.5, RngStream(3, 1))  # 65 sites
+    path = tmp_path / "c.wpc"
+    write_wpc(cfg, str(path))
+    data = bytearray(path.read_bytes())
+    assert data[-8:] == bytes([cfg.bits >> 64]) + bytes(7)
+    data[-8:] = bytes([data[-8] | 0xFE]) + b"\xff" * 7
+    path.write_bytes(bytes(data))
+    back = read_wpc(str(path))
+    assert back == cfg and back.bits >> 65 == 0
+    assert back.ones_count() == cfg.ones_count() == int(cfg.bools().sum())
+
+
+def test_configuration_views_of_its_bits():
+    r = Region(((0, 3), (0, 3)))
+    cfg = Configuration(r, 0b101100110)
+    assert cfg.bools().tolist() == [bool(0b101100110 >> i & 1) for i in range(9)]
+    assert not cfg.bools().flags.writeable
+    assert cfg.ones_count() == 5
+    assert [cfg.bit(i) for i in range(9)] == [0, 1, 1, 0, 0, 1, 1, 0, 1]
+    assert flip_colors(cfg).bits == 0b010011001
+    assert list(enumerate_configs(Region(((0, 2),)))) == [Configuration(Region(((0, 2),)), c)
+                                                         for c in range(4)]

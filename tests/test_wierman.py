@@ -368,8 +368,8 @@ def test_marginal_bands_small():
 def test_determinism():
     a = wierman_couple(R33, [(0, 0)], AlternatingWord(), 0.5, RngStream(7, 3))
     b = wierman_couple(R33, [(0, 0)], AlternatingWord(), 0.5, RngStream(7, 3))
-    assert a.omega.words == b.omega.words
-    assert a.omega_tilde.words == b.omega_tilde.words
+    assert a.omega.bits == b.omega.bits
+    assert a.omega_tilde.bits == b.omega_tilde.bits
     assert (a._parent == b._parent).all()
 
 
