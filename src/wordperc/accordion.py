@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError
 from .oriented import (
     OrientedConfig,
-    slab_windows_thin,
+    slab_windows,
     snap_left_column,
     snap_right_column,
 )
@@ -159,7 +159,7 @@ class AccordionMap:
         return [p for p in self.source_column() if self.map_point(p) in S]
 
     def windows(self):
-        return slab_windows_thin(self.n, self.h, self.n / self.h)
+        return slab_windows(self.n, self.h, self.n / self.h)
 
     def pull_config(self, slab_cfg: OrientedConfig) -> OrientedConfig:
         """Planar configuration on the domain induced through the map."""

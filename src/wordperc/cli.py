@@ -50,10 +50,13 @@ def _parse_radii(text: str) -> list[int]:
 
 def _check_outputs(args):
     """Refuse an --out or --csv path that cannot be written, before any
-    trial runs: its folder must exist and the path must not be a folder."""
+    trial runs: it must not be empty, its folder must exist and the path
+    must not be a folder."""
     for path in (getattr(args, "out", None), getattr(args, "csv", None)):
         if path is None:
             continue
+        if not path:
+            raise DomainError("cannot write to an empty path")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise DomainError(f"cannot write {path}: no folder {folder}")
@@ -252,7 +255,7 @@ def cmd_oracle(args):
     # column, read by two words; the second starts earlier, so it searches
     # on a table pruned by the first one's minima
     targets = [v for v in r33.iter_points() if v[0] == 1 or v == (0, 0)]
-    mask = [v in targets for v in r33.iter_points()]
+    mask = sum(1 << r for r, v in enumerate(r33.iter_points()) if v in targets)
     left = [(-1, -1), (-1, 0), (-1, 1)]
     src = SourceSet(tuple((v, t, 0) for v, t in zip(left, (2, 3, 2)))
                     + tuple((v, t, 1) for v, t in zip(left, (0, 1, 0))),

@@ -245,6 +245,9 @@ def _validate(spec: ExperimentSpec, v: list[str]):
                 v.append("domination needs delta in (0, 1/10)")
         if stat == "crossing" and not 0 < float(p["delta"]) <= 1:
             v.append("crossing needs delta in (0, 1]")
+        h = p.get("h")
+        if stat == "crossing" and (not isinstance(h, int) or isinstance(h, bool) or h < 2):
+            v.append(f"crossing needs an integer h >= 2, not {h!r}")
     elif spec.kind == "renorm":
         try:
             _renorm_params(p)

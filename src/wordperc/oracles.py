@@ -103,11 +103,11 @@ def connected_bruteforce(cfg: Configuration, S, region: Region | None = None) ->
 
 def distance_map(cfg: Configuration, S, within=None) -> dict:
     """Graph distance through 1-sites from the 1-sites of S, inside the
-    rank-order mask within; plain breadth-first search over points."""
+    rank-order bitset within; plain breadth-first search over points."""
     region = cfg.region
 
     def ok(p):
-        return cfg.bit_at(p) == 1 and (within is None or within[region.rank(p)])
+        return cfg.bit_at(p) == 1 and (within is None or within >> region.rank(p) & 1)
 
     dist = {}
     frontier = []

@@ -162,10 +162,6 @@ def slab_windows(n: int, h: int, m=None) -> SlabWindows:
     return SlabWindows(n, h, m, B, L, R)
 
 
-def slab_windows_thin(n: int, h: int, m) -> SlabWindows:
-    return slab_windows(n, h, m)
-
-
 class _Layout:
     """Dense column grid of one window, built once per window.
 
@@ -302,18 +298,19 @@ def _layout(kind, vertices, h) -> _Layout:
 
 class OrientedConfig:
     """Open/closed assignment on a finite window of an oriented graph;
-    open_bits follow the sorted vertex order.  vertices may also be the
-    window's layout, which saves the cache lookup in per-trial loops."""
+    open_bits follow the sorted vertex order, and are held only as the
+    layout's column ints.  vertices may also be the window's layout,
+    which saves the cache lookup in per-trial loops."""
 
     def __init__(self, kind: str, vertices, open_bits, gamma=None, provenance=None, h=None):
         self.layout = vertices if isinstance(vertices, _Layout) else _layout(kind, vertices, h)
         self.kind = self.layout.kind
         self.h = h
         self.vertices = self.layout.vertices
-        self.open = np.asarray(open_bits, dtype=bool)
-        if self.open.shape != (self.layout.sites,):
+        open_bits = np.asarray(open_bits, dtype=bool)
+        if open_bits.shape != (self.layout.sites,):
             raise DomainError("open-bit array shape mismatch")
-        self.columns = self.layout.pack(self.open[None])
+        self.columns = self.layout.pack(open_bits[None])
         self.gamma = gamma
         self.provenance = provenance
 
@@ -325,7 +322,11 @@ class OrientedConfig:
         return planar_out(v) if self.kind == "planar" else slab_out(v)
 
     def is_open(self, v) -> bool:
-        return bool(self.open[self.index[v]])
+        """Whether window vertex v is open; KeyError for any other."""
+        cell = self.layout.cell(v)
+        if cell is None:
+            raise KeyError(v)
+        return bool(self.columns[cell[0]] >> cell[1] & 1)
 
 
 def _sample_block(lay: _Layout, gamma: float, master_seed: int, s0: int, s1: int,
@@ -467,23 +468,23 @@ def forward_cone(S, window, kind="slab") -> set:
     return seen
 
 
-def sample_seed_set(vertices, density: float, rng: RngStream, counter0: int = 0):
+def sample_seed_set(vertices, density: float, rng: RngStream):
     """Deterministic random subset of ceil(density * |vertices|) vertices."""
     verts = sorted(vertices)
     picks = _seed_picks(len(verts), density, rng.master_seed, rng.stream_id,
-                        rng.stream_id + 1, 1, counter0)[0]
+                        rng.stream_id + 1)[0]
     return sorted(verts[j] for j in picks)
 
 
 def _seed_picks(count: int, density: float, master_seed: int, s0: int, s1: int,
-                step: int = 1, counter0: int = 0) -> list[list[int]]:
+                step: int = 1) -> list[list[int]]:
     """Per stream s0, s0 + step, ... below s1, the sorted-order positions
     of the ceil(density * count) seeds it picks: a partial Fisher-Yates
-    shuffle of the positions, draw j being the stream's uniform counter0 + j."""
+    shuffle of the positions, draw j being the stream's uniform j."""
     k = max(1, math.ceil(density * count))
     if k > count:
         raise ValueError("sample larger than population")
-    draws = uniforms(raw_grid(master_seed, s0, s1, counter0, k, step)).tolist()
+    draws = uniforms(raw_grid(master_seed, s0, s1, 0, k, step)).tolist()
     return [shuffled_prefix(list(range(count)), row) for row in draws]
 
 
@@ -563,9 +564,9 @@ def crossing_stat(trials: int, n: int, h: int, gamma: float, delta: float, maste
     }
 
 
-def planar_window_for_xi(n: int, y_margin: int | None = None):
+def planar_window_for_xi(n: int):
     """Window holding every path relevant to column-5n reach queries."""
-    Y = n + (5 * n) // 2 + 2 if y_margin is None else y_margin
+    Y = n + (5 * n) // 2 + 2
     return planar_rect(0, 5 * n, -Y, Y)
 
 

@@ -19,11 +19,10 @@ caller's ``t_membership``), so propagated seeds carry arrivals up to C * v1.
 The micro-to-macro exploration propagates arrival sets face to face via
 single-box searches, which is exactly the inductive step the good event
 certifies; each box is examined at most once (auditable), so every
-verdict consumes fresh randomness.  A box costs one search when the walk
-search decides it (relaxed mode or a period-<=2 word): the verdict is the
-good-event threshold on that search's per-face arrivals.  Otherwise the
-early-stopping self-avoiding search decides, and accepted boxes run a
-second, minimal-arrival search for their seeds.
+verdict consumes fresh randomness.  A box costs one search in both
+modes, seed_sets_from's: the verdict is the good-event threshold on its
+per-face arrivals, which an accepted box passes on as seeds (the face
+membership of a minimal-arrival search is that of good_event's).
 
 F^u u B^u is itself a box, so every box search runs on that region
 alone, its colours gathered from the window through cached ranks; a
@@ -33,7 +32,9 @@ the walk-decided good events of a block of trials with one stacked
 relaxed sweep (search.relaxed_reach_block); good_event's walk branch is
 its one-trial case.  Every other search reads its face points off its
 fronts (search.ReachResult) through cached bitsets of the faces in the
-box, or of the scale-n boundary in the window, in face-point order.
+box, or of the scale-n boundary in the window, in face-point order; the
+same bitsets are the site masks (early stops, prune targets) that the
+exact searches take.
 """
 
 from __future__ import annotations
@@ -193,9 +194,10 @@ def _restrict(cfg: Configuration, u, params: RenormParams) -> Configuration:
 @lru_cache(maxsize=256)
 def _out_faces(u, k: int, d: int, outs: tuple) -> tuple:
     """The points of F^v inside F^u u B^u, all a box search can reach, for
-    every out-neighbor v of outs, over the box in its rank order: as one
-    boolean column per v; per v as a bitset and as (point, rank) pairs in
-    rank order; and as one bitset of them all."""
+    every out-neighbor v of outs, over the box in its rank order: per v as
+    a bitset and as (point, rank) pairs in rank order; as one bitset of
+    them all; and, for walk_good_events' matrix count, as one boolean
+    column per v."""
     box = _search_box(u, k, d)
     columns = np.zeros((box.volume, len(outs)), dtype=bool)
     faces, union = [], 0
@@ -207,7 +209,7 @@ def _out_faces(u, k: int, d: int, outs: tuple) -> tuple:
         faces.append((bits, tuple(zip(map(tuple, part.points_array().tolist()), ranks))))
         union |= bits
     columns.setflags(write=False)
-    return columns, tuple(faces), union
+    return tuple(faces), union, columns
 
 
 def _need(params: RenormParams) -> int:
@@ -257,13 +259,13 @@ def seed_sets_from(
     if not outs:
         return {}
     bound = params.C * (u[0] + 2) if t_membership is None else t_membership
-    columns, faces, union = _out_faces(u, params.k, params.d, outs)
+    faces, union, _ = _out_faces(u, params.k, params.d, outs)
     box = _restrict(cfg, u, params)
     if walks_decide(xi, mode, bound):
         res = relaxed_word_reach(box, _sources(seed, xi), bound)
     else:
         res = exact_word_reach(box, _sources(seed, xi), bound, node_budget=_budget(node_budget),
-                               prune_targets=(columns.any(axis=1), "min"))
+                               prune_targets=(union, "min"))
     first = res.first_arrivals(union)
     return {v: {y: first[r] for y, r in points if r in first}
             for v, (_, points) in zip(outs, faces)}
@@ -283,7 +285,7 @@ def walk_good_events(window: Region, colors: np.ndarray, seed: SeedSet, xi,
     box, ranks = _box_view(u, params.k, params.d, window.intervals)
     reached = relaxed_reach_block(box, colors[:, ranks], _sources(seed, xi),
                                   params.C * (u[0] + 2), reached=True)
-    counts = reached @ _out_faces(u, params.k, params.d, outs)[0].astype(np.int64)
+    counts = reached @ _out_faces(u, params.k, params.d, outs)[2].astype(np.int64)
     return (counts >= _need(params)).all(axis=1)
 
 
@@ -310,11 +312,11 @@ def good_event(
     bound = params.C * (u[0] + 2)
     if walks_decide(xi, mode, bound):
         return bool(walk_good_events(cfg.region, cfg.bools()[None], seed, xi, params)[0])
-    columns, faces, _ = _out_faces(u, params.k, params.d, tuple(outs))
+    faces, union, _ = _out_faces(u, params.k, params.d, tuple(outs))
     res = exact_word_reach(_restrict(cfg, u, params), _sources(seed, xi), bound,
-                           early_stop=[(columns[:, j], need) for j in range(len(outs))],
+                           early_stop=[(bits, need) for bits, _ in faces],
                            node_budget=_budget(node_budget),
-                           prune_targets=(columns.any(axis=1), "membership"))
+                           prune_targets=(union, "membership"))
     return all((res.reached & bits).bit_count() >= need for bits, _ in faces)
 
 
@@ -327,15 +329,12 @@ def lambda_boundary(n: int, params: RenormParams) -> frozenset[Point]:
 
 
 @lru_cache(maxsize=16)
-def _boundary_sites(n: int, params: RenormParams, intervals) -> tuple[np.ndarray, tuple]:
+def _boundary_sites(n: int, params: RenormParams, intervals) -> tuple[int, tuple]:
     """lambda_boundary(n) in the window with these intervals, which holds
-    it: its rank-order mask and its (point, rank) pairs."""
+    it: its rank-order bitset and its (point, rank) pairs."""
     window = Region(intervals)
     points = tuple((y, int(window.rank(y))) for y in sorted(lambda_boundary(n, params)))
-    mask = np.zeros(window.volume, dtype=bool)
-    mask[[r for _, r in points]] = True
-    mask.setflags(write=False)
-    return mask, points
+    return sum(1 << r for _, r in points), points
 
 
 def event_Emn(
@@ -436,8 +435,7 @@ def macro_exploration(
     """
     win = slab_windows(n, params.h)
     k = params.k
-    C = params.C
-    budget = C * n
+    budget = params.C * n
     T = {tuple(v): int(t) for v, t in T.items()}
     for v, t in T.items():
         if t > budget:
@@ -460,17 +458,9 @@ def macro_exploration(
         seed = SeedSet.from_dict(u, arrivals.get(u, {}))
         if not seed.entries or not is_delta_seed(seed, params.delta, params):
             return False
-        if walks_decide(xi, mode, C * (u[0] + 2)):
-            # one walk search: the good event is the threshold on its faces
-            grown = seed_sets_from(cfg, seed, xi, params, mode=mode)
-            ok = all(len(got) >= need for got in grown.values())
-        else:
-            # the early-stopping search decides; only accepted boxes pay
-            # for the minimal-arrival search
-            ok = good_event(cfg, seed, xi, params, mode=mode, node_budget=node_budget)
-            grown = seed_sets_from(
-                cfg, seed, xi, params, mode=mode, node_budget=node_budget
-            ) if ok else {}
+        # one box search: the good event is the threshold on its faces
+        grown = seed_sets_from(cfg, seed, xi, params, mode=mode, node_budget=node_budget)
+        ok = all(len(got) >= need for got in grown.values())
         if ok:
             for w, got in grown.items():
                 slot = arrivals.setdefault(w, {})

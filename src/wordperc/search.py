@@ -54,15 +54,17 @@ Its start-ball and horizon bitsets are cached per pair of region
 intervals, since every trial asks for the same ones.
 
 A search masks its colour bitsets straight from ``Configuration.bits``
-(the same rank order), inside an optional region mask (used for
-non-product domains like a box plus its seed face).
+(the same rank order).  Every site set a search takes (``within``, for
+non-product domains like a box plus its seed face, the early-stop masks
+and the prune targets) is such a rank-order bitset, and the pruned table
+is swept back from the targets that the search's own fronts leave open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import or_
 
 import numpy as np
@@ -192,8 +194,8 @@ def _letters(word, upto: int) -> Word:
     return Word.from_bits(word)
 
 
-def region_mask(region: Region, parts) -> np.ndarray:
-    """Rank-order membership mask of a union of subregions."""
+def region_mask(region: Region, parts) -> int:
+    """Rank-order bitset of a union of subregions."""
     mask = np.zeros(region.volume, dtype=bool)
     pts = region.points_array()
     for part in parts:
@@ -201,7 +203,7 @@ def region_mask(region: Region, parts) -> np.ndarray:
         for axis, (lo, hi) in enumerate(part.intervals):
             sub &= (pts[:, axis] > lo) & (pts[:, axis] <= hi)
         mask |= sub
-    return mask
+    return _pack(mask)
 
 
 _PART_BITS: dict[tuple, int] = {}  # (intervals, part) -> _part_bits
@@ -215,7 +217,7 @@ def _part_bits(intervals, part) -> int:
     in d = 3 all stay.  A pair that would pass the bound empties it first."""
     bits = _PART_BITS.get((intervals, part))
     if bits is None:
-        bits = _pack(region_mask(Region(intervals), [Region(part)]))
+        bits = region_mask(Region(intervals), [Region(part)])
         if sum(b.bit_length() for b in _PART_BITS.values()) + bits.bit_length() > 1 << 27:
             _PART_BITS.clear()
         _PART_BITS[intervals, part] = bits
@@ -284,17 +286,19 @@ def _groups(region: Region, sources: SourceSet, max_index: int):
     return groups
 
 
+def _mask(mask, volume: int) -> int:
+    """A site mask, checked like Configuration.bits: a rank-order bitset of
+    the region, a nonnegative int below 2^volume."""
+    if not isinstance(mask, int) or mask < 0 or mask >> volume:
+        raise DomainError("a site mask must be a bitset of the region's ranks")
+    return mask
+
+
 def _allowed(cfg: Configuration, within):
-    """The 0-sites and the 1-sites of cfg inside within (a rank-order bool
-    mask, a bitset, or None for the whole region), as bitsets."""
-    inside = (1 << cfg.region.volume) - 1
-    if isinstance(within, int):
-        inside = within
-    elif within is not None:
-        mask = np.asarray(within, dtype=bool)
-        if mask.shape != (cfg.region.volume,):
-            raise DomainError("within-mask shape mismatch")
-        inside = _pack(mask)
+    """The 0-sites and the 1-sites of cfg inside within (a site mask, or
+    None for the whole region), as bitsets."""
+    volume = cfg.region.volume
+    inside = (1 << volume) - 1 if within is None else _mask(within, volume)
     return inside & ~cfg.bits, inside & cfg.bits
 
 
@@ -335,14 +339,11 @@ def one_connected_block(region: Region, colors: np.ndarray, S) -> np.ndarray:
     return _unpack(seen, copies * volume).reshape(copies, volume)
 
 
-def one_connected_set(
-    cfg: Configuration, S, region: Region | None = None, within=None
-) -> set[Point]:
-    """Vertices 1-connected to S through 1-sites; S members count only if
-    their own site is 1.  The one-copy case of one_connected_block."""
+def one_connected_set(cfg: Configuration, S, within=None) -> set[Point]:
+    """Vertices 1-connected to S through 1-sites (inside the site mask
+    within); S members count only if their own site is 1.  The one-copy
+    case of one_connected_block."""
     reg = cfg.region
-    if region is not None and region.intervals != reg.intervals:
-        raise DomainError("one_connected_set region must match the configuration")
     seen = _one_connected(reg, _allowed(cfg, within)[1], 1, S)
     return set(map(tuple, reg.points_array()[_unpack(seen, reg.volume)].tolist()))
 
@@ -423,28 +424,24 @@ def relaxed_reach_block(
     return _unpack(hits, sites).reshape(copies, volume).any(axis=1)
 
 
-def _pruned(forward, lattice, allowed, letters, t0, target, minarr, flavor):
+def _pruned(forward, lattice, allowed, letters, t0, target, fronts, flavor):
     """The forward table forward[t - t0] cut to the states from which the
     relaxed dynamics can still resolve a target (the backward companion
-    of the forward table), as a new list.
+    of the forward table), as a new list; fronts are the search's own.
 
     flavor "membership": a target y is unresolved while unreached.
-    flavor "min": y is also worth improving at indices below its best
-    known arrival.  Pruning on this table is sound for reached-vertex
-    sets (membership) and minimal arrivals (min); it must not be used
-    when the full (vertex, index) pair set is wanted.
+    flavor "min": y is also worth improving at indices t below its best
+    known arrival, that is while it is in none of fronts[0..t].  Pruning
+    on this table is sound for reached-vertex sets (membership) and
+    minimal arrivals (min); it must not be used when the full (vertex,
+    index) pair set is wanted.
     """
     t1 = t0 + len(forward) - 1
-    best = np.where(target, t1 + 1, -1)  # a target y is wanted at t < best[y]
-    if minarr:
-        ranks = np.fromiter(minarr, np.int64, len(minarr))
-        arrived = np.fromiter(minarr.values(), np.int64, len(minarr))
-        best[ranks] = -1 if flavor == "membership" else np.minimum(best[ranks], arrived)
-    wanted, goals = _pack(best > t1), {}
-    gains = {int(t): _pack(best == t) for t in np.unique(best[(best >= t0) & (best <= t1)])}
-    for t in range(t1, t0 - 1, -1):
-        goals[t] = wanted
-        wanted |= gains.get(t, 0)
+    if flavor == "min":
+        reached = list(accumulate(fronts[:t1 + 1] + [0] * (t1 + 1 - len(fronts)), or_))[t0:]
+    else:
+        reached = [reduce(or_, fronts, 0)] * len(forward)
+    goals = {t: target & ~seen for t, seen in enumerate(reached, t0)}
     useful = [f for _, f in _sweep(lattice, allowed, letters, range(t1, t0 - 1, -1), goals)]
     return [f & u for f, u in zip(forward, useful[::-1])]
 
@@ -497,6 +494,7 @@ def exact_word_reach(
 ) -> ReachResult:
     """Self-avoiding word reachability with witness paths.
 
+    within and the masks below are rank-order bitsets of the region.
     early_stop: optional list of (mask, threshold) pairs; the search
     returns as soon as every mask holds at least threshold reached
     vertices (good-event decisions need only the thresholds).
@@ -512,29 +510,28 @@ def exact_word_reach(
     One loop over the sources' starts and the steps of their walks: a
     step counts against the node budget, each start and step is recorded
     (arrival, first-arrival counts, witness) and checked against the stop
-    rules, and the pruned table is rebuilt once enough target arrivals
-    improved since the last build.  Node counts, and so which searches
-    exceed a budget, depend on this order.
+    rules, and the pruned table is rebuilt from the fronts once enough
+    target arrivals improved since the last build.  Node counts, and so
+    which searches exceed a budget, depend on this order.
     """
     region, groups = cfg.region, _groups(cfg.region, sources, max_index)
     allowed = _allowed(cfg, within)
     lattice = _stacked(region.sizes)[0]
     kind, steps = neighbor_steps(region.sizes)
     mask_volume = (allowed[0] | allowed[1]).bit_count()
-    stops = [(_pack(np.asarray(m, bool)), int(th)) for m, th in early_stop or ()]
+    stops = [(_mask(m, region.volume), int(th)) for m, th in early_stop or ()]
     counts = [0] * len(stops)
-    target_mask, target, flavor = None, 0, None
+    target, flavor = 0, None
     if prune_targets is not None:
-        target_mask, flavor = np.asarray(prune_targets[0], bool), prune_targets[1]
+        target, flavor = _mask(prune_targets[0], region.volume), prune_targets[1]
         if flavor not in ("membership", "min"):
             raise DomainError(f"unknown prune flavor {flavor!r}")
-        target = _pack(target_mask)
     refresh_after = max(1024, 4 * mask_volume)
 
     fronts: list[int] = []  # fronts[t]: ranks reached at t
     res = ReachResult(region, fronts, max_index, exact=True,
                       witnesses={} if want_witness else None)
-    minarr: dict[int, int] = {}
+    minarr: dict[int, int] = {}  # rank -> best arrival, to count improvements
     nodes = 0
     cap = mask_volume if max_path_len is None else min(max_path_len, mask_volume)
     for wid in sorted(groups):
@@ -545,8 +542,8 @@ def exact_word_reach(
         # ok[t - t_lo]: sites a self-avoiding path may occupy at index t
         sweep = _sweep(lattice, allowed, letters, range(t_lo, t1 + 1), _seeds(srcs))
         ok = forward = [f for _, f in sweep]
-        if target_mask is not None:
-            ok = _pruned(forward, lattice, allowed, letters, t_lo, target_mask, minarr, flavor)
+        if flavor is not None:
+            ok = _pruned(forward, lattice, allowed, letters, t_lo, target, fronts, flavor)
         stale, refreshed = 0, nodes  # improved target arrivals, nodes at the last build
         for start, t_start in sorted(srcs, key=lambda s: (s[1], s[0])):
             if not allowed[letters >> t_start & 1] >> start & 1:
@@ -579,8 +576,8 @@ def exact_word_reach(
                     break  # the start is recorded but no walk leaves it
                 # stale counts only improved prune targets, so it is 0 without them
                 if stale and nodes - refreshed >= refresh_after:
-                    ok[:] = _pruned(forward, lattice, allowed, letters, t_lo, target_mask,
-                                    minarr, flavor)
+                    ok[:] = _pruned(forward, lattice, allowed, letters, t_lo, target,
+                                    fronts, flavor)
                     stale, refreshed = 0, nodes
     return res
 

@@ -11,11 +11,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import wordperc
-from wordperc import config, renorm, wierman
+from wordperc import config, harness, renorm, wierman
 from wordperc.cli import build_parser, main
 from wordperc.geometry import box
 from wordperc.rng import RngStream
@@ -514,6 +514,21 @@ def test_csv_that_is_a_folder_fails_before_the_run(tmp_path, capsys):
     assert "is a folder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tail", [["--out", ""], ["--csv", ""]], ids=["out", "csv"])
+@pytest.mark.parametrize("spec", [False, True], ids=["argv", "spec"])
+def test_empty_output_path_fails_before_the_run(tmp_path, capsys, monkeypatch, tail, spec):
+    monkeypatch.chdir(tmp_path)
+    argv = ["allwords", "--p", "0.5", "--m", "0", "--L", "2", "--R", "1", "--dim", "2",
+            "--trials", "2", *tail]
+    if spec:
+        argv = ["--spec", spec_file(tmp_path, "site", {"region": {"kind": "box", "m": 1},
+                                                       "p": 0.5}), *tail]
+    code, stdout = run_cli(argv)
+    assert code == 2
+    assert stdout == ""  # no trial ran
+    assert "empty path" in capsys.readouterr().err
+
+
 # -- spec trials and seed must be JSON integers ----------------------------------
 
 
@@ -741,4 +756,68 @@ def test_extreme_option_values_never_trace_back(tmp_path, monkeypatch, data):
         except SystemExit as e:  # argparse refuses the value
             code = e.code
     assert code in (0, 2, 3), (name, opt, value, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# -- extreme spec fields end in exit 0, 2 or 3, never in a traceback ----------
+
+SPEC_EXTREMES = (0, -1, 2 ** 63, 2 ** 70, "nan", "inf", "", None, [], {}, True, 1.5, "x")
+BOX2 = {"kind": "box", "m": 1, "d": 2}
+# small valid params per kind (per statistic for oriented and renorm), with
+# the optional fields each one reads; the drawn field replaces its own
+SPEC_BASE = {
+    "site": ("site", {"region": BOX2, "p": 0.5, "vertex": [0, 0]}),
+    "reach": ("reach", {"region": BOX2, "p": 0.5, "source": [0, 0], "word": "101",
+                        "mode": "exact", "max_index": 2}),
+    "allwords": ("allwords", {"p": 0.5, "m": 0, "L": 2, "R": 1, "d": 2, "mode": "exact"}),
+    "wierman": ("wierman", {"region": BOX2, "p": 0.4, "sources": [[0, 0]], "word": "alt",
+                            "start_index": 0}),
+    "decay": ("decay", {"p": 0.5, "L": 2, "R": 2, "m_list": [0, 1], "d": 2,
+                        "mode": "relaxed"}),
+    "crossing": ("oriented", {"stat": "crossing", "n": 4, "h": 6, "gamma": 0.5,
+                              "delta": 0.2, "thin": False}),
+    "domination": ("oriented", {"stat": "domination", "n": 4, "gamma": 0.5, "delta": 0.05}),
+    "xi5n": ("oriented", {"stat": "xi5n", "n": 4, "gamma": 0.5}),
+    "good": ("renorm", {"stat": "good", "p": 0.5, "k": 2, "word": "ones", "u": [0, 0, 2],
+                        "h": 4, "d": 3, "delta": 1e-6, "mode": "relaxed"}),
+    "explore": ("renorm", {"stat": "explore", "p": 0.5, "k": 2, "word": "ones", "n": 3,
+                           "tdensity": 0.5, "mode": "relaxed"}),
+    "emn": ("renorm", {"stat": "emn", "p": 0.5, "k": 2, "word": "ones", "n": 2, "m": 1,
+                       "mode": "relaxed"}),
+}
+SPEC_FIELDS = [(name, field) for name, (_, params) in SPEC_BASE.items()
+               for field in params if field != "stat"]
+
+
+def test_spec_base_covers_every_kind_and_statistic():
+    assert set(SPEC_BASE) == set(harness.REQUIRED)
+    for name, (kind, params) in SPEC_BASE.items():
+        assert set(harness.REQUIRED[name]) <= set(params)
+        assert harness.validate(harness.ExperimentSpec(kind, params, 2, 1)) == []
+
+
+@given(st.sampled_from(SPEC_FIELDS), st.sampled_from(SPEC_EXTREMES))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(("crossing", "h"), "nan")
+@example(("crossing", "h"), "inf")
+@example(("crossing", "h"), "")
+@example(("crossing", "h"), None)
+@example(("crossing", "h"), [])
+@example(("crossing", "h"), {})
+@example(("crossing", "h"), "x")
+def test_extreme_spec_fields_never_trace_back(tmp_path, monkeypatch, where, value):
+    """One field of one kind's spec set to an extreme JSON value, every
+    other field small and valid; two trials and WORDPERC_THREADS unset.
+    The spec run exits 0, 2 or 3 and no exception leaves main."""
+    monkeypatch.delenv("WORDPERC_THREADS", raising=False)
+    name, field = where
+    kind, params = SPEC_BASE[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind, "params": {**params, field: value},
+                                "trials": 2, "seed": 1}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--spec", str(path)])
+    assert code in (0, 2, 3), (name, field, value, err.getvalue())
     assert "Traceback" not in err.getvalue()

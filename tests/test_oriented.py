@@ -36,7 +36,6 @@ from wordperc.oriented import (
     slab_out,
     slab_rect,
     slab_windows,
-    slab_windows_thin,
     snap_left_column,
     snap_right_column,
     xi_column_reach,
@@ -228,7 +227,7 @@ def test_windows_shapes():
         assert all(v[0] == snap_left_column(n) for v in win.L)
         assert all(v[0] == snap_right_column(n) for v in win.R)
         assert all(-n <= v[1] <= n for v in win.L + win.R)
-    thin = slab_windows_thin(12, 6, 2)
+    thin = slab_windows(12, 6, 2)
     assert all(-2 <= v[1] <= 2 for v in thin.L + thin.R)
     assert all(-3 <= v[1] <= 3 for v in thin.B)
 
@@ -250,6 +249,18 @@ def test_reach_matches_bruteforce_exhaustive_tiny():
         bits = [(code >> i) & 1 for i in range(len(verts))]
         cfg = OrientedConfig("planar", verts, np.array(bits, dtype=bool))
         assert oriented_reach(cfg, sources) == brute_oriented_reach(cfg, sources)
+
+
+def test_is_open_reads_the_columns():
+    """is_open reads a vertex's bit from the packed columns, in both
+    graphs; a vertex outside the window raises KeyError."""
+    for kind, verts, outside in (("planar", planar_rect(0, 8, -3, 3), (10, 0)),
+                                 ("slab", slab_rect((2, 6), (-3, 3), 4), (2, 1, 5))):
+        bits = raw_grid(3, 0, 1, 0, len(verts), 1)[0] & 1 == 1
+        cfg = OrientedConfig(kind, verts, bits, h=4)
+        assert [cfg.is_open(v) for v in verts] == bits.tolist()
+        with pytest.raises(KeyError):
+            cfg.is_open(outside)
 
 
 def test_seeded_reach_semantics():
@@ -545,7 +556,7 @@ def test_rect_sites_counts_rect_vertices(x_lo, x_len, y_lo, y_len, h):
 
 @pytest.mark.parametrize("build", [
     lambda: slab_windows(100000, 6),
-    lambda: slab_windows_thin(100000, 6, 100000 / 6),  # the accordion's window
+    lambda: slab_windows(100000, 6, 100000 / 6),  # the accordion's window
     lambda: planar_window_for_xi(100000),
 ])
 def test_oversized_windows_refused_before_any_vertex(build):

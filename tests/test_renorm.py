@@ -117,7 +117,7 @@ def test_seed_sets_exact_matches_bruteforce():
     seed_pts = list(macro_face(U, PAR.k, PAR.d).iter_points())[::5]
     seed = SeedSet.from_dict(U, {p: 0 for p in seed_pts})
     mask = region_mask(region, [macro_face(U, PAR.k, PAR.d), macro_box(U, PAR.k, PAR.d)])
-    allowed = {region.unrank(int(r)) for r in np.nonzero(mask)[0]}
+    allowed = {region.unrank(r) for r in range(region.volume) if mask >> r & 1}
     for s in range(3):
         cfg = sample(region, 0.5, RngStream(313, s))
         got = seed_sets_from(cfg, seed, word, PAR, t_membership=7)
@@ -257,6 +257,44 @@ def test_macro_exploration_one_search_per_box(monkeypatch, mode):
     rep = macro_exploration(cfg, T, ConstantWord(1), par, n, mode=mode)
     assert rep.queried
     assert calls == ["relaxed_word_reach"] * len(rep.queried)
+
+
+def test_exact_exploration_one_search_per_seeded_box(monkeypatch):
+    # a product word is decided by the self-avoiding search: every queried
+    # box that holds a delta-seed, accepted or rejected, runs seed_sets_from's
+    # search once, and good_event is never asked
+    import wordperc.renorm as renorm
+
+    searched, seeded = [], []
+    real_search, real_check = renorm.exact_word_reach, renorm.is_delta_seed
+
+    def searching(cfg, *args, **kwargs):
+        searched.append(cfg.region.params[0])  # the macro vertex of the box
+        return real_search(cfg, *args, **kwargs)
+
+    def checking(seed, *args):
+        ok = real_check(seed, *args)
+        if ok:
+            seeded.append(seed.u)
+        return ok
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not a single box search")
+
+    monkeypatch.setattr(renorm, "exact_word_reach", searching)
+    monkeypatch.setattr(renorm, "is_delta_seed", checking)
+    monkeypatch.setattr(renorm, "relaxed_word_reach", forbidden)
+    monkeypatch.setattr(renorm, "good_event", forbidden)
+    par = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
+    n = 5
+    cfg = sample(micro_window(n, par), 0.6, RngStream(70, 1))
+    col = micro_left_column(n, par).points_array()
+    keep = RngStream(71, 1).uniform_block(0, len(col)) < 0.7
+    T = {tuple(v): 0 for v in col[keep].tolist()}
+    rep = macro_exploration(cfg, T, ProductWord(0.5, seed=5), par, n, mode="exact")
+    assert searched == seeded
+    assert len(set(seeded)) == len(seeded) == len(rep.queried)
+    assert set(rep.U_inf) < set(seeded)  # rejected boxes are searched once too
 
 
 def test_macro_exploration_empty_T():

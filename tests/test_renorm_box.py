@@ -9,9 +9,11 @@ window masked to F^u u B^u.  Walk-decided good events of a block of trials
 must equal the per-trial verdicts read from the masked relaxed search.
 """
 
+import hashlib
+import json
+from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from wordperc.geometry import (Region, box, macro_box, macro_face, macro_out_nei
 from wordperc.renorm import RenormParams, SeedSet, good_event, seed_sets_from
 from wordperc.rng import RngStream
 from wordperc.search import SourceSet, exact_word_reach, region_mask, relaxed_word_reach
-from wordperc.words import _pack, has_period_two
+from wordperc.words import Word, _pack, has_period_two
 
 # macro vertices for h = 4, at several positions and with 2 to 4 out-neighbors
 VERTICES = [(0, 0, 2), (2, 1, 1), (2, -1, 3), (4, 0, 2), (6, 1, 1)]
@@ -152,7 +154,7 @@ def masked_good_event(cfg, seed, word, params, mode, node_budget=None):
         res = exact_word_reach(cfg, sources, bound, within=mask,
                                early_stop=[(f, need) for f in faces],
                                node_budget=node_budget or renorm.EXACT_NODE_BUDGET,
-                               prune_targets=(np.logical_or.reduce(faces), "membership"))
+                               prune_targets=(sum(faces), "membership"))
     return all(sum(y in res.min_arrival for y in macro_face(v, k, params.d).iter_points())
                >= need for v in outs)
 
@@ -273,7 +275,7 @@ def test_early_stop_rules():
     new vertex, the first start in (offset, rank) order; a threshold of n
     on every site stops at the n-th."""
     cfg, src = stop_case()
-    whole = np.ones(cfg.region.volume, bool)
+    whole = (1 << cfg.region.volume) - 1
     want, nodes = counted(lambda: exact_word_reach(cfg, src, 20))
     got, got_nodes = counted(lambda: exact_word_reach(cfg, src, 20, early_stop=[]))
     same_result(got, want)
@@ -304,3 +306,106 @@ def test_tables_keyed_on_shape():
         table = neighbor_ranks(ivs)
         for r in range(region.volume):
             assert [r + s for s in steps[kind[r]]] == [int(v) for v in table[r] if v >= 0]
+
+
+# -- pruned search pins ------------------------------------------------------------
+#
+# Pruning is sound whatever table it uses, so a wrong pruned table shows only
+# in the node counts.  Each pin is (depth-first steps, _pruned builds, SHA-256
+# of the fronts and witnesses), recorded (with record_pruned_pins) from the
+# implementation that built the table from its minimal-arrival dict with numpy.
+
+PRUNED_PIN_FILE = Path(__file__).with_name("pruned_search_digests.json")
+THUE_MORSE = Word.from_bits(bin(i).count("1") & 1 for i in range(64))
+
+
+def pruned_counted(thunk):
+    """(canonical result or "cap", depth-first steps, _pruned builds)."""
+    builds = [0]
+    pruned = search._pruned
+
+    def counting(*args):
+        builds[0] += 1
+        return pruned(*args)
+
+    with mock.patch.object(search, "_pruned", counting):
+        got, nodes = counted(thunk)
+    if isinstance(got, search.ReachResult):
+        got = [got.fronts, sorted((list(v), [list(u) for u in path])
+                                  for v, path in (got.witnesses or {}).items())]
+    elif isinstance(got, dict):  # seed_sets_from
+        got = sorted((list(v), sorted((list(y), t) for y, t in seeds.items()))
+                     for v, seeds in got.items())
+    return got, nodes, builds[0]
+
+
+def pruned_pin_cases():
+    """(key, word groups, thunk) for every pin: window searches on 81 and 125
+    sites with one or two word groups, both flavours, a within mask and
+    early stops, and the renorm box searches of good_event and
+    seed_sets_from."""
+    for rname, region in (("sq9", Region(((-5, 4), (-5, 4)))), ("box23", box(2, 3))):
+        pts, vol = list(region.iter_points()), region.volume
+        for seed in range(3):
+            cfg = sample(region, (0.5, 0.55, 0.6)[seed], RngStream(90, seed))
+            targets = sample(region, 0.3, RngStream(91, seed)).bits
+            within = sample(region, 0.9, RngStream(92, seed)).bits
+            low = sum(1 << r for r, v in enumerate(pts) if v[0] <= 0)
+            for wname, word in (("product", harness.word_from_spec("product:q=0.5,seed=5")),
+                                ("thue", THUE_MORSE)):
+                starts = pts[::vol // 6]
+                multi = SourceSet.uniform(starts, word, list(range(len(starts))))
+                two = SourceSet(((pts[vol // 2], 0, 0), (pts[vol // 3], 2, 1), (pts[0], 0, 1)),
+                                (word, harness.word_from_spec("product:q=0.4,seed=9")))
+                calls = {
+                    "membership": (1, {"prune_targets": (targets, "membership")}),
+                    "min": (1, {"prune_targets": (targets, "min")}),
+                    "min_two": (2, {"prune_targets": (targets, "min")}),
+                    "min_within": (1, {"within": within, "prune_targets": (targets, "min")}),
+                    "early_two": (2, {"prune_targets": (targets, "membership"),
+                                      "early_stop": [(targets & low, 6),
+                                                     (targets & ~low, 8)],
+                                      "want_witness": True}),
+                }
+                for call, (groups, kwargs) in calls.items():
+                    src = two if groups == 2 else multi
+                    yield (f"{rname}/{seed}/{wname}/{call}", groups,
+                           lambda c=cfg, s=src, kw=kwargs: exact_word_reach(
+                               c, s, 30, node_budget=200000, **kw))
+    params = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
+    sparse = list(macro_face((2, 1, 1), 2, 3).iter_points())[::3]
+    seeds = {"full": SeedSet.full_face((0, 0, 2), params),
+             "sparse": SeedSet.from_dict((2, 1, 1), {v: 37 * i % 251
+                                                     for i, v in enumerate(sparse)})}
+    for seed in range(3):
+        for sname, seed_set in seeds.items():
+            window = window_around(seed_set.u, 2, 3, [1, 0, 2, 1, 0, 2])
+            cfg = sample(window, 0.5, RngStream(3, seed))
+            for wname in ("product:q=0.5,seed=2", "product:q=0.3,seed=7"):
+                word = harness.word_from_spec(wname)
+                key = f"box/{seed}/{sname}/{wname}"
+                yield (f"{key}/good", 1, lambda c=cfg, s=seed_set, w=word: good_event(
+                    c, s, w, params, node_budget=20000))
+                yield (f"{key}/seeds", 1, lambda c=cfg, s=seed_set, w=word: seed_sets_from(
+                    c, s, w, params, node_budget=20000))
+
+
+def record_pruned_pins() -> dict:
+    pins = {}
+    for key, _, thunk in pruned_pin_cases():
+        got, nodes, builds = pruned_counted(thunk)
+        digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+        pins[key] = [nodes, builds, digest]
+    return pins
+
+
+def test_pruned_searches_identical_to_pins():
+    pins = json.loads(PRUNED_PIN_FILE.read_text())
+    got = record_pruned_pins()
+    assert got.keys() == pins.keys()
+    assert [k for k in pins if got[k] != pins[k]] == []
+    # the 125-site window searches without early stops all rebuild their
+    # table mid-search, past one build per word group
+    groups = {key: g for key, g, _ in pruned_pin_cases()}
+    rebuilt = {key for key, (_, builds, _) in got.items() if builds > groups[key]}
+    assert {key for key in got if key.startswith("box23/") and "early" not in key} <= rebuilt

@@ -127,6 +127,30 @@ def test_capacity_guards():
             search(cfg, SourceSet.single((0, 0, 0), ConstantWord(1)), 3)
 
 
+def test_site_masks_are_bitsets_of_the_region():
+    """within, the early-stop masks and the prune targets take rank-order
+    bitsets only: a bool array, a negative int or a bit at or past the
+    volume is a DomainError, as for Configuration.bits."""
+    cfg = sample(R33, 0.5, RngStream(0, 0))
+    src = SourceSet.single((0, 0), ConstantWord(1))
+    whole = (1 << R33.volume) - 1
+    bad_masks = {"bools": cfg.bools(), "negative": -1, "past": 1 << R33.volume,
+                 "wide": whole | 1 << 40}
+    searches = {
+        "relaxed": lambda m: relaxed_word_reach(cfg, src, 4, within=m),
+        "one_connected": lambda m: one_connected_set(cfg, [(0, 0)], within=m),
+        "within": lambda m: exact_word_reach(cfg, src, 4, within=m),
+        "early_stop": lambda m: exact_word_reach(cfg, src, 4, early_stop=[(whole, 1), (m, 1)]),
+        "prune": lambda m: exact_word_reach(cfg, src, 4, prune_targets=(m, "min")),
+    }
+    for search in searches.values():
+        search(whole)
+        search(0)
+        for bad in bad_masks.values():
+            with pytest.raises(DomainError, match="bitset"):
+                search(bad)
+
+
 def test_sees_all_words_trivial_cases():
     ones = sample(R33, 1.0, RngStream(2, 0))
     ok, failing = sees_all_words(ones, ORIGIN_CELL, 2)
@@ -212,7 +236,7 @@ def test_constant_word_minima_are_distances():
     S = [(0, 0), (-3, 2), (4, -4)]
     for seed in range(4):
         cfg = sample(SQ9, 0.6, RngStream(78, seed))
-        within = None if seed % 2 else sample(SQ9, 0.9, RngStream(79, seed)).bools()
+        within = None if seed % 2 else sample(SQ9, 0.9, RngStream(79, seed)).bits
         dist = distance_map(cfg, S, within)
         res = relaxed_word_reach(cfg, SourceSet.uniform(S, ConstantWord(1)), 200, within)
         assert res.min_arrival == dist
@@ -247,8 +271,8 @@ def test_relaxed_matches_walk_bruteforce():
         pts = list(region.iter_points())
         for seed in range(2):
             cfg = sample(region, 0.6, RngStream(81, seed))
-            mask = sample(region, 0.8, RngStream(82, seed)).bools() if seed else None
-            allowed = None if mask is None else {v for v in pts if mask[region.rank(v)]}
+            mask = sample(region, 0.8, RngStream(82, seed)).bits if seed else None
+            allowed = None if mask is None else {v for v in pts if mask >> region.rank(v) & 1}
             sets = [SourceSet.single(pts[len(pts) // 2], w) for w in period2 + other]
             sets += [SourceSet(((pts[0], 0, 0), (pts[-1], 2, 1), (pts[1], 5, 1)), words)
                      for words in pairs_of_words]
@@ -317,10 +341,11 @@ def _pin_calls(region, cfg, word, seed):
     single = SourceSet.single(mid, word)
     multi = SourceSet.uniform([mid, third, pts[0]], word, [0, 1, 3])
     two_words = SourceSet(((mid, 0, 0), (third, 0, 1), (last, 2, 1)), (word, THUE_MORSE))
-    within = sample(region, 0.85, RngStream(7, seed)).bools()
-    half = region.points_array()[:, 0] <= 0
-    targets = sample(region, 0.3, RngStream(8, seed)).bools()
-    on_targets = lambda v: targets[region.rank(v)]  # noqa: E731
+    within = sample(region, 0.85, RngStream(7, seed)).bits
+    half = sum(1 << r for r, v in enumerate(pts) if v[0] <= 0)
+    other_half = (1 << region.volume) - 1 ^ half
+    targets = sample(region, 0.3, RngStream(8, seed)).bits
+    on_targets = lambda v: targets >> region.rank(v) & 1  # noqa: E731
     yield "relaxed", lambda: _canonical(relaxed_word_reach(cfg, single, 24))
     yield "relaxed_lean", lambda: _canonical(relaxed_word_reach(cfg, multi, 24), arrivals=False)
     yield "relaxed_within", lambda: _canonical(relaxed_word_reach(cfg, multi, 24, within))
@@ -335,7 +360,7 @@ def _pin_calls(region, cfg, word, seed):
     yield "exact_words", lambda: _canonical(
         exact_word_reach(cfg, two_words, 8, want_witness=True))
     yield "exact_early", lambda: _canonical(exact_word_reach(
-        cfg, multi, 8, early_stop=[(half, 4), (~half, 3)], want_witness=True))
+        cfg, multi, 8, early_stop=[(half, 4), (other_half, 3)], want_witness=True))
     yield "exact_stop", lambda: _canonical(
         exact_word_reach(cfg, multi, 8, stop_at_index=5, want_witness=True))
     yield "exact_len", lambda: _canonical(
