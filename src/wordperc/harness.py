@@ -14,7 +14,9 @@ which fans contiguous trial ranges out over WORDPERC_THREADS processes
 and returns the per-trial outcomes in trial order; each statistic reduces
 them as a serial loop would, so the result does not depend on the worker
 count.  Within a range, trials are sampled a block at a time
-(config.sample_block, config.sample_trials); see the range functions.
+(config.sample_block over config.trial_blocks), and reach, allwords and
+decay decide each block with one stacked search (search.relaxed_reach_block,
+exact_reach_block, sees_all_words_block); see the range functions.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Configuration, sample_block, sample_trials, trial_blocks
+from .config import Configuration, sample_block, trial_blocks
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, run_trials, wilson_interval
 from .geometry import MAX_DIM, Region, box, is_macro_vertex, lambda_box
@@ -35,7 +37,7 @@ from .oriented import crossing_stat, domination_probe, xi5n_stat
 from .renorm import (RenormParams, SeedSet, emn_stat, exploration_stat, good_event,
                      walk_good_events, walks_decide)
 from .rng import below, raw_grid
-from .search import SourceSet, exact_word_reach, relaxed_reach_block, sees_all_words
+from .search import SourceSet, exact_reach_block, relaxed_reach_block, sees_all_words_block
 from .wierman import couple_block, verify_block
 from .words import Word, WordGenerator, generator_from_spec, parse_word_argument
 
@@ -288,8 +290,10 @@ def _validate(spec: ExperimentSpec, v: list[str]):
 # Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
 # Every range that samples a region draws its trials as rows of
 # config.sample_block, in blocks of at most config.BLOCK_SITES sites
-# (config.trial_blocks); the coupling couples and verifies a block of pairs
-# at a time, two draws per site (wierman.couple_block, verify_block).
+# (config.trial_blocks); reach sweeps a block at once, all-words and decay
+# walk the word trie once per block, and the coupling couples and verifies
+# a block of pairs at a time, two draws per site (wierman.couple_block,
+# verify_block).
 
 
 def _renorm_params(p) -> RenormParams:
@@ -310,9 +314,7 @@ def _site_trials(params, seed, t0, t1) -> list[int]:
 
 def _reach_trials(params, seed, t0, t1) -> list[int]:
     """Whether each trial reaches index max_index (the literal word's last
-    index by default).  One relaxed sweep decides a block; exact reach past
-    index 1 then searches only the trials that sweep reaches, since exact
-    reach is a subset of relaxed reach."""
+    index by default): one stacked sweep per block, relaxed or exact."""
     region = region_from_spec(params["region"])
     p = float(params["p"])
     word = word_from_spec(params["word"])
@@ -323,37 +325,23 @@ def _reach_trials(params, seed, t0, t1) -> list[int]:
         length = word.length - 1
     length = int(length)
     src = SourceSet.single(tuple(params["source"]), word)
-    # a walk of at most one step cannot revisit a site, so exact reach of
-    # index 0 or 1 is the relaxed event
-    exact = params.get("mode", "exact") != "relaxed" and length > 1
+    reach = relaxed_reach_block if params.get("mode", "exact") == "relaxed" else exact_reach_block
     out = []
     for b0, b1 in trial_blocks(t0, t1, region.volume):
         colors = sample_block(region, p, seed, b0, b1)
-        if not exact:
-            out += relaxed_reach_block(region, colors, src, length).astype(int).tolist()
-            continue
-        # exact reach is a subset of relaxed reach, so a trial the sweep does
-        # not reach at length fails without a search.  No self-avoiding walk
-        # gets past index volume - 1, and the search reads the word only that
-        # far, so the sweep stops there too: it reads the same letters
-        screen = relaxed_reach_block(region, colors, src, min(length, region.volume - 1))
-        for row, hit in zip(colors, screen):
-            if hit:
-                res = exact_word_reach(Configuration.from_bools(region, row), src, length,
-                                       stop_at_index=length)
-                hit = res.index_hits >> length & 1
-            out.append(int(hit))
+        out += reach(region, colors, src, length).astype(int).tolist()
     return out
 
 
 def _allwords_failures(params, seed, t0, t1) -> list[int]:
     """Whether each trial's radius-m ball misses some length-L word inside
-    the radius-R horizon."""
+    the radius-R horizon, one trie walk per block."""
     d = int(params.get("d", 3))
     horizon, ball = box(int(params["R"]), d), box(int(params["m"]), d)
     p, L, mode = float(params["p"]), int(params["L"]), params.get("mode", "exact")
-    return [int(not sees_all_words(cfg, ball, L, mode=mode)[0])
-            for cfg in sample_trials(horizon, p, seed, t0, t1)]
+    return [int(not ok) for b0, b1 in trial_blocks(t0, t1, horizon.volume)
+            for ok, _ in sees_all_words_block(horizon, sample_block(horizon, p, seed, b0, b1),
+                                              ball, L, mode=mode)]
 
 
 def _wierman_trials(params, seed, t0, t1) -> list[int]:
@@ -407,18 +395,23 @@ _BERNOULLI = {
 
 def _decay_failures(p, L, ms, R, d, mode, seed, t0, t1) -> list[int]:
     """Per trial, how many radii of ms (ascending) fail before the first
-    one whose ball sees every word."""
+    one whose ball sees every word.  Each radius walks the trie once per
+    block, over the rows that no smaller ball saw every word from."""
     horizon = box(R, d)
     balls = [box(m, d) for m in ms]
     out = []
-    for cfg in sample_trials(horizon, p, seed, t0, t1):
-        fails = 0
+    for b0, b1 in trial_blocks(t0, t1, horizon.volume):
+        colors = sample_block(horizon, p, seed, b0, b1)
+        fails = np.zeros(len(colors), dtype=int)
+        rows = np.arange(len(colors))
         for ball in balls:
-            if sees_all_words(cfg, ball, L, mode=mode)[0]:
-                # larger balls only add start vertices; no further failures
+            seen = sees_all_words_block(horizon, colors[rows], ball, L, mode=mode)
+            # larger balls only add start vertices; no further failures
+            rows = rows[[not ok for ok, _ in seen]]
+            if not len(rows):
                 break
-            fails += 1
-        out.append(fails)
+            fails[rows] += 1
+        out += fails.tolist()
     return out
 
 
@@ -429,7 +422,9 @@ def decay_experiment(p: float, L: int, m_list, R: int, trials: int, seed: int, d
 
     One configuration per trial is shared by every m, so the q_m are
     coupled and nonincreasing in m by construction.  Reports the slope of
-    log q_m against m^(d-1) where q_m > 0.
+    log q_m against m^(d-1) where q_m > 0, or null without two distinct
+    values of m^(d-1) to fit (one radius with q_m > 0, or d = 1, where
+    every m^0 is 1).
     """
     ms = sorted(int(m) for m in m_list)
     if mode == "relaxed" and (L > 12 or R > 64):
@@ -448,7 +443,7 @@ def decay_experiment(p: float, L: int, m_list, R: int, trials: int, seed: int, d
             xs.append(m ** (d - 1))
             ys.append(math.log(q))
     slope = intercept = r2 = None
-    if len(xs) >= 2:
+    if len(set(xs)) >= 2:
         coef = np.polyfit(xs, ys, 1)
         slope, intercept = float(coef[0]), float(coef[1])
         pred = np.polyval(coef, xs)

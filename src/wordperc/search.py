@@ -25,9 +25,10 @@ letter: forward from the sources it gives the relaxed reach and the
 exact search's pruning table, backward from the targets the table of
 states that can still resolve one.  The exact search is a single
 depth-first generator (``_paths``) with an int visited set over
-``neighbor_steps``: it yields each step, and ``exact_word_reach`` and
-``sees_all_words`` consume the steps in plain loops that record
-arrivals, check their stop rules and return.
+``neighbor_steps``: it yields each step, ``exact_word_reach`` consumes
+the steps in a plain loop that records arrivals, checks its stop rules
+and returns, and ``_walks_to_end``, the exact leaf check of the block
+searches, only asks whether a step reaches a given index.
 
 Both searches return their fronts, one rank-order bitset of the sites
 reached at each index, in a ``ReachResult`` of at most (max_index + 1) *
@@ -39,19 +40,23 @@ no fronts, ``relaxed_word_reach`` being its one-copy case (multi-spin
 coding, after Jacobs and Rebbi, J. Comput. Phys. 41, 1981): trial k
 is the k-th copy of the region along an extra axis that ``_step`` never
 steps, the per-axis edge masks repeated once per copy, so one sweep over
-the stacked bitset advances every trial.  Since exact reach is a subset
-of relaxed reach, the same sweep screens a block for exact reach: a
-trial it does not reach at max_index needs no search.
-``one_connected_block`` runs the constant word 1 over the same stacked
-lattice to its fixpoint, the 1-clusters of a block of colourings at once.
+the stacked bitset advances every trial.  ``exact_reach_block`` keeps
+the fronts of that sweep as every trial's forward table: since exact
+reach is a subset of relaxed reach, a trial it does not reach at
+max_index fails, and each other trial runs only ``_walks_to_end`` on its
+copy of the fronts (``_occupied`` tells the copies with a nonempty front
+in a few int operations).  ``one_connected_block`` runs the constant
+word 1 over the same stacked lattice to its fixpoint, the 1-clusters of
+a block of colourings at once.
 
-``sees_all_words`` walks the word trie depth first: the front of a prefix
-is its parent's front stepped and masked by its last letter, so words
-sharing a prefix share its fronts, an empty front settles a whole
-subtree, and an exact leaf iterates the depth-first generator pruned by
-the chain of fronts along its word until a step reaches its last index.
-Its start-ball and horizon bitsets are cached per pair of region
-intervals, since every trial asks for the same ones.
+``sees_all_words_block`` walks the word trie depth first for a block of
+trials at once, ``sees_all_words`` being its one-row case: the front of
+a prefix is its parent's front stepped and masked by its last letter, so
+words sharing a prefix share its fronts, and a trial fails at the first
+leaf whose front is empty (the first word of the subtree that the empty
+front settles) or, exact, whose chain of fronts admits no self-avoiding
+walk to its last index.  Its start-ball and horizon bitsets are cached
+per pair of region intervals, since every block asks for the same ones.
 
 A search masks its colour bitsets straight from ``Configuration.bits``
 (the same rank order).  Every site set a search takes (``within``, for
@@ -211,7 +216,7 @@ _PART_BITS: dict[tuple, int] = {}  # (intervals, part) -> _part_bits
 
 def _part_bits(intervals, part) -> int:
     """The bitset of the subregion part of the region with these intervals,
-    cached per pair: sees_all_words asks for the same ones every trial.
+    cached per pair: sees_all_words_block asks for the same ones every block.
     The cache is bounded by the bits it holds, 2^27 (16 MiB), not by its
     entries: the up to 65 start balls of a decay run in a radius-64 horizon
     in d = 3 all stay.  A pair that would pass the bound empties it first."""
@@ -388,6 +393,38 @@ def relaxed_word_reach(cfg: Configuration, sources: SourceSet, max_index: int,
     return ReachResult(region, fronts, max_index, exact=False, tails=tuple(tails))
 
 
+def _block_sweep(region: Region, colors: np.ndarray, sources: SourceSet, max_index: int):
+    """(copies, the relaxed sweep of the rows of colors stacked as copies of
+    region along an extra axis that _step never takes)."""
+    groups = _groups(region, sources, max_index)
+    if colors.ndim != 2 or colors.shape[1] != region.volume:
+        raise DomainError("colour block shape mismatch")
+    copies, volume = colors.shape
+    ones = _pack(colors)  # bit k * volume + r is rank r of trial k
+    allowed = ((1 << copies * volume) - 1 & ~ones, ones)
+    lattice, repunit = _stacked(region.sizes, copies)
+    return copies, _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit)
+
+
+@lru_cache(maxsize=32)
+def _alternate(volume: int, copies: int):
+    """For copies of a region of this volume: the sites of the even copies,
+    those of the odd copies, and the first sites after each even and after
+    each odd copy."""
+    even = _tile((1 << volume) - 1, 2 * volume, copies * volume)
+    after = _tile(1, 2 * volume, copies * volume) << volume
+    return even, (1 << copies * volume) - 1 ^ even, after, after << volume
+
+
+def _occupied(front: int, copies: int, volume: int) -> int:
+    """Bit k * volume is set iff copy k of a stacked bitset is nonempty.
+    Adding all ones to a copy carries out of it iff it is nonempty; the
+    even and the odd copies are added apart, so that no carry runs on into
+    the next copy's sum."""
+    even, odd, after_even, after_odd = _alternate(volume, copies)
+    return (((front & even) + even) & after_even | ((front & odd) + odd) & after_odd) >> volume
+
+
 def relaxed_reach_block(
     region: Region, colors: np.ndarray, sources: SourceSet, max_index: int,
     reached: bool = False,
@@ -404,16 +441,11 @@ def relaxed_reach_block(
 
     The sweep reads every word up to max_index, so a word shorter than
     that is a DomainError even where no walk could get so far."""
-    groups = _groups(region, sources, max_index)
-    if colors.ndim != 2 or colors.shape[1] != region.volume:
-        raise DomainError("colour block shape mismatch")
-    copies, volume = colors.shape
+    copies, sweep = _block_sweep(region, colors, sources, max_index)
+    volume = region.volume
     sites = copies * volume
-    ones = _pack(colors)  # bit k * volume + r is rank r of trial k
-    allowed = ((1 << sites) - 1 & ~ones, ones)
-    lattice, repunit = _stacked(region.sizes, copies)
     hits = seen = 0
-    for t, front, tail in _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit):
+    for t, front, tail in sweep:
         seen |= front
         # past the last seed, a copy of a period-2 front is empty at both
         # parities or at neither (an empty front stays empty)
@@ -422,6 +454,51 @@ def relaxed_reach_block(
     if reached:
         return _unpack(seen, sites).reshape(copies, volume)
     return _unpack(hits, sites).reshape(copies, volume).any(axis=1)
+
+
+def exact_reach_block(region: Region, colors: np.ndarray, sources: SourceSet,
+                      max_index: int) -> np.ndarray:
+    """For each row of colors, whether exact_word_reach(cfg, sources,
+    max_index, stop_at_index=max_index) on it reaches index max_index,
+    for the one source at offset 0 of a reach trial (any other source set
+    is a DomainError).
+
+    One relaxed sweep of the stacked rows gives every trial's forward
+    table, the fronts at indices 0..max_index (a period-2 tail expanded);
+    exact reach is a subset of relaxed reach, so a trial whose front at
+    max_index is empty fails, and past index 1 each other trial runs
+    _walks_to_end on its copy of the fronts: the steps exact_word_reach
+    takes, over the same table in the same neighbour order.  No
+    self-avoiding walk gets past index volume - 1 and exact_word_reach
+    reads the word only that far, so the sweep stops at min(max_index,
+    volume - 1), reading the same letters, and a larger max_index fails
+    every trial.  The block keeps at most min(max_index, volume - 1) + 1
+    fronts of rows * volume bits, at most max(BLOCK_SITES, volume) for a
+    block of config.trial_blocks."""
+    if len(sources.entries) != 1 or sources.entries[0][1] != 0:
+        raise DomainError("exact_reach_block takes one source at offset 0")
+    [[(start, _)]] = _groups(region, sources, max_index).values()
+    volume = region.volume
+    top = min(max_index, volume - 1)
+    copies, sweep = _block_sweep(region, colors, sources, top)
+    fronts = [0] * (top + 1)
+    for t, front, tail in sweep:
+        fronts[t] = front
+        if tail is not None:  # the fronts alternate from here on
+            for u in range(t + 1, top + 1):
+                fronts[u] = fronts[u - 2]
+    if max_index > top:
+        return np.zeros(copies, dtype=bool)
+    sites = copies * volume
+    hits = _occupied(fronts[max_index], copies, volume)
+    if max_index > 1:  # a walk of at most one step cannot revisit a site
+        kind, steps = neighbor_steps(region.sizes)
+        full = (1 << volume) - 1
+        for k in (_ranks(hits, sites) // volume).tolist():
+            copy = [f >> k * volume & full for f in fronts]
+            if not _walks_to_end(steps, kind, copy, [start], max_index + 1):
+                hits ^= 1 << k * volume
+    return _unpack(hits, sites)[::volume]
 
 
 def _pruned(forward, lattice, allowed, letters, t0, target, fronts, flavor):
@@ -597,6 +674,84 @@ def verify_witness(cfg: Configuration, path, word, t_start: int) -> bool:
     return True
 
 
+def sees_all_words_block(
+    region: Region,
+    colors: np.ndarray,
+    from_region: Region,
+    length: int,
+    horizon: Region | None = None,
+    mode: str = "exact",
+) -> list:
+    """For each row of colors (one trial's rank-order colouring of region),
+    sees_all_words on it: (ok, failing).
+
+    One depth-first walk of the word trie, 0 before 1, over the rows
+    stacked as copies of the region: the front of a prefix is its parent's
+    front stepped and masked by the sites of its last letter, for every
+    copy at once.  A copy leaves the walk at its first failure, and the
+    walk ends when no copy is left.  An empty front fails a copy's whole
+    subtree, whose first word is that prefix padded with zeros, so the
+    copy fails at the first leaf whose front is empty, with that leaf's
+    word.  A relaxed leaf is seen iff its front is nonempty; an exact one
+    iff _walks_to_end, on the copy's chain of fronts along the leaf's
+    word, finds a self-avoiding walk to index length - 1: the steps the
+    one-row walk takes.  The block keeps length fronts of rows * volume
+    bits."""
+    if length < 0:
+        raise DomainError("negative word length")
+    if length > 24:
+        raise CapacityError("sees_all_words capped at L <= 24")
+    if mode not in ("exact", "relaxed"):
+        raise DomainError(f"unknown mode {mode!r}")
+    if colors.ndim != 2 or colors.shape[1] != region.volume:
+        raise DomainError("colour block shape mismatch")
+    copies, volume = colors.shape
+    out = [(True, None)] * copies
+    if length == 0:
+        return out
+    full = (1 << volume) - 1
+    inside = full if horizon is None else _part_bits(region.intervals, horizon.intervals)
+    starts = 0
+    if from_region.dim == region.dim:
+        starts = _part_bits(region.intervals, from_region.intervals)
+    if not starts:
+        raise DomainError("from-region does not meet the configuration region")
+    exact = mode == "exact"
+    if exact and length > inside.bit_count():
+        return [(False, Word(0, length))] * copies  # no self-avoiding path is that long
+    kind, steps = neighbor_steps(region.sizes)
+    ranks = _ranks(starts, volume).tolist()
+    lattice, repunit = _stacked(region.sizes, copies)
+    ones = _pack(colors)
+    allowed = (inside * repunit & ~ones, inside * repunit & ones)
+    seeds = {0: starts * repunit}
+    live = repunit  # bit k * volume for each copy still in the walk
+    sites = copies * volume
+    fronts = [0] * length  # fronts[t]: sites a walk reading word[:t + 1] holds at t
+    word = t = 0  # letter i is bit i; letters after t are 0 (the 0-children)
+    while True:
+        # fronts t.. along the 0-children, down to a leaf
+        prev = fronts[t - 1] if t else 0
+        for t, front in _sweep(lattice, allowed, word, range(t, length), seeds, prev):
+            fronts[t] = front
+        failed = live & ~_occupied(front, copies, volume)
+        if exact and length > 1:
+            for k in (_ranks(live ^ failed, sites) // volume).tolist():
+                copy = [f >> k * volume & full for f in fronts]
+                if not _walks_to_end(steps, kind, copy, ranks, length):
+                    failed |= 1 << k * volume
+        if failed:
+            for k in (_ranks(failed, sites) // volume).tolist():
+                out[k] = (False, Word(word, length))
+            live ^= failed
+        while t >= 0 and word >> t & 1:  # back up past walked 1-children
+            word ^= 1 << t
+            t -= 1
+        if t < 0 or not live:
+            return out
+        word |= 1 << t
+
+
 def sees_all_words(
     cfg: Configuration,
     from_region: Region,
@@ -606,52 +761,7 @@ def sees_all_words(
 ):
     """Whether every word of the given length is read from some vertex of
     from_region along a path inside the horizon. Returns (ok, failing),
-    failing being the first unseen word in enumerate_words order.
-
-    One depth-first walk of the word trie, 0 before 1: the front of a
-    prefix is its parent's front stepped and masked by the sites of its
-    last letter, and an empty front fails its whole subtree (the failing
-    word is that prefix padded with zeros).  A relaxed leaf is seen iff
-    its front is nonempty; an exact one iff a self-avoiding walk pruned
-    by the chain of fronts along it reaches index length - 1."""
-    if length < 0:
-        raise DomainError("negative word length")
-    if length > 24:
-        raise CapacityError("sees_all_words capped at L <= 24")
-    if mode not in ("exact", "relaxed"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if length == 0:
-        return True, None
-    reg = cfg.region
-    within = None if horizon is None else _part_bits(reg.intervals, horizon.intervals)
-    starts = 0
-    if from_region.dim == reg.dim:
-        starts = _part_bits(reg.intervals, from_region.intervals)
-    if not starts:
-        raise DomainError("from-region does not meet the configuration region")
-    allowed = _allowed(cfg, within)
-    lattice = _stacked(reg.sizes)[0]
-    if mode == "exact":
-        if length > (allowed[0] | allowed[1]).bit_count():
-            return False, Word(0, length)  # no self-avoiding path is that long
-        kind, steps = neighbor_steps(reg.sizes)
-        ranks = _ranks(starts, reg.volume).tolist()
-
-    fronts = [0] * length  # fronts[t]: sites a walk reading word[:t + 1] holds at t
-    word = t = 0  # letter i is bit i; letters after t are 0 (the 0-children)
-    while True:
-        # fronts t.. along the 0-children, down to a leaf or an empty front
-        prev = fronts[t - 1] if t else 0
-        for t, front in _sweep(lattice, allowed, word, range(t, length), {0: starts}, prev):
-            fronts[t] = front
-            if not front:
-                break
-        if not front or mode == "exact" and length > 1 and not _walks_to_end(
-                steps, kind, fronts, ranks, length):
-            return False, Word(word, length)
-        while t >= 0 and word >> t & 1:  # back up past walked 1-children
-            word ^= 1 << t
-            t -= 1
-        if t < 0:
-            return True, None
-        word |= 1 << t
+    failing being the first unseen word in enumerate_words order.  The
+    one-row case of sees_all_words_block."""
+    return sees_all_words_block(cfg.region, cfg.bools()[None], from_region, length,
+                                horizon, mode)[0]

@@ -2,14 +2,17 @@
 
 Site, reach, all-words and decay ranges sample a block of trials at once,
 and wierman ranges couple and verify a block of pairs at once.
-Relaxed reach and exact reach up to index 1 sweep the whole block in one
-stacked bitset; exact reach past index 1 searches only the trials that
-sweep reaches.  Every per-trial outcome must equal the one-configuration
+Relaxed and exact reach sweep the whole block in one stacked bitset, and
+exact reach past index 1 then checks a self-avoiding walk only on the
+trials that sweep reaches; all-words and decay walk the word trie once
+per block.  Every per-trial outcome must equal the one-configuration
 search run on sample(region, p, RngStream(seed, t)), for ranges that
 start past 0 and cross block boundaries, serially and fanned out over two
-workers.
+workers, and the block must take the depth-first steps that the
+per-trial searches take.
 """
 
+import math
 import os
 from unittest import mock
 
@@ -18,14 +21,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wordperc import config, harness
+from wordperc import config, harness, search
 from wordperc.config import Configuration, sample, sample_block
 from wordperc.errors import DomainError
 from wordperc.estimate import run_trials
 from wordperc.geometry import Region, box
 from wordperc.rng import RngStream
-from wordperc.search import (SourceSet, exact_word_reach, relaxed_reach_block,
-                             relaxed_word_reach, sees_all_words)
+from wordperc.search import (SourceSet, exact_reach_block, exact_word_reach,
+                             relaxed_reach_block, relaxed_word_reach, sees_all_words,
+                             sees_all_words_block)
 from wordperc.wierman import couple_block, verify_coupling, wierman_couple
 from wordperc.words import AlternatingWord, ProductWord, Word
 
@@ -122,6 +126,111 @@ def test_exact_reach_screen_mixes_rows():
     assert {(s, e) for s, e in zip(screen, exact)} == {(False, 0), (True, 0), (True, 1)}
 
 
+def counted(thunk):
+    """(result or DomainError text, depth-first steps taken) of a call."""
+    steps = [0]
+    paths = search._paths
+
+    def counting(*args):
+        for step in paths(*args):
+            steps[0] += 1
+            yield step
+
+    with mock.patch.object(search, "_paths", counting):
+        try:
+            return thunk(), steps[0]
+        except DomainError as e:
+            return str(e), steps[0]
+
+
+@st.composite
+def colour_blocks(draw, max_volume=125):
+    """A box of one to three axes (one site, and volumes not a multiple of
+    8, included) and a block of up to 30 rows of its colours."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)
+                 .filter(lambda sizes: math.prod(sizes) <= max_volume))
+    region = Region(tuple((0, s) for s in sizes))
+    p = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    return region, sample_block(region, p, draw(SEEDS), 3, 3 + draw(st.integers(1, 30)))
+
+
+@st.composite
+def reach_blocks(draw):
+    """A colour block, a source rank and a max_index from 0 to volume + 1.
+    The per-row reference searches every self-avoiding walk the colours
+    allow when max_index passes volume - 1, so the volume stays at most
+    16: a 2 x 2 x 4 box takes at most 14,691 steps a row."""
+    region, colors = draw(colour_blocks(max_volume=16))
+    return (region, colors, draw(st.integers(0, region.volume - 1)),
+            draw(st.integers(0, region.volume + 1)))
+
+
+@given(reach_blocks(), WORDS)
+@settings(max_examples=150, deadline=None)
+# words too short for a sweep to max_index, not for one to volume - 1
+@example((Region(((0, 1),)), np.array([[False], [True]]), 0, 1), "0")
+@example((Region(((0, 2),)), np.array([[False, True]] * 3), 0, 3), "01")
+# the block's front at index 7 repeats the one at 5: a period-2 tail
+# expanded to max_index
+@example((Region(((0, 4), (0, 4))), np.ones((3, 16), dtype=bool), 0, 12), "ones")
+def test_exact_reach_block_matches_exact_search(case, word):
+    """Row by row, exact_reach_block is exact_word_reach stopped at
+    max_index, a word too short failing both alike.  The rows its sweep
+    reaches at 1 < max_index < volume take exactly the exact search's
+    depth-first steps; the others take none."""
+    region, colors, rank, max_index = case
+    src = SourceSet.single(region.unrank(rank), harness.word_from_spec(word))
+    cfgs = [Configuration.from_bools(region, row) for row in colors]
+
+    def per_row(rows):
+        return [bool(exact_word_reach(c, src, max_index, stop_at_index=max_index).index_hits
+                     >> max_index & 1) for c in rows]
+
+    got, steps = counted(lambda: exact_reach_block(region, colors, src, max_index).tolist())
+    assert got == counted(lambda: per_row(cfgs))[0]
+    searched = []
+    if not isinstance(got, str) and 1 < max_index < region.volume:
+        searched = [c for c in cfgs
+                    if relaxed_word_reach(c, src, max_index).index_hits >> max_index & 1]
+    assert steps == counted(lambda: per_row(searched))[1]
+
+
+def test_exact_reach_block_takes_one_source_at_offset_0():
+    region = Region(((0, 3),))
+    colors = sample_block(region, 0.5, 1, 0, 4)
+    word = Word.from_string("0101")
+    for sources in (SourceSet.uniform([(1,), (2,)], word), SourceSet.single((1,), word, 1)):
+        with pytest.raises(DomainError, match="one source at offset 0"):
+            exact_reach_block(region, colors, sources, 2)
+
+
+def sub_box(data, region):
+    """A box of region's points, drawn per axis."""
+    intervals = []
+    for lo, hi in region.intervals:
+        a = data.draw(st.integers(lo, hi - 1))
+        intervals.append((a, data.draw(st.integers(a + 1, hi))))
+    return Region(tuple(intervals))
+
+
+@given(colour_blocks(), st.integers(0, 6), st.sampled_from(["exact", "relaxed"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sees_all_words_block_matches_per_row(block, length, mode, data):
+    """Row by row, sees_all_words_block is sees_all_words on the row's
+    configuration, (ok, failing word) alike, and takes the depth-first
+    steps of the per-row walks."""
+    region, colors = block
+    frm = sub_box(data, region)
+    horizon = sub_box(data, region) if data.draw(st.booleans()) else None
+    got, steps = counted(lambda: sees_all_words_block(region, colors, frm, length, horizon,
+                                                      mode))
+    want, want_steps = counted(lambda: [
+        sees_all_words(Configuration.from_bools(region, row), frm, length, horizon, mode)
+        for row in colors])
+    assert got == want
+    assert steps == want_steps
+
+
 def allwords_reference(params, seed, t0, t1):
     d = params["d"]
     horizon, ball = box(params["R"], d), box(params["m"], d)
@@ -131,19 +240,22 @@ def allwords_reference(params, seed, t0, t1):
 
 
 def decay_reference(p, L, ms, R, d, mode, seed, t0, t1):
-    """Failures before the first radius whose ball sees every word."""
+    """Failures before the first radius whose ball sees every word, one
+    trial at a time."""
     out = []
     for t in range(t0, t1):
         cfg = sample(box(R, d), p, RngStream(seed, t))
-        seen = [sees_all_words(cfg, box(m, d), L, mode=mode)[0] for m in ms]
-        out.append(seen.index(True) if True in seen else len(ms))
+        fails = 0
+        while fails < len(ms) and not sees_all_words(cfg, box(ms[fails], d), L, mode=mode)[0]:
+            fails += 1
+        out.append(fails)
     return out
 
 
 @st.composite
 def allwords_specs(draw):
-    R = draw(st.integers(1, 2))
-    return {"p": draw(st.sampled_from([0.0, 0.3, 0.5, 0.8])), "m": draw(st.integers(0, R)),
+    R = draw(st.integers(0, 2))
+    return {"p": draw(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0])), "m": draw(st.integers(0, R)),
             "L": draw(st.integers(1, 4)), "R": R, "d": draw(st.integers(1, 3)),
             "mode": draw(st.sampled_from(["exact", "relaxed"]))}
 
@@ -152,8 +264,8 @@ def allwords_specs(draw):
 @settings(max_examples=40, deadline=None)
 def test_allwords_block_matches_per_trial(params, seed, t0, trials, block):
     with mock.patch.object(config, "BLOCK_SITES", block):
-        got = harness._allwords_failures(params, seed, t0, t0 + trials)
-    assert got == allwords_reference(params, seed, t0, t0 + trials)
+        got = counted(lambda: harness._allwords_failures(params, seed, t0, t0 + trials))
+    assert got == counted(lambda: allwords_reference(params, seed, t0, t0 + trials))
 
 
 @given(allwords_specs(), st.data(), SEEDS, st.integers(1, 50), st.integers(1, 30),
@@ -164,8 +276,8 @@ def test_decay_block_matches_per_trial(params, data, seed, t0, trials, block):
     ms = sorted(data.draw(st.sets(st.integers(0, R), min_size=1)))
     args = (params["p"], params["L"], ms, R, params["d"], params["mode"], seed)
     with mock.patch.object(config, "BLOCK_SITES", block):
-        got = harness._decay_failures(*args, t0, t0 + trials)
-    assert got == decay_reference(*args, t0, t0 + trials)
+        got = counted(lambda: harness._decay_failures(*args, t0, t0 + trials))
+    assert got == counted(lambda: decay_reference(*args, t0, t0 + trials))
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.data(),
@@ -325,6 +437,7 @@ FANNED = (
                          "source": [0, 0, 0], "max_index": 6}),
     ("allwords5", "allwords", {"p": 0.5, "m": 1, "L": 4, "R": 2, "d": 2, "mode": "exact"}),
     ("decay6", "decay", (0.5, 3, [0, 1], 2, 2, "relaxed")),
+    ("decay8", "decay", (0.5, 4, [0, 1, 2], 2, 2, "exact")),
     # pairs coupled and verified a block at a time, with a source whose
     # start_index=1 colours are free draws
     ("wierman7", "wierman", {"region": {"kind": "box", "m": 1, "d": 2}, "p": 0.45,

@@ -700,6 +700,10 @@ def test_wpc_header_dimension_past_the_bound(tmp_path, capsys):
 # -- extreme option values end in exit 0, 2 or 3, never in a traceback --------
 
 EXTREMES = ("0", "-1", str(2 ** 63), str(2 ** 70), "nan", "inf", "")
+# values that size a region past config.MAX_SITES (with the other options of
+# FUZZ_BASE): refused with exit 2 or 3 before any draw
+OVERSIZED = {"--region": ("box:m=3000,d=2", "box:m=2,d=16"), "--R": ("3000",),
+             "--dim": ("16", "64")}
 # small valid arguments per subcommand; the drawn option replaces its own
 FUZZ_BASE = {
     "sample": ["--region", "box:m=1,d=2", "--p", "0.5", "--out", "c.wpc"],
@@ -735,8 +739,9 @@ def test_fuzz_base_covers_every_subcommand():
 def test_extreme_option_values_never_trace_back(tmp_path, monkeypatch, data):
     """One option of one subcommand set to an extreme value, every other
     option small and valid; trials stay at most 3 and WORDPERC_THREADS
-    unset, so every run is serial and short.  The run exits 0, 2 or 3 and
-    no exception leaves main."""
+    unset, so every run is serial and short.  The run exits 0, 2 or 3 (2
+    or 3 for a region past config.MAX_SITES) and no exception leaves
+    main."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("WORDPERC_THREADS", raising=False)
     if not (tmp_path / "base.wpc").exists():
@@ -744,8 +749,10 @@ def test_extreme_option_values_never_trace_back(tmp_path, monkeypatch, data):
     options = _valued_options()
     name = data.draw(st.sampled_from(sorted(options)))
     opt, dest = data.draw(st.sampled_from(options[name]))
-    value = data.draw(st.sampled_from(
-        [v for v in EXTREMES if dest != "trials" or v in ("0", "-1", "nan", "inf", "")]))
+    extremes = st.sampled_from(
+        [v for v in EXTREMES if dest != "trials" or v in ("0", "-1", "nan", "inf", "")])
+    oversized = OVERSIZED.get(opt, ())
+    value = data.draw(st.one_of(extremes, st.sampled_from(oversized)) if oversized else extremes)
     argv = list(FUZZ_BASE[name])
     if opt in argv:
         del argv[argv.index(opt):argv.index(opt) + 2]
@@ -755,7 +762,8 @@ def test_extreme_option_values_never_trace_back(tmp_path, monkeypatch, data):
             code = main([name, *argv, opt, value])
         except SystemExit as e:  # argparse refuses the value
             code = e.code
-    assert code in (0, 2, 3), (name, opt, value, err.getvalue())
+    assert code in ((2, 3) if value in oversized else (0, 2, 3)), (name, opt, value,
+                                                                  err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 
@@ -787,6 +795,26 @@ SPEC_BASE = {
 }
 SPEC_FIELDS = [(name, field) for name, (_, params) in SPEC_BASE.items()
                for field in params if field != "stat"]
+# field values that size a region past config.MAX_SITES, as OVERSIZED does
+SPEC_OVERSIZED = {"region": ({"kind": "box", "m": 3000, "d": 2},
+                             {"kind": "intervals", "intervals": [[-1, 5000], [-1, 5000]]}),
+                  "R": (3000,), "d": (16, 64)}
+
+
+def _oversized(name, field):
+    """The SPEC_OVERSIZED values of a field, where its kind samples the
+    region: a site trial draws one uniform, its vertex's, whatever the
+    region's size, and may run."""
+    return () if name == "site" else SPEC_OVERSIZED.get(field, ())
+
+
+def _spec_cases(where):
+    """(where, value): an extreme value, or one past MAX_SITES where the
+    field sizes a region that the trials sample."""
+    extremes = st.sampled_from(SPEC_EXTREMES)
+    oversized = _oversized(*where)
+    return st.tuples(st.just(where), st.one_of(extremes, st.sampled_from(oversized))
+                     if oversized else extremes)
 
 
 def test_spec_base_covers_every_kind_and_statistic():
@@ -796,22 +824,23 @@ def test_spec_base_covers_every_kind_and_statistic():
         assert harness.validate(harness.ExperimentSpec(kind, params, 2, 1)) == []
 
 
-@given(st.sampled_from(SPEC_FIELDS), st.sampled_from(SPEC_EXTREMES))
+@given(st.sampled_from(SPEC_FIELDS).flatmap(_spec_cases))
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example(("crossing", "h"), "nan")
-@example(("crossing", "h"), "inf")
-@example(("crossing", "h"), "")
-@example(("crossing", "h"), None)
-@example(("crossing", "h"), [])
-@example(("crossing", "h"), {})
-@example(("crossing", "h"), "x")
-def test_extreme_spec_fields_never_trace_back(tmp_path, monkeypatch, where, value):
+@example((("crossing", "h"), "nan"))
+@example((("crossing", "h"), "inf"))
+@example((("crossing", "h"), ""))
+@example((("crossing", "h"), None))
+@example((("crossing", "h"), []))
+@example((("crossing", "h"), {}))
+@example((("crossing", "h"), "x"))
+def test_extreme_spec_fields_never_trace_back(tmp_path, monkeypatch, case):
     """One field of one kind's spec set to an extreme JSON value, every
     other field small and valid; two trials and WORDPERC_THREADS unset.
-    The spec run exits 0, 2 or 3 and no exception leaves main."""
+    The spec run exits 0, 2 or 3 (2 or 3 for a region past
+    config.MAX_SITES) and no exception leaves main."""
     monkeypatch.delenv("WORDPERC_THREADS", raising=False)
-    name, field = where
+    (name, field), value = case
     kind, params = SPEC_BASE[name]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"kind": kind, "params": {**params, field: value},
@@ -819,5 +848,6 @@ def test_extreme_spec_fields_never_trace_back(tmp_path, monkeypatch, where, valu
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["--spec", str(path)])
-    assert code in (0, 2, 3), (name, field, value, err.getvalue())
+    oversized = value in _oversized(name, field)
+    assert code in ((2, 3) if oversized else (0, 2, 3)), (name, field, value, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -128,6 +129,15 @@ def test_decay_monotone_and_degenerate():
     res2 = decay_experiment(0.5, 2, [0, 1, 2], 3, trials=300, seed=8, mode="exact", d=2)
     qs2 = [row["q"] for row in res2["rows"]]
     assert all(a >= b for a, b in zip(qs2, qs2[1:]))
+
+
+def test_decay_fit_needs_two_distinct_abscissae():
+    # in d = 1 every radius maps to m^0 = 1: nothing to fit, as with one radius
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = decay_experiment(0.5, 3, [0, 1, 2], 4, 40, 1, d=1)
+    assert sum(row["q"] > 0 for row in res["rows"]) >= 2
+    assert res["log_q_slope_vs_m_pow"] is res["intercept"] is res["r_squared"] is None
 
 
 def test_wierman_kind_certificates():
