@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .config import read_wpc, sample, write_wpc
@@ -275,7 +276,9 @@ def cmd_oracle(args):
     return 1 if failures else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     ap = argparse.ArgumentParser(
         prog="wordperc",
         description="Word percolation simulations: sampling, word search, "

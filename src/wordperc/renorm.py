@@ -24,17 +24,23 @@ modes, seed_sets_from's: the verdict is the good-event threshold on its
 per-face arrivals, which an accepted box passes on as seeds (the face
 membership of a minimal-arrival search is that of good_event's).
 
+A SeedSet holds one word offset per point of its face, in the face's
+rank order, with a sentinel above the searches' MAX_INDEX for a point
+not in the seed: the delta-seed bounds are a count and a maximum, and
+merging arrivals is an element-wise minimum.  Points appear only at the
+edges: SeedSet.from_dict, the sources a search takes, the exploration's
+T, and T_prime and the report coming out.
+
 F^u u B^u is itself a box, so every box search runs on that region
-alone, its colours gathered from the window through cached ranks; a
-restricted box keeps rank and neighbor order, so results and node counts
-are those of the window search masked to it.  walk_good_events decides
-the walk-decided good events of a block of trials with one stacked
-relaxed sweep (search.relaxed_reach_block); good_event's walk branch is
-its one-trial case.  Every other search reads its face points off its
-fronts (search.ReachResult) through cached bitsets of the faces in the
-box, or of the scale-n boundary in the window, in face-point order; the
-same bitsets are the site masks (early stops, prune targets) that the
-exact searches take.
+alone, its colours gathered from the window through cached ranks, with
+the results and node counts of the window search masked to it.  A box
+search's first arrivals are read off its fronts (search.ReachResult) in
+box ranks and gathered into each out-neighbor face's ranks; cached
+bitsets of those faces, or of the scale-n boundary in the window, are
+the site masks (early stops, prune targets) of the exact searches.
+walk_good_events decides a block of trials' walk-decided good events
+with one stacked relaxed sweep; good_event's walk branch is its
+one-trial case.
 """
 
 from __future__ import annotations
@@ -113,50 +119,67 @@ class RenormParams:
         return (2 * self.k) ** (self.d - 1)
 
 
-@dataclass(frozen=True)
+# the offset of a face point that is not in the seed: above every offset a
+# search can read, so the minimum of two seeds' offsets is their union
+_ABSENT = MAX_INDEX + 1
+
+
+@dataclass(frozen=True, eq=False)
 class SeedSet:
-    """A seed (S, t) on the face of macro vertex u."""
+    """A seed (S, t) on the face F^u of macro vertex u: offsets[i] is the
+    word offset of the i-th point of F^u in its rank order, or _ABSENT
+    where that point is not in S.  The array is a read-only copy."""
 
     u: tuple[int, int, int]
-    entries: tuple[tuple[Point, int], ...]  # (vertex, offset), sorted
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "u", tuple(self.u))
+        object.__setattr__(self, "offsets", np.array(self.offsets, dtype=np.int64))
+        self.offsets.setflags(write=False)
 
     @classmethod
-    def from_dict(cls, u, mapping) -> "SeedSet":
-        return cls(tuple(u), tuple(sorted((tuple(v), int(t)) for v, t in mapping.items())))
+    def from_dict(cls, u, mapping, params: RenormParams) -> "SeedSet":
+        """The seed with these point -> offset entries; a point off F^u, or
+        an offset outside [0, MAX_INDEX], is a DomainError."""
+        face = macro_face(u, params.k, params.d)
+        offsets = np.full(face.volume, _ABSENT, dtype=np.int64)
+        for v, t in mapping.items():
+            if not 0 <= t <= MAX_INDEX:
+                raise DomainError(f"seed offset {t} outside [0, {MAX_INDEX}]")
+            offsets[face.rank(tuple(v))] = t  # DomainError off the face
+        return cls(u, offsets)
 
     @classmethod
     def full_face(cls, u, params: RenormParams, offset: int = 0) -> "SeedSet":
-        face = macro_face(u, params.k, params.d)
-        return cls(tuple(u), tuple((pt, offset) for pt in face.iter_points()))
+        return cls(u, np.full(params.face_size(), offset, dtype=np.int64))
 
     def size(self) -> int:
-        return len(self.entries)
+        return int(np.count_nonzero(self.offsets < _ABSENT))
 
-    def vertices(self):
-        return [v for v, _ in self.entries]
+    def to_dict(self, params: RenormParams) -> dict:
+        """The seed as point -> offset, in F^u's rank order."""
+        points = _face_points(self.u, params.k, params.d)
+        return {v: t for v, t in zip(points, self.offsets.tolist(), strict=True) if t < _ABSENT}
 
 
 def is_delta_seed(seed: SeedSet, delta: float, params: RenormParams) -> bool:
-    """Density and offset bounds of a seed candidate."""
-    face = macro_face(seed.u, params.k, params.d)
-    for v, _ in seed.entries:
-        if not face.contains(v):
-            raise DomainError(f"seed vertex {v} outside the face of {seed.u}")
-    if seed.size() < delta * face.volume:
+    """Density and offset bounds of a seed candidate: a count and a maximum."""
+    if seed.size() < delta * params.face_size():
         return False
-    budget = params.C * seed.u[0]
-    return all(t <= budget for _, t in seed.entries)
+    return bool(seed.offsets.max(where=seed.offsets < _ABSENT, initial=0) <= params.C * seed.u[0])
 
 
 def _ranks_within(part: Region, region: Region) -> np.ndarray:
     """The ranks in region of the points of part, a box inside it, in
-    part's own rank order."""
+    part's own rank order, as a read-only array."""
     ranks = np.zeros(1, dtype=np.int64)
     stride = 1
     for (lo, hi), (rlo, rhi) in zip(part.intervals, region.intervals):
         axis = np.arange(lo - rlo, hi - rlo, dtype=np.int64) * stride
         ranks = (axis[:, None] + ranks).ravel()  # first coordinate fastest
         stride *= rhi - rlo
+    ranks.setflags(write=False)
     return ranks
 
 
@@ -175,14 +198,10 @@ def _box_view(u, k: int, d: int, intervals) -> tuple[Region, np.ndarray]:
     intervals, the gather of its colours.  Restricting a box keeps rank
     order, so a search on it visits what a search masked to it inside
     the window visits, in the same order."""
-    window = Region(intervals)
-    for part in (macro_face(u, k, d), macro_box(u, k, d)):
-        if not part.issubset(window):
-            raise DomainError(f"{part.kind} of {u} not inside the configuration")
-    box = _search_box(u, k, d)
-    ranks = _ranks_within(box, window)
-    ranks.setflags(write=False)
-    return box, ranks
+    window, box = Region(intervals), _search_box(u, k, d)
+    if not box.issubset(window):
+        raise DomainError(f"F^u u B^u of {u} not inside the configuration")
+    return box, _ranks_within(box, window)
 
 
 def _restrict(cfg: Configuration, u, params: RenormParams) -> Configuration:
@@ -194,22 +213,23 @@ def _restrict(cfg: Configuration, u, params: RenormParams) -> Configuration:
 @lru_cache(maxsize=256)
 def _out_faces(u, k: int, d: int, outs: tuple) -> tuple:
     """The points of F^v inside F^u u B^u, all a box search can reach, for
-    every out-neighbor v of outs, over the box in its rank order: per v as
-    a bitset and as (point, rank) pairs in rank order; as one bitset of
-    them all; and, for walk_good_events' matrix count, as one boolean
-    column per v."""
+    every out-neighbor v of outs: per v as a bitset over the box, as an
+    index array of their box ranks in rank order, and as an index array of
+    the box rank of every point of F^v in its rank order, -1 off the box;
+    and the bitset of them all."""
     box = _search_box(u, k, d)
-    columns = np.zeros((box.volume, len(outs)), dtype=bool)
     faces, union = [], 0
-    for j, v in enumerate(outs):
-        part = macro_face(v, k, d).intersect(box)
-        ranks = _ranks_within(part, box).tolist()
-        columns[ranks, j] = True
-        bits = sum(1 << r for r in ranks)
-        faces.append((bits, tuple(zip(map(tuple, part.points_array().tolist()), ranks))))
+    for v in outs:
+        face = macro_face(v, k, d)
+        part = face.intersect(box)
+        in_box = _ranks_within(part, box)
+        gather = np.full(face.volume, -1)
+        gather[_ranks_within(part, face)] = in_box
+        gather.setflags(write=False)
+        bits = sum(1 << r for r in in_box.tolist())
+        faces.append((bits, in_box, gather))
         union |= bits
-    columns.setflags(write=False)
-    return tuple(faces), union, columns
+    return tuple(faces), union
 
 
 def _need(params: RenormParams) -> int:
@@ -236,8 +256,9 @@ def _face_points(v, k: int, d: int) -> tuple[Point, ...]:
     return tuple(map(tuple, macro_face(v, k, d).points_array().tolist()))
 
 
-def _sources(seed: SeedSet, xi) -> SourceSet:
-    return SourceSet.uniform(seed.vertices(), xi, [t for _, t in seed.entries])
+def _sources(seed: SeedSet, xi, params: RenormParams) -> SourceSet:
+    seeded = seed.to_dict(params)
+    return SourceSet.uniform(seeded, xi, list(seeded.values()))
 
 
 def seed_sets_from(
@@ -249,26 +270,28 @@ def seed_sets_from(
     t_membership: int | None = None,
     node_budget: int | None = None,
 ) -> dict:
-    """Canonical propagated seeds: for every out-neighbor v of u, the face
-    points of F^v reached from the seed inside F^u u B^u, with minimal
-    arrival offsets; the search and its offsets stop at the membership
-    bound, C * v1 by default.  An exact search may use node_budget
-    search-tree nodes (EXACT_NODE_BUDGET when None)."""
+    """Canonical propagated seeds: for every out-neighbor v of u, the
+    SeedSet on F^v of the points reached from the seed inside F^u u B^u,
+    at their minimal arrival offsets; the search and its offsets stop at
+    the membership bound, C * v1 by default.  An exact search may use
+    node_budget search-tree nodes (EXACT_NODE_BUDGET when None)."""
     u = seed.u
     outs = tuple(macro_out_neighbors(u, params.h))
     if not outs:
         return {}
     bound = params.C * (u[0] + 2) if t_membership is None else t_membership
-    faces, union, _ = _out_faces(u, params.k, params.d, outs)
+    faces, union = _out_faces(u, params.k, params.d, outs)
     box = _restrict(cfg, u, params)
     if walks_decide(xi, mode, bound):
-        res = relaxed_word_reach(box, _sources(seed, xi), bound)
+        res = relaxed_word_reach(box, _sources(seed, xi, params), bound)
     else:
-        res = exact_word_reach(box, _sources(seed, xi), bound, node_budget=_budget(node_budget),
-                               prune_targets=(union, "min"))
-    first = res.first_arrivals(union)
-    return {v: {y: first[r] for y, r in points if r in first}
-            for v, (_, points) in zip(outs, faces)}
+        res = exact_word_reach(box, _sources(seed, xi, params), bound,
+                               node_budget=_budget(node_budget), prune_targets=(union, "min"))
+    # first arrivals in box ranks; index -1 reads the _ABSENT in the slot past them
+    first = np.full(box.region.volume + 1, _ABSENT, dtype=np.int64)
+    arrived = res.first_arrivals(union)
+    first[list(arrived)] = list(arrived.values())
+    return {v: SeedSet(v, first[gather]) for v, (_, _, gather) in zip(outs, faces)}
 
 
 def walk_good_events(window: Region, colors: np.ndarray, seed: SeedSet, xi,
@@ -283,10 +306,11 @@ def walk_good_events(window: Region, colors: np.ndarray, seed: SeedSet, xi,
     if not outs:
         return np.ones(len(colors), dtype=bool)
     box, ranks = _box_view(u, params.k, params.d, window.intervals)
-    reached = relaxed_reach_block(box, colors[:, ranks], _sources(seed, xi),
+    reached = relaxed_reach_block(box, colors[:, ranks], _sources(seed, xi, params),
                                   params.C * (u[0] + 2), reached=True)
-    counts = reached @ _out_faces(u, params.k, params.d, outs)[2].astype(np.int64)
-    return (counts >= _need(params)).all(axis=1)
+    faces, _ = _out_faces(u, params.k, params.d, outs)
+    return np.all([reached[:, in_box].sum(axis=1) >= _need(params)
+                   for _, in_box, _ in faces], axis=0)
 
 
 def good_event(
@@ -312,12 +336,12 @@ def good_event(
     bound = params.C * (u[0] + 2)
     if walks_decide(xi, mode, bound):
         return bool(walk_good_events(cfg.region, cfg.bools()[None], seed, xi, params)[0])
-    faces, union, _ = _out_faces(u, params.k, params.d, tuple(outs))
-    res = exact_word_reach(_restrict(cfg, u, params), _sources(seed, xi), bound,
-                           early_stop=[(bits, need) for bits, _ in faces],
+    faces, union = _out_faces(u, params.k, params.d, tuple(outs))
+    res = exact_word_reach(_restrict(cfg, u, params), _sources(seed, xi, params), bound,
+                           early_stop=[(bits, need) for bits, _, _ in faces],
                            node_budget=_budget(node_budget),
                            prune_targets=(union, "membership"))
-    return all((res.reached & bits).bit_count() >= need for bits, _ in faces)
+    return all((res.reached & bits).bit_count() >= need for bits, _, _ in faces)
 
 
 @lru_cache(maxsize=16)
@@ -415,6 +439,30 @@ class ExplorationReport:
         return len(self.T_prime)
 
 
+def _disjoint(parts) -> bool:
+    """Whether these boxes are pairwise disjoint: their union covers as
+    many sites of a window holding them all as their volumes sum to."""
+    ivs = np.array([part.intervals for part in parts])
+    low = ivs[:, :, 0].min(axis=0)
+    cover = np.zeros(ivs[:, :, 1].max(axis=0) - low, dtype=bool)
+    for part in ivs - low[:, None]:
+        cover[tuple(slice(lo, hi) for lo, hi in part.tolist())] = True
+    return np.count_nonzero(cover) == sum(part.volume for part in parts)
+
+
+def _overlaps(vertices, k: int, d: int) -> tuple:
+    """(a, b, kind) for every pair a < b of these sorted macro vertices
+    whose boxes ("box-box") or faces ("face-face") meet.  The pairs are
+    listed only when the boxes, or the faces, are not pairwise disjoint."""
+    kinds = [(kind, [part(a, k, d) for a in vertices])
+             for kind, part in (("box-box", macro_box), ("face-face", macro_face))]
+    if len(vertices) < 2 or all(_disjoint(parts) for _, parts in kinds):
+        return ()
+    return tuple((a, vertices[j], kind)
+                 for i, a in enumerate(vertices) for j in range(i + 1, len(vertices))
+                 for kind, parts in kinds if parts[i].intersect(parts[j]) is not None)
+
+
 def macro_exploration(
     cfg: Configuration,
     T: dict,
@@ -434,68 +482,43 @@ def macro_exploration(
     nodes (EXACT_NODE_BUDGET when None).
     """
     win = slab_windows(n, params.h)
-    k = params.k
-    budget = params.C * n
     T = {tuple(v): int(t) for v, t in T.items()}
     for v, t in T.items():
-        if t > budget:
+        if t > params.C * n:
             raise DomainError(f"offset of {v} exceeds C*n")
-    face_area = params.face_size()
-    # macro seed column: faces holding a delta-dense share of T
-    T_macro = []
-    seeds0 = {}
+    # arrivals: each macro vertex's accumulated seed; the macro seed column
+    # T_macro is the left-column faces holding a delta-dense share of T
+    arrivals: dict = {}
     for u in win.L:
-        mine = {v: T[v] for v in _face_points(u, k, params.d) if v in T}
-        if len(mine) >= params.delta * face_area:
-            T_macro.append(u)
-            seeds0[u] = mine
-    arrivals: dict = {u: dict(s) for u, s in seeds0.items()}
+        seed = SeedSet(u, [T.get(v, _ABSENT) for v in _face_points(u, params.k, params.d)])
+        if seed.size() >= params.delta * params.face_size():
+            arrivals[u] = seed
+    T_macro = tuple(arrivals)
     queried: list = []
-    need = _need(params)
 
     def verdict(u) -> bool:
         queried.append(u)
-        seed = SeedSet.from_dict(u, arrivals.get(u, {}))
-        if not seed.entries or not is_delta_seed(seed, params.delta, params):
+        if u not in arrivals or not is_delta_seed(arrivals[u], params.delta, params):
             return False
         # one box search: the good event is the threshold on its faces
-        grown = seed_sets_from(cfg, seed, xi, params, mode=mode, node_budget=node_budget)
-        ok = all(len(got) >= need for got in grown.values())
+        grown = seed_sets_from(cfg, arrivals[u], xi, params, mode=mode, node_budget=node_budget)
+        ok = all(got.size() >= _need(params) for got in grown.values())
         if ok:
             for w, got in grown.items():
-                slot = arrivals.setdefault(w, {})
-                for y, t in got.items():
-                    if y not in slot or t < slot[y]:
-                        slot[y] = t
+                if w in arrivals:
+                    got = SeedSet(w, np.minimum(arrivals[w].offsets, got.offsets))
+                arrivals[w] = got
         return ok
 
     U0 = tuple(sorted(u for u in T_macro if verdict(u)))
     state = explore(U0, win.B_set, verdict)
     # the right-column report and the forwarded target set
-    Rset = set(win.R)
-    right_hits = len(state.U & Rset)
-    out_of_R = set()
-    for u in state.U & Rset:
-        out_of_R.update(macro_out_neighbors(u, params.h))
-    out_of_R -= state.U
+    right = state.U & set(win.R)
+    out_of_R = {w for u in right for w in macro_out_neighbors(u, params.h)} - state.U
     T_prime: dict = {}
-    for w in sorted(out_of_R):
-        for y, t in arrivals.get(w, {}).items():
-            if y not in T_prime or t < T_prime[y]:
-                T_prime[y] = t
-    boundary_2n = lambda_boundary(2 * n, params)
-    threshold = 8 * params.delta * len(boundary_2n)
-    # audits: no box examined twice; queried boxes overlap only in faces
-    no_requeries = len(queried) == len(set(queried))
-    overlaps = []
-    qs = sorted(set(queried))
-    parts = [(macro_box(a, k, params.d), macro_face(a, k, params.d)) for a in qs]
-    for i, (a, (box_a, face_a)) in enumerate(zip(qs, parts)):
-        for b, (box_b, face_b) in zip(qs[i + 1 :], parts[i + 1 :]):
-            if box_a.intersect(box_b) is not None:
-                overlaps.append((a, b, "box-box"))
-            if face_a.intersect(face_b) is not None:
-                overlaps.append((a, b, "face-face"))
+    for w in sorted(out_of_R & arrivals.keys()):
+        for y, t in arrivals[w].to_dict(params).items():
+            T_prime[y] = min(t, T_prime.get(y, t))
     return ExplorationReport(
         n=n,
         T_macro=tuple(sorted(T_macro)),
@@ -504,12 +527,13 @@ def macro_exploration(
         V_inf=tuple(sorted(state.V)),
         trace=state.trace,
         queried=tuple(queried),
-        right_hits=right_hits,
+        right_hits=len(right),
         right_size=len(win.R),
         T_prime=T_prime,
-        T_prime_threshold=threshold,
-        audit_no_requeries=no_requeries,
-        audit_box_overlaps=tuple(overlaps),
+        T_prime_threshold=8 * params.delta * len(lambda_boundary(2 * n, params)),
+        # audits: no box examined twice; queried boxes overlap only in faces
+        audit_no_requeries=len(queried) == len(set(queried)),
+        audit_box_overlaps=_overlaps(sorted(set(queried)), params.k, params.d),
     )
 
 

@@ -290,8 +290,8 @@ def test_acceptance_6_monotonicity_suite():
     seed_violations = 0
     for t in range(1000):
         cfg = sample(window, 0.5, RngStream(4321, t))
-        small = SeedSet.from_dict(u, {p: 0 for p in face_pts[::4]})
-        big = SeedSet.from_dict(u, {p: 0 for p in face_pts})
+        small = SeedSet.from_dict(u, {p: 0 for p in face_pts[::4]}, par)
+        big = SeedSet.from_dict(u, {p: 0 for p in face_pts}, par)
         if good_event(cfg, small, word, par) and not good_event(cfg, big, word, par):
             seed_violations += 1
     # (c) q_m nonincreasing in m on shared configurations, every m-pair

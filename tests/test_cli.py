@@ -166,6 +166,41 @@ def test_console_entrypoint_help():
     assert "wordperc" in proc.stdout
 
 
+# main builds its parser once per process and shares it across calls
+ONE_PROCESS_CALLS = [
+    ["--help"],
+    ["oriented", "--stat", "xi5n", "--n", "4", "--gamma", "0.5", "--trials", "3", "--seed", "2"],
+    ["renorm", "--stat", "bogus", "--k", "2", "--p", "0.5", "--word", "alt"],
+    ["renorm", "--stat", "explore", "--k", "2", "--p", "0.5", "--word", "alt", "--n", "3",
+     "--mode", "relaxed", "--trials", "1"],
+    ["--version"],
+    ["decay", "--p", "2.0", "--L", "2", "--R", "2", "--m-list", "1", "--trials", "2"],
+    ["renorm", "--help"],
+]
+
+
+def test_calls_in_one_process_match_separate_processes(tmp_path, monkeypatch):
+    """Help, two subcommands, an argparse error, the version and a
+    validation error, run back to back in this process, each exit and
+    print byte for byte what they do alone in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help layout reads the width
+    monkeypatch.delenv("WORDPERC_THREADS", raising=False)
+    src = str(Path(wordperc.__file__).parents[1])
+    for argv in ONE_PROCESS_CALLS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse's help, version and errors
+                code = e.code
+        proc = subprocess.run([sys.executable, "-m", "wordperc.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+    assert build_parser() is build_parser()
+
+
 # -- malformed input exits with code 2 and a message, never a traceback -------
 
 
@@ -704,6 +739,16 @@ EXTREMES = ("0", "-1", str(2 ** 63), str(2 ** 70), "nan", "inf", "")
 # FUZZ_BASE): refused with exit 2 or 3 before any draw
 OVERSIZED = {"--region": ("box:m=3000,d=2", "box:m=2,d=16"), "--R": ("3000",),
              "--dim": ("16", "64")}
+# oriented and exploration windows past config.MAX_SITES, per subcommand and
+# option: (the options that pick the statistic, the value)
+EXPLORE = ["--stat", "explore", "--mode", "relaxed"]
+WINDOWS = {
+    ("oriented", "--n"): [([], "100000"), (["--stat", "domination", "--delta", "0.05"], "100000"),
+                          (["--stat", "xi5n"], "100000")],
+    ("oriented", "--h"): [([], "10000000")],
+    ("renorm", "--n"): [(EXPLORE, "100000")],
+    ("renorm", "--k"): [(EXPLORE, "1000")],
+}
 # small valid arguments per subcommand; the drawn option replaces its own
 FUZZ_BASE = {
     "sample": ["--region", "box:m=1,d=2", "--p", "0.5", "--out", "c.wpc"],
@@ -740,8 +785,8 @@ def test_extreme_option_values_never_trace_back(tmp_path, monkeypatch, data):
     """One option of one subcommand set to an extreme value, every other
     option small and valid; trials stay at most 3 and WORDPERC_THREADS
     unset, so every run is serial and short.  The run exits 0, 2 or 3 (2
-    or 3 for a region past config.MAX_SITES) and no exception leaves
-    main."""
+    or 3 for a region or window past config.MAX_SITES) and no exception
+    leaves main."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("WORDPERC_THREADS", raising=False)
     if not (tmp_path / "base.wpc").exists():
@@ -750,20 +795,23 @@ def test_extreme_option_values_never_trace_back(tmp_path, monkeypatch, data):
     name = data.draw(st.sampled_from(sorted(options)))
     opt, dest = data.draw(st.sampled_from(options[name]))
     extremes = st.sampled_from(
-        [v for v in EXTREMES if dest != "trials" or v in ("0", "-1", "nan", "inf", "")])
-    oversized = OVERSIZED.get(opt, ())
-    value = data.draw(st.one_of(extremes, st.sampled_from(oversized)) if oversized else extremes)
+        [([], v, False) for v in EXTREMES
+         if dest != "trials" or v in ("0", "-1", "nan", "inf", "")])
+    oversized = [([], v, True) for v in OVERSIZED.get(opt, ())]
+    oversized += [(extra, v, True) for extra, v in WINDOWS.get((name, opt), ())]
+    extra, value, too_big = data.draw(
+        st.one_of(extremes, st.sampled_from(oversized)) if oversized else extremes)
     argv = list(FUZZ_BASE[name])
     if opt in argv:
         del argv[argv.index(opt):argv.index(opt) + 2]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = main([name, *argv, opt, value])
+            code = main([name, *argv, *extra, opt, value])
         except SystemExit as e:  # argparse refuses the value
             code = e.code
-    assert code in ((2, 3) if value in oversized else (0, 2, 3)), (name, opt, value,
-                                                                  err.getvalue())
+    assert code in ((2, 3) if too_big else (0, 2, 3)), (name, extra, opt, value,
+                                                       err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 
@@ -799,13 +847,18 @@ SPEC_FIELDS = [(name, field) for name, (_, params) in SPEC_BASE.items()
 SPEC_OVERSIZED = {"region": ({"kind": "box", "m": 3000, "d": 2},
                              {"kind": "intervals", "intervals": [[-1, 5000], [-1, 5000]]}),
                   "R": (3000,), "d": (16, 64)}
+# oriented and exploration windows past config.MAX_SITES, per kind and field
+SPEC_WINDOWS = {("crossing", "n"): (100000,), ("crossing", "h"): (10 ** 7,),
+                ("domination", "n"): (100000,), ("xi5n", "n"): (100000,),
+                ("explore", "n"): (100000,), ("explore", "k"): (1000,)}
 
 
 def _oversized(name, field):
     """The SPEC_OVERSIZED values of a field, where its kind samples the
-    region: a site trial draws one uniform, its vertex's, whatever the
-    region's size, and may run."""
-    return () if name == "site" else SPEC_OVERSIZED.get(field, ())
+    region (a site trial draws one uniform, its vertex's, whatever the
+    region's size, and may run), and its SPEC_WINDOWS values."""
+    region = () if name == "site" else SPEC_OVERSIZED.get(field, ())
+    return region + SPEC_WINDOWS.get((name, field), ())
 
 
 def _spec_cases(where):
@@ -834,10 +887,16 @@ def test_spec_base_covers_every_kind_and_statistic():
 @example((("crossing", "h"), []))
 @example((("crossing", "h"), {}))
 @example((("crossing", "h"), "x"))
+@example((("crossing", "h"), 10 ** 7))
+@example((("crossing", "n"), 100000))
+@example((("domination", "n"), 100000))
+@example((("xi5n", "n"), 100000))
+@example((("explore", "n"), 100000))
+@example((("explore", "k"), 1000))
 def test_extreme_spec_fields_never_trace_back(tmp_path, monkeypatch, case):
     """One field of one kind's spec set to an extreme JSON value, every
     other field small and valid; two trials and WORDPERC_THREADS unset.
-    The spec run exits 0, 2 or 3 (2 or 3 for a region past
+    The spec run exits 0, 2 or 3 (2 or 3 for a region or window past
     config.MAX_SITES) and no exception leaves main."""
     monkeypatch.delenv("WORDPERC_THREADS", raising=False)
     (name, field), value = case

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wordperc.config import Configuration, sample
 from wordperc.errors import CapacityError, DomainError
@@ -22,8 +24,9 @@ from wordperc.renorm import (
     seed_sets_from,
 )
 from wordperc.rng import RngStream
-from wordperc.search import SourceSet, region_mask
-from wordperc.oriented import snap_left_column
+from wordperc.search import MAX_INDEX, SourceSet, region_mask
+from wordperc import renorm
+from wordperc.oriented import slab_windows, snap_left_column
 from wordperc.words import (
     AlternatingWord,
     ConstantWord,
@@ -73,28 +76,40 @@ def test_is_delta_seed_boundaries():
     delta = 0.25
     need = math.ceil(delta * face.volume)
     pts = list(face.iter_points())
-    seed = SeedSet.from_dict(U, {p: 0 for p in pts[:need]})
+    seed = SeedSet.from_dict(U, {p: 0 for p in pts[:need]}, PAR)
     assert is_delta_seed(seed, delta, PAR)
-    seed_small = SeedSet.from_dict(U, {p: 0 for p in pts[: need - 1]})
+    seed_small = SeedSet.from_dict(U, {p: 0 for p in pts[: need - 1]}, PAR)
     assert not is_delta_seed(seed_small, delta, PAR)
     # one offset beyond C * u1 spoils the seed
     budget = PAR.C * U[0]
-    seed_bad = SeedSet.from_dict(U, {**{p: 0 for p in pts[:need]}, pts[need]: budget + 1})
+    seed_bad = SeedSet.from_dict(U, {**{p: 0 for p in pts[:need]}, pts[need]: budget + 1}, PAR)
     assert not is_delta_seed(seed_bad, delta, PAR)
     with pytest.raises(DomainError):
-        is_delta_seed(SeedSet.from_dict(U, {(99, 99, 99): 0}), delta, PAR)
+        is_delta_seed(SeedSet.from_dict(U, {(99, 99, 99): 0}, PAR), delta, PAR)
+
+
+def test_seed_offsets_within_the_search_cap():
+    """A seed offset is readable by some search, in [0, MAX_INDEX]; the
+    offsets array a SeedSet holds is read-only."""
+    pt = next(macro_face(U, PAR.k, PAR.d).iter_points())
+    assert SeedSet.from_dict(U, {pt: MAX_INDEX}, PAR).to_dict(PAR) == {pt: MAX_INDEX}
+    for t in (-1, MAX_INDEX + 1):
+        with pytest.raises(DomainError):
+            SeedSet.from_dict(U, {pt: t}, PAR)
+    with pytest.raises(ValueError):
+        SeedSet.full_face(U, PAR).offsets[0] = 1
 
 
 def test_seed_sets_from_all_ones():
     region = region_for(U, PAR)
     cfg = all_ones(region)
     seed = SeedSet.full_face(U, PAR)
-    got = seed_sets_from(cfg, seed, ConstantWord(1), PAR)
+    got = {v: s.to_dict(PAR) for v, s in seed_sets_from(cfg, seed, ConstantWord(1), PAR).items()}
     outs = macro_out_neighbors(U, PAR.h)
     assert set(got) == set(outs)
     # arrivals equal graph distance from the seed face (offset 0)
     mask = region_mask(region, [macro_face(U, PAR.k, PAR.d), macro_box(U, PAR.k, PAR.d)])
-    dist = distance_map(cfg, seed.vertices(), within=mask)
+    dist = distance_map(cfg, list(seed.to_dict(PAR)), within=mask)
     for v, entries in got.items():
         face = macro_face(v, PAR.k, PAR.d)
         expect = {y: d for y, d in dist.items() if face.contains(y)}
@@ -105,9 +120,9 @@ def test_seed_sets_from_all_ones():
 def test_seed_sets_from_empty_seed():
     region = region_for(U, PAR)
     cfg = all_ones(region)
-    seed = SeedSet(U, ())
+    seed = SeedSet.from_dict(U, {}, PAR)
     got = seed_sets_from(cfg, seed, ConstantWord(1), PAR)
-    assert all(not v for v in got.values())
+    assert all(not v.to_dict(PAR) for v in got.values())
 
 
 def test_seed_sets_exact_matches_bruteforce():
@@ -115,13 +130,14 @@ def test_seed_sets_exact_matches_bruteforce():
     region = region_for(U, PAR)
     word = Word.from_string("10110101101101011011")
     seed_pts = list(macro_face(U, PAR.k, PAR.d).iter_points())[::5]
-    seed = SeedSet.from_dict(U, {p: 0 for p in seed_pts})
+    seed = SeedSet.from_dict(U, {p: 0 for p in seed_pts}, PAR)
     mask = region_mask(region, [macro_face(U, PAR.k, PAR.d), macro_box(U, PAR.k, PAR.d)])
     allowed = {region.unrank(r) for r in range(region.volume) if mask >> r & 1}
     for s in range(3):
         cfg = sample(region, 0.5, RngStream(313, s))
-        got = seed_sets_from(cfg, seed, word, PAR, t_membership=7)
-        src = SourceSet.uniform(seed.vertices(), word)
+        got = {v: s.to_dict(PAR)
+               for v, s in seed_sets_from(cfg, seed, word, PAR, t_membership=7).items()}
+        src = SourceSet.uniform(seed.to_dict(PAR), word)
         pairs = saw_reach_bruteforce(cfg, src, 7, allowed=allowed)
         best: dict = {}
         for y, t in pairs:
@@ -163,7 +179,7 @@ def test_good_event_degenerate():
 def test_good_event_needs_delta_seed():
     region = region_for(U, PAR)
     with pytest.raises(DomainError):
-        good_event(all_ones(region), SeedSet(U, ()), ConstantWord(1), PAR)
+        good_event(all_ones(region), SeedSet.from_dict(U, {}, PAR), ConstantWord(1), PAR)
 
 
 def test_good_event_monotone_in_seed():
@@ -174,8 +190,8 @@ def test_good_event_monotone_in_seed():
     flips = 0
     for s in range(40):
         cfg = sample(region, 0.5, RngStream(414, s))
-        small = SeedSet.from_dict(U, {p: 0 for p in face_pts[::3]})
-        big = SeedSet.from_dict(U, {p: 0 for p in face_pts})
+        small = SeedSet.from_dict(U, {p: 0 for p in face_pts[::3]}, PAR)
+        big = SeedSet.from_dict(U, {p: 0 for p in face_pts}, PAR)
         if good_event(cfg, small, word, PAR) and not good_event(cfg, big, word, PAR):
             flips += 1
     assert flips == 0
@@ -308,6 +324,71 @@ def test_macro_exploration_empty_T():
     assert rep.T_prime == {}
 
 
+# -- the overlap audit ------------------------------------------------------------
+#
+# Valid macro boxes and faces never meet, so the audit's pair listing is
+# reached only with macro_box and macro_face patched to widen every part.
+
+def widened(part, grow):
+    """part(u, k, d) grown by grow sites at both ends of every axis."""
+    def grown(u, k, d):
+        region = part(u, k, d)
+        return Region(tuple((lo - grow, hi + grow) for lo, hi in region.intervals))
+    return grown
+
+
+def pairwise_overlaps(vertices, k, d):
+    """The audit as one Region.intersect call per pair and kind, in the
+    order of the sorted vertices, boxes before faces."""
+    found = []
+    for i, a in enumerate(vertices):
+        for b in vertices[i + 1:]:
+            if renorm.macro_box(a, k, d).intersect(renorm.macro_box(b, k, d)) is not None:
+                found.append((a, b, "box-box"))
+            if renorm.macro_face(a, k, d).intersect(renorm.macro_face(b, k, d)) is not None:
+                found.append((a, b, "face-face"))
+    return tuple(found)
+
+
+SLAB = slab_windows(4, 4)
+MACRO_VERTICES = sorted(set(SLAB.B) | set(SLAB.L) | set(SLAB.R))
+
+
+@given(st.lists(st.sampled_from(MACRO_VERTICES), max_size=14, unique=True),
+       st.sampled_from([2, 4]), st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+@example([], 2, 1, 1)
+@example([(6, -5, 1)], 2, 3, 2)
+@example([(6, -1, 1), (6, -1, 3), (6, 1, 1), (8, 0, 2)], 2, 0, 1)  # faces meet, boxes do not
+@example([(6, -1, 1), (6, -1, 3), (6, 1, 1), (8, 0, 2)], 2, 1, 0)  # boxes meet, faces do not
+def test_overlap_audit_matches_pairwise_intersections(vertices, k, box_grow, face_grow):
+    vertices = sorted(vertices)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renorm, "macro_box", widened(macro_box, box_grow))
+        mp.setattr(renorm, "macro_face", widened(macro_face, face_grow))
+        assert renorm._overlaps(vertices, k, 3) == pairwise_overlaps(vertices, k, 3)
+
+
+def test_exploration_audit_lists_overlaps_in_pairwise_order(monkeypatch):
+    """macro_exploration's audit on boxes and faces widened by one site:
+    the pairs of the pairwise loop over its sorted queried vertices.  A
+    first run fills the box-search caches, so the widened parts reach the
+    audit alone."""
+    par = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
+    n = 5
+    cfg = all_ones(micro_window(n, par))
+    T = {p: 0 for p in micro_left_column(n, par).iter_points()}
+    clean = macro_exploration(cfg, T, ConstantWord(1), par, n)
+    assert clean.audit_box_overlaps == ()
+    monkeypatch.setattr(renorm, "macro_box", widened(macro_box, 1))
+    monkeypatch.setattr(renorm, "macro_face", widened(macro_face, 1))
+    rep = macro_exploration(cfg, T, ConstantWord(1), par, n)
+    assert rep.queried == clean.queried
+    want = pairwise_overlaps(sorted(set(rep.queried)), par.k, par.d)
+    assert {kind for _, _, kind in want} == {"box-box", "face-face"}
+    assert rep.audit_box_overlaps == want
+
+
 # -- result pins -----------------------------------------------------------------
 #
 # SHA-256 of canonical good-event verdicts, propagated seed sets and full
@@ -357,7 +438,8 @@ def _seed_cases(params):
     u = (2, 1, 1)
     pts = list(macro_face(u, params.k, params.d).iter_points())[::3]
     span = params.C * u[0] + 1
-    yield "sparse", SeedSet.from_dict(u, {v: (37 * i) % span for i, v in enumerate(pts)})
+    yield "sparse", SeedSet.from_dict(u, {v: (37 * i) % span for i, v in enumerate(pts)},
+                                      params)
 
 
 def _box_pin_calls(params, seed):
@@ -371,7 +453,7 @@ def _box_pin_calls(params, seed):
                     good_event(c, s, w, params, mode=m))
                 yield f"seed_sets/{key}", lambda c=cfg, s=seed_set, w=word, m=mode: _dump(
                     _capped(lambda: sorted(
-                        (list(v), sorted((list(y), t) for y, t in got.items()))
+                        (list(v), sorted((list(y), t) for y, t in got.to_dict(params).items()))
                         for v, got in seed_sets_from(
                             c, s, w, params, mode=m, node_budget=PIN_BUDGET).items())))
 

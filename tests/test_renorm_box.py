@@ -79,7 +79,7 @@ def box_cases(draw):
     face = list(macro_face(u, k, 3).iter_points())
     picks = draw(st.lists(st.sampled_from(face), min_size=1, max_size=len(face), unique=True))
     top = min(params.C * u[0], 80)  # delta-seed offsets, kept short for speed
-    seed = SeedSet.from_dict(u, {v: draw(st.integers(0, top)) for v in picks})
+    seed = SeedSet.from_dict(u, {v: draw(st.integers(0, top)) for v in picks}, params)
     word = harness.word_from_spec(draw(st.sampled_from(WORDS)))
     return params, u, cfg, seed, word
 
@@ -88,8 +88,9 @@ def box_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_relaxed_box_search_matches_masked_window(case, max_index):
     params, u, cfg, seed, word = case
-    bound = max(max_index, max(t for _, t in seed.entries))
-    sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
+    seeded = seed.to_dict(params)
+    bound = max(max_index, max(seeded.values()))
+    sources = SourceSet.uniform(seeded, word, list(seeded.values()))
     mask = region_mask(cfg.region, [macro_face(u, params.k, 3), macro_box(u, params.k, 3)])
     box = renorm._restrict(cfg, u, params)
     assert box.region.volume == (2 * params.k + 1) * (2 * params.k) ** 2
@@ -109,8 +110,9 @@ def test_relaxed_box_search_matches_masked_window(case, max_index):
 def test_exact_box_search_matches_masked_window(case, flavor, max_index, need):
     params, u, cfg, seed, word = case
     k = params.k
-    bound = max(max_index, max(t for _, t in seed.entries))
-    sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
+    seeded = seed.to_dict(params)
+    bound = max(max_index, max(seeded.values()))
+    sources = SourceSet.uniform(seeded, word, list(seeded.values()))
     outs = macro_out_neighbors(u, params.h)
     mask = region_mask(cfg.region, [macro_face(u, k, 3), macro_box(u, k, 3)])
     box = renorm._restrict(cfg, u, params)
@@ -142,7 +144,8 @@ def masked_good_event(cfg, seed, word, params, mode, node_budget=None):
     pruned to the out-neighbor faces."""
     k, u = params.k, seed.u
     mask = region_mask(cfg.region, [macro_face(u, k, params.d), macro_box(u, k, params.d)])
-    sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
+    seeded = seed.to_dict(params)
+    sources = SourceSet.uniform(seeded, word, list(seeded.values()))
     outs = macro_out_neighbors(u, params.h)
     if not outs:
         return True
@@ -214,7 +217,8 @@ def test_exact_box_events_match_masked_window(case):
     assert got == counted(lambda: masked_good_event(cfg, seed, word, params, "exact", budget))
     k, outs = params.k, macro_out_neighbors(u, params.h)
     mask = region_mask(cfg.region, [macro_face(u, k, 3), macro_box(u, k, 3)])
-    sources = SourceSet.uniform(seed.vertices(), word, [t for _, t in seed.entries])
+    seeded = seed.to_dict(params)
+    sources = SourceSet.uniform(seeded, word, list(seeded.values()))
 
     def masked_seeds():
         res = exact_word_reach(cfg, sources, params.C * (u[0] + 2), within=mask,
@@ -224,7 +228,8 @@ def test_exact_box_events_match_masked_window(case):
         return {v: {y: res.min_arrival[y] for y in macro_face(v, k, 3).iter_points()
                     if y in res.min_arrival} for v in outs}
 
-    got = counted(lambda: seed_sets_from(cfg, seed, word, params, node_budget=budget))
+    got = counted(lambda: {v: s.to_dict(params) for v, s in seed_sets_from(
+        cfg, seed, word, params, node_budget=budget).items()})
     want = counted(masked_seeds)
     assert got == want
     if got[0] != "cap":
@@ -376,7 +381,7 @@ def pruned_pin_cases():
     sparse = list(macro_face((2, 1, 1), 2, 3).iter_points())[::3]
     seeds = {"full": SeedSet.full_face((0, 0, 2), params),
              "sparse": SeedSet.from_dict((2, 1, 1), {v: 37 * i % 251
-                                                     for i, v in enumerate(sparse)})}
+                                                     for i, v in enumerate(sparse)}, params)}
     for seed in range(3):
         for sname, seed_set in seeds.items():
             window = window_around(seed_set.u, 2, 3, [1, 0, 2, 1, 0, 2])
@@ -386,8 +391,9 @@ def pruned_pin_cases():
                 key = f"box/{seed}/{sname}/{wname}"
                 yield (f"{key}/good", 1, lambda c=cfg, s=seed_set, w=word: good_event(
                     c, s, w, params, node_budget=20000))
-                yield (f"{key}/seeds", 1, lambda c=cfg, s=seed_set, w=word: seed_sets_from(
-                    c, s, w, params, node_budget=20000))
+                yield (f"{key}/seeds", 1, lambda c=cfg, s=seed_set, w=word: {
+                    v: got.to_dict(params) for v, got in seed_sets_from(
+                        c, s, w, params, node_budget=20000).items()})
 
 
 def record_pruned_pins() -> dict:
