@@ -28,19 +28,16 @@ A SeedSet holds one word offset per point of its face, in the face's
 rank order, with a sentinel above the searches' MAX_INDEX for a point
 not in the seed: the delta-seed bounds are a count and a maximum, and
 merging arrivals is an element-wise minimum.  Points appear only at the
-edges: SeedSet.from_dict, the sources a search takes, the exploration's
-T, and T_prime and the report coming out.
-
-F^u u B^u is itself a box, so every box search runs on that region
-alone, its colours gathered from the window through cached ranks, with
-the results and node counts of the window search masked to it.  A box
-search's first arrivals are read off its fronts (search.ReachResult) in
-box ranks and gathered into each out-neighbor face's ranks; cached
-bitsets of those faces, or of the scale-n boundary in the window, are
-the site masks (early stops, prune targets) of the exact searches.
-walk_good_events decides a block of trials' walk-decided good events
-with one stacked relaxed sweep; good_event's walk branch is its
-one-trial case.
+edges: SeedSet.from_dict and to_dict, the sources a search takes, and
+the exploration's T and T_prime.  F^u u B^u is itself a box, so every
+box search runs on that region alone, its colours gathered from the
+window through cached ranks; its first arrivals are read off the fronts
+(search.ReachResult) in box ranks and gathered into each out-neighbor
+face's ranks.  Cached bitsets of those faces, or of the scale-n
+boundary, are the exact searches' site masks (early stops, prune
+targets).  walk_good_events decides a block of trials' walk-decided
+good events with one stacked relaxed sweep; good_event's walk branch is
+its one-trial case.
 """
 
 from __future__ import annotations
@@ -119,40 +116,35 @@ class RenormParams:
         return (2 * self.k) ** (self.d - 1)
 
 
-# the offset of a face point that is not in the seed: above every offset a
-# search can read, so the minimum of two seeds' offsets is their union
-_ABSENT = MAX_INDEX + 1
+_ABSENT = MAX_INDEX + 1  # off the seed; above every readable offset, so a minimum is a union
 
 
 @dataclass(frozen=True, eq=False)
 class SeedSet:
     """A seed (S, t) on the face F^u of macro vertex u: offsets[i] is the
-    word offset of the i-th point of F^u in its rank order, or _ABSENT
-    where that point is not in S.  The array is a read-only copy."""
+    word offset of the i-th point of F^u in its rank order, or _ABSENT off
+    S.  The seed takes the array over and makes it read-only."""
 
     u: tuple[int, int, int]
     offsets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "offsets", np.array(self.offsets, dtype=np.int64))
         self.offsets.setflags(write=False)
 
     @classmethod
     def from_dict(cls, u, mapping, params: RenormParams) -> "SeedSet":
-        """The seed with these point -> offset entries; a point off F^u, or
-        an offset outside [0, MAX_INDEX], is a DomainError."""
+        """The seed of these point -> offset entries, each on F^u and in [0, MAX_INDEX]."""
         face = macro_face(u, params.k, params.d)
         offsets = np.full(face.volume, _ABSENT, dtype=np.int64)
         for v, t in mapping.items():
             if not 0 <= t <= MAX_INDEX:
                 raise DomainError(f"seed offset {t} outside [0, {MAX_INDEX}]")
             offsets[face.rank(tuple(v))] = t  # DomainError off the face
-        return cls(u, offsets)
+        return cls(tuple(u), offsets)
 
     @classmethod
     def full_face(cls, u, params: RenormParams, offset: int = 0) -> "SeedSet":
-        return cls(u, np.full(params.face_size(), offset, dtype=np.int64))
+        return cls(tuple(u), np.full(params.face_size(), offset, dtype=np.int64))
 
     def size(self) -> int:
         return int(np.count_nonzero(self.offsets < _ABSENT))
@@ -213,8 +205,7 @@ def _restrict(cfg: Configuration, u, params: RenormParams) -> Configuration:
 @lru_cache(maxsize=256)
 def _out_faces(u, k: int, d: int, outs: tuple) -> tuple:
     """The points of F^v inside F^u u B^u, all a box search can reach, for
-    every out-neighbor v of outs: per v as a bitset over the box, as an
-    index array of their box ranks in rank order, and as an index array of
+    every out-neighbor v of outs: per v as a bitset over the box and as
     the box rank of every point of F^v in its rank order, -1 off the box;
     and the bitset of them all."""
     box = _search_box(u, k, d)
@@ -227,7 +218,7 @@ def _out_faces(u, k: int, d: int, outs: tuple) -> tuple:
         gather[_ranks_within(part, face)] = in_box
         gather.setflags(write=False)
         bits = sum(1 << r for r in in_box.tolist())
-        faces.append((bits, in_box, gather))
+        faces.append((bits, gather))
         union |= bits
     return tuple(faces), union
 
@@ -291,7 +282,7 @@ def seed_sets_from(
     first = np.full(box.region.volume + 1, _ABSENT, dtype=np.int64)
     arrived = res.first_arrivals(union)
     first[list(arrived)] = list(arrived.values())
-    return {v: SeedSet(v, first[gather]) for v, (_, _, gather) in zip(outs, faces)}
+    return {v: SeedSet(v, first[gather]) for v, (_, gather) in zip(outs, faces)}
 
 
 def walk_good_events(window: Region, colors: np.ndarray, seed: SeedSet, xi,
@@ -309,8 +300,8 @@ def walk_good_events(window: Region, colors: np.ndarray, seed: SeedSet, xi,
     reached = relaxed_reach_block(box, colors[:, ranks], _sources(seed, xi, params),
                                   params.C * (u[0] + 2), reached=True)
     faces, _ = _out_faces(u, params.k, params.d, outs)
-    return np.all([reached[:, in_box].sum(axis=1) >= _need(params)
-                   for _, in_box, _ in faces], axis=0)
+    return np.all([reached[:, gather[gather >= 0]].sum(axis=1) >= _need(params)
+                   for _, gather in faces], axis=0)
 
 
 def good_event(
@@ -338,10 +329,10 @@ def good_event(
         return bool(walk_good_events(cfg.region, cfg.bools()[None], seed, xi, params)[0])
     faces, union = _out_faces(u, params.k, params.d, tuple(outs))
     res = exact_word_reach(_restrict(cfg, u, params), _sources(seed, xi, params), bound,
-                           early_stop=[(bits, need) for bits, _, _ in faces],
+                           early_stop=[(bits, need) for bits, _ in faces],
                            node_budget=_budget(node_budget),
                            prune_targets=(union, "membership"))
-    return all((res.reached & bits).bit_count() >= need for bits, _, _ in faces)
+    return all((res.reached & bits).bit_count() >= need for bits, _ in faces)
 
 
 @lru_cache(maxsize=16)
@@ -439,30 +430,6 @@ class ExplorationReport:
         return len(self.T_prime)
 
 
-def _disjoint(parts) -> bool:
-    """Whether these boxes are pairwise disjoint: their union covers as
-    many sites of a window holding them all as their volumes sum to."""
-    ivs = np.array([part.intervals for part in parts])
-    low = ivs[:, :, 0].min(axis=0)
-    cover = np.zeros(ivs[:, :, 1].max(axis=0) - low, dtype=bool)
-    for part in ivs - low[:, None]:
-        cover[tuple(slice(lo, hi) for lo, hi in part.tolist())] = True
-    return np.count_nonzero(cover) == sum(part.volume for part in parts)
-
-
-def _overlaps(vertices, k: int, d: int) -> tuple:
-    """(a, b, kind) for every pair a < b of these sorted macro vertices
-    whose boxes ("box-box") or faces ("face-face") meet.  The pairs are
-    listed only when the boxes, or the faces, are not pairwise disjoint."""
-    kinds = [(kind, [part(a, k, d) for a in vertices])
-             for kind, part in (("box-box", macro_box), ("face-face", macro_face))]
-    if len(vertices) < 2 or all(_disjoint(parts) for _, parts in kinds):
-        return ()
-    return tuple((a, vertices[j], kind)
-                 for i, a in enumerate(vertices) for j in range(i + 1, len(vertices))
-                 for kind, parts in kinds if parts[i].intersect(parts[j]) is not None)
-
-
 def macro_exploration(
     cfg: Configuration,
     T: dict,
@@ -484,15 +451,15 @@ def macro_exploration(
     win = slab_windows(n, params.h)
     T = {tuple(v): int(t) for v, t in T.items()}
     for v, t in T.items():
-        if t > params.C * n:
-            raise DomainError(f"offset of {v} exceeds C*n")
+        if not 0 <= t <= min(params.C * n, MAX_INDEX):
+            raise DomainError(f"offset {t} of {v} outside [0, min(C*n, MAX_INDEX)]")
     # arrivals: each macro vertex's accumulated seed; the macro seed column
     # T_macro is the left-column faces holding a delta-dense share of T
     arrivals: dict = {}
     for u in win.L:
-        seed = SeedSet(u, [T.get(v, _ABSENT) for v in _face_points(u, params.k, params.d)])
-        if seed.size() >= params.delta * params.face_size():
-            arrivals[u] = seed
+        offsets = np.array([T.get(v, _ABSENT) for v in _face_points(u, params.k, params.d)])
+        if np.count_nonzero(offsets < _ABSENT) >= params.delta * params.face_size():
+            arrivals[u] = SeedSet(u, offsets)
     T_macro = tuple(arrivals)
     queried: list = []
 
@@ -515,10 +482,19 @@ def macro_exploration(
     # the right-column report and the forwarded target set
     right = state.U & set(win.R)
     out_of_R = {w for u in right for w in macro_out_neighbors(u, params.h)} - state.U
-    T_prime: dict = {}
-    for w in sorted(out_of_R & arrivals.keys()):
-        for y, t in arrivals[w].to_dict(params).items():
-            T_prime[y] = min(t, T_prime.get(y, t))
+    # faces of distinct macro vertices are disjoint: T' is their union
+    T_prime = {y: t for w in sorted(out_of_R & arrivals.keys())
+               for y, t in arrivals[w].to_dict(params).items()}
+    # audits: no box examined twice; queried boxes overlap only in faces
+    overlaps = []
+    qs = sorted(set(queried))
+    parts = [(macro_box(a, params.k, params.d), macro_face(a, params.k, params.d)) for a in qs]
+    for i, (a, (box_a, face_a)) in enumerate(zip(qs, parts)):
+        for b, (box_b, face_b) in zip(qs[i + 1 :], parts[i + 1 :]):
+            if box_a.intersect(box_b) is not None:
+                overlaps.append((a, b, "box-box"))
+            if face_a.intersect(face_b) is not None:
+                overlaps.append((a, b, "face-face"))
     return ExplorationReport(
         n=n,
         T_macro=tuple(sorted(T_macro)),
@@ -531,9 +507,8 @@ def macro_exploration(
         right_size=len(win.R),
         T_prime=T_prime,
         T_prime_threshold=8 * params.delta * len(lambda_boundary(2 * n, params)),
-        # audits: no box examined twice; queried boxes overlap only in faces
         audit_no_requeries=len(queried) == len(set(queried)),
-        audit_box_overlaps=_overlaps(sorted(set(queried)), params.k, params.d),
+        audit_box_overlaps=tuple(overlaps),
     )
 
 

@@ -4,8 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from wordperc.config import Configuration, sample
 from wordperc.errors import CapacityError, DomainError
@@ -98,6 +96,18 @@ def test_seed_offsets_within_the_search_cap():
             SeedSet.from_dict(U, {pt: t}, PAR)
     with pytest.raises(ValueError):
         SeedSet.full_face(U, PAR).offsets[0] = 1
+
+
+def test_exploration_refuses_t_offsets_off_the_search_cap():
+    """A T offset outside [0, MAX_INDEX] is a DomainError before any box
+    is searched, also where C*n is past MAX_INDEX."""
+    par = RenormParams(d=5, p=0.5, k=6, delta=1e-6, h=4)
+    n = 3
+    assert par.C * n > MAX_INDEX + 1
+    pt = macro_face(slab_windows(n, par.h).L[0], par.k, par.d).min_point()
+    for t in (-1, MAX_INDEX + 1):
+        with pytest.raises(DomainError, match="outside"):
+            macro_exploration(None, {pt: t}, ConstantWord(1), par, n)
 
 
 def test_seed_sets_from_all_ones():
@@ -348,25 +358,6 @@ def pairwise_overlaps(vertices, k, d):
             if renorm.macro_face(a, k, d).intersect(renorm.macro_face(b, k, d)) is not None:
                 found.append((a, b, "face-face"))
     return tuple(found)
-
-
-SLAB = slab_windows(4, 4)
-MACRO_VERTICES = sorted(set(SLAB.B) | set(SLAB.L) | set(SLAB.R))
-
-
-@given(st.lists(st.sampled_from(MACRO_VERTICES), max_size=14, unique=True),
-       st.sampled_from([2, 4]), st.integers(0, 3), st.integers(0, 2))
-@settings(max_examples=150, deadline=None)
-@example([], 2, 1, 1)
-@example([(6, -5, 1)], 2, 3, 2)
-@example([(6, -1, 1), (6, -1, 3), (6, 1, 1), (8, 0, 2)], 2, 0, 1)  # faces meet, boxes do not
-@example([(6, -1, 1), (6, -1, 3), (6, 1, 1), (8, 0, 2)], 2, 1, 0)  # boxes meet, faces do not
-def test_overlap_audit_matches_pairwise_intersections(vertices, k, box_grow, face_grow):
-    vertices = sorted(vertices)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(renorm, "macro_box", widened(macro_box, box_grow))
-        mp.setattr(renorm, "macro_face", widened(macro_face, face_grow))
-        assert renorm._overlaps(vertices, k, 3) == pairwise_overlaps(vertices, k, 3)
 
 
 def test_exploration_audit_lists_overlaps_in_pairwise_order(monkeypatch):
