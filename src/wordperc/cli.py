@@ -100,12 +100,12 @@ def cmd_sample(args):
 def cmd_reach(args):
     cfg = read_wpc(args.cfg)
     word = parse_word_argument(args.word)
-    src = SourceSet.single(_parse_vertex(args.from_vertex), word)
     max_index = args.max_index
     if max_index is None:
         if not isinstance(word, Word):
             raise DomainError("--max-index is required for generator words")
         max_index = word.length - 1
+    src = SourceSet.single(cfg.region, _parse_vertex(args.from_vertex), word)
     if args.mode == "relaxed":
         res = relaxed_word_reach(cfg, src, max_index)
         label = "relaxed (upper bound: revisits allowed)"
@@ -209,7 +209,7 @@ def cmd_oracle(args):
     word10 = Word.from_string("10")
     hits = 0
     for cfg in enumerate_configs(r22):
-        res = exact_word_reach(cfg, SourceSet.single((0, 0), word10), 1)
+        res = exact_word_reach(cfg, SourceSet.single(r22, (0, 0), word10), 1)
         hits += bool((res.index_hits >> 1) & 1)
     check("P(10 from origin in {0,1}^2) = 6/16", hits == 6)
 
@@ -230,7 +230,7 @@ def cmd_oracle(args):
         if i % (args.stride * 7):
             continue
         for w in words:
-            src = SourceSet.uniform(list(r33.iter_points()), w)
+            src = SourceSet.uniform(r33, r33.iter_points(), w)
             exact = exact_word_reach(cfg, src, len(w) - 1)
             if exact.pairs() != saw_reach_bruteforce(cfg, src, len(w) - 1):
                 ok = False
@@ -246,7 +246,7 @@ def cmd_oracle(args):
         if i % args.stride:
             continue
         for w in generators:
-            src = SourceSet.uniform([(0, 0), (-1, 1)], w, [0, 3])
+            src = SourceSet.uniform(r33, [(0, 0), (-1, 1)], w, [0, 3])
             if relaxed_word_reach(cfg, src, 12).pairs() != walk_reach_bruteforce(cfg, src, 12):
                 ok = False
     check("relaxed = walk enumeration on 3x3", ok)
@@ -258,9 +258,10 @@ def cmd_oracle(args):
     targets = [v for v in r33.iter_points() if v[0] == 1 or v == (0, 0)]
     mask = sum(1 << r for r, v in enumerate(r33.iter_points()) if v in targets)
     left = [(-1, -1), (-1, 0), (-1, 1)]
-    src = SourceSet(tuple((v, t, 0) for v, t in zip(left, (2, 3, 2)))
-                    + tuple((v, t, 1) for v, t in zip(left, (0, 1, 0))),
-                    (Word.from_string("110101101"), Word.from_string("011011010")))
+    src = SourceSet.from_entries(
+        r33, tuple((v, t, 0) for v, t in zip(left, (2, 3, 2)))
+        + tuple((v, t, 1) for v, t in zip(left, (0, 1, 0))),
+        (Word.from_string("110101101"), Word.from_string("011011010")))
     for i, cfg in enumerate(enumerate_configs(r33)):
         if i % args.stride:
             continue

@@ -324,7 +324,7 @@ def _reach_trials(params, seed, t0, t1) -> list[int]:
             raise DomainError("reach with a generator word needs max_index")
         length = word.length - 1
     length = int(length)
-    src = SourceSet.single(tuple(params["source"]), word)
+    src = SourceSet.single(region, tuple(params["source"]), word)
     reach = relaxed_reach_block if params.get("mode", "exact") == "relaxed" else exact_reach_block
     out = []
     for b0, b1 in trial_blocks(t0, t1, region.volume):

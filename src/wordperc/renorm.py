@@ -25,19 +25,20 @@ per-face arrivals, which an accepted box passes on as seeds (the face
 membership of a minimal-arrival search is that of good_event's).
 
 A SeedSet holds one word offset per point of its face, in the face's
-rank order, with a sentinel above the searches' MAX_INDEX for a point
-not in the seed: the delta-seed bounds are a count and a maximum, and
-merging arrivals is an element-wise minimum.  Points appear only at the
-edges: SeedSet.from_dict and to_dict, the sources a search takes, and
-the exploration's T and T_prime.  F^u u B^u is itself a box, so every
-box search runs on that region alone, its colours gathered from the
-window through cached ranks; its first arrivals are read off the fronts
-(search.ReachResult) in box ranks and gathered into each out-neighbor
-face's ranks.  Cached bitsets of those faces, or of the scale-n
-boundary, are the exact searches' site masks (early stops, prune
-targets).  walk_good_events decides a block of trials' walk-decided
-good events with one stacked relaxed sweep; good_event's walk branch is
-its one-trial case.
+rank order, with the searches' UNREACHED sentinel (above MAX_INDEX) for
+a point not in the seed: the delta-seed bounds are a count and a
+maximum, and merging arrivals is an element-wise minimum.  Points appear
+only at the edges: SeedSet.from_dict and to_dict, and the exploration's
+T and T_prime.  F^u u B^u is itself a box, so every box search runs on
+that region alone, its colours gathered from the window through cached
+ranks.  Its sources are the seed's offsets scattered into box ranks by
+offset (search.SourceSet), and its first arrivals
+(search.ReachResult.first_arrivals) an array over box ranks, gathered
+into each out-neighbor face's ranks.  Cached bitsets of those faces, or
+of the scale-n boundary, are the exact searches' site masks (early
+stops, prune targets) and event_Emn's sources.  walk_good_events
+decides a block of trials' walk-decided good events with one stacked
+relaxed sweep; good_event's walk branch is its one-trial case.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .rng import RngStream
 from .words import has_period_two
 from .search import (
     MAX_INDEX,
+    UNREACHED,
     SourceSet,
     exact_word_reach,
     relaxed_reach_block,
@@ -116,14 +118,12 @@ class RenormParams:
         return (2 * self.k) ** (self.d - 1)
 
 
-_ABSENT = MAX_INDEX + 1  # off the seed; above every readable offset, so a minimum is a union
-
-
 @dataclass(frozen=True, eq=False)
 class SeedSet:
     """A seed (S, t) on the face F^u of macro vertex u: offsets[i] is the
-    word offset of the i-th point of F^u in its rank order, or _ABSENT off
-    S.  The seed takes the array over and makes it read-only."""
+    word offset of the i-th point of F^u in its rank order, or UNREACHED off
+    S (above every readable offset, so a minimum is a union).  The seed
+    takes the array over and makes it read-only."""
 
     u: tuple[int, int, int]
     offsets: np.ndarray
@@ -135,7 +135,7 @@ class SeedSet:
     def from_dict(cls, u, mapping, params: RenormParams) -> "SeedSet":
         """The seed of these point -> offset entries, each on F^u and in [0, MAX_INDEX]."""
         face = macro_face(u, params.k, params.d)
-        offsets = np.full(face.volume, _ABSENT, dtype=np.int64)
+        offsets = np.full(face.volume, UNREACHED, dtype=np.int64)
         for v, t in mapping.items():
             if not 0 <= t <= MAX_INDEX:
                 raise DomainError(f"seed offset {t} outside [0, {MAX_INDEX}]")
@@ -147,19 +147,19 @@ class SeedSet:
         return cls(tuple(u), np.full(params.face_size(), offset, dtype=np.int64))
 
     def size(self) -> int:
-        return int(np.count_nonzero(self.offsets < _ABSENT))
+        return int(np.count_nonzero(self.offsets < UNREACHED))
 
     def to_dict(self, params: RenormParams) -> dict:
         """The seed as point -> offset, in F^u's rank order."""
         points = _face_points(self.u, params.k, params.d)
-        return {v: t for v, t in zip(points, self.offsets.tolist(), strict=True) if t < _ABSENT}
+        return {v: t for v, t in zip(points, self.offsets.tolist(), strict=True) if t < UNREACHED}
 
 
 def is_delta_seed(seed: SeedSet, delta: float, params: RenormParams) -> bool:
     """Density and offset bounds of a seed candidate: a count and a maximum."""
     if seed.size() < delta * params.face_size():
         return False
-    return bool(seed.offsets.max(where=seed.offsets < _ABSENT, initial=0) <= params.C * seed.u[0])
+    return bool(seed.offsets.max(where=seed.offsets < UNREACHED, initial=0) <= params.C * seed.u[0])
 
 
 def _ranks_within(part: Region, region: Region) -> np.ndarray:
@@ -176,12 +176,14 @@ def _ranks_within(part: Region, region: Region) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _search_box(u, k: int, d: int) -> Region:
+def _search_box(u, k: int, d: int) -> tuple[Region, tuple[int, ...]]:
     """F^u u B^u as a region of its own: (k u1 - k - 1, k u1 + k] on the
-    first axis and B^u's intervals on the others."""
+    first axis and B^u's intervals on the others; and the ranks in it of
+    the points of F^u, in F^u's rank order."""
     face, bx = macro_face(u, k, d), macro_box(u, k, d)
     ivs = ((face.intervals[0][0], bx.intervals[0][1]),) + bx.intervals[1:]
-    return Region(ivs, "macro-search", (u, k))
+    box = Region(ivs, "macro-search", (u, k))
+    return box, tuple(_ranks_within(face, box).tolist())
 
 
 @lru_cache(maxsize=256)
@@ -190,7 +192,7 @@ def _box_view(u, k: int, d: int, intervals) -> tuple[Region, np.ndarray]:
     intervals, the gather of its colours.  Restricting a box keeps rank
     order, so a search on it visits what a search masked to it inside
     the window visits, in the same order."""
-    window, box = Region(intervals), _search_box(u, k, d)
+    window, (box, _) = Region(intervals), _search_box(u, k, d)
     if not box.issubset(window):
         raise DomainError(f"F^u u B^u of {u} not inside the configuration")
     return box, _ranks_within(box, window)
@@ -208,7 +210,7 @@ def _out_faces(u, k: int, d: int, outs: tuple) -> tuple:
     every out-neighbor v of outs: per v as a bitset over the box and as
     the box rank of every point of F^v in its rank order, -1 off the box;
     and the bitset of them all."""
-    box = _search_box(u, k, d)
+    box, _ = _search_box(u, k, d)
     faces, union = [], 0
     for v in outs:
         face = macro_face(v, k, d)
@@ -248,8 +250,14 @@ def _face_points(v, k: int, d: int) -> tuple[Point, ...]:
 
 
 def _sources(seed: SeedSet, xi, params: RenormParams) -> SourceSet:
-    seeded = seed.to_dict(params)
-    return SourceSet.uniform(seeded, xi, list(seeded.values()))
+    """The seed as the sources of its box search: per offset, the bitset
+    of the box ranks of the face points that hold it."""
+    box, ranks = _search_box(seed.u, params.k, params.d)
+    by_t: dict[int, int] = {}
+    for r, t in zip(ranks, seed.offsets.tolist()):
+        if t < UNREACHED:
+            by_t[t] = by_t.get(t, 0) | 1 << r
+    return SourceSet(box, (by_t,), (xi,))
 
 
 def seed_sets_from(
@@ -278,10 +286,8 @@ def seed_sets_from(
     else:
         res = exact_word_reach(box, _sources(seed, xi, params), bound,
                                node_budget=_budget(node_budget), prune_targets=(union, "min"))
-    # first arrivals in box ranks; index -1 reads the _ABSENT in the slot past them
-    first = np.full(box.region.volume + 1, _ABSENT, dtype=np.int64)
-    arrived = res.first_arrivals(union)
-    first[list(arrived)] = list(arrived.values())
+    # first arrivals in box ranks; index -1 reads the UNREACHED in the slot past them
+    first = np.append(res.first_arrivals(union), UNREACHED)
     return {v: SeedSet(v, first[gather]) for v, (_, gather) in zip(outs, faces)}
 
 
@@ -377,8 +383,9 @@ def event_Emn(
     lam_n = lambda_box(n, params.h, params.k, params.d)
     if not lam_n.issubset(cfg.region):
         raise DomainError("configuration window too small for the scale-n box")
-    sources = SourceSet.uniform(sorted(lambda_boundary(m + 1, params)), xi)
-    target_mask, targets = _boundary_sites(n, params, cfg.region.intervals)
+    window = cfg.region.intervals
+    sources = SourceSet(cfg.region, ({0: _boundary_sites(m + 1, params, window)[0]},), (xi,))
+    target_mask, targets = _boundary_sites(n, params, window)
     bound = params.C * n if t_bound is None else t_bound
     if walks_decide(xi, mode, bound):
         res = relaxed_word_reach(cfg, sources, bound)
@@ -457,8 +464,8 @@ def macro_exploration(
     # T_macro is the left-column faces holding a delta-dense share of T
     arrivals: dict = {}
     for u in win.L:
-        offsets = np.array([T.get(v, _ABSENT) for v in _face_points(u, params.k, params.d)])
-        if np.count_nonzero(offsets < _ABSENT) >= params.delta * params.face_size():
+        offsets = np.array([T.get(v, UNREACHED) for v in _face_points(u, params.k, params.d)])
+        if np.count_nonzero(offsets < UNREACHED) >= params.delta * params.face_size():
             arrivals[u] = SeedSet(u, offsets)
     T_macro = tuple(arrivals)
     queried: list = []

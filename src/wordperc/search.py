@@ -14,7 +14,14 @@ Three searches with one contract between them:
 
 A source (x, t_x, word) reads its word starting at index t_x on x
 itself: a path x = v_0 ~ ... ~ v_j = y arrives at y with index
-t = t_x + j and requires color(v_i) = word[t_x + i] for every i.
+t = t_x + j and requires color(v_i) = word[t_x + i] for every i.  A
+``SourceSet`` holds its sources in the form the sweeps read: built on
+its region, it maps each word id's offsets to the rank-order bitsets of
+the sources at them.  Points enter only through its constructors
+(``single``, ``uniform``, ``from_entries``, which rank each point once)
+and leave only through its ``entries`` view, which the oracles read; a
+search checks that the sources lie on its configuration's region and
+otherwise takes the map as it is, dropping offsets past max_index.
 
 Every walk search is one kernel: a set of sites is a Python-int bitset
 (bit r is rank r), and ``_step`` moves it to all its lattice neighbors
@@ -69,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import or_
 
 import numpy as np
@@ -80,33 +87,46 @@ from .geometry import Region, neighbor_steps
 from .words import Word, WordGenerator, _pack, _tile, _unpack, has_period_two
 
 MAX_INDEX = 1 << 20
+UNREACHED = MAX_INDEX + 1  # a first arrival past every index a search reads
 Point = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class SourceSet:
-    """Sources (vertex, start offset, word id) with the id-indexed words."""
+    """Sources on a region: seeds[wid] maps a word offset to the bitset of
+    the region's ranks that read word wid from that offset on; words are
+    id-indexed.  The point constructors rank each point once."""
 
-    entries: tuple[tuple[Point, int, int], ...]
+    region: Region
+    seeds: tuple[dict[int, int], ...]
     words: tuple
 
-    def __post_init__(self):
-        for _, t, wid in self.entries:
-            if t < 0:
-                raise DomainError("negative word offset")
-            if not 0 <= wid < len(self.words):
-                raise DomainError("word id out of range")
+    @classmethod
+    def from_entries(cls, region: Region, entries, words) -> "SourceSet":
+        """The sources (vertex, offset, word id) on region; a vertex off it,
+        a negative offset or an unknown word id is a DomainError."""
+        seeds: list[dict[int, int]] = [{} for _ in words]
+        for v, t, wid in entries:
+            if t < 0 or not 0 <= wid < len(words):
+                raise DomainError("negative word offset" if t < 0 else "word id out of range")
+            seeds[wid][t] = seeds[wid].get(t, 0) | 1 << int(region.rank(v))
+        return cls(region, tuple(seeds), tuple(words))
 
     @classmethod
-    def single(cls, vertex: Point, word, offset: int = 0) -> "SourceSet":
-        return cls(((tuple(vertex), offset, 0),), (word,))
+    def single(cls, region: Region, vertex: Point, word, offset: int = 0) -> "SourceSet":
+        return cls.from_entries(region, ((vertex, offset, 0),), (word,))
 
     @classmethod
-    def uniform(cls, vertices, word, offsets=None) -> "SourceSet":
-        vs = [tuple(v) for v in vertices]
-        if offsets is None:
-            offsets = [0] * len(vs)
-        return cls(tuple((v, t, 0) for v, t in zip(vs, offsets)), (word,))
+    def uniform(cls, region: Region, vertices, word, offsets=None) -> "SourceSet":
+        offsets = repeat(0) if offsets is None else offsets
+        return cls.from_entries(region, ((v, t, 0) for v, t in zip(vertices, offsets)), (word,))
+
+    @property
+    def entries(self) -> tuple[tuple[Point, int, int], ...]:
+        """The sources as (vertex, offset, word id), by word id, offset and rank."""
+        return tuple((tuple(v), t, wid) for wid, by_t in enumerate(self.seeds)
+                     for t, bits in sorted(by_t.items())
+                     for v in self.region.points_array()[_ranks(bits, self.region.volume)].tolist())
 
 
 @dataclass
@@ -139,24 +159,26 @@ class ReachResult:
         """The sites reached at some index, as a bitset."""
         return reduce(or_, self.fronts, 0)
 
-    def first_arrivals(self, sites: int = -1) -> dict[int, int]:
-        """Rank -> first index reached, for the reached ranks of sites, in rank order."""
-        first: dict[int, int] = {}
+    def first_arrivals(self, sites: int = -1) -> np.ndarray:
+        """Per rank, the first index the ranks of sites are reached at, as
+        an int array holding UNREACHED wherever a site is not reached."""
+        first = np.full(self.region.volume, UNREACHED, dtype=np.int64)
         left = sites & self.reached
         for t, front in enumerate(self.fronts):
             if new := front & left:
-                first.update(dict.fromkeys(_ranks(new, self.region.volume).tolist(), t))
+                first[_unpack(new, first.size)] = t
                 left ^= new
-        return dict(sorted(first.items()))
+        return first
 
-    def _points(self, by_rank: dict) -> dict:
-        pts = self.region.points_array()[list(by_rank)].tolist()
-        return dict(zip(map(tuple, pts), by_rank.values()))
+    def _points(self, ranks, values) -> dict:
+        return dict(zip(map(tuple, self.region.points_array()[ranks].tolist()), values))
 
     @cached_property
     def min_arrival(self) -> dict:
         """Point -> smallest index it is reached at."""
-        return self._points(self.first_arrivals())
+        first = self.first_arrivals()
+        ranks = np.flatnonzero(first < UNREACHED)
+        return self._points(ranks, first[ranks].tolist())
 
     @cached_property
     def arrivals(self) -> dict:
@@ -165,7 +187,7 @@ class ReachResult:
         for front, indices in self._indexed():
             for r in _ranks(front, self.region.volume).tolist():
                 bits[r] = bits.get(r, 0) | indices
-        return self._points(dict(sorted(bits.items())))
+        return self._points(sorted(bits), [bits[r] for r in sorted(bits)])
 
     @cached_property
     def index_hits(self) -> int:
@@ -277,18 +299,18 @@ def _sweep(lattice, allowed, letters: int, indices, seeds: dict, front: int = 0)
         yield t, front
 
 
-def _groups(region: Region, sources: SourceSet, max_index: int):
-    """Each word id's (rank, offset) sources with offset <= max_index."""
+def _groups(region: Region, sources: SourceSet, max_index: int) -> dict[int, dict[int, int]]:
+    """Each word id's {offset: bitset} seeds with offset <= max_index, for
+    the ids left with one; the sources must lie on the search's region."""
     if max_index < 0:
         raise DomainError("max_index must be nonnegative")
     if max_index > MAX_INDEX:
         raise CapacityError(f"max_index capped at {MAX_INDEX}")
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for v, t, wid in sources.entries:
-        r = int(region.rank(v))  # also validates dimension and membership
-        if t <= max_index:
-            groups.setdefault(wid, []).append((r, t))
-    return groups
+    if sources.region.intervals != region.intervals or min(chain(*sources.seeds), default=0) < 0:
+        raise DomainError("sources must lie on the search's region, at nonnegative offsets")
+    kept = ({t: bits for t, bits in by_t.items() if t <= max_index and _mask(bits, region.volume)}
+            for by_t in sources.seeds)
+    return {wid: by_t for wid, by_t in enumerate(kept) if by_t}
 
 
 def _mask(mask, volume: int) -> int:
@@ -307,23 +329,10 @@ def _allowed(cfg: Configuration, within):
     return inside & ~cfg.bits, inside & cfg.bits
 
 
-def _seeds(srcs) -> dict[int, int]:
-    """(rank, offset) sources as a bitset per offset."""
-    by_t: dict[int, int] = {}
-    for r, t in srcs:
-        by_t[t] = by_t.get(t, 0) | 1 << r
-    return by_t
-
-
 def _one_connected(region: Region, open_: int, copies: int, S) -> int:
     """The sites of the stacked copies of region 1-connected to S through
     open_, as a bitset: the constant word 1 swept to its fixpoint."""
-    seeds = 0
-    for v in S:
-        try:
-            seeds |= 1 << int(region.rank(v))
-        except DomainError:
-            raise DomainError(f"{v} outside region") from None
+    seeds = reduce(or_, (1 << int(region.rank(v)) for v in S), 0)
     lattice, repunit = _stacked(region.sizes, copies)
     seen = front = seeds * repunit & open_
     while front:
@@ -359,10 +368,10 @@ def _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit=1):
     stops past its last seed at an empty front, or, for period-2 letters,
     at a front equal to the one two steps back: its fronts then alternate
     F_{t-1}, F_t up to max_index, and tail is F_{t-1} (else None)."""
-    for wid, srcs in groups.items():
+    for wid, by_t in groups.items():
         letters = _letters(sources.words[wid], max_index)
         period2 = has_period_two(letters, max_index)
-        seeds = {t: bits * repunit for t, bits in _seeds(srcs).items()}
+        seeds = {t: bits * repunit for t, bits in by_t.items()}
         t_last = max(seeds)
         prev = prev2 = None
         indices = range(min(seeds), max_index + 1)
@@ -475,9 +484,9 @@ def exact_reach_block(region: Region, colors: np.ndarray, sources: SourceSet,
     every trial.  The block keeps at most min(max_index, volume - 1) + 1
     fronts of rows * volume bits, at most max(BLOCK_SITES, volume) for a
     block of config.trial_blocks."""
-    if len(sources.entries) != 1 or sources.entries[0][1] != 0:
+    if [{t: bits.bit_count() for t, bits in by_t.items()} for by_t in sources.seeds] != [{0: 1}]:
         raise DomainError("exact_reach_block takes one source at offset 0")
-    [[(start, _)]] = _groups(region, sources, max_index).values()
+    start = _groups(region, sources, max_index)[0][0].bit_length() - 1  # checks max_index too
     volume = region.volume
     top = min(max_index, volume - 1)
     copies, sweep = _block_sweep(region, colors, sources, top)
@@ -611,20 +620,19 @@ def exact_word_reach(
     minarr: dict[int, int] = {}  # rank -> best arrival, to count improvements
     nodes = 0
     cap = mask_volume if max_path_len is None else min(max_path_len, mask_volume)
-    for wid in sorted(groups):
-        srcs = groups[wid]
-        t_lo = min(t for _, t in srcs)
-        t1 = min(max_index, max(t for _, t in srcs) + cap - 1)
+    for wid, by_t in groups.items():
+        t_lo, t1 = min(by_t), min(max_index, max(by_t) + cap - 1)
         letters = _letters(sources.words[wid], t1).bits
         # ok[t - t_lo]: sites a self-avoiding path may occupy at index t
-        sweep = _sweep(lattice, allowed, letters, range(t_lo, t1 + 1), _seeds(srcs))
+        sweep = _sweep(lattice, allowed, letters, range(t_lo, t1 + 1), by_t)
         ok = forward = [f for _, f in sweep]
         if flavor is not None:
             ok = _pruned(forward, lattice, allowed, letters, t_lo, target, fronts, flavor)
         stale, refreshed = 0, nodes  # improved target arrivals, nodes at the last build
-        for start, t_start in sorted(srcs, key=lambda s: (s[1], s[0])):
-            if not allowed[letters >> t_start & 1] >> start & 1:
-                continue
+        # the starts in (offset, rank) order, each on a site of its first letter
+        starts = ((r, t) for t in sorted(by_t)
+                  for r in _ranks(by_t[t] & allowed[letters >> t & 1], region.volume).tolist())
+        for start, t_start in starts:
             walk = _paths(steps, kind, ok, t_lo, t1, cap, start, t_start)
             for u, t, path in chain([(start, t_start, [(start,)])], walk):
                 if len(path) > 1:  # a step of the walk, not its start

@@ -90,7 +90,7 @@ def test_acceptance_1_exhaustive_oracle_equivalence():
     assert len(words) == 126
     all_points = list(R33.iter_points())
     rank_of = {p: r for r, p in enumerate(all_points)}
-    sources = {w: SourceSet.uniform(all_points, w) for w in words}
+    sources = {w: SourceSet.uniform(R33, all_points, w) for w in words}
     configs = list(enumerate_configs(R33))
     code_table = {}
     for i, cfg in enumerate(configs):
@@ -134,7 +134,7 @@ def test_acceptance_2_closed_form_three_eighths():
     word = Word.from_string("10")
     hits = 0
     for cfg in enumerate_configs(r22):
-        res = exact_word_reach(cfg, SourceSet.single((0, 0), word), 1)
+        res = exact_word_reach(cfg, SourceSet.single(cfg.region, (0, 0), word), 1)
         hits += bool((res.index_hits >> 1) & 1)
     exact_prob = hits / 16
     spec = ExperimentSpec(

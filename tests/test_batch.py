@@ -66,7 +66,7 @@ def reach_reference(params, seed, t0, t1):
     region = harness.region_from_spec(params["region"])
     word = harness.word_from_spec(params["word"])
     length = params.get("max_index", getattr(word, "length", 0) - 1)
-    src = SourceSet.single(tuple(params["source"]), word)
+    src = SourceSet.single(region, tuple(params["source"]), word)
     out = []
     for t in range(t0, t1):
         cfg = sample(region, params["p"], RngStream(seed, t))
@@ -119,7 +119,7 @@ def test_reach_block_matches_per_trial(params, seed, t0, trials, block):
 def test_exact_reach_screen_mixes_rows():
     """The MIXED example's trials fall in all three classes of the screen."""
     region = harness.region_from_spec(MIXED["region"])
-    src = SourceSet.single((1, 2), harness.word_from_spec("00000"))
+    src = SourceSet.single(region, (1, 2), harness.word_from_spec("00000"))
     colors = sample_block(region, MIXED["p"], 1, 3, 63)
     screen = relaxed_reach_block(region, colors, src, 4).tolist()
     exact = reach_reference(MIXED, 1, 3, 63)
@@ -179,7 +179,7 @@ def test_exact_reach_block_matches_exact_search(case, word):
     reaches at 1 < max_index < volume take exactly the exact search's
     depth-first steps; the others take none."""
     region, colors, rank, max_index = case
-    src = SourceSet.single(region.unrank(rank), harness.word_from_spec(word))
+    src = SourceSet.single(region, region.unrank(rank), harness.word_from_spec(word))
     cfgs = [Configuration.from_bools(region, row) for row in colors]
 
     def per_row(rows):
@@ -199,7 +199,8 @@ def test_exact_reach_block_takes_one_source_at_offset_0():
     region = Region(((0, 3),))
     colors = sample_block(region, 0.5, 1, 0, 4)
     word = Word.from_string("0101")
-    for sources in (SourceSet.uniform([(1,), (2,)], word), SourceSet.single((1,), word, 1)):
+    for sources in (SourceSet.uniform(region, [(1,), (2,)], word),
+                    SourceSet.single(region, (1,), word, 1)):
         with pytest.raises(DomainError, match="one source at offset 0"):
             exact_reach_block(region, colors, sources, 2)
 
@@ -306,7 +307,7 @@ def test_reach_block_several_sources_and_words(sizes, data, seed, trials, max_in
         (tuple(data.draw(st.integers(1, s)) for s in sizes), data.draw(st.integers(0, 14)),
          data.draw(st.integers(0, 1)))
         for _ in range(data.draw(st.integers(1, 4))))
-    sources = SourceSet(entries, tuple(words))
+    sources = SourceSet.from_entries(region, entries, tuple(words))
     colors = sample_block(region, 0.5, seed, 3, 3 + trials)
     want = [relaxed_word_reach(Configuration.from_bools(region, row), sources,
                                max_index).index_hits >> max_index & 1 for row in colors]
@@ -318,7 +319,7 @@ def test_reach_block_front_repeats_under_aperiodic_word():
     # repeat two steps back, yet letter 3 of 00011 ends every walk
     region = Region(((0, 3),))
     colors = np.array([[False, False, True], [False, False, False]])
-    sources = SourceSet.single((1,), harness.word_from_spec("00011"))
+    sources = SourceSet.single(region, (1,), harness.word_from_spec("00011"))
     assert relaxed_reach_block(region, colors, sources, 4).tolist() == [False, False]
     assert relaxed_reach_block(region, colors, sources, 2).tolist() == [True, True]
 

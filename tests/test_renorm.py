@@ -147,7 +147,7 @@ def test_seed_sets_exact_matches_bruteforce():
         cfg = sample(region, 0.5, RngStream(313, s))
         got = {v: s.to_dict(PAR)
                for v, s in seed_sets_from(cfg, seed, word, PAR, t_membership=7).items()}
-        src = SourceSet.uniform(seed.to_dict(PAR), word)
+        src = SourceSet.uniform(region, seed.to_dict(PAR), word)
         pairs = saw_reach_bruteforce(cfg, src, 7, allowed=allowed)
         best: dict = {}
         for y, t in pairs:

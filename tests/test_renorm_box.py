@@ -90,13 +90,14 @@ def test_relaxed_box_search_matches_masked_window(case, max_index):
     params, u, cfg, seed, word = case
     seeded = seed.to_dict(params)
     bound = max(max_index, max(seeded.values()))
-    sources = SourceSet.uniform(seeded, word, list(seeded.values()))
     mask = region_mask(cfg.region, [macro_face(u, params.k, 3), macro_box(u, params.k, 3)])
     box = renorm._restrict(cfg, u, params)
     assert box.region.volume == (2 * params.k + 1) * (2 * params.k) ** 2
+    on_box, on_window = (SourceSet.uniform(c.region, seeded, word, list(seeded.values()))
+                         for c in (box, cfg))
     for t in (bound, params.C * (u[0] + 2)):  # the good event's bound too
-        same_result(relaxed_word_reach(box, sources, t),
-                    relaxed_word_reach(cfg, sources, t, within=mask))
+        same_result(relaxed_word_reach(box, on_box, t),
+                    relaxed_word_reach(cfg, on_window, t, within=mask))
 
 
 @given(box_cases(), st.sampled_from(["early_stop", "min", "membership", "witness"]),
@@ -112,10 +113,11 @@ def test_exact_box_search_matches_masked_window(case, flavor, max_index, need):
     k = params.k
     seeded = seed.to_dict(params)
     bound = max(max_index, max(seeded.values()))
-    sources = SourceSet.uniform(seeded, word, list(seeded.values()))
     outs = macro_out_neighbors(u, params.h)
     mask = region_mask(cfg.region, [macro_face(u, k, 3), macro_box(u, k, 3)])
     box = renorm._restrict(cfg, u, params)
+    on_box, on_window = (SourceSet.uniform(c.region, seeded, word, list(seeded.values()))
+                         for c in (box, cfg))
 
     def kwargs(region):
         faces = [region_mask(region, [macro_face(v, k, 3)]) for v in outs]
@@ -128,9 +130,9 @@ def test_exact_box_search_matches_masked_window(case, flavor, max_index, need):
         return {"prune_targets": (union, flavor)}
 
     got, got_nodes = counted(lambda: exact_word_reach(
-        box, sources, bound, node_budget=4000, **kwargs(box.region)))
+        box, on_box, bound, node_budget=4000, **kwargs(box.region)))
     want, want_nodes = counted(lambda: exact_word_reach(
-        cfg, sources, bound, within=mask, node_budget=4000, **kwargs(cfg.region)))
+        cfg, on_window, bound, within=mask, node_budget=4000, **kwargs(cfg.region)))
     assert got_nodes == want_nodes
     if want == "cap":
         assert got == "cap"
@@ -145,7 +147,7 @@ def masked_good_event(cfg, seed, word, params, mode, node_budget=None):
     k, u = params.k, seed.u
     mask = region_mask(cfg.region, [macro_face(u, k, params.d), macro_box(u, k, params.d)])
     seeded = seed.to_dict(params)
-    sources = SourceSet.uniform(seeded, word, list(seeded.values()))
+    sources = SourceSet.uniform(cfg.region, seeded, word, list(seeded.values()))
     outs = macro_out_neighbors(u, params.h)
     if not outs:
         return True
@@ -218,7 +220,7 @@ def test_exact_box_events_match_masked_window(case):
     k, outs = params.k, macro_out_neighbors(u, params.h)
     mask = region_mask(cfg.region, [macro_face(u, k, 3), macro_box(u, k, 3)])
     seeded = seed.to_dict(params)
-    sources = SourceSet.uniform(seeded, word, list(seeded.values()))
+    sources = SourceSet.uniform(cfg.region, seeded, word, list(seeded.values()))
 
     def masked_seeds():
         res = exact_word_reach(cfg, sources, params.C * (u[0] + 2), within=mask,
@@ -240,7 +242,7 @@ def stop_case():
     """An exact reach on box(3, 2) from two sources at offsets 0 and 2."""
     cfg = sample(box(3, 2), 0.6, RngStream(5, 0))
     word = harness.word_from_spec("product:q=0.6,seed=1")
-    return cfg, SourceSet.uniform([(0, 0), (-2, 1)], word, [0, 2])
+    return cfg, SourceSet.uniform(cfg.region, [(0, 0), (-2, 1)], word, [0, 2])
 
 
 def good_case():
@@ -359,9 +361,10 @@ def pruned_pin_cases():
             for wname, word in (("product", harness.word_from_spec("product:q=0.5,seed=5")),
                                 ("thue", THUE_MORSE)):
                 starts = pts[::vol // 6]
-                multi = SourceSet.uniform(starts, word, list(range(len(starts))))
-                two = SourceSet(((pts[vol // 2], 0, 0), (pts[vol // 3], 2, 1), (pts[0], 0, 1)),
-                                (word, harness.word_from_spec("product:q=0.4,seed=9")))
+                multi = SourceSet.uniform(region, starts, word, list(range(len(starts))))
+                two = SourceSet.from_entries(
+                    region, ((pts[vol // 2], 0, 0), (pts[vol // 3], 2, 1), (pts[0], 0, 1)),
+                    (word, harness.word_from_spec("product:q=0.4,seed=9")))
                 calls = {
                     "membership": (1, {"prune_targets": (targets, "membership")}),
                     "min": (1, {"prune_targets": (targets, "min")}),

@@ -44,7 +44,7 @@ def test_exact_reach_2x2_example():
     # rank order (0,0),(1,0),(0,1),(1,1); bits 1,0,0,1
     r = Region(((-1, 1), (-1, 1)))
     cfg = Configuration.from_bits(r, [1, 0, 0, 1])
-    res = exact_word_reach(cfg, SourceSet.single((0, 0), Word.from_string("10")), 1)
+    res = exact_word_reach(cfg, SourceSet.single(r, (0, 0), Word.from_string("10")), 1)
     assert res.contains_pair((1, 0), 1)
     assert res.contains_pair((0, 1), 1)
     assert not res.contains_pair((1, 1), 1)
@@ -52,7 +52,7 @@ def test_exact_reach_2x2_example():
 
 def test_all_ones_constant_word_reach():
     cfg = sample(R33, 1.0, RngStream(1, 0))
-    res = exact_word_reach(cfg, SourceSet.single((0, 0), ConstantWord(1)), 4)
+    res = exact_word_reach(cfg, SourceSet.single(R33, (0, 0), ConstantWord(1)), 4)
     # every vertex within L1 distance <= 4 reached at its distance
     for pt in R33.iter_points():
         d = abs(pt[0]) + abs(pt[1])
@@ -64,7 +64,7 @@ def test_exact_matches_bruteforce_sampled_words():
     for seed in range(6):
         cfg = sample(R33, 0.5, RngStream(33, seed))
         for w in words:
-            src = SourceSet.uniform(list(R33.iter_points()), w)
+            src = SourceSet.uniform(R33, list(R33.iter_points()), w)
             got = exact_word_reach(cfg, src, len(w) - 1)
             assert got.pairs() == saw_reach_bruteforce(cfg, src, len(w) - 1)
 
@@ -73,7 +73,7 @@ def test_relaxed_contains_exact_and_monotone_horizon():
     w = Word.from_string("1011")
     for seed in range(4):
         cfg = sample(R33, 0.5, RngStream(44, seed))
-        src = SourceSet.single((0, 0), w)
+        src = SourceSet.single(R33, (0, 0), w)
         exact = exact_word_reach(cfg, src, 3)
         relaxed = relaxed_word_reach(cfg, src, 3)
         assert exact.issubset(relaxed)
@@ -86,7 +86,7 @@ def test_relaxed_contains_exact_and_monotone_horizon():
 def test_relaxed_equals_exact_for_constant_word():
     for seed in range(5):
         cfg = sample(R33, 0.6, RngStream(55, seed))
-        src = SourceSet.uniform([(0, 0), (-1, -1)], ConstantWord(1))
+        src = SourceSet.uniform(R33, [(0, 0), (-1, -1)], ConstantWord(1))
         exact = exact_word_reach(cfg, src, 8)
         relaxed = relaxed_word_reach(cfg, src, 8)
         assert exact.vertices() == relaxed.vertices()
@@ -98,10 +98,10 @@ def test_relaxed_equals_exact_for_constant_word():
 def test_color_symmetry_under_flip():
     w = Word.from_string("101")
     for cfg in list(enumerate_configs(Region(((0, 3), (0, 3)))))[::37]:
-        src = SourceSet.single((1, 1), w)
+        src = SourceSet.single(cfg.region, (1, 1), w)
         a = exact_word_reach(cfg, src, 2).pairs()
         b = exact_word_reach(
-            flip_colors(cfg), SourceSet.single((1, 1), w.complement()), 2
+            flip_colors(cfg), SourceSet.single(cfg.region, (1, 1), w.complement()), 2
         ).pairs()
         assert a == b
 
@@ -110,7 +110,7 @@ def test_witness_validity():
     for seed in range(5):
         cfg = sample(R33, 0.5, RngStream(66, seed))
         w = Word.from_string("1011")
-        res = exact_word_reach(cfg, SourceSet.single((0, 0), w), 3, want_witness=True)
+        res = exact_word_reach(cfg, SourceSet.single(R33, (0, 0), w), 3, want_witness=True)
         for v, path in res.witnesses.items():
             assert path[-1] == v
             assert verify_witness(cfg, path, w, 0)
@@ -119,12 +119,12 @@ def test_witness_validity():
 def test_capacity_guards():
     cfg = sample(R33, 0.5, RngStream(0, 0))
     with pytest.raises(CapacityError):
-        exact_word_reach(cfg, SourceSet.single((0, 0), ConstantWord(1)), (1 << 20) + 1)
+        exact_word_reach(cfg, SourceSet.single(R33, (0, 0), ConstantWord(1)), (1 << 20) + 1)
     with pytest.raises(DomainError):
-        exact_word_reach(cfg, SourceSet.single((9, 9), ConstantWord(1)), 3)
+        exact_word_reach(cfg, SourceSet.single(R33, (9, 9), ConstantWord(1)), 3)
     for search in (exact_word_reach, relaxed_word_reach):
         with pytest.raises(DomainError, match="does not have 2 coordinates"):
-            search(cfg, SourceSet.single((0, 0, 0), ConstantWord(1)), 3)
+            search(cfg, SourceSet.single(R33, (0, 0, 0), ConstantWord(1)), 3)
 
 
 def test_site_masks_are_bitsets_of_the_region():
@@ -132,7 +132,7 @@ def test_site_masks_are_bitsets_of_the_region():
     bitsets only: a bool array, a negative int or a bit at or past the
     volume is a DomainError, as for Configuration.bits."""
     cfg = sample(R33, 0.5, RngStream(0, 0))
-    src = SourceSet.single((0, 0), ConstantWord(1))
+    src = SourceSet.single(R33, (0, 0), ConstantWord(1))
     whole = (1 << R33.volume) - 1
     bad_masks = {"bools": cfg.bools(), "negative": -1, "past": 1 << R33.volume,
                  "wide": whole | 1 << 40}
@@ -176,7 +176,7 @@ def test_sees_all_words_exhaustive_small():
             continue
         expected = True
         for w in enumerate_words(2):
-            src = SourceSet.single((0, 0), w)
+            src = SourceSet.single(R33, (0, 0), w)
             if not saw_reach_bruteforce(cfg, src, 1):
                 expected = False
                 break
@@ -201,7 +201,7 @@ def test_sees_all_words_exact_matches_bruteforce():
                     for L in range(1, 6):
                         expect = (True, None)
                         for w in enumerate_words(L):
-                            src = SourceSet.uniform(starts, w)
+                            src = SourceSet.uniform(region, starts, w)
                             pairs = saw_reach_bruteforce(cfg, src, L - 1, allowed)
                             if all(t < L - 1 for _, t in pairs):
                                 expect = (False, w)
@@ -210,7 +210,7 @@ def test_sees_all_words_exact_matches_bruteforce():
 
 def test_relaxed_modes_agree_on_vertices():
     cfg = sample(R33, 0.5, RngStream(4, 1))
-    src = SourceSet.single((0, 0), Word.from_string("10110"))
+    src = SourceSet.single(R33, (0, 0), Word.from_string("10110"))
     res = relaxed_word_reach(cfg, src, 4)
     assert res.min_arrival == {v: (b & -b).bit_length() - 1 for v, b in res.arrivals.items()}
     hits = 0
@@ -227,7 +227,7 @@ def test_exact_matches_bruteforce_beyond_64_sites():
     for seed in range(3):
         cfg = sample(SQ9, 0.55, RngStream(77, seed))
         for w in words:
-            src = SourceSet.uniform(list(SQ9.iter_points()), w)
+            src = SourceSet.uniform(SQ9, list(SQ9.iter_points()), w)
             got = exact_word_reach(cfg, src, len(w) - 1)
             assert got.pairs() == saw_reach_bruteforce(cfg, src, len(w) - 1)
 
@@ -238,7 +238,7 @@ def test_constant_word_minima_are_distances():
         cfg = sample(SQ9, 0.6, RngStream(78, seed))
         within = None if seed % 2 else sample(SQ9, 0.9, RngStream(79, seed)).bits
         dist = distance_map(cfg, S, within)
-        res = relaxed_word_reach(cfg, SourceSet.uniform(S, ConstantWord(1)), 200, within)
+        res = relaxed_word_reach(cfg, SourceSet.uniform(SQ9, S, ConstantWord(1)), 200, within)
         assert res.min_arrival == dist
         assert one_connected_set(cfg, S, within=within) == set(dist)
 
@@ -251,11 +251,12 @@ def test_relaxed_minima_over_several_words():
         for seed in range(4):
             cfg = sample(region, 0.6, RngStream(80, seed))
             entries = ((pts[0], 0, 0), (pts[-1], 0, 1), (pts[len(pts) // 2], 3, 1))
-            both = relaxed_word_reach(cfg, SourceSet(entries, words), 30)
+            both = relaxed_word_reach(cfg, SourceSet.from_entries(region, entries, words), 30)
             expect: dict = {}
             for wid in (0, 1):
                 own = tuple((v, t, 0) for v, t, w in entries if w == wid)
-                alone = relaxed_word_reach(cfg, SourceSet(own, (words[wid],)), 30)
+                alone = relaxed_word_reach(
+                    cfg, SourceSet.from_entries(region, own, (words[wid],)), 30)
                 for v, t in alone.min_arrival.items():
                     expect[v] = min(t, expect.get(v, t))
             assert both.min_arrival == expect
@@ -273,8 +274,9 @@ def test_relaxed_matches_walk_bruteforce():
             cfg = sample(region, 0.6, RngStream(81, seed))
             mask = sample(region, 0.8, RngStream(82, seed)).bits if seed else None
             allowed = None if mask is None else {v for v in pts if mask >> region.rank(v) & 1}
-            sets = [SourceSet.single(pts[len(pts) // 2], w) for w in period2 + other]
-            sets += [SourceSet(((pts[0], 0, 0), (pts[-1], 2, 1), (pts[1], 5, 1)), words)
+            sets = [SourceSet.single(region, pts[len(pts) // 2], w) for w in period2 + other]
+            sets += [SourceSet.from_entries(
+                region, ((pts[0], 0, 0), (pts[-1], 2, 1), (pts[1], 5, 1)), words)
                      for words in pairs_of_words]
             for src in sets:
                 for max_index in (4, 57, 200):
@@ -338,9 +340,10 @@ def _pin_calls(region, cfg, word, seed):
     """(name, thunk returning canonical text) for every pinned call."""
     pts = list(region.iter_points())
     mid, third, last = pts[len(pts) // 2], pts[len(pts) // 3], pts[-1]
-    single = SourceSet.single(mid, word)
-    multi = SourceSet.uniform([mid, third, pts[0]], word, [0, 1, 3])
-    two_words = SourceSet(((mid, 0, 0), (third, 0, 1), (last, 2, 1)), (word, THUE_MORSE))
+    single = SourceSet.single(region, mid, word)
+    multi = SourceSet.uniform(region, [mid, third, pts[0]], word, [0, 1, 3])
+    two_words = SourceSet.from_entries(region, ((mid, 0, 0), (third, 0, 1), (last, 2, 1)),
+                                       (word, THUE_MORSE))
     within = sample(region, 0.85, RngStream(7, seed)).bits
     half = sum(1 << r for r, v in enumerate(pts) if v[0] <= 0)
     other_half = (1 << region.volume) - 1 ^ half

@@ -146,7 +146,7 @@ def test_implication_gives_exact_word_connection():
         if not cluster:
             continue
         res = exact_word_reach(
-            pair.omega_tilde, SourceSet.single((0, 0), word), R33.volume - 1
+            pair.omega_tilde, SourceSet.single(R33, (0, 0), word), R33.volume - 1
         )
         assert cluster <= res.vertices()
 
