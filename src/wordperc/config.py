@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .geometry import Region, check_dim
 from .rng import RngStream, below, raw_grid
-from .words import Word, _pack, _unpack
+from .words import Word, _unpack
 
 MAX_ENUM_SITES = 25
 # Sites one trial may sample; a larger region or window ends in a
@@ -98,18 +98,21 @@ class Configuration:
     @classmethod
     def from_rows(cls, region: Region, rows, provenances) -> list["Configuration"]:
         """The colorings of the rows of a (k, volume) rank-order bool array,
-        with one provenance each, packed at once; a read-only copy of the
-        block holds every row's bools() cache, so no search unpacks it."""
+        with one provenance each, packed at once into whole bytes per row,
+        each row's int read from its own bytes (linear in the block, where
+        splitting one packed int per row copied the rest of the block); a
+        read-only copy of the block holds every row's bools() cache, so no
+        search unpacks it."""
         rows = np.asarray(rows)
         vol = region.volume
         if rows.ndim != 2 or rows.shape[1] != vol:
             raise DomainError("bit array shape mismatch")
         rows = rows.astype(bool)
         rows.setflags(write=False)
-        block, full = _pack(rows), (1 << vol) - 1  # row k at bits k * vol..
+        lines = np.packbits(rows, axis=1, bitorder="little")  # each row in whole bytes
         out = []
-        for k, (row, prov) in enumerate(zip(rows, provenances)):
-            cfg = cls(region, block >> k * vol & full, prov)
+        for row, line, prov in zip(rows, lines, provenances):
+            cfg = cls(region, int.from_bytes(line.tobytes(), "little"), prov)
             object.__setattr__(cfg, "_bools", row)
             out.append(cfg)
         return out

@@ -55,7 +55,7 @@ from .errors import DomainError
 from .estimate import binomial_tail_geq, frequency, run_trials, wilson_interval
 from .geometry import is_macro_vertex
 from .rng import RngStream, below, raw_grid, shuffled_prefix, uniforms
-from .words import _tile, _unpack
+from .words import _pack, _tile, _unpack
 
 PlanarVertex = tuple[int, int]
 SlabVertex = tuple[int, int, int]
@@ -488,12 +488,15 @@ def _seed_picks(count: int, density: float, master_seed: int, s0: int, s1: int,
     return [shuffled_prefix(list(range(count)), row) for row in draws]
 
 
-def _stack(masks: list[int], pitch: int) -> int:
-    """One-copy column ints laid side by side, copy i at bit i * pitch."""
-    out = 0
-    for i, m in enumerate(masks):
-        out |= m << (i * pitch)
-    return out
+def _seed_column(bits: np.ndarray, picks, pitch: int, keep=None) -> int:
+    """One column int of a block's seed sets, copy i at bit i * pitch
+    holding bits[j] for each position j in row i of picks (a (copies, k)
+    array), where keep[j] if keep is given: one pack of a (copies, pitch)
+    bool array."""
+    picks = np.asarray(picks, dtype=np.int64)
+    grid = np.zeros((len(picks), pitch), dtype=bool)
+    grid[np.arange(len(picks))[:, None], bits[picks]] = True if keep is None else keep[picks]
+    return _pack(grid)
 
 
 @lru_cache(maxsize=8)
@@ -510,7 +513,7 @@ def _crossing_trials(key, gamma, delta, master_seed, threshold, t0, t1) -> list[
     lay = _slab_layout(n, h, m)
     xL, xR = snap_left_column(n), snap_right_column(n)
     w = n if m is None else m
-    L_pow = [1 << b for b in lay.bit[lay.in_column(xL, -w, w)].tolist()]
+    L_bits = lay.bit[lay.in_column(xL, -w, w)]
     on_R = np.zeros(lay.width, dtype=bool)
     on_R[lay.bit[lay.in_column(xR, -w, w)]] = True
     # R is empty when its column holds no vertex (h = 2 keeps one column
@@ -519,8 +522,8 @@ def _crossing_trials(key, gamma, delta, master_seed, threshold, t0, t1) -> list[
     out = []
     for b0, b1 in trial_blocks(t0, t1, lay.sites):
         copies = b1 - b0
-        picks = _seed_picks(len(L_pow), delta, master_seed, 2 * b0, 2 * b1, 2)
-        S = _stack([sum(L_pow[j] for j in p) for p in picks], lay.pitch)
+        picks = _seed_picks(len(L_bits), delta, master_seed, 2 * b0, 2 * b1, 2)
+        S = _seed_column(L_bits, picks, lay.pitch)
         cols = lay.pack(_sample_block(lay, gamma, master_seed, 2 * b0 + 1, 2 * b1 + 1, 2))
         reach = lay.sweep_block(cols, cL, S, True, cR, copies)
         if cL == cR:
@@ -584,12 +587,12 @@ def _domination_trials(gamma, delta, n, master_seed, t0, t1) -> list[tuple]:
     k * T + i holding set k of the block's trial i."""
     lay = _xi_layout(n)
     col0 = lay.in_column(0, -n, n)
-    y0s, pows = lay.pts[col0, 1].tolist(), [1 << b for b in lay.bit[col0].tolist()]
+    y0s, bits0 = lay.pts[col0, 1], lay.bit[col0]
     quarter = max(1, (delta / 4) * n)
     seed_density = min(1.0, delta * n / max(1, len(col0)))  # |S| >= delta * n
-    middle = [-n + quarter <= y <= n - quarter for y in y0s]
-    low_band = sum(b for y, b in zip(y0s, pows) if y <= -n + quarter)
-    high_band = sum(b for y, b in zip(y0s, pows) if y >= n - quarter)
+    middle = (y0s >= -n + quarter) & (y0s <= n - quarter)
+    low_band = _seed_column(bits0, np.flatnonzero(y0s <= -n + quarter)[None], lay.pitch)
+    high_band = _seed_column(bits0, np.flatnonzero(y0s >= n - quarter)[None], lay.pitch)
     y5 = lay.y0 + np.arange(lay.width)  # the y of each bit of column 5n
     in_W, top, bottom = np.abs(y5) <= n, y5 >= n, y5 <= -n
     c0, c5 = lay.column(0), lay.column(5 * n)
@@ -597,8 +600,8 @@ def _domination_trials(gamma, delta, n, master_seed, t0, t1) -> list[tuple]:
     for b0, b1 in trial_blocks(t0, t1, lay.sites):
         T, span = b1 - b0, (b1 - b0) * lay.pitch
         picks = _seed_picks(len(col0), seed_density, master_seed, 2 * b0, 2 * b1, 2)
-        S = _stack([sum(pows[j] for j in p) for p in picks], lay.pitch)
-        S_mid = _stack([sum(pows[j] for j in p if middle[j]) for p in picks], lay.pitch)
+        S = _seed_column(bits0, picks, lay.pitch)
+        S_mid = _seed_column(bits0, picks, lay.pitch, middle)
         sources = (S | S_mid << span | lay.tile(low_band, T) << 2 * span
                    | lay.tile(high_band, T) << 3 * span)
         block = lay.pack(_sample_block(lay, gamma, master_seed, 2 * b0 + 1, 2 * b1 + 1, 2))

@@ -724,6 +724,22 @@ def test_huge_dimension_exits_2_at_once(tmp_path, argv):
     assert not (tmp_path / "c.wpc").exists()
 
 
+def test_tall_crossing_window_runs_in_two_gib(tmp_path):
+    """A full crossing window that check_sites admits, n = 4 and h =
+    100000, holds its seed column in the window's one column of 200,000
+    vertices.  It runs in a 2 GiB address space, since a block's seed
+    column is one pack of a (copies, pitch) bool array, not a sum of one
+    column-wide int per seed vertex."""
+    src = str(Path(wordperc.__file__).parents[1])
+    argv = ["oriented", "--stat", "crossing", "--n", "4", "--h", "100000", "--gamma", "0.5",
+            "--trials", "2"]
+    proc = subprocess.run([sys.executable, "-m", "wordperc.cli", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=300, preexec_fn=_limited)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_wpc_header_dimension_past_the_bound(tmp_path, capsys):
     path = tmp_path / "c.wpc"
     path.write_bytes(b"WPC1" + struct.pack("<II", 1, 2 ** 32 - 1))

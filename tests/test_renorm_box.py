@@ -238,6 +238,20 @@ def test_exact_box_events_match_masked_window(case):
         assert [list(got[0][v].items()) for v in outs] == [list(want[0][v].items()) for v in outs]
 
 
+def test_box_searches_rank_no_point():
+    """Once a first call has filled the box caches, seed_sets_from and
+    good_event rank no point, relaxed or exact: a box search's sources
+    are the seed's offsets scattered into box ranks."""
+    cfg, seed, product, params = good_case()
+    for word in (product, harness.word_from_spec("alt")):
+        for call in (lambda: seed_sets_from(cfg, seed, word, params),
+                     lambda: good_event(cfg, seed, word, params)):
+            call()
+            with mock.patch.object(Region, "rank", autospec=True, side_effect=Region.rank) as rank:
+                call()
+            assert rank.call_count == 0
+
+
 def stop_case():
     """An exact reach on box(3, 2) from two sources at offsets 0 and 2."""
     cfg = sample(box(3, 2), 0.6, RngStream(5, 0))

@@ -12,9 +12,11 @@ from wordperc.oracles import (connected_bruteforce, distance_map, saw_reach_brut
 from wordperc.rng import RngStream
 from wordperc.search import (
     SourceSet,
+    exact_reach_block,
     exact_word_reach,
     one_connected_set,
     region_mask,
+    relaxed_reach_block,
     relaxed_word_reach,
     sees_all_words,
     verify_witness,
@@ -125,6 +127,48 @@ def test_capacity_guards():
     for search in (exact_word_reach, relaxed_word_reach):
         with pytest.raises(DomainError, match="does not have 2 coordinates"):
             search(cfg, SourceSet.single(R33, (0, 0, 0), ConstantWord(1)), 3)
+
+
+def test_source_sets_hold_rank_bitsets_per_offset():
+    """A SourceSet maps each word's offsets to the bitset of the ranks of
+    its sources there; its entries view lists them by word, offset and
+    rank.  A point off the region, a negative offset and an unknown word
+    id are DomainErrors when it is built."""
+    words = (Word.from_string("101"), ConstantWord(1))
+    src = SourceSet.from_entries(R33, [((1, 1), 2, 1), ((0, 0), 0, 0), ((-1, -1), 2, 1),
+                                       ((1, 1), 2, 1)], words)
+    rank = R33.rank
+    assert src.seeds == ({0: 1 << rank((0, 0))}, {2: 1 << rank((-1, -1)) | 1 << rank((1, 1))})
+    assert src.entries == (((0, 0), 0, 0), ((-1, -1), 2, 1), ((1, 1), 2, 1))
+    assert SourceSet.uniform(R33, [(0, 0), (1, 0)], words[0], [3, 3]).seeds == (
+        {3: 1 << rank((0, 0)) | 1 << rank((1, 0))},)
+    for entries, match in (([((2, 0), 0, 0)], "outside region"),
+                           ([((0, 0), -1, 0)], "negative word offset"),
+                           ([((0, 0), 0, 2)], "word id out of range"),
+                           ([((0, 0), 0, -1)], "word id out of range")):
+        with pytest.raises(DomainError, match=match):
+            SourceSet.from_entries(R33, entries, words)
+
+
+def test_searches_refuse_sources_on_another_region():
+    """Each reach entry point takes sources built on its configuration's
+    region only: a region of the same volume shifted by one site, or a
+    negative offset in a map built directly, is a DomainError."""
+    cfg = sample(R33, 0.5, RngStream(0, 0))
+    colors = cfg.bools()[None]
+    shifted = SourceSet.single(Region(((-1, 2), (-2, 1))), (0, 0), ConstantWord(1))
+    negative = SourceSet(R33, ({-1: 1},), (ConstantWord(1),))
+    searches = {
+        "relaxed": lambda src: relaxed_word_reach(cfg, src, 3),
+        "exact": lambda src: exact_word_reach(cfg, src, 3),
+        "relaxed_block": lambda src: relaxed_reach_block(R33, colors, src, 3),
+        "exact_block": lambda src: exact_reach_block(R33, colors, src, 3),
+    }
+    for name, search in searches.items():
+        # exact_reach_block refuses any offset but 0 before it looks further
+        for src in (shifted,) if name == "exact_block" else (shifted, negative):
+            with pytest.raises(DomainError, match="search's region"):
+                search(src)
 
 
 def test_site_masks_are_bitsets_of_the_region():
