@@ -258,10 +258,9 @@ def cmd_oracle(args):
     targets = [v for v in r33.iter_points() if v[0] == 1 or v == (0, 0)]
     mask = sum(1 << r for r, v in enumerate(r33.iter_points()) if v in targets)
     left = [(-1, -1), (-1, 0), (-1, 1)]
-    src = SourceSet.from_entries(
-        r33, tuple((v, t, 0) for v, t in zip(left, (2, 3, 2)))
-        + tuple((v, t, 1) for v, t in zip(left, (0, 1, 0))),
-        (Word.from_string("110101101"), Word.from_string("011011010")))
+    src = SourceSet.from_entries(r33, [(v, t, 0) for v, t in zip(left, (2, 3, 2))]
+                                 + [(v, t, 1) for v, t in zip(left, (0, 1, 0))],
+                                 (Word.from_string("110101101"), Word.from_string("011011010")))
     for i, cfg in enumerate(enumerate_configs(r33)):
         if i % args.stride:
             continue

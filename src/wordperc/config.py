@@ -98,14 +98,10 @@ class Configuration:
     @classmethod
     def from_rows(cls, region: Region, rows, provenances) -> list["Configuration"]:
         """The colorings of the rows of a (k, volume) rank-order bool array,
-        with one provenance each, packed at once into whole bytes per row,
-        each row's int read from its own bytes (linear in the block, where
-        splitting one packed int per row copied the rest of the block); a
-        read-only copy of the block holds every row's bools() cache, so no
-        search unpacks it."""
+        with one provenance each, packed at once, one int per row; a read-only
+        copy of the block holds every row's bools() cache, so no search unpacks it."""
         rows = np.asarray(rows)
-        vol = region.volume
-        if rows.ndim != 2 or rows.shape[1] != vol:
+        if rows.ndim != 2 or rows.shape[1] != region.volume:
             raise DomainError("bit array shape mismatch")
         rows = rows.astype(bool)
         rows.setflags(write=False)

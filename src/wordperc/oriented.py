@@ -489,11 +489,8 @@ def _seed_picks(count: int, density: float, master_seed: int, s0: int, s1: int,
 
 
 def _seed_column(bits: np.ndarray, picks, pitch: int, keep=None) -> int:
-    """One column int of a block's seed sets, copy i at bit i * pitch
-    holding bits[j] for each position j in row i of picks (a (copies, k)
-    array), where keep[j] if keep is given: one pack of a (copies, pitch)
-    bool array."""
-    picks = np.asarray(picks, dtype=np.int64)
+    """One column int, copy i at bit i * pitch holding bits[j] for each j
+    in row i of picks (where keep[j]): one pack of a (copies, pitch) grid."""
     grid = np.zeros((len(picks), pitch), dtype=bool)
     grid[np.arange(len(picks))[:, None], bits[picks]] = True if keep is None else keep[picks]
     return _pack(grid)

@@ -25,20 +25,19 @@ per-face arrivals, which an accepted box passes on as seeds (the face
 membership of a minimal-arrival search is that of good_event's).
 
 A SeedSet holds one word offset per point of its face, in the face's
-rank order, with the searches' UNREACHED sentinel (above MAX_INDEX) for
-a point not in the seed: the delta-seed bounds are a count and a
-maximum, and merging arrivals is an element-wise minimum.  Points appear
-only at the edges: SeedSet.from_dict and to_dict, and the exploration's
-T and T_prime.  F^u u B^u is itself a box, so every box search runs on
-that region alone, its colours gathered from the window through cached
-ranks.  Its sources are the seed's offsets scattered into box ranks by
-offset (search.SourceSet), and its first arrivals
-(search.ReachResult.first_arrivals) an array over box ranks, gathered
-into each out-neighbor face's ranks.  Cached bitsets of those faces, or
-of the scale-n boundary, are the exact searches' site masks (early
-stops, prune targets) and event_Emn's sources.  walk_good_events
-decides a block of trials' walk-decided good events with one stacked
-relaxed sweep; good_event's walk branch is its one-trial case.
+rank order, with the searches' UNREACHED for a point not in the seed:
+the delta-seed bounds are a count and a maximum, and merging arrivals
+is an element-wise minimum.  Points appear only at the edges:
+SeedSet.from_dict and to_dict, and the exploration's T and T_prime.
+F^u u B^u is itself a box, so every box search runs on that region
+alone, its colours gathered from the window and its seed scattered into
+its ranks through cached index arrays; its first arrivals (an array
+over box ranks) are gathered into each out-neighbor face's ranks.
+Cached bitsets of those faces, or of the scale-n boundary, are the
+exact searches' site masks (early stops, prune targets) and event_Emn's
+sources.  walk_good_events decides a block of trials' walk-decided good
+events with one stacked relaxed sweep; good_event's walk branch is its
+one-trial case.
 """
 
 from __future__ import annotations
@@ -122,8 +121,7 @@ class RenormParams:
 class SeedSet:
     """A seed (S, t) on the face F^u of macro vertex u: offsets[i] is the
     word offset of the i-th point of F^u in its rank order, or UNREACHED off
-    S (above every readable offset, so a minimum is a union).  The seed
-    takes the array over and makes it read-only."""
+    S.  The seed takes the array over and makes it read-only."""
 
     u: tuple[int, int, int]
     offsets: np.ndarray
@@ -178,8 +176,7 @@ def _ranks_within(part: Region, region: Region) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _search_box(u, k: int, d: int) -> tuple[Region, tuple[int, ...]]:
     """F^u u B^u as a region of its own: (k u1 - k - 1, k u1 + k] on the
-    first axis and B^u's intervals on the others; and the ranks in it of
-    the points of F^u, in F^u's rank order."""
+    first axis and B^u's intervals on the others; and F^u's ranks in it."""
     face, bx = macro_face(u, k, d), macro_box(u, k, d)
     ivs = ((face.intervals[0][0], bx.intervals[0][1]),) + bx.intervals[1:]
     box = Region(ivs, "macro-search", (u, k))
@@ -250,13 +247,12 @@ def _face_points(v, k: int, d: int) -> tuple[Point, ...]:
 
 
 def _sources(seed: SeedSet, xi, params: RenormParams) -> SourceSet:
-    """The seed as the sources of its box search: per offset, the bitset
-    of the box ranks of the face points that hold it."""
+    """The seed's offsets as the sources of its box search, in box ranks."""
     box, ranks = _search_box(seed.u, params.k, params.d)
     by_t: dict[int, int] = {}
     for r, t in zip(ranks, seed.offsets.tolist()):
-        if t < UNREACHED:
-            by_t[t] = by_t.get(t, 0) | 1 << r
+        by_t[t] = by_t.get(t, 0) | 1 << r
+    by_t.pop(UNREACHED, None)  # the face points off the seed
     return SourceSet(box, (by_t,), (xi,))
 
 

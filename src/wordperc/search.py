@@ -14,14 +14,7 @@ Three searches with one contract between them:
 
 A source (x, t_x, word) reads its word starting at index t_x on x
 itself: a path x = v_0 ~ ... ~ v_j = y arrives at y with index
-t = t_x + j and requires color(v_i) = word[t_x + i] for every i.  A
-``SourceSet`` holds its sources in the form the sweeps read: built on
-its region, it maps each word id's offsets to the rank-order bitsets of
-the sources at them.  Points enter only through its constructors
-(``single``, ``uniform``, ``from_entries``, which rank each point once)
-and leave only through its ``entries`` view, which the oracles read; a
-search checks that the sources lie on its configuration's region and
-otherwise takes the map as it is, dropping offsets past max_index.
+t = t_x + j and requires color(v_i) = word[t_x + i] for every i.
 
 Every walk search is one kernel: a set of sites is a Python-int bitset
 (bit r is rank r), and ``_step`` moves it to all its lattice neighbors
@@ -68,8 +61,9 @@ per pair of region intervals, since every block asks for the same ones.
 A search masks its colour bitsets straight from ``Configuration.bits``
 (the same rank order).  Every site set a search takes (``within``, for
 non-product domains like a box plus its seed face, the early-stop masks
-and the prune targets) is such a rank-order bitset, and the pruned table
-is swept back from the targets that the search's own fronts leave open.
+and the prune targets) is such a rank-order bitset, as are the seeds a
+``SourceSet`` holds per word and offset, and the pruned table is swept
+back from the targets that the search's own fronts leave open.
 """
 
 from __future__ import annotations
@@ -93,9 +87,8 @@ Point = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SourceSet:
-    """Sources on a region: seeds[wid] maps a word offset to the bitset of
-    the region's ranks that read word wid from that offset on; words are
-    id-indexed.  The point constructors rank each point once."""
+    """Sources on a region: seeds[wid] maps each offset to the bitset of the
+    ranks that read word wid from it on.  Point constructors rank once."""
 
     region: Region
     seeds: tuple[dict[int, int], ...]
@@ -103,8 +96,7 @@ class SourceSet:
 
     @classmethod
     def from_entries(cls, region: Region, entries, words) -> "SourceSet":
-        """The sources (vertex, offset, word id) on region; a vertex off it,
-        a negative offset or an unknown word id is a DomainError."""
+        """Sources (vertex, offset, word id) on region, each checked."""
         seeds: list[dict[int, int]] = [{} for _ in words]
         for v, t, wid in entries:
             if t < 0 or not 0 <= wid < len(words):
@@ -160,8 +152,7 @@ class ReachResult:
         return reduce(or_, self.fronts, 0)
 
     def first_arrivals(self, sites: int = -1) -> np.ndarray:
-        """Per rank, the first index the ranks of sites are reached at, as
-        an int array holding UNREACHED wherever a site is not reached."""
+        """Per rank, the first index a site of sites is reached at, else UNREACHED."""
         first = np.full(self.region.volume, UNREACHED, dtype=np.int64)
         left = sites & self.reached
         for t, front in enumerate(self.fronts):
@@ -300,8 +291,7 @@ def _sweep(lattice, allowed, letters: int, indices, seeds: dict, front: int = 0)
 
 
 def _groups(region: Region, sources: SourceSet, max_index: int) -> dict[int, dict[int, int]]:
-    """Each word id's {offset: bitset} seeds with offset <= max_index, for
-    the ids left with one; the sources must lie on the search's region."""
+    """Each word id's seeds up to max_index, sources on the search's region."""
     if max_index < 0:
         raise DomainError("max_index must be nonnegative")
     if max_index > MAX_INDEX:
@@ -629,8 +619,7 @@ def exact_word_reach(
         if flavor is not None:
             ok = _pruned(forward, lattice, allowed, letters, t_lo, target, fronts, flavor)
         stale, refreshed = 0, nodes  # improved target arrivals, nodes at the last build
-        # the starts in (offset, rank) order, each on a site of its first letter
-        starts = ((r, t) for t in sorted(by_t)
+        starts = ((r, t) for t in sorted(by_t)  # each on a site of its first letter
                   for r in _ranks(by_t[t] & allowed[letters >> t & 1], region.volume).tolist())
         for start, t_start in starts:
             walk = _paths(steps, kind, ok, t_lo, t1, cap, start, t_start)
