@@ -88,7 +88,7 @@ Point = tuple[int, ...]
 @dataclass(frozen=True)
 class SourceSet:
     """Sources on a region: seeds[wid] maps each offset to the bitset of the
-    ranks that read word wid from it on.  Point constructors rank once."""
+    ranks that read word wid from it on.  Points are ranked once, on entry."""
 
     region: Region
     seeds: tuple[dict[int, int], ...]
@@ -291,7 +291,7 @@ def _sweep(lattice, allowed, letters: int, indices, seeds: dict, front: int = 0)
 
 
 def _groups(region: Region, sources: SourceSet, max_index: int) -> dict[int, dict[int, int]]:
-    """Each word id's seeds up to max_index, sources on the search's region."""
+    """Each word id's seeds up to max_index; the sources must lie on region."""
     if max_index < 0:
         raise DomainError("max_index must be nonnegative")
     if max_index > MAX_INDEX:
