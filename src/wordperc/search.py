@@ -25,10 +25,13 @@ letter: forward from the sources it gives the relaxed reach and the
 exact search's pruning table, backward from the targets the table of
 states that can still resolve one.  The exact search is a single
 depth-first generator (``_paths``) with an int visited set over
-``neighbor_steps``: it yields each step, ``exact_word_reach`` consumes
-the steps in a plain loop that records arrivals, checks its stop rules
-and returns, and ``_walks_to_end``, the exact leaf check of the block
-searches, only asks whether a step reaches a given index.
+``neighbor_steps``: it reads its table as ``bytes`` views of the fronts,
+whose bit test costs the same at any offset, so a block search reads a
+copy at its bit offset in place.  It yields each step,
+``exact_word_reach`` consumes the steps in a plain loop that records
+arrivals, checks its stop rules and returns, and ``_walks_to_end``, the
+exact leaf check of the block searches, only asks whether a step reaches
+a given index.
 
 Both searches return their fronts, one rank-order bitset of the sites
 reached at each index, in a ``ReachResult`` of at most (max_index + 1) *
@@ -43,9 +46,10 @@ steps, the per-axis edge masks repeated once per copy, so one sweep over
 the stacked bitset advances every trial.  ``exact_reach_block`` keeps
 the fronts of that sweep as every trial's forward table: since exact
 reach is a subset of relaxed reach, a trial it does not reach at
-max_index fails, and each other trial runs only ``_walks_to_end`` on its
-copy of the fronts (``_occupied`` tells the copies with a nonempty front
-in a few int operations).  ``one_connected_block`` runs the constant
+max_index fails, and each other trial runs only ``_walks_to_end``, which
+reads the trial's copy in place through byte views of the stacked fronts
+(``_occupied`` tells the copies with a nonempty front in a few int
+operations).  ``one_connected_block`` runs the constant
 word 1 over the same stacked lattice to its fixpoint, the 1-clusters of
 a block of colourings at once.
 
@@ -191,9 +195,6 @@ class ReachResult:
     def pairs(self) -> set[tuple[Point, int]]:
         return {(v, t) for v, bits in self.arrivals.items()
                 for t in range(bits.bit_length()) if bits >> t & 1}
-
-    def contains_pair(self, v: Point, t: int) -> bool:
-        return bool((self.arrivals.get(tuple(v), 0) >> t) & 1)
 
     def issubset(self, other: "ReachResult") -> bool:
         return all(
@@ -466,7 +467,8 @@ def exact_reach_block(region: Region, colors: np.ndarray, sources: SourceSet,
     table, the fronts at indices 0..max_index (a period-2 tail expanded);
     exact reach is a subset of relaxed reach, so a trial whose front at
     max_index is empty fails, and past index 1 each other trial runs
-    _walks_to_end on its copy of the fronts: the steps exact_word_reach
+    _walks_to_end at its copy's bit offset, reading the fronts in place as
+    bytes views that replace them one by one: the steps exact_word_reach
     takes, over the same table in the same neighbour order.  No
     self-avoiding walk gets past index volume - 1 and exact_word_reach
     reads the word only that far, so the sweep stops at min(max_index,
@@ -489,15 +491,14 @@ def exact_reach_block(region: Region, colors: np.ndarray, sources: SourceSet,
     if max_index > top:
         return np.zeros(copies, dtype=bool)
     sites = copies * volume
-    hits = _occupied(fronts[max_index], copies, volume)
-    if max_index > 1:  # a walk of at most one step cannot revisit a site
+    out = _unpack(_occupied(fronts[max_index], copies, volume), sites)[::volume]
+    if max_index > 1 and out.any():  # a walk of at most one step cannot revisit a site
         kind, steps = neighbor_steps(region.sizes)
-        full = (1 << volume) - 1
-        for k in (_ranks(hits, sites) // volume).tolist():
-            copy = [f >> k * volume & full for f in fronts]
-            if not _walks_to_end(steps, kind, copy, [start], max_index + 1):
-                hits ^= 1 << k * volume
-    return _unpack(hits, sites)[::volume]
+        for t, front in enumerate(fronts):  # in place: the block holds one table
+            fronts[t] = front.to_bytes(-(-sites // 8), "little")
+        for k in np.flatnonzero(out).tolist():
+            out[k] = _walks_to_end(steps, kind, fronts, [start], max_index + 1, k * volume)
+    return out
 
 
 def _pruned(forward, lattice, allowed, letters, t0, target, fronts, flavor):
@@ -522,20 +523,23 @@ def _pruned(forward, lattice, allowed, letters, t0, target, fronts, flavor):
     return [f & u for f, u in zip(forward, useful[::-1])]
 
 
-def _paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start):
+def _paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start, base=0):
     """Self-avoiding walks from start at index t_start, depth first in
     neighbor order, whose site at each index t lies in ok[t - t_lo], up to
-    index t_hi and cap sites.  Yields (rank, t, path) after every step,
+    index t_hi and cap sites.  A row of ok is a bytes view of a bitset
+    holding rank u at bit base + u, so a test costs the same at any
+    offset of a stacked block.  Yields (rank, t, path) after every step,
     path being the stack of (rank, index, untried neighbor steps); the
     caller may stop iterating, or update ok in place between steps."""
     stack = [(start, t_start, iter(steps[kind[start]]))]
     visited = 1 << start
     while stack:
         r, t, nbrs = stack[-1]
-        row = ok[t + 1 - t_lo] if len(stack) < cap and t < t_hi else 0
-        for s in nbrs:
+        row = ok[t + 1 - t_lo] if len(stack) < cap and t < t_hi else b""  # b"": no step
+        for s in nbrs if row else ():
             u = r + s
-            if row >> u & 1 and not visited >> u & 1:
+            b = base + u
+            if row[b >> 3] >> (b & 7) & 1 and not visited >> u & 1:
                 stack.append((u, t + 1, iter(steps[kind[u]])))
                 visited |= 1 << u
                 yield u, t + 1, stack
@@ -545,12 +549,15 @@ def _paths(steps, kind, ok, t_lo, t_hi, cap, start, t_start):
             visited ^= 1 << r
 
 
-def _walks_to_end(steps, kind, fronts, starts, length) -> bool:
+def _walks_to_end(steps, kind, fronts, starts, length, base=0) -> bool:
     """Whether a self-avoiding walk from one of the start ranks reaches
-    index length - 1 with its site at each index t in fronts[t]."""
+    index length - 1 with its site at each index t in fronts[t], a bytes
+    view holding rank u at bit base + u."""
+    first = fronts[0]
     for r in starts:
-        if fronts[0] >> r & 1:
-            for _, t, _ in _paths(steps, kind, fronts, 0, length - 1, length, r, 0):
+        b = base + r
+        if first[b >> 3] >> (b & 7) & 1:
+            for _, t, _ in _paths(steps, kind, fronts, 0, length - 1, length, r, 0, base):
                 if t == length - 1:
                     return True
     return False
@@ -595,14 +602,15 @@ def exact_word_reach(
     lattice = _stacked(region.sizes)[0]
     kind, steps = neighbor_steps(region.sizes)
     mask_volume = (allowed[0] | allowed[1]).bit_count()
-    stops = [(_mask(m, region.volume), int(th)) for m, th in early_stop or ()]
-    counts = [0] * len(stops)
+    stops = [[_mask(m, region.volume), int(th)] for m, th in early_stop or ()]
+    below = sum(th > 0 for _, th in stops)  # stops[i][1]: what mask i still lacks
     target, flavor = 0, None
     if prune_targets is not None:
         target, flavor = _mask(prune_targets[0], region.volume), prune_targets[1]
         if flavor not in ("membership", "min"):
             raise DomainError(f"unknown prune flavor {flavor!r}")
     refresh_after = max(1024, 4 * mask_volume)
+    nbytes = -(-region.volume // 8)
 
     fronts: list[int] = []  # fronts[t]: ranks reached at t
     res = ReachResult(region, fronts, max_index, exact=True,
@@ -615,9 +623,10 @@ def exact_word_reach(
         letters = _letters(sources.words[wid], t1).bits
         # ok[t - t_lo]: sites a self-avoiding path may occupy at index t
         sweep = _sweep(lattice, allowed, letters, range(t_lo, t1 + 1), by_t)
-        ok = forward = [f for _, f in sweep]
-        if flavor is not None:
-            ok = _pruned(forward, lattice, allowed, letters, t_lo, target, fronts, flavor)
+        forward = [f for _, f in sweep]
+        table = forward if flavor is None else _pruned(forward, lattice, allowed, letters,
+                                                       t_lo, target, fronts, flavor)
+        ok = [f.to_bytes(nbytes, "little") for f in table]  # _paths reads bytes views
         stale, refreshed = 0, nodes  # improved target arrivals, nodes at the last build
         starts = ((r, t) for t in sorted(by_t)  # each on a site of its first letter
                   for r in _ranks(by_t[t] & allowed[letters >> t & 1], region.volume).tolist())
@@ -640,18 +649,20 @@ def exact_word_reach(
                         res.witnesses[region.unrank(u)] = tuple(
                             region.unrank(entry[0]) for entry in path)
                     if stops:
-                        for i, (bits, _) in enumerate(stops):
-                            counts[i] += bits >> u & 1
-                        if all(c >= th for c, (_, th) in zip(counts, stops)):
+                        for entry in stops:
+                            if entry[1] > 0 and entry[0] >> u & 1:
+                                entry[1] -= 1
+                                below -= not entry[1]
+                        if not below:
                             return res
                 if t == stop_at_index:
                     return res
-                if len(path) == 1 and not ok[t - t_lo] >> u & 1:
+                if len(path) == 1 and not ok[t - t_lo][u >> 3] >> (u & 7) & 1:
                     break  # the start is recorded but no walk leaves it
                 # stale counts only improved prune targets, so it is 0 without them
                 if stale and nodes - refreshed >= refresh_after:
-                    ok[:] = _pruned(forward, lattice, allowed, letters, t_lo, target,
-                                    fronts, flavor)
+                    ok[:] = (f.to_bytes(nbytes, "little") for f in _pruned(
+                        forward, lattice, allowed, letters, t_lo, target, fronts, flavor))
                     stale, refreshed = 0, nodes
     return res
 
@@ -690,10 +701,12 @@ def sees_all_words_block(
     subtree, whose first word is that prefix padded with zeros, so the
     copy fails at the first leaf whose front is empty, with that leaf's
     word.  A relaxed leaf is seen iff its front is nonempty; an exact one
-    iff _walks_to_end, on the copy's chain of fronts along the leaf's
-    word, finds a self-avoiding walk to index length - 1: the steps the
-    one-row walk takes.  The block keeps length fronts of rows * volume
-    bits."""
+    iff _walks_to_end, reading the copy's chain of fronts along the leaf's
+    word in place at its bit offset, finds a self-avoiding walk to index
+    length - 1: the steps the one-row walk takes.  Exact, each front the
+    walk recomputes also refreshes its bytes view, which the leaf checks
+    read.  The block keeps length fronts of rows * volume bits, and
+    exact their views too."""
     if length < 0:
         raise DomainError("negative word length")
     if length > 24:
@@ -706,8 +719,9 @@ def sees_all_words_block(
     out = [(True, None)] * copies
     if length == 0:
         return out
-    full = (1 << volume) - 1
-    inside = full if horizon is None else _part_bits(region.intervals, horizon.intervals)
+    inside = (1 << volume) - 1
+    if horizon is not None:
+        inside = _part_bits(region.intervals, horizon.intervals)
     starts = 0
     if from_region.dim == region.dim:
         starts = _part_bits(region.intervals, from_region.intervals)
@@ -725,17 +739,20 @@ def sees_all_words_block(
     live = repunit  # bit k * volume for each copy still in the walk
     sites = copies * volume
     fronts = [0] * length  # fronts[t]: sites a walk reading word[:t + 1] holds at t
+    views = [b""] * length  # exact: fronts[t] as bytes, which the leaf checks read
+    nbytes = -(-sites // 8)
     word = t = 0  # letter i is bit i; letters after t are 0 (the 0-children)
     while True:
         # fronts t.. along the 0-children, down to a leaf
         prev = fronts[t - 1] if t else 0
         for t, front in _sweep(lattice, allowed, word, range(t, length), seeds, prev):
             fronts[t] = front
+            if exact:
+                views[t] = front.to_bytes(nbytes, "little")
         failed = live & ~_occupied(front, copies, volume)
         if exact and length > 1:
             for k in (_ranks(live ^ failed, sites) // volume).tolist():
-                copy = [f >> k * volume & full for f in fronts]
-                if not _walks_to_end(steps, kind, copy, ranks, length):
+                if not _walks_to_end(steps, kind, views, ranks, length, k * volume):
                     failed |= 1 << k * volume
         if failed:
             for k in (_ranks(failed, sites) // volume).tolist():

@@ -64,9 +64,6 @@ class Word:
     def __str__(self) -> str:
         return "".join(str(b) for b in self)
 
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def letters(self) -> np.ndarray:
         """The letters as a read-only bool array, letter i at index i
         (cached)."""

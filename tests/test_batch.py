@@ -26,12 +26,13 @@ from wordperc.config import Configuration, sample, sample_block
 from wordperc.errors import DomainError
 from wordperc.estimate import run_trials
 from wordperc.geometry import Region, box
+from wordperc.oracles import saw_reach_bruteforce
 from wordperc.rng import RngStream
 from wordperc.search import (SourceSet, exact_reach_block, exact_word_reach,
                              relaxed_reach_block, relaxed_word_reach, sees_all_words,
                              sees_all_words_block)
 from wordperc.wierman import couple_block, verify_coupling, wierman_couple
-from wordperc.words import AlternatingWord, ProductWord, Word
+from wordperc.words import AlternatingWord, ProductWord, Word, enumerate_words
 
 WORDS = st.one_of(
     st.text("01", min_size=1, max_size=14),
@@ -174,12 +175,16 @@ def reach_blocks(draw):
 # expanded to max_index
 @example((Region(((0, 4), (0, 4))), np.ones((3, 16), dtype=bool), 0, 12), "ones")
 def test_exact_reach_block_matches_exact_search(case, word):
+    region, colors, rank, max_index = case
+    src = SourceSet.single(region, region.unrank(rank), harness.word_from_spec(word))
+    assert_exact_reach_rows(region, colors, src, max_index)
+
+
+def assert_exact_reach_rows(region, colors, src, max_index):
     """Row by row, exact_reach_block is exact_word_reach stopped at
     max_index, a word too short failing both alike.  The rows its sweep
     reaches at 1 < max_index < volume take exactly the exact search's
     depth-first steps; the others take none."""
-    region, colors, rank, max_index = case
-    src = SourceSet.single(region, region.unrank(rank), harness.word_from_spec(word))
     cfgs = [Configuration.from_bools(region, row) for row in colors]
 
     def per_row(rows):
@@ -217,12 +222,16 @@ def sub_box(data, region):
 @given(colour_blocks(), st.integers(0, 6), st.sampled_from(["exact", "relaxed"]), st.data())
 @settings(max_examples=150, deadline=None)
 def test_sees_all_words_block_matches_per_row(block, length, mode, data):
-    """Row by row, sees_all_words_block is sees_all_words on the row's
-    configuration, (ok, failing word) alike, and takes the depth-first
-    steps of the per-row walks."""
     region, colors = block
     frm = sub_box(data, region)
     horizon = sub_box(data, region) if data.draw(st.booleans()) else None
+    assert_sees_all_words_rows(region, colors, frm, length, horizon, mode)
+
+
+def assert_sees_all_words_rows(region, colors, frm, length, horizon, mode):
+    """Row by row, sees_all_words_block is sees_all_words on the row's
+    configuration, (ok, failing word) alike, and takes the depth-first
+    steps of the per-row walks."""
     got, steps = counted(lambda: sees_all_words_block(region, colors, frm, length, horizon,
                                                       mode))
     want, want_steps = counted(lambda: [
@@ -230,6 +239,50 @@ def test_sees_all_words_block_matches_per_row(block, length, mode, data):
         for row in colors])
     assert got == want
     assert steps == want_steps
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=2), st.sampled_from([0.3, 0.5, 0.7]),
+       WORDS, st.integers(2, 8), st.integers(2, 4), SEEDS, st.integers(1, 30),
+       st.integers(1, 80))
+@settings(max_examples=40, deadline=None)
+# each example mixes rows that reach max_index or see every word with
+# rows that do not.  3 x 3: five copies of volume 9 a block, so every copy
+# but the first starts off a byte boundary, and the last one ends at bit
+# 44, inside the final byte
+@example([3, 3], 0.5, "0101010", 4, 3, 1, 12, 45)
+# 7 sites in a row, three copies a block: the last one, bits 14..20,
+# runs into the final byte
+@example([7], 0.3, "zeros", 3, 2, 7, 9, 21)
+# 2 x 4: volume 8, every copy on a byte boundary
+@example([2, 4], 0.5, "0101010", 4, 3, 0, 10, 40)
+def test_exact_blocks_read_copies_at_any_bit_offset(sizes, p, word, max_index, length, seed,
+                                                    trials, block):
+    """The blocks a patched BLOCK_SITES cuts hold copies at every bit
+    offset modulo 8.  Exact reach and the exact all-words walk read each
+    copy in place in the stacked fronts, and still match the per-row
+    searches, steps included, and a brute-force search per word."""
+    region = Region(tuple((0, s) for s in sizes))
+    center = tuple(s // 2 + 1 for s in sizes)
+    src = SourceSet.single(region, center, harness.word_from_spec(word))
+    with mock.patch.object(config, "BLOCK_SITES", block):
+        blocks = config.trial_blocks(3, 3 + trials, region.volume)
+    for b0, b1 in blocks:
+        colors = sample_block(region, p, seed, b0, b1)
+        assert_exact_reach_rows(region, colors, src, max_index)
+        assert_sees_all_words_rows(region, colors, region, length, None, "exact")
+        assert sees_all_words_block(region, colors, region, length) == [
+            first_unseen_word(Configuration.from_bools(region, row), length) for row in colors]
+
+
+def first_unseen_word(cfg, length):
+    """(ok, failing) of sees_all_words from the whole region, by one
+    brute-force self-avoiding search per word."""
+    starts = list(cfg.region.iter_points())
+    for w in enumerate_words(length):
+        pairs = saw_reach_bruteforce(cfg, SourceSet.uniform(cfg.region, starts, w), length - 1)
+        if all(t < length - 1 for _, t in pairs):
+            return False, w
+    return True, None
 
 
 def allwords_reference(params, seed, t0, t1):

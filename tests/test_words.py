@@ -21,7 +21,7 @@ from wordperc.words import (
 def test_word_roundtrip():
     w = Word.from_string("01101110")
     assert str(w) == "01101110"
-    assert w.to_tuple() == (0, 1, 1, 0, 1, 1, 1, 0)
+    assert w.letters().tolist() == [0, 1, 1, 0, 1, 1, 1, 0]
     assert w[0] == 0 and w[1] == 1
     assert len(w) == 8
 
@@ -30,8 +30,8 @@ def test_subword_figure_word():
     # the embedding example word 0110 1110 ...
     xi = Word.from_string("01101110")
     assert subword(xi, 0, 7) == xi
-    assert subword(xi, 1, 3).to_tuple() == (1, 1, 0)
-    assert subword(xi, 0, 0).to_tuple() == (0,)
+    assert subword(xi, 1, 3).letters().tolist() == [1, 1, 0]
+    assert subword(xi, 0, 0).letters().tolist() == [0]
 
 
 def test_subword_errors():
@@ -44,16 +44,16 @@ def test_subword_errors():
 
 def test_subword_on_generator():
     gen = AlternatingWord()
-    assert subword(gen, 2, 5).to_tuple() == (1, 0, 1, 0)
+    assert subword(gen, 2, 5).letters().tolist() == [1, 0, 1, 0]
 
 
 def test_enumerate_words_small():
-    assert [w.to_tuple() for w in enumerate_words(0)] == [()]
-    assert [w.to_tuple() for w in enumerate_words(2)] == [
-        (0, 0),
-        (0, 1),
-        (1, 0),
-        (1, 1),
+    assert [w.letters().tolist() for w in enumerate_words(0)] == [[]]
+    assert [w.letters().tolist() for w in enumerate_words(2)] == [
+        [0, 0],
+        [0, 1],
+        [1, 0],
+        [1, 1],
     ]
 
 
@@ -69,16 +69,17 @@ def test_enumerate_words_cap():
 
 
 def test_constant_and_product_degenerate():
-    assert ConstantWord(1).prefix(5).to_tuple() == (1, 1, 1, 1, 1)
-    assert ProductWord(1.0, seed=3).prefix(4).to_tuple() == (1, 1, 1, 1)
-    assert ProductWord(0.0, seed=3).prefix(4).to_tuple() == (0, 0, 0, 0)
+    assert ConstantWord(1).prefix(5).letters().tolist() == [1, 1, 1, 1, 1]
+    assert ProductWord(1.0, seed=3).prefix(4).letters().tolist() == [1, 1, 1, 1]
+    assert ProductWord(0.0, seed=3).prefix(4).letters().tolist() == [0, 0, 0, 0]
 
 
 def test_min_run_run_lengths():
     w = MinRunWord(3, seed=9).prefix(9)
     runs = []
     current = 1
-    for a, b in zip(w.to_tuple(), w.to_tuple()[1:]):
+    letters = w.letters().tolist()
+    for a, b in zip(letters, letters[1:]):
         if a == b:
             current += 1
         else:
