@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -108,6 +107,9 @@ def run_trials(fn, args: tuple, trials: int) -> list:
     ranges = trial_ranges(trials, _threads())
     if len(ranges) == 1:
         return fn(*args, 0, trials)
+    # imported here: its multiprocessing import is paid by fanned runs only
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(ranges)) as ex:
         parts = ex.map(fn, *zip(*[(*args, t0, t1) for t0, t1 in ranges]))
         return [out for part in parts for out in part]

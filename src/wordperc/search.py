@@ -39,11 +39,14 @@ volume bits; arrival sets, minimal arrivals and index hits are views of
 them.  The one relaxed sweep loop, ``_relaxed_sweep``, stops early once
 a period-2 word's fronts repeat, and the result keeps the last two.
 ``relaxed_reach_block`` runs it for a block of trials at once and keeps
-no fronts, ``relaxed_word_reach`` being its one-copy case (multi-spin
-coding, after Jacobs and Rebbi, J. Comput. Phys. 41, 1981): trial k
-is the k-th copy of the region along an extra axis that ``_step`` never
-steps, the per-axis edge masks repeated once per copy, so one sweep over
-the stacked bitset advances every trial.  ``exact_reach_block`` keeps
+no fronts; asked only which trials reach max_index, it stops a period-2
+word one index past its last seed, where a copy's front is empty iff it
+is empty at max_index, and is otherwise ``relaxed_word_reach``'s sweep
+run on every copy at once (multi-spin coding, after Jacobs and Rebbi,
+J. Comput. Phys. 41, 1981): trial k is the k-th copy of the region
+along an extra axis that ``_step`` never steps, the per-axis edge masks
+repeated once per copy, so one sweep over the stacked bitset advances
+every trial.  ``exact_reach_block`` keeps
 the fronts of that sweep as every trial's forward table: since exact
 reach is a subset of relaxed reach, a trial it does not reach at
 max_index fails, and each other trial runs only ``_walks_to_end``, which
@@ -353,12 +356,20 @@ def one_connected_set(cfg: Configuration, S, within=None) -> set[Point]:
     return set(map(tuple, reg.points_array()[_unpack(seen, reg.volume)].tolist()))
 
 
-def _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit=1):
+def _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit=1, settle=False):
     """Yield (t, F_t, tail) along the relaxed sweep of each word id's
     sources in turn, seeded once per copy of the repunit.  An id's sweep
     stops past its last seed at an empty front, or, for period-2 letters,
     at a front equal to the one two steps back: its fronts then alternate
-    F_{t-1}, F_t up to max_index, and tail is F_{t-1} (else None)."""
+    F_{t-1}, F_t up to max_index, and tail is F_{t-1} (else None).
+
+    settle is for a caller that asks only which copies of F_max_index are
+    nonempty: a period-2 id's sweep then stops at the first index t past
+    its last seed, with tail F_{t-1}, as a copy of F_t is empty iff its
+    copy of F_max_index is.  For t past the last seed, every site v of F_t
+    was stepped from a neighbour u in F_{t-1}, whose colour is letter
+    t - 1 = letter t + 1, so u lies in F_{t+1}: a nonempty copy stays
+    nonempty up to max_index, and an empty one stays empty."""
     for wid, by_t in groups.items():
         letters = _letters(sources.words[wid], max_index)
         period2 = has_period_two(letters, max_index)
@@ -367,7 +378,7 @@ def _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit=1):
         prev = prev2 = None
         indices = range(min(seeds), max_index + 1)
         for t, front in _sweep(lattice, allowed, letters.bits, indices, seeds):
-            if period2 and t_last <= t - 2 and front == prev2:
+            if period2 and t > t_last and (settle or t > t_last + 1 and front == prev2):
                 yield t, front, prev
                 break
             yield t, front, None
@@ -393,9 +404,10 @@ def relaxed_word_reach(cfg: Configuration, sources: SourceSet, max_index: int,
     return ReachResult(region, fronts, max_index, exact=False, tails=tuple(tails))
 
 
-def _block_sweep(region: Region, colors: np.ndarray, sources: SourceSet, max_index: int):
+def _block_sweep(region: Region, colors: np.ndarray, sources: SourceSet, max_index: int,
+                 settle: bool = False):
     """(copies, the relaxed sweep of the rows of colors stacked as copies of
-    region along an extra axis that _step never takes)."""
+    region along an extra axis that _step never takes, settle passed on)."""
     groups = _groups(region, sources, max_index)
     if colors.ndim != 2 or colors.shape[1] != region.volume:
         raise DomainError("colour block shape mismatch")
@@ -403,7 +415,7 @@ def _block_sweep(region: Region, colors: np.ndarray, sources: SourceSet, max_ind
     ones = _pack(colors)  # bit k * volume + r is rank r of trial k
     allowed = ((1 << copies * volume) - 1 & ~ones, ones)
     lattice, repunit = _stacked(region.sizes, copies)
-    return copies, _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit)
+    return copies, _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit, settle)
 
 
 @lru_cache(maxsize=32)
@@ -433,7 +445,10 @@ def relaxed_reach_block(
     whether relaxed_word_reach on it reaches anything at max_index (bit
     max_index of its index_hits).  The rows are stacked as copies of the
     region along an extra axis that _step never takes, and a trial
-    succeeds iff its copy of the front at max_index is nonempty.
+    succeeds iff its copy of the front at max_index is nonempty.  A word
+    of period at most 2 up to max_index settles one index past its last
+    seed (see _relaxed_sweep), where relaxed_word_reach sweeps on to its
+    fronts' repeat.
 
     With reached, the (rows, volume) 0/1 array of the sites each trial
     reaches at some index up to max_index instead: the union of the
@@ -441,14 +456,14 @@ def relaxed_reach_block(
 
     The sweep reads every word up to max_index, so a word shorter than
     that is a DomainError even where no walk could get so far."""
-    copies, sweep = _block_sweep(region, colors, sources, max_index)
+    copies, sweep = _block_sweep(region, colors, sources, max_index, settle=not reached)
     volume = region.volume
     sites = copies * volume
     hits = seen = 0
     for t, front, tail in sweep:
         seen |= front
-        # past the last seed, a copy of a period-2 front is empty at both
-        # parities or at neither (an empty front stays empty)
+        # past the last seed, a copy of a period-2 front is empty iff its
+        # copy at max_index is (a settled or repeating sweep's last front)
         if t == max_index or tail is not None:
             hits |= front
     if reached:

@@ -26,7 +26,7 @@ from wordperc.config import Configuration, sample, sample_block
 from wordperc.errors import DomainError
 from wordperc.estimate import run_trials
 from wordperc.geometry import Region, box
-from wordperc.oracles import saw_reach_bruteforce
+from wordperc.oracles import saw_reach_bruteforce, walk_reach_bruteforce
 from wordperc.rng import RngStream
 from wordperc.search import (SourceSet, exact_reach_block, exact_word_reach,
                              relaxed_reach_block, relaxed_word_reach, sees_all_words,
@@ -274,33 +274,45 @@ def test_exact_blocks_read_copies_at_any_bit_offset(sizes, p, word, max_index, l
             first_unseen_word(Configuration.from_bools(region, row), length) for row in colors]
 
 
-def first_unseen_word(cfg, length):
-    """(ok, failing) of sees_all_words from the whole region, by one
-    brute-force self-avoiding search per word."""
-    starts = list(cfg.region.iter_points())
+BRUTE_REACH = {"exact": saw_reach_bruteforce, "relaxed": walk_reach_bruteforce}
+
+
+def first_unseen_word(cfg, length, frm=None, mode="exact"):
+    """(ok, failing) of sees_all_words from frm (the whole region if None),
+    by one brute-force search per word: over self-avoiding paths exact,
+    over walks relaxed."""
+    starts = list((frm or cfg.region).iter_points())
     for w in enumerate_words(length):
-        pairs = saw_reach_bruteforce(cfg, SourceSet.uniform(cfg.region, starts, w), length - 1)
+        pairs = BRUTE_REACH[mode](cfg, SourceSet.uniform(cfg.region, starts, w), length - 1)
         if all(t < length - 1 for _, t in pairs):
             return False, w
     return True, None
 
 
-def allwords_reference(params, seed, t0, t1):
+def sees_words(cfg, ball, L, mode):
+    return sees_all_words(cfg, ball, L, mode=mode)[0]
+
+
+def sees_words_bruteforce(cfg, ball, L, mode):
+    return first_unseen_word(cfg, L, ball, mode)[0]
+
+
+def allwords_reference(params, seed, t0, t1, sees=sees_words):
     d = params["d"]
     horizon, ball = box(params["R"], d), box(params["m"], d)
-    return [int(not sees_all_words(sample(horizon, params["p"], RngStream(seed, t)), ball,
-                                   params["L"], mode=params["mode"])[0])
+    return [int(not sees(sample(horizon, params["p"], RngStream(seed, t)), ball, params["L"],
+                         params["mode"]))
             for t in range(t0, t1)]
 
 
-def decay_reference(p, L, ms, R, d, mode, seed, t0, t1):
+def decay_reference(p, L, ms, R, d, mode, seed, t0, t1, sees=sees_words):
     """Failures before the first radius whose ball sees every word, one
     trial at a time."""
     out = []
     for t in range(t0, t1):
         cfg = sample(box(R, d), p, RngStream(seed, t))
         fails = 0
-        while fails < len(ms) and not sees_all_words(cfg, box(ms[fails], d), L, mode=mode)[0]:
+        while fails < len(ms) and not sees(cfg, box(ms[fails], d), L, mode):
             fails += 1
         out.append(fails)
     return out
@@ -317,9 +329,13 @@ def allwords_specs(draw):
 @given(allwords_specs(), SEEDS, st.integers(1, 50), st.integers(1, 30), st.integers(1, 200))
 @settings(max_examples=40, deadline=None)
 def test_allwords_block_matches_per_trial(params, seed, t0, trials, block):
+    """The block's failures and steps are the per-trial walks', and each
+    failure is a brute-force search's, one word at a time."""
+    args = (params, seed, t0, t0 + trials)
     with mock.patch.object(config, "BLOCK_SITES", block):
-        got = counted(lambda: harness._allwords_failures(params, seed, t0, t0 + trials))
-    assert got == counted(lambda: allwords_reference(params, seed, t0, t0 + trials))
+        got = counted(lambda: harness._allwords_failures(*args))
+    assert got == counted(lambda: allwords_reference(*args))
+    assert got[0] == allwords_reference(*args, sees=sees_words_bruteforce)
 
 
 @given(allwords_specs(), st.data(), SEEDS, st.integers(1, 50), st.integers(1, 30),
@@ -332,6 +348,7 @@ def test_decay_block_matches_per_trial(params, data, seed, t0, trials, block):
     with mock.patch.object(config, "BLOCK_SITES", block):
         got = counted(lambda: harness._decay_failures(*args, t0, t0 + trials))
     assert got == counted(lambda: decay_reference(*args, t0, t0 + trials))
+    assert got[0] == decay_reference(*args, t0, t0 + trials, sees=sees_words_bruteforce)
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.data(),
@@ -347,24 +364,83 @@ def test_site_block_matches_per_trial(sizes, data, p, seed, t0, trials, block):
     assert got == site_reference(params, seed, t0, t0 + trials)
 
 
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data(), SEEDS,
-       st.integers(1, 30), st.integers(0, 12))
+@st.composite
+def several_sources(draw):
+    """A colour block of at most 64 sites, a max_index from 0 to 12, two
+    spec words long enough for it, and one to four sources at offsets 0 to
+    14, each reading one of the words."""
+    region, colors = draw(colour_blocks(max_volume=64))
+    max_index = draw(st.integers(0, 12))
+    words = tuple(draw(WORDS.filter(lambda w: not set(w) <= {"0", "1"} or len(w) > max_index))
+                  for _ in range(2))
+    entries = tuple((region.unrank(draw(st.integers(0, region.volume - 1))),
+                     draw(st.integers(0, 14)), draw(st.integers(0, 1)))
+                    for _ in range(draw(st.integers(1, 4))))
+    return region, colors, words, entries, max_index
+
+
+# word 0 seeded at offsets 2 and 5: a period-2 word settles at index 6,
+# and the examples put max_index at 5, 6 and 7
+SETTLE_BOX = Region(((0, 3), (0, 3)))
+SETTLE_COLORS = sample_block(SETTLE_BOX, 0.5, 1, 0, 16)
+LATE = (((1, 1), 2, 0), ((3, 2), 5, 0))
+
+
+@given(several_sources())
 @settings(max_examples=60, deadline=None)
-def test_reach_block_several_sources_and_words(sizes, data, seed, trials, max_index):
+@example((SETTLE_BOX, SETTLE_COLORS, ("alt", "alt"), LATE, 5))
+@example((SETTLE_BOX, SETTLE_COLORS, ("alt", "alt"), LATE, 6))
+@example((SETTLE_BOX, SETTLE_COLORS, ("alt", "alt"), LATE, 7))
+@example((SETTLE_BOX, SETTLE_COLORS, ("ones", "ones"), LATE, 5))
+@example((SETTLE_BOX, SETTLE_COLORS, ("ones", "ones"), LATE, 6))
+@example((SETTLE_BOX, SETTLE_COLORS, ("ones", "ones"), LATE, 7))
+# sites 1, 2, 3 read from site 2 along alt (1, 0, ...): the second row's
+# front is empty at index 1, the first row's is not
+@example((Region(((0, 3),)), np.array([[False, True, False], [True, True, True]]),
+          ("alt", "alt"), (((2,), 0, 0),), 4))
+# the aperiodic 0110 sweeps on to max_index while alt settles at index 1
+@example((SETTLE_BOX, SETTLE_COLORS, ("alt", "0110"), (((2, 2), 0, 0), ((1, 1), 0, 1)), 3))
+def test_reach_block_several_sources_and_words(case):
     """Sources at several offsets reading several words: the block is the
-    union of the per-word sweeps, like relaxed_word_reach's index_hits."""
-    region = Region(tuple((0, s) for s in sizes))
-    words = [harness.word_from_spec(data.draw(WORDS.filter(
-        lambda w: not set(w) <= {"0", "1"} or len(w) > max_index))) for _ in range(2)]
-    entries = tuple(
-        (tuple(data.draw(st.integers(1, s)) for s in sizes), data.draw(st.integers(0, 14)),
-         data.draw(st.integers(0, 1)))
-        for _ in range(data.draw(st.integers(1, 4))))
-    sources = SourceSet.from_entries(region, entries, tuple(words))
-    colors = sample_block(region, 0.5, seed, 3, 3 + trials)
-    want = [relaxed_word_reach(Configuration.from_bools(region, row), sources,
-                               max_index).index_hits >> max_index & 1 for row in colors]
+    union of the per-word sweeps, like relaxed_word_reach's index_hits, and
+    a brute-force walk search reaches max_index on the same rows."""
+    region, colors, words, entries, max_index = case
+    sources = SourceSet.from_entries(region, entries, tuple(map(harness.word_from_spec, words)))
+    cfgs = [Configuration.from_bools(region, row) for row in colors]
+    want = [relaxed_word_reach(c, sources, max_index).index_hits >> max_index & 1 for c in cfgs]
     assert relaxed_reach_block(region, colors, sources, max_index).tolist() == want
+    assert want == [any(t == max_index for _, t in walk_reach_bruteforce(c, sources, max_index))
+                    for c in cfgs]
+
+
+def test_period_two_reach_block_settles_past_last_seed():
+    """Asked only which trials reach max_index 60, the block sweep of alt
+    from seeds at 0 and 3 takes the steps of indices 0 to 4; asked for the
+    reached sites, it and relaxed_word_reach sweep on to the fronts'
+    repeat."""
+    region = box(6, 3)
+    colors = sample_block(region, 0.5, 1, 0, 8)
+    sources = SourceSet.from_entries(region, (((0, 0, 0), 0, 0), ((1, 0, 0), 3, 0)),
+                                     (AlternatingWord(),))
+    cfgs = [Configuration.from_bools(region, row) for row in colors]
+
+    def stepped(thunk):
+        steps = [0]
+        step = search._step
+
+        def counting(front, lattice):
+            steps[0] += 1
+            return step(front, lattice)
+
+        with mock.patch.object(search, "_step", counting):
+            return thunk(), steps[0]
+
+    got, steps = stepped(lambda: relaxed_reach_block(region, colors, sources, 60).tolist())
+    assert steps == 5
+    assert got == [relaxed_word_reach(c, sources, 60).index_hits >> 60 & 1 for c in cfgs]
+    assert any(got) and not all(got)
+    assert stepped(lambda: relaxed_reach_block(region, colors, sources, 60, reached=True))[1] > 5
+    assert stepped(lambda: relaxed_word_reach(cfgs[0], sources, 60))[1] > 5
 
 
 def test_reach_block_front_repeats_under_aperiodic_word():

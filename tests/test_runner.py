@@ -8,6 +8,7 @@ loops that preceded the single runner; every document must stay
 byte-identical whatever the worker count.
 """
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from wordperc import estimate, harness
+from wordperc import harness
 from wordperc.cli import main
 from wordperc.estimate import run_trials, trial_ranges
 from wordperc.harness import ExperimentSpec, canonical_json, run
@@ -146,7 +147,7 @@ def test_one_trial_runs_in_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started for a single range")
 
-    monkeypatch.setattr(estimate, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run_trials(harness._site_trials, (SITE, 3), 1) == harness._site_trials(SITE, 3, 0, 1)
 
 
