@@ -153,11 +153,6 @@ class AccordionMap:
     def target_column(self) -> list[PlanarVertex]:
         return [p for p in self.domain_points() if p[0] == self.width]
 
-    def seed_hooks(self, S) -> list[PlanarVertex]:
-        """Source-column vertices mapping onto the given seed set."""
-        S = set(map(tuple, S))
-        return [p for p in self.source_column() if self.map_point(p) in S]
-
     def windows(self):
         return slab_windows(self.n, self.h, self.n / self.h)
 
@@ -190,7 +185,7 @@ class AccordionMap:
         image = [self.map_point(p) for p in domain]
         if len(set(image)) != len(domain):
             raise DomainError("accordion map is not injective")
-        window = set(win.B) | Lset | Rset
+        window = win.B_set
         bad = [v for v in image if v not in window]
         if bad:
             raise DomainError(f"accordion image leaves the window at {bad[:3]}")

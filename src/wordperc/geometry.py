@@ -267,10 +267,6 @@ def slab_window(h: int, k: int, d: int, half_width: int) -> Region:
     return Region(tuple(ivs), "slab", (h, k, half_width))
 
 
-def single_cell(pt: Point) -> Region:
-    return Region(tuple((x - 1, x) for x in pt), "cell", tuple(pt))
-
-
 # -- macroscopic slab graph --------------------------------------------------
 
 

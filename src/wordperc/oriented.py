@@ -33,11 +33,11 @@ The statistics (crossing, domination, xi5n) run a block of trials in one
 sweep: a column int holds one copy of the window's column per trial,
 separated by zero guard bits at least as wide as the largest shift, so
 no reach leaks from one copy into the next.  Blocks draw at most
-config.BLOCK_SITES sites (or one trial).  Their window layouts are built
-once per parameter set, (n, h, m) for slab windows and n for the xi
-window, and keep arrays only.  A window of more than config.MAX_SITES
-sites, counted from its bounds, raises CapacityError before any vertex
-is built.
+config.BLOCK_SITES sites (or one trial).  A window is a parity
+rectangle known by its bounds: rect_points enumerates it as one sorted
+array once config.MAX_SITES is checked from the bounds, and a
+statistic's layout, built from it once per parameter set, keeps two
+int64 index arrays (16 bytes a site).
 """
 
 from __future__ import annotations
@@ -94,30 +94,32 @@ def rect_sites(x_rng, y_rng, h=None) -> int:
                * (1 if h is None else _parity_count(1, h - 1, r)) for r in (0, 1))
 
 
+def rect_points(x_rng, y_rng, h=None) -> np.ndarray:
+    """The vertices in [x_rng] x [y_rng], planar, or with h the macro
+    vertices with 0 < z < h, as a sorted (sites, 2 or 3) array: column
+    x = 2j holds the (y, z) grid of j's parity, so columns alternate two
+    grids."""
+    check_sites(rect_sites(x_rng, y_rng, h), "window")
+    j_lo, j_hi = -(-x_rng[0] // 2), x_rng[1] // 2
+    grids = []
+    for r in (j_lo % 2, (j_lo + 1) % 2):
+        axes = [np.arange(y_rng[0] + (r - y_rng[0]) % 2, y_rng[1] + 1, 2)]
+        if h is not None:
+            axes.append(np.arange(2 - r, h, 2))
+        grids.append(np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes)))
+    js = np.arange(j_lo, j_hi + 1)
+    xs = np.repeat(2 * js, np.resize([len(g) for g in grids], len(js)))
+    return np.column_stack([xs, np.resize(np.concatenate(grids), (len(xs), len(axes)))])
+
+
 def planar_rect(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> tuple[PlanarVertex, ...]:
     """Planar vertices in [x_lo, x_hi] x [y_lo, y_hi], sorted."""
-    check_sites(rect_sites((x_lo, x_hi), (y_lo, y_hi)), "window")
-    out = []
-    for x in range(x_lo + (x_lo % 2), x_hi + 1, 2):
-        par = (x // 2) % 2
-        y0 = y_lo + ((par - y_lo) % 2)
-        for y in range(y0, y_hi + 1, 2):
-            out.append((x, y))
-    return tuple(out)
+    return tuple(map(tuple, rect_points((x_lo, x_hi), (y_lo, y_hi)).tolist()))
 
 
 def slab_rect(x_rng, y_rng, h: int) -> tuple[SlabVertex, ...]:
     """Macro vertices with x in [x_rng], y in [y_rng], 0 < z < h, sorted."""
-    check_sites(rect_sites(x_rng, y_rng, h), "window")
-    out = []
-    for x in range(x_rng[0] + (x_rng[0] % 2), x_rng[1] + 1, 2):
-        par = (x // 2) % 2
-        y0 = y_rng[0] + ((par - y_rng[0]) % 2)
-        for y in range(y0, y_rng[1] + 1, 2):
-            z0 = 1 + ((par - 1) % 2)
-            for z in range(z0, h, 2):
-                out.append((x, y, z))
-    return tuple(out)
+    return tuple(map(tuple, rect_points(x_rng, y_rng, h).tolist()))
 
 
 def snap_left_column(n: int) -> int:
@@ -151,15 +153,18 @@ def _slab_key(n: int, h: int, m=None) -> tuple[int, int, int | None]:
     return n, h, None if m is None else int(math.ceil(m))
 
 
-def slab_windows(n: int, h: int, m=None) -> SlabWindows:
-    """The full window, or with m the thin one of y-extent ceil(m)."""
-    n, h, m = _slab_key(n, h, m)
+def _slab_bounds(n: int, h: int, m: int | None):
+    """The (x_rng, y_rng) bounds of B, L and R for the key (n, h, m)."""
     w = n if m is None else m
     cL, cR = snap_left_column(n), snap_right_column(n)
-    B = slab_rect((n + 1, 2 * n - 1), (-2 * w + 1, 2 * w - 1), h)
-    L = slab_rect((cL, cL), (-w, w), h)
-    R = slab_rect((cR, cR), (-w, w), h)
-    return SlabWindows(n, h, m, B, L, R)
+    return ((n + 1, 2 * n - 1), (-2 * w + 1, 2 * w - 1)), ((cL, cL), (-w, w)), ((cR, cR), (-w, w))
+
+
+@lru_cache(maxsize=8)
+def slab_windows(n: int, h: int, m=None) -> SlabWindows:
+    """The full window, or with m the thin one of y-extent ceil(m)."""
+    key = _slab_key(n, h, m)
+    return SlabWindows(*key, *(slab_rect(*rng, h) for rng in _slab_bounds(*key)))
 
 
 class _Layout:
@@ -178,16 +183,10 @@ class _Layout:
     from one copy into its neighbour.
     """
 
-    def __init__(self, kind: str, vertices, h):
-        check = is_planar_vertex if kind == "planar" else (lambda v: is_macro_vertex(v, h))
-        verts = tuple(sorted(vertices))
-        for v in verts:
-            if not check(v):
-                raise DomainError(f"{v} is not a vertex of the {kind} graph")
+    def __init__(self, kind: str, pts: np.ndarray):
+        """pts: the window's vertices, sorted, as a (sites, 2 or 3) array."""
         self.kind = kind
-        self.sites = len(verts)
-        self.dim = 2 if kind == "planar" else 3
-        pts = np.array(verts, dtype=np.int64).reshape(len(verts), self.dim)
+        self.sites, self.dim = pts.shape
         lo = pts.min(axis=0) if len(pts) else np.zeros(self.dim, dtype=np.int64)
         span = pts.max(axis=0) - lo + 1 if len(pts) else np.ones(self.dim, dtype=np.int64)
         self.x0, self.y0 = int(lo[0]), int(lo[1])
@@ -199,17 +198,18 @@ class _Layout:
         self.ny = int(span[1])
         self.width = self.ny * self.stride
         self.pitch = self.width + self.steps[-1]
-        self.pts = pts
-        rel = pts - lo
-        self.col = rel[:, 0] // 2
-        self.bit = rel[:, 1] * self.stride + (rel[:, 2] if kind == "slab" else 0)
-        self.inside = self.pack(np.ones((1, len(verts)), dtype=bool))
+        self.col = (pts[:, 0] - self.x0) // 2
+        dz = pts[:, 2] - self.z0 if kind == "slab" else 0
+        self.bit = (pts[:, 1] - self.y0) * self.stride + dz
+        self.inside = self.pack(np.ones((1, self.sites), dtype=bool))
 
     @cached_property
     def vertices(self) -> tuple:
         """The window's vertices, sorted; derived when first asked, so a
-        layout kept for a parameter set holds arrays only."""
-        return tuple(map(tuple, self.pts.tolist()))
+        layout kept for a parameter set holds its two index arrays only."""
+        dy, dz = np.divmod(self.bit, self.stride)
+        axes = (self.x0 + 2 * self.col, self.y0 + dy, self.z0 + dz)[:self.dim]
+        return tuple(zip(*(a.tolist() for a in axes)))
 
     @cached_property
     def index(self) -> dict:
@@ -268,11 +268,10 @@ class _Layout:
             out.append((x, self.y0 + dy, self.z0 + dz)[:self.dim])
         return out
 
-    def in_column(self, x: int, y_lo: int, y_hi: int) -> np.ndarray:
-        """Sorted-order indices of the window vertices (x, y, ...) with
-        y_lo <= y <= y_hi."""
-        pts = self.pts
-        return np.flatnonzero((pts[:, 0] == x) & (pts[:, 1] >= y_lo) & (pts[:, 1] <= y_hi))
+    def in_rect(self, x_rng, y_rng) -> np.ndarray:
+        """Sorted-order indices of the window vertices with x in [x_rng], y in [y_rng]."""
+        x, y = self.x0 + 2 * self.col, self.y0 + self.bit // self.stride
+        return np.flatnonzero((x >= x_rng[0]) & (x <= x_rng[1]) & (y >= y_rng[0]) & (y <= y_rng[1]))
 
     def sweep_block(self, columns: list[int], c_src: int, sources: int, seeded: bool,
                     c_dst: int, copies: int) -> np.ndarray:
@@ -285,7 +284,13 @@ class _Layout:
 
 @lru_cache(maxsize=32)
 def _cached_layout(kind, vertices, h) -> _Layout:
-    return _Layout(kind, vertices, h)
+    """The layout of a caller's vertex list, sorted and checked."""
+    check = is_planar_vertex if kind == "planar" else (lambda v: is_macro_vertex(v, h))
+    verts = sorted(vertices)
+    for v in verts:
+        if not check(v):
+            raise DomainError(f"{v} is not a vertex of the {kind} graph")
+    return _Layout(kind, np.array(verts, dtype=np.int64).reshape(-1, 2 if kind == "planar" else 3))
 
 
 def _layout(kind, vertices, h) -> _Layout:
@@ -498,24 +503,22 @@ def _seed_column(bits: np.ndarray, picks, pitch: int, keep=None) -> int:
 
 @lru_cache(maxsize=8)
 def _slab_layout(n: int, h: int, m: int | None) -> _Layout:
-    """The layout of slab_windows(n, h, m).B, built once per (n, h, m)."""
-    return _Layout("slab", slab_windows(n, h, m).B, h)
+    """The layout of slab_windows(n, h, m).B, from its bounds, once per key."""
+    return _Layout("slab", rect_points(*_slab_bounds(n, h, m)[0], h))
 
 
 def _crossing_trials(key, gamma, delta, master_seed, threshold, t0, t1) -> list[bool]:
     """Crossing verdicts of trials t0..t1-1 on the window of key = (n, h,
     m), a block of trials per sweep; trial t owns streams 2t (seed set)
     and 2t + 1 (site bits)."""
-    n, h, m = key
-    lay = _slab_layout(n, h, m)
-    xL, xR = snap_left_column(n), snap_right_column(n)
-    w = n if m is None else m
-    L_bits = lay.bit[lay.in_column(xL, -w, w)]
+    lay, m = _slab_layout(*key), key[2]
+    _, L, R = _slab_bounds(*key)
+    L_bits = lay.bit[lay.in_rect(*L)]
     on_R = np.zeros(lay.width, dtype=bool)
-    on_R[lay.bit[lay.in_column(xR, -w, w)]] = True
+    on_R[lay.bit[lay.in_rect(*R)]] = True
     # R is empty when its column holds no vertex (h = 2 keeps one column
     # parity), and that column may lie past the window's last one
-    cL, cR = lay.column(xL), min(lay.column(xR), lay.ncols - 1)
+    cL, cR = lay.column(L[0][0]), min(lay.column(R[0][0]), lay.ncols - 1)
     out = []
     for b0, b1 in trial_blocks(t0, t1, lay.sites):
         copies = b1 - b0
@@ -541,11 +544,10 @@ def crossing_stat(trials: int, n: int, h: int, gamma: float, delta: float, maste
     right-column vertices reached.  Reports a Wilson 95% interval.
     """
     key = _slab_key(n, h, n / h if thin else None)
-    w = n if key[2] is None else key[2]
-    cL, cR = snap_left_column(n), snap_right_column(n)
-    if not rect_sites((cL, cL), (-w, w), h):
+    _, L, R = _slab_bounds(*key)
+    if not rect_sites(*L, h):
         raise DomainError("left column is empty; increase n")
-    right_size = rect_sites((cR, cR), (-w, w), h)
+    right_size = rect_sites(*R, h)
     threshold = (n / 20.0) if thin else (right_size / 1000.0)
     args = (key, gamma, delta, master_seed, threshold)
     successes = sum(run_trials(_crossing_trials, args, trials))
@@ -564,16 +566,22 @@ def crossing_stat(trials: int, n: int, h: int, gamma: float, delta: float, maste
     }
 
 
+def _xi_bounds(n: int):
+    """The (x_rng, y_rng) bounds of planar_window_for_xi(n)."""
+    Y = n + (5 * n) // 2 + 2
+    return (0, 5 * n), (-Y, Y)
+
+
 def planar_window_for_xi(n: int):
     """Window holding every path relevant to column-5n reach queries."""
-    Y = n + (5 * n) // 2 + 2
-    return planar_rect(0, 5 * n, -Y, Y)
+    x_rng, y_rng = _xi_bounds(n)
+    return planar_rect(*x_rng, *y_rng)
 
 
 @lru_cache(maxsize=8)
 def _xi_layout(n: int) -> _Layout:
-    """The layout of planar_window_for_xi(n), built once per n."""
-    return _Layout("planar", planar_window_for_xi(n), None)
+    """The layout of planar_window_for_xi(n), from its bounds, once per n."""
+    return _Layout("planar", rect_points(*_xi_bounds(n)))
 
 
 def _domination_trials(gamma, delta, n, master_seed, t0, t1) -> list[tuple]:
@@ -583,10 +591,10 @@ def _domination_trials(gamma, delta, n, master_seed, t0, t1) -> list[tuple]:
     (S inside the middle band), the low band and the high band, copy
     k * T + i holding set k of the block's trial i."""
     lay = _xi_layout(n)
-    col0 = lay.in_column(0, -n, n)
-    y0s, bits0 = lay.pts[col0, 1], lay.bit[col0]
+    bits0 = lay.bit[lay.in_rect((0, 0), (-n, n))]
+    y0s = lay.y0 + bits0  # a planar bit is y - y0
     quarter = max(1, (delta / 4) * n)
-    seed_density = min(1.0, delta * n / max(1, len(col0)))  # |S| >= delta * n
+    seed_density = min(1.0, delta * n / max(1, len(bits0)))  # |S| >= delta * n
     middle = (y0s >= -n + quarter) & (y0s <= n - quarter)
     low_band = _seed_column(bits0, np.flatnonzero(y0s <= -n + quarter)[None], lay.pitch)
     high_band = _seed_column(bits0, np.flatnonzero(y0s >= n - quarter)[None], lay.pitch)
@@ -596,7 +604,7 @@ def _domination_trials(gamma, delta, n, master_seed, t0, t1) -> list[tuple]:
     out = []
     for b0, b1 in trial_blocks(t0, t1, lay.sites):
         T, span = b1 - b0, (b1 - b0) * lay.pitch
-        picks = _seed_picks(len(col0), seed_density, master_seed, 2 * b0, 2 * b1, 2)
+        picks = _seed_picks(len(bits0), seed_density, master_seed, 2 * b0, 2 * b1, 2)
         S = _seed_column(bits0, picks, lay.pitch)
         S_mid = _seed_column(bits0, picks, lay.pitch, middle)
         sources = (S | S_mid << span | lay.tile(low_band, T) << 2 * span
@@ -666,7 +674,7 @@ def _xi5n_trials(n, gamma, master_seed, t0, t1) -> list[set[int]]:
     if n % 2:
         raise DomainError("xi_column_reach needs even n")
     lay = _xi_layout(n)
-    col0 = sum(1 << b for b in lay.bit[lay.in_column(0, -n, n)].tolist())
+    col0 = sum(1 << b for b in lay.bit[lay.in_rect((0, 0), (-n, n))].tolist())
     y5 = lay.y0 + np.arange(lay.width)  # the y of each bit of column 5n
     in_W = np.abs(y5) <= n
     y_W = y5[in_W]

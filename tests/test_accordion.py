@@ -39,7 +39,8 @@ def test_target_containment_and_hooks():
     Rset = set(win.R)
     for p in a.target_column():
         assert a.map_point(p) in Rset
-    hooks = a.seed_hooks(win.L)
+    Lset = set(win.L)
+    hooks = [p for p in a.source_column() if a.map_point(p) in Lset]
     assert len(hooks) == a.report["seed_hooks_available"] >= 1
     # hooks land on distinct seed vertices
     assert len({a.map_point(p) for p in hooks}) == len(hooks)

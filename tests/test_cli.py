@@ -724,15 +724,20 @@ def test_huge_dimension_exits_2_at_once(tmp_path, argv):
     assert not (tmp_path / "c.wpc").exists()
 
 
-def test_tall_crossing_window_runs_in_two_gib(tmp_path):
-    """A full crossing window that check_sites admits, n = 4 and h =
-    100000, holds its seed column in the window's one column of 200,000
-    vertices.  It runs in a 2 GiB address space, since a block's seed
-    column is one pack of a (copies, pitch) bool array, not a sum of one
-    column-wide int per seed vertex."""
+@pytest.mark.parametrize("window", [
+    ["--h", "100000", "--trials", "2"],
+    ["--h", "10000000", "--thin", "--trials", "1"],
+], ids=["full_h1e5", "thin_h1e7"])
+def test_tall_crossing_window_runs_in_two_gib(tmp_path, window):
+    """Crossing windows that check_sites admits run in a 2 GiB address
+    space.  The full window, n = 4 and h = 100000, holds its seed column
+    in the window's one column of 200,000 vertices: a block's seed column
+    is one pack of a (copies, pitch) bool array, not a sum of one
+    column-wide int per seed vertex.  The thin window of h = 10^7 holds
+    10^7 sites: its layout is built from the window's bounds as two index
+    arrays, with no vertex tuple."""
     src = str(Path(wordperc.__file__).parents[1])
-    argv = ["oriented", "--stat", "crossing", "--n", "4", "--h", "100000", "--gamma", "0.5",
-            "--trials", "2"]
+    argv = ["oriented", "--stat", "crossing", "--n", "4", "--gamma", "0.5", *window]
     proc = subprocess.run([sys.executable, "-m", "wordperc.cli", *argv], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=300, preexec_fn=_limited)

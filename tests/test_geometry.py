@@ -17,7 +17,6 @@ from wordperc.geometry import (
     neighbor_steps,
     neighbors,
     slab_window,
-    single_cell,
 )
 
 
@@ -99,7 +98,7 @@ def test_inner_boundary_no_exterior():
 
 
 def test_inner_boundary_single_cell():
-    cell = single_cell((1, 1))
+    cell = Region(((0, 1), (0, 1)))  # the one cell (1, 1)
     amb = box(3, 2)
     assert inner_boundary(cell, amb) == {(1, 1)}
 
@@ -196,7 +195,7 @@ def test_neighbor_ranks_consistency():
 
 
 @pytest.mark.parametrize("region", [
-    lambda_box(1, 2, 1, 3), box(2, 2), Region(((0, 1), (-3, 2), (0, 2))), single_cell((4, 5)),
+    lambda_box(1, 2, 1, 3), box(2, 2), Region(((0, 1), (-3, 2), (0, 2))), Region(((3, 4), (4, 5))),
 ])
 def test_neighbor_steps_match_neighbor_ranks(region):
     table = neighbor_ranks(region.intervals)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wordperc import config
+from wordperc import config, oriented
 from wordperc.errors import CapacityError, DomainError
 from wordperc.harness import ExperimentSpec, canonical_json, run
 from wordperc.geometry import is_macro_vertex
@@ -19,8 +19,10 @@ from wordperc.oriented import (
     OrientedConfig,
     _crossing_trials,
     _domination_trials,
-    _Layout,
+    _layout,
+    _slab_layout,
     _xi5n_trials,
+    _xi_layout,
     crossing_stat,
     domination_probe,
     explore,
@@ -30,6 +32,7 @@ from wordperc.oriented import (
     planar_out,
     planar_rect,
     planar_window_for_xi,
+    rect_points,
     rect_sites,
     sample_oriented,
     sample_seed_set,
@@ -495,6 +498,21 @@ def test_range_outcomes_do_not_depend_on_split(name, t0, trials, data):
         assert fn(*args, t0, mid) + fn(*args, mid, t0 + trials) == whole
 
 
+def test_statistics_build_no_vertex_tuples():
+    # each statistic's layout comes from its window's bounds: no vertex
+    # tuple is listed and no vertex it generated is checked
+    want = {name: fn(*args, 0, 5) for name, (fn, args) in SPLIT_CASES.items()}
+
+    def refuse(*args):
+        raise AssertionError("a statistic built its window from vertex tuples")
+
+    _slab_layout.cache_clear()
+    _xi_layout.cache_clear()
+    with mock.patch.multiple(oriented, slab_rect=refuse, planar_rect=refuse,
+                             slab_windows=refuse, is_macro_vertex=refuse):
+        assert {name: fn(*args, 0, 5) for name, (fn, args) in SPLIT_CASES.items()} == want
+
+
 @given(SEEDS, st.integers(0, 2**64 - 1), st.integers(1, 5), st.integers(1, 3),
        st.integers(0, 2), st.integers(0, 100), st.integers(0, 20))
 @settings(max_examples=60, deadline=None)
@@ -516,7 +534,7 @@ def test_raw_grid_step_rows_are_streams(seed, t0, streams, step, extra, start, c
 def test_block_copies_do_not_leak_across_guards(kind, verts):
     # all-open copies alternate with isolated ones (all open, no source):
     # reach shifted off the top of a copy must not enter the next one
-    lay = _Layout(kind, verts, 6 if kind == "slab" else None)
+    lay = _layout(kind, verts, 6 if kind == "slab" else None)
     copies = 6
     cols = lay.pack(np.ones((copies, len(verts)), dtype=bool))
     first = [v for v in verts if v[0] == 0]
@@ -548,16 +566,31 @@ def test_sample_seed_set_is_choose_subset_of_sorted_vertices():
 @given(st.integers(-9, 9), st.integers(-1, 12), st.integers(-9, 9), st.integers(-1, 12),
        st.integers(1, 9))
 @settings(max_examples=60, deadline=None)
+@example(3, -1, 0, 4, 6)  # empty x range
+@example(0, 8, 2, -1, 5)  # empty y range
+@example(-4, 0, -5, 7, 2)  # one column, negative bounds, h = 2
+@example(-5, 0, -3, 2, 4)  # one odd column: no vertex
 def test_rect_sites_counts_rect_vertices(x_lo, x_len, y_lo, y_len, h):
+    # the enumeration is every point of the bounding box that is a vertex, sorted
     x_rng, y_rng = (x_lo, x_lo + x_len), (y_lo, y_lo + y_len)
-    assert rect_sites(x_rng, y_rng) == len(planar_rect(*x_rng, *y_rng))
-    assert rect_sites(x_rng, y_rng, h) == len(slab_rect(x_rng, y_rng, h))
+    box = [(x, y) for x in range(x_lo, x_rng[1] + 1) for y in range(y_lo, y_rng[1] + 1)]
+    planar = sorted(v for v in box if is_planar_vertex(v))
+    slab = sorted((x, y, z) for x, y in box for z in range(h + 1) if is_macro_vertex((x, y, z), h))
+    for pts, want, dim in ((rect_points(x_rng, y_rng), planar, 2),
+                           (rect_points(x_rng, y_rng, h), slab, 3)):
+        assert pts.shape == (len(want), dim)
+        assert pts.tolist() == [list(v) for v in want]
+    assert planar_rect(*x_rng, *y_rng) == tuple(planar)
+    assert slab_rect(x_rng, y_rng, h) == tuple(slab)
+    assert rect_sites(x_rng, y_rng) == len(planar)
+    assert rect_sites(x_rng, y_rng, h) == len(slab)
 
 
 @pytest.mark.parametrize("build", [
     lambda: slab_windows(100000, 6),
     lambda: slab_windows(100000, 6, 100000 / 6),  # the accordion's window
     lambda: planar_window_for_xi(100000),
+    lambda: rect_points((0, 10 ** 9), (-10 ** 9, 10 ** 9), 6),
 ])
 def test_oversized_windows_refused_before_any_vertex(build):
     # the cap is checked from the window's bounds: nothing is allocated

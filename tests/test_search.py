@@ -6,7 +6,7 @@ import pytest
 
 from wordperc.config import Configuration, enumerate_configs, flip_colors, sample
 from wordperc.errors import CapacityError, DomainError
-from wordperc.geometry import Region, box, single_cell
+from wordperc.geometry import Region, box
 from wordperc.oracles import (connected_bruteforce, distance_map, saw_reach_bruteforce,
                               walk_reach_bruteforce)
 from wordperc.rng import RngStream
@@ -25,7 +25,7 @@ from wordperc.words import (AlternatingWord, ConstantWord, PeriodicWord, Product
                             enumerate_words)
 
 R33 = Region(((-2, 1), (-2, 1)))  # 3x3 around the origin
-ORIGIN_CELL = single_cell((0, 0))
+ORIGIN_CELL = Region(((-1, 0), (-1, 0)))  # the one cell (0, 0)
 
 
 def test_one_connected_degenerate():
@@ -205,7 +205,7 @@ def test_sees_all_words_L1_semantics():
     # a single-vertex from-set can never see both length-1 words
     r2 = Region(((-1, 1), (-1, 1)))
     cfg = Configuration.from_bits(r2, [1, 0, 0, 1])
-    ok, failing = sees_all_words(cfg, single_cell((0, 0)), 1)
+    ok, failing = sees_all_words(cfg, ORIGIN_CELL, 1)
     assert not ok and failing.letters().tolist() == [0]
     # a from-set holding both colors sees both words
     ok, _ = sees_all_words(cfg, Region(((-1, 1), (-1, 0))), 1)
