@@ -18,6 +18,7 @@ slab.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -45,8 +46,6 @@ class Region:
     """Axis-aligned product of half-open integer intervals (lo, hi]."""
 
     intervals: tuple[tuple[int, int], ...]
-    kind: str = "generic"
-    params: tuple = ()
 
     def __post_init__(self):
         check_dim(len(self.intervals))
@@ -68,10 +67,7 @@ class Region:
 
     @cached_property
     def volume(self) -> int:
-        v = 1
-        for s in self.sizes:
-            v *= s
-        return v
+        return math.prod(self.sizes)
 
     def contains(self, pt: Point) -> bool:
         if len(pt) != self.dim:
@@ -143,18 +139,16 @@ def _points_array(intervals) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=256)
 def neighbor_ranks(intervals) -> np.ndarray:
     """(volume, 2d) array of neighbor ranks in lexicographic neighbor
-    order; -1 where the neighbor leaves the region."""
+    order; -1 where the neighbor leaves the region.  The reference for
+    neighbor_steps, built from the points."""
     region = Region(intervals)
     d = region.dim
     sizes = region.sizes
     vol = region.volume
     out = np.full((vol, 2 * d), -1, dtype=np.int64)
-    offsets = _points_array(intervals).copy()
-    for i, (lo, _) in enumerate(intervals):
-        offsets[:, i] -= lo + 1
+    offsets = _points_array(intervals) - [lo + 1 for lo, _ in intervals]
     strides = np.ones(d, dtype=np.int64)
     for i in range(1, d):
         strides[i] = strides[i - 1] * sizes[i - 1]
@@ -179,17 +173,37 @@ def neighbor_steps(sizes) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     """neighbor_ranks as plain-int offsets, for scalar loops, where numpy
     element access is slow: the in-region neighbors of rank r are r + s
     for s in steps[kind[r]], in neighbor_ranks order.  kind[r] is the
-    bitmask of r's in-region neighbor columns, a small int, so the table
-    holds no per-rank tuples.  Ranks and offsets do not depend on where
-    the region lies, so the table is keyed on its axis sizes alone."""
-    table = neighbor_ranks(tuple((0, size) for size in sizes))
-    inside = table >= 0
-    step = table - np.arange(len(table))[:, None]  # constant down a column where inside
-    offsets = [int(step[inside[:, j], j][0]) if inside[:, j].any() else 0
-               for j in range(table.shape[1])]
-    kind = (inside << np.arange(table.shape[1])).sum(axis=1).tolist()
+    bitmask of r's in-region directions, from its coordinate r // stride
+    % size on each axis longer than one site; each such axis at least
+    doubles the volume, so a kind has at most 2 log2(volume) bits.  The
+    table depends on the axis sizes alone, and is keyed on them."""
+    axes, volume = [], 1
+    for size in sizes:
+        axes += [(volume, size)] * (size > 1)
+        volume *= size
+    # minus directions by axis, then plus directions by reversed axis
+    offsets = [-stride for stride, _ in axes] + [stride for stride, _ in reversed(axes)]
+    ranks = np.arange(volume)
+    kind = np.zeros_like(ranks)
+    for j, (stride, size) in enumerate(axes):
+        x = ranks // stride % size
+        kind |= (x > 0) << j | (x < size - 1) << len(offsets) - 1 - j
+    kind = kind.tolist()
     steps = {c: tuple(o for j, o in enumerate(offsets) if c >> j & 1) for c in set(kind)}
     return kind, steps
+
+
+def ranks_within(part: Region, region: Region) -> np.ndarray:
+    """The ranks in region of the points of part, a box inside it, in
+    part's own rank order, as a read-only array."""
+    ranks = np.zeros(1, dtype=np.int64)
+    stride = 1
+    for (lo, hi), (rlo, rhi) in zip(part.intervals, region.intervals):
+        axis = np.arange(lo - rlo, hi - rlo, dtype=np.int64) * stride
+        ranks = (axis[:, None] + ranks).ravel()  # first coordinate fastest
+        stride *= rhi - rlo
+    ranks.setflags(write=False)
+    return ranks
 
 
 def neighbors(v: Point, region: Region) -> list[Point]:
@@ -235,9 +249,7 @@ def box(m: int, d: int) -> Region:
     check_dim(d)
     if m < 0:
         raise DomainError("box needs m >= 0")
-    return Region(tuple((-m - 1, m) for _ in range(d)), "ball", (m,))
-
-
+    return Region(tuple((-m - 1, m) for _ in range(d)))
 
 
 def lambda_box(n: int, h: int, k: int, d: int = 3) -> Region:
@@ -249,7 +261,7 @@ def lambda_box(n: int, h: int, k: int, d: int = 3) -> Region:
         raise DomainError("lambda_box needs n, h, k >= 1")
     ivs = [(-k * n - 1, k * n), (-k * n - 1, k * n), (0, h * k)]
     ivs += [(-k, k)] * (d - 3)
-    return Region(tuple(ivs), "lambda", (n, h, k))
+    return Region(tuple(ivs))
 
 
 def slab_window(h: int, k: int, d: int, half_width: int) -> Region:
@@ -264,7 +276,7 @@ def slab_window(h: int, k: int, d: int, half_width: int) -> Region:
     check_dim(d)
     ivs = [(-half_width - 1, half_width), (-half_width - 1, half_width), (0, h * k)]
     ivs += [(-k, k)] * (d - 3)
-    return Region(tuple(ivs), "slab", (h, k, half_width))
+    return Region(tuple(ivs))
 
 
 # -- macroscopic slab graph --------------------------------------------------
@@ -308,9 +320,7 @@ def macro_box(u: MacroVertex, k: int, d: int = 3) -> Region:
         raise DomainError("k must be even and >= 2")
     _check_macro_parity(u)
     shift = list(u) + [0] * (d - 3)
-    return Region(
-        tuple((k * s - k, k * s + k) for s in shift), "macro-box", (tuple(u), k)
-    )
+    return Region(tuple((k * s - k, k * s + k) for s in shift))
 
 
 def macro_face(u: MacroVertex, k: int, d: int = 3) -> Region:
@@ -321,7 +331,7 @@ def macro_face(u: MacroVertex, k: int, d: int = 3) -> Region:
     shift = list(u) + [0] * (d - 3)
     ivs = [(k * shift[0] - k - 1, k * shift[0] - k)]
     ivs += [(k * s - k, k * s + k) for s in shift[1:]]
-    return Region(tuple(ivs), "macro-face", (tuple(u), k))
+    return Region(tuple(ivs))
 
 
 def block_count_constant(k: int, d: int) -> int:

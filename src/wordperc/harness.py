@@ -186,6 +186,9 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         v.append("p must lie in [0, 1]")
     if spec.kind in ("allwords", "decay") and not 1 <= int(p.get("d", 3)) <= MAX_DIM:
         v.append(f"d must lie in 1..{MAX_DIM}")
+    if spec.kind in ("reach", "allwords", "decay", "renorm") and p.get("mode", "exact") not in (
+            "exact", "relaxed"):
+        v.append(f"{name} mode must be exact or relaxed, not {p['mode']!r}")
     region = None
     if "region" in REQUIRED[name]:
         try:
@@ -211,8 +214,6 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         check_vertices([p["vertex"]], region, "vertex")
     elif spec.kind == "reach":
         check_vertices([p["source"]], region, "source")
-        if p.get("mode", "exact") not in ("exact", "relaxed"):
-            v.append(f"reach mode must be exact or relaxed, not {p['mode']!r}")
         if int(p.get("max_index", 0)) > 1 << 20:
             v.append("max_index beyond the search guard")
     elif spec.kind == "allwords":
@@ -240,13 +241,14 @@ def _validate(spec: ExperimentSpec, v: list[str]):
         n = int(p["n"])
         if n < 4:
             v.append("n must be >= 4")
-        if stat == "domination":
-            if n % 2:
-                v.append("domination needs even n")
-            if not 0 < float(p["delta"]) < 0.1:
-                v.append("domination needs delta in (0, 1/10)")
+        if stat != "crossing" and n % 2:
+            v.append(f"{stat} needs even n")
+        if stat == "domination" and not 0 < float(p["delta"]) < 0.1:
+            v.append("domination needs delta in (0, 1/10)")
         if stat == "crossing" and not 0 < float(p["delta"]) <= 1:
             v.append("crossing needs delta in (0, 1]")
+        if stat == "crossing" and not isinstance(p.get("thin", False), bool):
+            v.append(f"thin must be true or false, not {p['thin']!r}")
         h = p.get("h")
         if stat == "crossing" and (not isinstance(h, int) or isinstance(h, bool) or h < 2):
             v.append(f"crossing needs an integer h >= 2, not {h!r}")
@@ -487,7 +489,7 @@ def run(spec: ExperimentSpec) -> dict:
         if stat == "crossing":
             result = crossing_stat(
                 trials, n, int(params["h"]), float(gamma), float(params["delta"]), seed,
-                thin=bool(params.get("thin", False)),
+                thin=params.get("thin", False),
             )
         elif stat == "domination":
             result = domination_probe(float(gamma), float(params["delta"]), n, trials, seed)

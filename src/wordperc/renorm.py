@@ -60,6 +60,7 @@ from .geometry import (
     macro_box,
     macro_face,
     macro_out_neighbors,
+    ranks_within,
     slab_window,
 )
 from .oriented import explore, slab_windows
@@ -160,27 +161,13 @@ def is_delta_seed(seed: SeedSet, delta: float, params: RenormParams) -> bool:
     return bool(seed.offsets.max(where=seed.offsets < UNREACHED, initial=0) <= params.C * seed.u[0])
 
 
-def _ranks_within(part: Region, region: Region) -> np.ndarray:
-    """The ranks in region of the points of part, a box inside it, in
-    part's own rank order, as a read-only array."""
-    ranks = np.zeros(1, dtype=np.int64)
-    stride = 1
-    for (lo, hi), (rlo, rhi) in zip(part.intervals, region.intervals):
-        axis = np.arange(lo - rlo, hi - rlo, dtype=np.int64) * stride
-        ranks = (axis[:, None] + ranks).ravel()  # first coordinate fastest
-        stride *= rhi - rlo
-    ranks.setflags(write=False)
-    return ranks
-
-
 @lru_cache(maxsize=256)
 def _search_box(u, k: int, d: int) -> tuple[Region, tuple[int, ...]]:
     """F^u u B^u as a region of its own: (k u1 - k - 1, k u1 + k] on the
     first axis and B^u's intervals on the others; and F^u's ranks in it."""
     face, bx = macro_face(u, k, d), macro_box(u, k, d)
-    ivs = ((face.intervals[0][0], bx.intervals[0][1]),) + bx.intervals[1:]
-    box = Region(ivs, "macro-search", (u, k))
-    return box, tuple(_ranks_within(face, box).tolist())
+    box = Region(((face.intervals[0][0], bx.intervals[0][1]),) + bx.intervals[1:])
+    return box, tuple(ranks_within(face, box).tolist())
 
 
 @lru_cache(maxsize=256)
@@ -192,7 +179,7 @@ def _box_view(u, k: int, d: int, intervals) -> tuple[Region, np.ndarray]:
     window, (box, _) = Region(intervals), _search_box(u, k, d)
     if not box.issubset(window):
         raise DomainError(f"F^u u B^u of {u} not inside the configuration")
-    return box, _ranks_within(box, window)
+    return box, ranks_within(box, window)
 
 
 def _restrict(cfg: Configuration, u, params: RenormParams) -> Configuration:
@@ -212,9 +199,9 @@ def _out_faces(u, k: int, d: int, outs: tuple) -> tuple:
     for v in outs:
         face = macro_face(v, k, d)
         part = face.intersect(box)
-        in_box = _ranks_within(part, box)
+        in_box = ranks_within(part, box)
         gather = np.full(face.volume, -1)
-        gather[_ranks_within(part, face)] = in_box
+        gather[ranks_within(part, face)] = in_box
         gather.setflags(write=False)
         bits = sum(1 << r for r in in_box.tolist())
         faces.append((bits, gather))
@@ -401,7 +388,7 @@ def micro_window(n: int, params: RenormParams) -> Region:
         (0, params.h * k),
     ]
     ivs += [(-k, k)] * (params.d - 3)
-    return Region(tuple(ivs), "exploration-window", (n, k, params.h))
+    return Region(tuple(ivs))
 
 
 def micro_left_column(n: int, params: RenormParams) -> Region:
@@ -409,7 +396,7 @@ def micro_left_column(n: int, params: RenormParams) -> Region:
     k = params.k
     ivs = [(k * n - 1, k * n), (-k * n - 1, k * n), (0, params.h * k)]
     ivs += [(-k, k)] * (params.d - 3)
-    return Region(tuple(ivs), "micro-left", (n, k, params.h))
+    return Region(tuple(ivs))
 
 
 @dataclass
@@ -488,16 +475,6 @@ def macro_exploration(
     # faces of distinct macro vertices are disjoint: T' is their union
     T_prime = {y: t for w in sorted(out_of_R & arrivals.keys())
                for y, t in arrivals[w].to_dict(params).items()}
-    # audits: no box examined twice; queried boxes overlap only in faces
-    overlaps = []
-    qs = sorted(set(queried))
-    parts = [(macro_box(a, params.k, params.d), macro_face(a, params.k, params.d)) for a in qs]
-    for i, (a, (box_a, face_a)) in enumerate(zip(qs, parts)):
-        for b, (box_b, face_b) in zip(qs[i + 1 :], parts[i + 1 :]):
-            if box_a.intersect(box_b) is not None:
-                overlaps.append((a, b, "box-box"))
-            if face_a.intersect(face_b) is not None:
-                overlaps.append((a, b, "face-face"))
     return ExplorationReport(
         n=n,
         T_macro=tuple(sorted(T_macro)),
@@ -511,8 +488,22 @@ def macro_exploration(
         T_prime=T_prime,
         T_prime_threshold=8 * params.delta * len(lambda_boundary(2 * n, params)),
         audit_no_requeries=len(queried) == len(set(queried)),
-        audit_box_overlaps=tuple(overlaps),
+        audit_box_overlaps=overlap_audit(sorted(set(queried)), params.k, params.d),
     )
+
+
+def overlap_audit(vertices, k: int, d: int) -> tuple:
+    """The pairs (a, b) of the sorted macro vertices whose boxes meet
+    ("box-box") or whose faces meet ("face-face"), in pairwise order."""
+    overlaps = []
+    parts = [(macro_box(a, k, d), macro_face(a, k, d)) for a in vertices]
+    for i, (a, (box_a, face_a)) in enumerate(zip(vertices, parts)):
+        for b, (box_b, face_b) in zip(vertices[i + 1 :], parts[i + 1 :]):
+            if box_a.intersect(box_b) is not None:
+                overlaps.append((a, b, "box-box"))
+            if face_a.intersect(face_b) is not None:
+                overlaps.append((a, b, "face-face"))
+    return tuple(overlaps)
 
 
 def _emn_trials(m, n, xi, params, mode, master_seed, t0, t1) -> list[bool]:

@@ -75,6 +75,7 @@ back from the targets that the search's own fronts leave open.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, repeat
@@ -84,7 +85,7 @@ import numpy as np
 
 from .config import Configuration
 from .errors import CapacityError, DomainError
-from .geometry import Region, neighbor_steps
+from .geometry import Region, neighbor_steps, ranks_within
 from .words import Word, WordGenerator, _pack, _tile, _unpack, has_period_two
 
 MAX_INDEX = 1 << 20
@@ -217,14 +218,11 @@ def _letters(word, upto: int) -> Word:
 
 
 def region_mask(region: Region, parts) -> int:
-    """Rank-order bitset of a union of subregions."""
+    """Rank-order bitset of a union of subregions, each cut to region."""
     mask = np.zeros(region.volume, dtype=bool)
-    pts = region.points_array()
     for part in parts:
-        sub = np.ones(region.volume, dtype=bool)
-        for axis, (lo, hi) in enumerate(part.intervals):
-            sub &= (pts[:, axis] > lo) & (pts[:, axis] <= hi)
-        mask |= sub
+        if (inside := part.intersect(region)) is not None:
+            mask[ranks_within(inside, region)] = True
     return _pack(mask)
 
 
@@ -259,9 +257,7 @@ def _stacked(sizes, copies: int = 1):
     those whose r - stride is; and the repunit with bit k * volume set for
     every copy k.  Keyed on the shape and the copies alone, so every box of
     one shape shares an entry, and so do a range's blocks but its last."""
-    volume = 1
-    for size in sizes:
-        volume *= size
+    volume = math.prod(sizes)
     out = []
     stride = 1
     for size in sizes:
@@ -745,7 +741,8 @@ def sees_all_words_block(
     exact = mode == "exact"
     if exact and length > inside.bit_count():
         return [(False, Word(0, length))] * copies  # no self-avoiding path is that long
-    kind, steps = neighbor_steps(region.sizes)
+    if exact:  # a relaxed walk reads no walk table
+        kind, steps = neighbor_steps(region.sizes)
     ranks = _ranks(starts, volume).tolist()
     lattice, repunit = _stacked(region.sizes, copies)
     ones = _pack(colors)

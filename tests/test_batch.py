@@ -277,16 +277,42 @@ def test_exact_blocks_read_copies_at_any_bit_offset(sizes, p, word, max_index, l
 BRUTE_REACH = {"exact": saw_reach_bruteforce, "relaxed": walk_reach_bruteforce}
 
 
-def first_unseen_word(cfg, length, frm=None, mode="exact"):
-    """(ok, failing) of sees_all_words from frm (the whole region if None),
-    by one brute-force search per word: over self-avoiding paths exact,
-    over walks relaxed."""
+def first_unseen_word(cfg, length, frm=None, mode="exact", horizon=None):
+    """(ok, failing) of sees_all_words from frm (the whole region if None)
+    inside the horizon (the whole region if None), by one brute-force
+    search per word: over self-avoiding paths exact, over walks relaxed."""
     starts = list((frm or cfg.region).iter_points())
+    allowed = None if horizon is None else set(horizon.iter_points())
     for w in enumerate_words(length):
-        pairs = BRUTE_REACH[mode](cfg, SourceSet.uniform(cfg.region, starts, w), length - 1)
+        pairs = BRUTE_REACH[mode](cfg, SourceSet.uniform(cfg.region, starts, w), length - 1,
+                                  allowed)
         if all(t < length - 1 for _, t in pairs):
             return False, w
     return True, None
+
+
+@st.composite
+def tiny_colour_blocks(draw):
+    """A box of one or two axes and at most 9 sites, and up to 30 rows of
+    its colours."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    region = Region(tuple((0, s) for s in sizes))
+    p = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    return region, sample_block(region, p, draw(SEEDS), 3, 3 + draw(st.integers(1, 30)))
+
+
+@given(tiny_colour_blocks(), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_relaxed_sees_all_words_rows_match_walk_bruteforce(block, length, data):
+    """Each relaxed row of sees_all_words_block is a breadth-first search
+    over walks inside the horizon, one word at a time in enumerate_words
+    order: (ok, first failing word) alike."""
+    region, colors = block
+    frm = sub_box(data, region)
+    horizon = sub_box(data, region) if data.draw(st.booleans()) else None
+    got = sees_all_words_block(region, colors, frm, length, horizon, "relaxed")
+    assert got == [first_unseen_word(Configuration.from_bools(region, row), length, frm,
+                                     "relaxed", horizon) for row in colors]
 
 
 def sees_words(cfg, ball, L, mode):

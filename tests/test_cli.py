@@ -18,6 +18,7 @@ import wordperc
 from wordperc import config, harness, renorm, wierman
 from wordperc.cli import build_parser, main
 from wordperc.geometry import box
+from wordperc.harness import STATS
 from wordperc.rng import RngStream
 
 
@@ -678,6 +679,30 @@ def test_reach_spec_unknown_mode(tmp_path, capsys):
     assert "reach mode must be exact or relaxed, not 'fast'" in capsys.readouterr().err
 
 
+RENORM_SPEC = {"p": 0.5, "k": 2, "word": "ones", "n": 3, "m": 1, "tdensity": 0.5,
+               "mode": "fast"}
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("oriented", {"stat": "crossing", "n": 4, "h": 2, "gamma": 0.5, "delta": 0.2,
+                  "thin": "false"}, "thin must be true or false, not 'false'"),
+    ("oriented", {"stat": "xi5n", "n": 5, "gamma": 0.5}, "xi5n needs even n"),
+    ("allwords", {"p": 0.5, "m": 0, "L": 1, "R": 1, "mode": "fast"},
+     "allwords mode must be exact or relaxed, not 'fast'"),
+    ("decay", {"p": 0.5, "L": 1, "R": 1, "m_list": [0], "mode": "fast"},
+     "decay mode must be exact or relaxed, not 'fast'"),
+    *[("renorm", {**RENORM_SPEC, "stat": stat},
+       f"{stat} mode must be exact or relaxed, not 'fast'") for stat in STATS["renorm"]],
+], ids=["thin-text", "xi5n-odd-n", "allwords-mode", "decay-mode", "good-mode", "explore-mode",
+        "emn-mode"])
+def test_spec_refused_before_any_trial(tmp_path, capsys, kind, params, message):
+    """Parameters a trial would misread or refuse late are listed by validate."""
+    code, stdout = run_cli(["--spec", spec_file(tmp_path, kind, params)])
+    assert code == 2
+    assert stdout == ""
+    assert message in capsys.readouterr().err
+
+
 def test_spec_infinite_integer_parameter(tmp_path, capsys):
     # JSON Infinity where an integer belongs: int() overflows
     spath = spec_file(tmp_path, "allwords", {"p": 0.5, "m": 0, "L": float("inf"), "R": 1})
@@ -689,13 +714,13 @@ def test_spec_infinite_integer_parameter(tmp_path, capsys):
 # -- a dimension past geometry.MAX_DIM is refused before any axis is built ----
 
 
-def _limited():
-    """Cap the child's address space at 2 GiB, so a regression that builds
-    per-axis tuples without bound fails with MemoryError instead of eating
-    the host's memory."""
+def _limited(cap):
+    """A preexec_fn that caps the child's address space at cap bytes, so a
+    regression that builds tables without bound fails with MemoryError
+    instead of eating the host's memory."""
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 HUGE_DIM = str(2 ** 70)
@@ -718,7 +743,7 @@ def test_huge_dimension_exits_2_at_once(tmp_path, argv):
     src = str(Path(wordperc.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-m", "wordperc.cli", *argv], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                          text=True, timeout=60, preexec_fn=_limited)
+                          text=True, timeout=60, preexec_fn=_limited(1 << 31))
     assert proc.returncode == 2, proc.stderr
     assert "must lie in 1..64" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "c.wpc").exists()
@@ -740,8 +765,24 @@ def test_tall_crossing_window_runs_in_two_gib(tmp_path, window):
     argv = ["oriented", "--stat", "crossing", "--n", "4", "--gamma", "0.5", *window]
     proc = subprocess.run([sys.executable, "-m", "wordperc.cli", *argv], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                          text=True, timeout=300, preexec_fn=_limited)
+                          text=True, timeout=300, preexec_fn=_limited(1 << 31))
     assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["relaxed", "exact"])
+def test_decay_at_the_horizon_cap_runs_in_512_mib(tmp_path, mode):
+    """A decay run at the horizon radius cap R = 64 (2,146,689 sites)
+    builds no per-site point or neighbour table: its start-ball masks
+    come from the axis strides, and only exact mode builds its neighbour
+    steps, also from the strides."""
+    src = str(Path(wordperc.__file__).parents[1])
+    argv = ["decay", "--p", "0.5", "--L", "2", "--R", "64", "--m-list", "0,64",
+            "--trials", "1", "--mode", mode]
+    proc = subprocess.run([sys.executable, "-m", "wordperc.cli", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=300, preexec_fn=_limited(1 << 29))
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 
 

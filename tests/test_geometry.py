@@ -204,6 +204,38 @@ def test_neighbor_steps_match_neighbor_ranks(region):
         assert [r + s for s in steps[kind[r]]] == [int(u) for u in table[r] if u >= 0]
 
 
+# shapes with axes of one site, in d = 1, 2, 3, 33 and 64; past d = 32 the
+# directions of all 2d axes no longer fit a 64-bit kind
+SIZE_ONE_SHAPES = [(1,), (4,), (1, 3), (3, 1), (1, 1, 4), (2, 1, 3), (3,) + (1,) * 31 + (2,),
+                   (1, 2) + (1,) * 30 + (3,), (2,) + (1,) * 62 + (2,), (1,) * 64]
+
+
+@pytest.mark.parametrize("sizes", SIZE_ONE_SHAPES)
+def test_neighbor_steps_match_neighbors_per_point(sizes):
+    region = Region(tuple((0, s) for s in sizes))
+    neighbor_steps.cache_clear()
+    kind, steps = neighbor_steps(sizes)
+    for r, pt in enumerate(region.iter_points()):
+        assert [region.unrank(r + s) for s in steps[kind[r]]] == neighbors(pt, region)
+
+
+@pytest.mark.parametrize("sizes", [(4, 3, 2), (3,) + (1,) * 31 + (2,), (1, 5)])
+def test_neighbor_steps_read_no_per_site_table(sizes, monkeypatch):
+    import wordperc.geometry as geometry
+
+    neighbor_steps.cache_clear()
+    want = neighbor_steps(sizes)
+    neighbor_steps.cache_clear()
+
+    def forbidden(*args):
+        raise AssertionError("per-site table built")
+
+    monkeypatch.setattr(geometry, "neighbor_ranks", forbidden)
+    monkeypatch.setattr(geometry, "_points_array", forbidden)
+    assert neighbor_steps(sizes) == want
+    neighbor_steps.cache_clear()
+
+
 def test_d4_regions():
     lam = lambda_box(1, 2, 2, 4)
     assert lam.dim == 4

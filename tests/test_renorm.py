@@ -295,7 +295,8 @@ def test_exact_exploration_one_search_per_seeded_box(monkeypatch):
     real_search, real_check = renorm.exact_word_reach, renorm.is_delta_seed
 
     def searching(cfg, *args, **kwargs):
-        searched.append(cfg.region.params[0])  # the macro vertex of the box
+        # the macro vertex u of the box F^u u B^u, whose axes end at k u + k
+        searched.append(tuple(hi // par.k - 1 for _, hi in cfg.region.intervals))
         return real_search(cfg, *args, **kwargs)
 
     def checking(seed, *args):
@@ -361,23 +362,41 @@ def pairwise_overlaps(vertices, k, d):
 
 
 def test_exploration_audit_lists_overlaps_in_pairwise_order(monkeypatch):
-    """macro_exploration's audit on boxes and faces widened by one site:
-    the pairs of the pairwise loop over its sorted queried vertices.  A
-    first run fills the box-search caches, so the widened parts reach the
-    audit alone."""
+    """The overlap audit on boxes and faces widened by one site: the pairs
+    of the pairwise loop over an exploration's sorted queried vertices.
+    The audit alone sees the widened parts; every renorm cache is emptied
+    first, so no entry a search left behind stands in for them."""
     par = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
     n = 5
     cfg = all_ones(micro_window(n, par))
     T = {p: 0 for p in micro_left_column(n, par).iter_points()}
     clean = macro_exploration(cfg, T, ConstantWord(1), par, n)
     assert clean.audit_box_overlaps == ()
+    queried = sorted(set(clean.queried))
+    for cached in vars(renorm).values():
+        getattr(cached, "cache_clear", lambda: None)()
     monkeypatch.setattr(renorm, "macro_box", widened(macro_box, 1))
     monkeypatch.setattr(renorm, "macro_face", widened(macro_face, 1))
-    rep = macro_exploration(cfg, T, ConstantWord(1), par, n)
-    assert rep.queried == clean.queried
-    want = pairwise_overlaps(sorted(set(rep.queried)), par.k, par.d)
+    got = renorm.overlap_audit(queried, par.k, par.d)
+    want = pairwise_overlaps(queried, par.k, par.d)
     assert {kind for _, _, kind in want} == {"box-box", "face-face"}
-    assert rep.audit_box_overlaps == want
+    assert got == want
+
+
+def test_exploration_reports_the_overlap_audit(monkeypatch):
+    """macro_exploration reports overlap_audit of its sorted queried
+    vertices, as it returns them."""
+    par = RenormParams(d=3, p=0.5, k=2, delta=1e-6, h=4)
+    n = 5
+    cfg = all_ones(micro_window(n, par))
+    T = {p: 0 for p in micro_left_column(n, par).iter_points()}
+    calls = []
+    monkeypatch.setattr(renorm, "overlap_audit",
+                        lambda *args: calls.append(args) or (("sentinel",),))
+    rep = macro_exploration(cfg, T, ConstantWord(1), par, n)
+    assert rep.queried
+    assert calls == [(sorted(set(rep.queried)), par.k, par.d)]
+    assert rep.audit_box_overlaps == (("sentinel",),)
 
 
 # -- result pins -----------------------------------------------------------------

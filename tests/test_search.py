@@ -85,6 +85,35 @@ def test_relaxed_contains_exact_and_monotone_horizon():
         assert exact_small.issubset(exact)
 
 
+@pytest.mark.parametrize("parts", [
+    [Region(((-3, 0), (-1, 1)))],  # partly outside
+    [Region(((-9, 0), (-9, 9)))],  # covers the region's lower rows and more
+    [Region(((1, 4), (-2, 1)))],  # disjoint
+    [Region(((-2, -1), (-2, 1))), Region(((5, 6), (5, 6))), Region(((-1, 5), (0, 3)))],
+])
+def test_region_mask_is_the_per_point_definition(parts, monkeypatch):
+    import wordperc.geometry as geometry
+
+    want = sum(1 << R33.rank(pt) for pt in R33.iter_points()
+               if any(part.contains(pt) for part in parts))
+
+    def forbidden(*args):
+        raise AssertionError("points table built")
+
+    monkeypatch.setattr(geometry, "_points_array", forbidden)
+    assert region_mask(R33, parts) == want
+
+
+# six sites in d = 33: every axis but the first and the last has one site
+R6_D33 = Region(((0, 3),) + ((0, 1),) * 31 + ((0, 2),))
+
+
+def test_exact_reach_in_33_dimensions_is_the_bruteforce_reach():
+    src = SourceSet.single(R6_D33, R6_D33.min_point(), Word.from_string("1101"))
+    for cfg in enumerate_configs(R6_D33):
+        assert exact_word_reach(cfg, src, 3).pairs() == saw_reach_bruteforce(cfg, src, 3)
+
+
 def test_relaxed_equals_exact_for_constant_word():
     for seed in range(5):
         cfg = sample(R33, 0.6, RngStream(55, seed))

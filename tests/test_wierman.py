@@ -102,6 +102,16 @@ def test_block_refused_above_the_cap_before_any_draw(monkeypatch):
         couple_block(box(10, 2), [(0, 0)], AlternatingWord(), 0.4, 1, 0, 5)
 
 
+def test_coupling_certificates_verify_in_33_dimensions():
+    """A region of six sites whose 31 middle axes have one site each."""
+    from wordperc.harness import ExperimentSpec, run
+
+    region = {"kind": "intervals", "intervals": [[0, 3]] + [[0, 1]] * 31 + [[0, 2]]}
+    spec = ExperimentSpec("wierman", {"region": region, "p": 0.5, "word": "alt",
+                                      "sources": [[1] * 33]}, 200, 1)
+    assert run(spec)["result"]["successes"] == 200
+
+
 def test_p_above_half_rejected():
     with pytest.raises(DomainError):
         wierman_couple(R33, [(0, 0)], ConstantWord(1), 0.6, RngStream(1, 0))
