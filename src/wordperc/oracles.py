@@ -2,7 +2,8 @@
 
 These are deliberately written against the definitions (explicit path
 enumeration over point tuples) and share no machinery with the search
-module, so they can act as oracles for it.
+module, so they can act as oracles for it; ``verify_witness`` replays a
+witness path the same way.
 """
 
 from __future__ import annotations
@@ -126,3 +127,18 @@ def distance_map(cfg: Configuration, S, within=None) -> dict:
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def verify_witness(cfg: Configuration, path, word, t_start: int) -> bool:
+    """Replay a witness: self-avoiding and reading word[t_start..]."""
+    if len(set(path)) != len(path):
+        return False
+    letters = _letters(word, t_start + len(path) - 1)
+    prev = None
+    for i, v in enumerate(path):
+        if cfg.bit_at(v) != letters[t_start + i]:
+            return False
+        if prev is not None and sum(abs(a - b) for a, b in zip(prev, v)) != 1:
+            return False
+        prev = v
+    return True

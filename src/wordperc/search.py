@@ -46,24 +46,37 @@ run on every copy at once (multi-spin coding, after Jacobs and Rebbi,
 J. Comput. Phys. 41, 1981): trial k is the k-th copy of the region
 along an extra axis that ``_step`` never steps, the per-axis edge masks
 repeated once per copy, so one sweep over the stacked bitset advances
-every trial.  ``exact_reach_block`` keeps
-the fronts of that sweep as every trial's forward table: since exact
-reach is a subset of relaxed reach, a trial it does not reach at
-max_index fails, and each other trial runs only ``_walks_to_end``, which
-reads the trial's copy in place through byte views of the stacked fronts
+every trial.  ``one_connected_block`` runs the constant word 1 over the
+same stacked lattice to its fixpoint, the 1-clusters of a block of
+colourings at once.
+
+``_nb_step`` is the non-backtracking step (Hashimoto's operator on the
+directed edges, Adv. Stud. Pure Math. 15, 1989): 2d fronts per index,
+one per direction of entry, each shifted from the union of every front
+but the one that would step straight back.  Boxes of Z^d are bipartite
+with girth 4, so a walk of at most 3 steps revisits a site only by
+stepping straight back, and on a path no walk that never steps back
+revisits one: there (``_decided``) ``_nb_sweep`` gives exact reach with
+no depth-first search.  ``exact_reach_block`` to max_index <= 3, or on a
+path, takes its answer from that sweep; otherwise it keeps the relaxed
+sweep's fronts as every trial's forward table: since exact reach is a
+subset of relaxed reach, a trial it does not reach at max_index fails,
+and each other trial runs only ``_walks_to_end``, which reads the
+trial's copy in place through byte views of the stacked fronts
 (``_occupied`` tells the copies with a nonempty front in a few int
-operations).  ``one_connected_block`` runs the constant
-word 1 over the same stacked lattice to its fixpoint, the 1-clusters of
-a block of colourings at once.
+operations).
 
 ``sees_all_words_block`` walks the word trie depth first for a block of
 trials at once, ``sees_all_words`` being its one-row case: the front of
 a prefix is its parent's front stepped and masked by its last letter, so
 words sharing a prefix share its fronts, and a trial fails at the first
 leaf whose front is empty (the first word of the subtree that the empty
-front settles) or, exact, whose chain of fronts admits no self-avoiding
-walk to its last index.  Its start-ball and horizon bitsets are cached
-per pair of region intervals, since every block asks for the same ones.
+front settles).  Exact, for words of length at most 4 or on a path, the
+fronts are the directional non-backtracking ones and decide the leaf
+alike; for longer words on other regions a leaf also fails if its chain
+of fronts admits no self-avoiding walk to its last index.  Its
+start-ball and horizon bitsets are cached per pair of region intervals,
+since every block asks for the same ones.
 
 A search masks its colour bitsets straight from ``Configuration.bits``
 (the same rank order).  Every site set a search takes (``within``, for
@@ -86,7 +99,7 @@ import numpy as np
 from .config import Configuration
 from .errors import CapacityError, DomainError
 from .geometry import Region, neighbor_steps, ranks_within
-from .words import Word, WordGenerator, _pack, _tile, _unpack, has_period_two
+from .words import Word, WordGenerator, _occupied, _pack, _tile, _unpack, has_period_two
 
 MAX_INDEX = 1 << 20
 UNREACHED = MAX_INDEX + 1  # a first arrival past every index a search reads
@@ -290,6 +303,44 @@ def _sweep(lattice, allowed, letters: int, indices, seeds: dict, front: int = 0)
         yield t, front
 
 
+def _nb_step(fronts, lattice) -> list:
+    """One non-backtracking step of directional fronts (Hashimoto's
+    operator on the directed edges): fronts[2i] holds sites entered by
+    +e_i, fronts[2i + 1] sites entered by -e_i, and so does the result for
+    their neighbours.  A site leaves by every direction but straight back,
+    so the shift along +e_i takes the union of every front but
+    fronts[2i + 1]: the 2d masked shifts of _step."""
+    pairs = list(zip(fronts[::2], fronts[1::2]))
+    axes = [plus | minus for plus, minus in pairs]
+    out = []
+    for i, ((stride, up, down), (plus, minus)) in enumerate(zip(lattice, pairs)):
+        rest = reduce(or_, axes[:i] + axes[i + 1:], 0)
+        out += ((rest | plus) & up) << stride, ((rest | minus) & down) >> stride
+    return out
+
+
+def _nb_sweep(lattice, allowed, letters: int, indices, seeds: dict, fronts=0):
+    """_sweep over non-backtracking walks from the seeds at index 0 (the
+    only ones its callers have): yield (t, D_t) for t in indices, D_t the
+    directional fronts (see _nb_step) of the sites such a walk reading the
+    letters can occupy at index t; fronts is D before the first index.  A
+    seed leaves every way: it stands in every front."""
+    for t in indices:
+        moved = _nb_step(fronts, lattice) if t else [seeds[0]] * (2 * len(lattice))
+        fronts = [front & allowed[letters >> t & 1] for front in moved]
+        yield t, fronts
+
+
+def _decided(sizes, last_index: int) -> bool:
+    """Whether non-backtracking walks of last_index steps on a region of
+    these axis sizes (or any part of it) are exactly its self-avoiding
+    ones.  Boxes of Z^d are bipartite with girth 4, so a walk of at most 3
+    steps revisits a site only by stepping straight back; on a path (at
+    most one axis longer than one site) no walk that never steps back
+    revisits a site."""
+    return last_index <= 3 or sum(size > 1 for size in sizes) <= 1
+
+
 def _groups(region: Region, sources: SourceSet, max_index: int) -> dict[int, dict[int, int]]:
     """Each word id's seeds up to max_index; the sources must lie on region."""
     if max_index < 0:
@@ -336,11 +387,9 @@ def one_connected_block(region: Region, colors: np.ndarray, S) -> np.ndarray:
     sites 1-connected to S through 1-sites, as a (rows, volume) bool array;
     S members count only if their own site is 1.  Every row is a copy of
     the stacked sweep of relaxed_reach_block."""
-    if colors.ndim != 2 or colors.shape[1] != region.volume:
-        raise DomainError("colour block shape mismatch")
-    copies, volume = colors.shape
-    seen = _one_connected(region, _pack(colors), copies, S)
-    return _unpack(seen, copies * volume).reshape(copies, volume)
+    copies, _, _, (_, ones) = _block(region, colors)
+    seen = _one_connected(region, ones, copies, S)
+    return _unpack(seen, copies * region.volume).reshape(copies, region.volume)
 
 
 def one_connected_set(cfg: Configuration, S, within=None) -> set[Point]:
@@ -369,7 +418,9 @@ def _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit=1, sett
     for wid, by_t in groups.items():
         letters = _letters(sources.words[wid], max_index)
         period2 = has_period_two(letters, max_index)
-        seeds = {t: bits * repunit for t, bits in by_t.items()}
+        # a one-bit seed is spread over the copies by a shift, not a product
+        seeds = {t: repunit << bits.bit_length() - 1 if bits & bits - 1 == 0 else bits * repunit
+                 for t, bits in by_t.items()}
         t_last = max(seeds)
         prev = prev2 = None
         indices = range(min(seeds), max_index + 1)
@@ -400,37 +451,16 @@ def relaxed_word_reach(cfg: Configuration, sources: SourceSet, max_index: int,
     return ReachResult(region, fronts, max_index, exact=False, tails=tuple(tails))
 
 
-def _block_sweep(region: Region, colors: np.ndarray, sources: SourceSet, max_index: int,
-                 settle: bool = False):
-    """(copies, the relaxed sweep of the rows of colors stacked as copies of
-    region along an extra axis that _step never takes, settle passed on)."""
-    groups = _groups(region, sources, max_index)
+def _block(region: Region, colors: np.ndarray):
+    """(copies, lattice, repunit, allowed) of the rows of colors stacked as
+    copies of region along an extra axis that _step never takes, allowed
+    being the 0-sites and the 1-sites of every copy."""
     if colors.ndim != 2 or colors.shape[1] != region.volume:
         raise DomainError("colour block shape mismatch")
     copies, volume = colors.shape
     ones = _pack(colors)  # bit k * volume + r is rank r of trial k
-    allowed = ((1 << copies * volume) - 1 & ~ones, ones)
     lattice, repunit = _stacked(region.sizes, copies)
-    return copies, _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit, settle)
-
-
-@lru_cache(maxsize=32)
-def _alternate(volume: int, copies: int):
-    """For copies of a region of this volume: the sites of the even copies,
-    those of the odd copies, and the first sites after each even and after
-    each odd copy."""
-    even = _tile((1 << volume) - 1, 2 * volume, copies * volume)
-    after = _tile(1, 2 * volume, copies * volume) << volume
-    return even, (1 << copies * volume) - 1 ^ even, after, after << volume
-
-
-def _occupied(front: int, copies: int, volume: int) -> int:
-    """Bit k * volume is set iff copy k of a stacked bitset is nonempty.
-    Adding all ones to a copy carries out of it iff it is nonempty; the
-    even and the odd copies are added apart, so that no carry runs on into
-    the next copy's sum."""
-    even, odd, after_even, after_odd = _alternate(volume, copies)
-    return (((front & even) + even) & after_even | ((front & odd) + odd) & after_odd) >> volume
+    return copies, lattice, repunit, ((1 << copies * volume) - 1 & ~ones, ones)
 
 
 def relaxed_reach_block(
@@ -452,11 +482,13 @@ def relaxed_reach_block(
 
     The sweep reads every word up to max_index, so a word shorter than
     that is a DomainError even where no walk could get so far."""
-    copies, sweep = _block_sweep(region, colors, sources, max_index, settle=not reached)
+    groups = _groups(region, sources, max_index)
+    copies, lattice, repunit, allowed = _block(region, colors)
     volume = region.volume
     sites = copies * volume
     hits = seen = 0
-    for t, front, tail in sweep:
+    for t, front, tail in _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit,
+                                         settle=not reached):
         seen |= front
         # past the last seed, a copy of a period-2 front is empty iff its
         # copy at max_index is (a settled or repeating sweep's last front)
@@ -474,36 +506,39 @@ def exact_reach_block(region: Region, colors: np.ndarray, sources: SourceSet,
     for the one source at offset 0 of a reach trial (any other source set
     is a DomainError).
 
-    One relaxed sweep of the stacked rows gives every trial's forward
-    table, the fronts at indices 0..max_index (a period-2 tail expanded);
-    exact reach is a subset of relaxed reach, so a trial whose front at
-    max_index is empty fails, and past index 1 each other trial runs
-    _walks_to_end at its copy's bit offset, reading the fronts in place as
-    bytes views that replace them one by one: the steps exact_word_reach
-    takes, over the same table in the same neighbour order.  No
-    self-avoiding walk gets past index volume - 1 and exact_word_reach
-    reads the word only that far, so the sweep stops at min(max_index,
-    volume - 1), reading the same letters, and a larger max_index fails
-    every trial.  The block keeps at most min(max_index, volume - 1) + 1
-    fronts of rows * volume bits, at most max(BLOCK_SITES, volume) for a
-    block of config.trial_blocks."""
+    One sweep of the stacked rows from the source gives every trial's
+    forward table, the fronts at indices 0..max_index.  Where the walks to
+    max_index that never step straight back are the self-avoiding ones
+    (max_index <= 3, or a path-shaped region; see _decided), the sweep is
+    _nb_sweep and decides every trial: it succeeds iff its copy of the
+    front at max_index is nonempty, and no depth-first step is taken.
+    Otherwise it is the relaxed sweep: exact reach is a subset of relaxed
+    reach, so a trial whose front at max_index is empty fails, and each
+    other trial runs _walks_to_end at its copy's bit offset, reading the
+    fronts in place as bytes views that replace them one by one: the steps
+    exact_word_reach takes, over the same table in the same neighbour
+    order.  No self-avoiding walk gets past index volume - 1 and
+    exact_word_reach reads the word only that far, so the sweep stops at
+    min(max_index, volume - 1), reading the same letters, and a larger
+    max_index fails every trial.  The block keeps at most min(max_index,
+    volume - 1) + 1 fronts of rows * volume bits, at most max(BLOCK_SITES,
+    volume) for a block of config.trial_blocks."""
     if [{t: bits.bit_count() for t, bits in by_t.items()} for by_t in sources.seeds] != [{0: 1}]:
         raise DomainError("exact_reach_block takes one source at offset 0")
     start = _groups(region, sources, max_index)[0][0].bit_length() - 1  # checks max_index too
     volume = region.volume
     top = min(max_index, volume - 1)
-    copies, sweep = _block_sweep(region, colors, sources, top)
-    fronts = [0] * (top + 1)
-    for t, front, tail in sweep:
-        fronts[t] = front
-        if tail is not None:  # the fronts alternate from here on
-            for u in range(t + 1, top + 1):
-                fronts[u] = fronts[u - 2]
+    copies, lattice, repunit, allowed = _block(region, colors)
+    letters = _letters(sources.words[0], top).bits
+    directed = _decided(region.sizes, max_index)
+    sweep = (_nb_sweep if directed else _sweep)(lattice, allowed, letters, range(top + 1),
+                                                 {0: repunit << start})
+    fronts = [reduce(or_, front) if directed else front for _, front in sweep]
     if max_index > top:
         return np.zeros(copies, dtype=bool)
     sites = copies * volume
     out = _unpack(_occupied(fronts[max_index], copies, volume), sites)[::volume]
-    if max_index > 1 and out.any():  # a walk of at most one step cannot revisit a site
+    if not directed and out.any():
         kind, steps = neighbor_steps(region.sizes)
         for t, front in enumerate(fronts):  # in place: the block holds one table
             fronts[t] = front.to_bytes(-(-sites // 8), "little")
@@ -678,21 +713,6 @@ def exact_word_reach(
     return res
 
 
-def verify_witness(cfg: Configuration, path, word, t_start: int) -> bool:
-    """Replay a witness: self-avoiding and reading word[t_start..]."""
-    if len(set(path)) != len(path):
-        return False
-    letters = _letters(word, t_start + len(path) - 1)
-    prev = None
-    for i, v in enumerate(path):
-        if cfg.bit_at(v) != letters[t_start + i]:
-            return False
-        if prev is not None and sum(abs(a - b) for a, b in zip(prev, v)) != 1:
-            return False
-        prev = v
-    return True
-
-
 def sees_all_words_block(
     region: Region,
     colors: np.ndarray,
@@ -711,22 +731,26 @@ def sees_all_words_block(
     walk ends when no copy is left.  An empty front fails a copy's whole
     subtree, whose first word is that prefix padded with zeros, so the
     copy fails at the first leaf whose front is empty, with that leaf's
-    word.  A relaxed leaf is seen iff its front is nonempty; an exact one
-    iff _walks_to_end, reading the copy's chain of fronts along the leaf's
-    word in place at its bit offset, finds a self-avoiding walk to index
-    length - 1: the steps the one-row walk takes.  Exact, each front the
-    walk recomputes also refreshes its bytes view, which the leaf checks
-    read.  The block keeps length fronts of rows * volume bits, and
-    exact their views too."""
+    word.  A relaxed leaf is seen iff its front is nonempty.  Exact, where
+    the walks of length - 1 steps that never step straight back are the
+    self-avoiding ones (length <= 4, or a path-shaped region; see
+    _decided), the walk keeps the directional fronts of _nb_sweep instead,
+    and a leaf is seen iff their union is nonempty: no depth-first step is
+    taken.  Otherwise an exact leaf is seen iff _walks_to_end, reading the
+    copy's chain of fronts along the leaf's word in place at its bit
+    offset, finds a self-avoiding walk to index length - 1: the steps the
+    one-row walk takes, each front the walk recomputes also refreshing its
+    bytes view, which the leaf checks read.  The block keeps length fronts
+    of rows * volume bits (2d of them an index when directional), and
+    views of them for the leaf checks."""
     if length < 0:
         raise DomainError("negative word length")
     if length > 24:
         raise CapacityError("sees_all_words capped at L <= 24")
     if mode not in ("exact", "relaxed"):
         raise DomainError(f"unknown mode {mode!r}")
-    if colors.ndim != 2 or colors.shape[1] != region.volume:
-        raise DomainError("colour block shape mismatch")
-    copies, volume = colors.shape
+    copies, lattice, repunit, allowed = _block(region, colors)
+    volume = region.volume
     out = [(True, None)] * copies
     if length == 0:
         return out
@@ -741,28 +765,32 @@ def sees_all_words_block(
     exact = mode == "exact"
     if exact and length > inside.bit_count():
         return [(False, Word(0, length))] * copies  # no self-avoiding path is that long
-    if exact:  # a relaxed walk reads no walk table
+    directed = exact and _decided(region.sizes, length - 1)
+    walks = exact and not directed  # the leaf checks run _walks_to_end
+    if walks:  # only they read a walk table
         kind, steps = neighbor_steps(region.sizes)
-    ranks = _ranks(starts, volume).tolist()
-    lattice, repunit = _stacked(region.sizes, copies)
-    ones = _pack(colors)
-    allowed = (inside * repunit & ~ones, inside * repunit & ones)
+        ranks = _ranks(starts, volume).tolist()
+    every = inside * repunit
+    allowed = (allowed[0] & every, allowed[1] & every)
     seeds = {0: starts * repunit}
+    sweep = _nb_sweep if directed else _sweep
     live = repunit  # bit k * volume for each copy still in the walk
     sites = copies * volume
     fronts = [0] * length  # fronts[t]: sites a walk reading word[:t + 1] holds at t
-    views = [b""] * length  # exact: fronts[t] as bytes, which the leaf checks read
+    views = [b""] * length  # fronts[t] as bytes, which the leaf checks read
     nbytes = -(-sites // 8)
     word = t = 0  # letter i is bit i; letters after t are 0 (the 0-children)
     while True:
         # fronts t.. along the 0-children, down to a leaf
         prev = fronts[t - 1] if t else 0
-        for t, front in _sweep(lattice, allowed, word, range(t, length), seeds, prev):
+        for t, front in sweep(lattice, allowed, word, range(t, length), seeds, prev):
             fronts[t] = front
-            if exact:
+            if walks:
                 views[t] = front.to_bytes(nbytes, "little")
+        if directed:
+            front = reduce(or_, front)
         failed = live & ~_occupied(front, copies, volume)
-        if exact and length > 1:
+        if walks:
             for k in (_ranks(live ^ failed, sites) // volume).tolist():
                 if not _walks_to_end(steps, kind, views, ranks, length, k * volume):
                     failed |= 1 << k * volume

@@ -11,6 +11,7 @@ read-only bool array for vectorized reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -296,6 +297,26 @@ def _tile(pattern: int, period: int, n: int) -> int:
     copies = -(-n // period)
     repunit = ((1 << period * copies) - 1) // ((1 << period) - 1)
     return pattern * repunit & ((1 << n) - 1)
+
+
+@lru_cache(maxsize=32)
+def _alternate(volume: int, copies: int):
+    """For copies of a region of this volume: the sites of the even copies,
+    those of the odd copies, and the first sites after each even and after
+    each odd copy."""
+    even = _tile((1 << volume) - 1, 2 * volume, copies * volume)
+    after = _tile(1, 2 * volume, copies * volume) << volume
+    return even, (1 << copies * volume) - 1 ^ even, after, after << volume
+
+
+def _occupied(front: int, copies: int, volume: int) -> int:
+    """Bit k * volume is set iff copy k of a bitset of copies of volume
+    bits side by side (a stacked search front) is nonempty.  Adding all
+    ones to a copy carries out of it iff it is nonempty; the even and the
+    odd copies are added apart, so that no carry runs on into the next
+    copy's sum."""
+    even, odd, after_even, after_odd = _alternate(volume, copies)
+    return (((front & even) + even) & after_even | ((front & odd) + odd) & after_odd) >> volume
 
 
 def _pack(flags: np.ndarray) -> int:

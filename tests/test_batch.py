@@ -2,14 +2,15 @@
 
 Site, reach, all-words and decay ranges sample a block of trials at once,
 and wierman ranges couple and verify a block of pairs at once.
-Relaxed and exact reach sweep the whole block in one stacked bitset, and
-exact reach past index 1 then checks a self-avoiding walk only on the
-trials that sweep reaches; all-words and decay walk the word trie once
-per block.  Every per-trial outcome must equal the one-configuration
-search run on sample(region, p, RngStream(seed, t)), for ranges that
-start past 0 and cross block boundaries, serially and fanned out over two
-workers, and the block must take the depth-first steps that the
-per-trial searches take.
+Relaxed and exact reach sweep the whole block in one stacked bitset;
+exact reach to index 3 or on a path is decided by a non-backtracking
+sweep, and past that checks a self-avoiding walk only on the trials the
+relaxed sweep reaches.  All-words and decay walk the word trie once per
+block.  Every per-trial outcome must equal the one-configuration search
+run on sample(region, p, RngStream(seed, t)), for ranges that start past
+0 and cross block boundaries, serially and fanned out over two workers,
+and the block must take the depth-first steps that the per-trial
+searches take, none where the non-backtracking fronts decide.
 """
 
 import math
@@ -180,11 +181,20 @@ def test_exact_reach_block_matches_exact_search(case, word):
     assert_exact_reach_rows(region, colors, src, max_index)
 
 
+def nb_decides(sizes, last_index):
+    """Whether walks of last_index steps that never step straight back are
+    self-avoiding: at most 3 steps in a box (bipartite, girth 4), or any
+    number on a path."""
+    return last_index <= 3 or sum(size > 1 for size in sizes) <= 1
+
+
 def assert_exact_reach_rows(region, colors, src, max_index):
     """Row by row, exact_reach_block is exact_word_reach stopped at
-    max_index, a word too short failing both alike.  The rows its sweep
-    reaches at 1 < max_index < volume take exactly the exact search's
-    depth-first steps; the others take none."""
+    max_index, a word too short failing both alike.  Where the
+    non-backtracking fronts decide (nb_decides), the block takes no
+    depth-first step; elsewhere the rows its relaxed sweep reaches at
+    max_index < volume take exactly the exact search's depth-first steps,
+    and the others take none."""
     cfgs = [Configuration.from_bools(region, row) for row in colors]
 
     def per_row(rows):
@@ -193,8 +203,11 @@ def assert_exact_reach_rows(region, colors, src, max_index):
 
     got, steps = counted(lambda: exact_reach_block(region, colors, src, max_index).tolist())
     assert got == counted(lambda: per_row(cfgs))[0]
+    if nb_decides(region.sizes, max_index):
+        assert steps == 0
+        return
     searched = []
-    if not isinstance(got, str) and 1 < max_index < region.volume:
+    if not isinstance(got, str) and max_index < region.volume:
         searched = [c for c in cfgs
                     if relaxed_word_reach(c, src, max_index).index_hits >> max_index & 1]
     assert steps == counted(lambda: per_row(searched))[1]
@@ -210,12 +223,12 @@ def test_exact_reach_block_takes_one_source_at_offset_0():
             exact_reach_block(region, colors, sources, 2)
 
 
-def sub_box(data, region):
+def sub_box(draw, region):
     """A box of region's points, drawn per axis."""
     intervals = []
     for lo, hi in region.intervals:
-        a = data.draw(st.integers(lo, hi - 1))
-        intervals.append((a, data.draw(st.integers(a + 1, hi))))
+        a = draw(st.integers(lo, hi - 1))
+        intervals.append((a, draw(st.integers(a + 1, hi))))
     return Region(tuple(intervals))
 
 
@@ -223,8 +236,8 @@ def sub_box(data, region):
 @settings(max_examples=150, deadline=None)
 def test_sees_all_words_block_matches_per_row(block, length, mode, data):
     region, colors = block
-    frm = sub_box(data, region)
-    horizon = sub_box(data, region) if data.draw(st.booleans()) else None
+    frm = sub_box(data.draw, region)
+    horizon = sub_box(data.draw, region) if data.draw(st.booleans()) else None
     assert_sees_all_words_rows(region, colors, frm, length, horizon, mode)
 
 
@@ -308,11 +321,81 @@ def test_relaxed_sees_all_words_rows_match_walk_bruteforce(block, length, data):
     over walks inside the horizon, one word at a time in enumerate_words
     order: (ok, first failing word) alike."""
     region, colors = block
-    frm = sub_box(data, region)
-    horizon = sub_box(data, region) if data.draw(st.booleans()) else None
+    frm = sub_box(data.draw, region)
+    horizon = sub_box(data.draw, region) if data.draw(st.booleans()) else None
     got = sees_all_words_block(region, colors, frm, length, horizon, "relaxed")
     assert got == [first_unseen_word(Configuration.from_bools(region, row), length, frm,
                                      "relaxed", horizon) for row in colors]
+
+
+@st.composite
+def nb_cases(draw):
+    """Where the non-backtracking fronts decide: a box of one to three axes
+    and at most 27 sites with a word length of 1 to 4, or a path of up to
+    9 sites along any one of them (a (1, 1, 7) box, say) with a length of
+    1 to 8.  Up to 12 rows of its colours, a sub-box from-region, maybe a
+    horizon, and a reach source, max_index and word: at most index 3 in a
+    box, up to volume + 1 on a path."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    path = draw(st.booleans())
+    if path:
+        sizes = [1] * d
+        sizes[draw(st.integers(0, d - 1))] = draw(st.integers(1, 9))
+    region = Region(tuple((0, s) for s in sizes))
+    colors = sample_block(region, draw(st.sampled_from([0.3, 0.5, 0.7])), draw(SEEDS), 3,
+                          3 + draw(st.integers(1, 12)))
+    length = draw(st.integers(1, 8 if path else 4))
+    frm = sub_box(draw, region)
+    horizon = sub_box(draw, region) if draw(st.booleans()) else None
+    max_index = draw(st.integers(0, region.volume + 1 if path else 3))
+    return (region, colors, length, frm, horizon, draw(st.integers(0, region.volume - 1)),
+            max_index, draw(st.text("01", min_size=max_index + 1, max_size=max_index + 1)))
+
+
+@given(nb_cases())
+@settings(max_examples=200, deadline=None)
+# walks that step straight back read 000 from the middle of three 0-sites,
+# and 010 from rank 0 of 011 and of a 2 x 2 square with one 0-site; no
+# self-avoiding walk does
+@example((Region(((0, 3),)), np.array([[False, False, False], [False, True, True]]), 3,
+          Region(((1, 2),)), None, 0, 2, "010"))
+@example((Region(((0, 2), (0, 2))), np.array([[False, True, True, True]]), 2,
+          Region(((0, 2), (0, 2))), None, 0, 2, "010"))
+def test_non_backtracking_fronts_match_bruteforce(case):
+    """Exact all-words and exact reach rows, where the non-backtracking
+    fronts decide, equal a brute-force search over self-avoiding walks,
+    and take no depth-first step."""
+    region, colors, length, frm, horizon, rank, max_index, word = case
+    got, steps = counted(lambda: sees_all_words_block(region, colors, frm, length, horizon))
+    assert steps == 0
+    cfgs = [Configuration.from_bools(region, row) for row in colors]
+    assert got == [first_unseen_word(c, length, frm, "exact", horizon) for c in cfgs]
+    src = SourceSet.single(region, region.unrank(rank), Word.from_string(word))
+    got, steps = counted(lambda: exact_reach_block(region, colors, src, max_index).tolist())
+    assert steps == 0
+    assert got == [any(t == max_index for _, t in saw_reach_bruteforce(c, src, max_index))
+                   for c in cfgs]
+
+
+def test_non_backtracking_fronts_stop_deciding_at_length_5():
+    """On a 3 x 3 box whose only 0-sites form one unit square, the
+    non-backtracking walks read 00000 by going round the square, the
+    self-avoiding ones cannot: exact all-words of length 5 reports 00000
+    unseen, as brute force does, so the fronts' bound stays at L = 4."""
+    region = box(1, 2)
+    zeros = {(0, 0), (0, 1), (1, 0), (1, 1)}
+    colors = np.array([[p not in zeros for p in region.iter_points()]])
+    cfg = Configuration.from_bools(region, colors[0])
+    lattice, _ = search._stacked(region.sizes)
+    allowed = search._allowed(cfg, None)
+    *_, (_, fronts) = search._nb_sweep(lattice, allowed, 0, range(5),
+                                       {0: search.region_mask(region, [region])})
+    assert any(fronts)  # a non-backtracking walk reads 00000
+    unseen = (False, Word(0, 5))
+    assert first_unseen_word(cfg, 5) == unseen
+    got, steps = counted(lambda: sees_all_words_block(region, colors, region, 5))
+    assert got == [unseen] and steps > 0
 
 
 def sees_words(cfg, ball, L, mode):

@@ -8,7 +8,7 @@ from wordperc.config import Configuration, enumerate_configs, flip_colors, sampl
 from wordperc.errors import CapacityError, DomainError
 from wordperc.geometry import Region, box
 from wordperc.oracles import (connected_bruteforce, distance_map, saw_reach_bruteforce,
-                              walk_reach_bruteforce)
+                              verify_witness, walk_reach_bruteforce)
 from wordperc.rng import RngStream
 from wordperc.search import (
     SourceSet,
@@ -19,7 +19,6 @@ from wordperc.search import (
     relaxed_reach_block,
     relaxed_word_reach,
     sees_all_words,
-    verify_witness,
 )
 from wordperc.words import (AlternatingWord, ConstantWord, PeriodicWord, ProductWord, Word,
                             enumerate_words)

@@ -10,8 +10,9 @@ from wordperc import config, wierman
 from wordperc.config import Configuration
 from wordperc.errors import CapacityError, DomainError
 from wordperc.geometry import Region, box
+from wordperc.oracles import verify_witness
 from wordperc.rng import RngStream
-from wordperc.search import SourceSet, exact_word_reach, verify_witness
+from wordperc.search import SourceSet, exact_word_reach
 from wordperc.wierman import (CoupledPair, couple_block, verify_block, verify_coupling,
                               wierman_couple)
 from wordperc.words import AlternatingWord, ConstantWord, ProductWord, Word
