@@ -11,6 +11,9 @@ Monte Carlo range function takes its configurations as rows of such
 blocks, over trial_blocks, and Configuration.from_rows packs a block's
 rows at once, each keeping its row as the bools() cache (from_bools is
 the one-row case). sample is the one-trial case, for the CLI and the tests.
+A block may cover a sub-box of its region only: each site of it keeps the
+draw of its rank in the region, so a trial that reads only that sub-box
+draws only its sites and gets the same bits.
 
 Binary file format (.wpc): magic "WPC1", u32 version=1, u32 dim,
 dim x (i64 lo, i64 hi), f64 p, u64 master_seed, u64 stream_id, then the
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .geometry import Region, check_dim
-from .rng import RngStream, below, raw_grid
+from .geometry import Region, check_dim, ranks_within
+from .rng import RngStream, below, raw_at
 from .words import Word, _unpack
 
 MAX_ENUM_SITES = 25
@@ -128,14 +131,23 @@ class Configuration:
         return cls(region, word.bits, provenance)
 
 
-def sample_block(region: Region, p: float, master_seed: int, t0: int, t1: int) -> np.ndarray:
-    """Bernoulli(p) colours of trials t0..t1-1 as a (t1 - t0, volume) bool
-    array in rank order: trial t uses stream (master_seed, t), site i its
-    draw i."""
+def sample_block(region: Region, p: float, master_seed: int, t0: int, t1: int,
+                 part: Region | None = None) -> np.ndarray:
+    """Bernoulli(p) colours of trials t0..t1-1 at the sites of part, a box
+    inside region (region itself when None), as a (t1 - t0, part.volume)
+    bool array in part's rank order: trial t uses stream (master_seed, t),
+    and a site its draw in region, draw i for the point of rank i there.
+    A row is thus the full row at ranks_within(part, region), drawn
+    without the sites off part; region is checked against MAX_SITES
+    whatever part is drawn."""
     check_sites(region.volume)
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    return below(raw_grid(master_seed, t0, t1, 0, region.volume), p)
+    part = region if part is None else part
+    if not part.issubset(region):
+        raise DomainError("the sampled part must be a box inside the region")
+    # the ranks are nonnegative, so their uint64 view is the same numbers
+    return below(raw_at(master_seed, t0, t1, ranks_within(part, region).view(np.uint64)), p)
 
 
 def sample_trials(region: Region, p: float, master_seed: int, t0: int, t1: int):

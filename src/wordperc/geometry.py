@@ -121,6 +121,13 @@ class Region:
             ivs.append((lo, hi))
         return Region(tuple(ivs))
 
+    def around(self, pt: Point, r: int) -> "Region":
+        """The box of the points of the region within sup distance r >= 0
+        of pt, one of its points."""
+        self.rank(pt)  # DomainError off the region
+        return Region(tuple((max(lo, x - r - 1), min(hi, x + r))
+                            for x, (lo, hi) in zip(pt, self.intervals)))
+
     def min_point(self) -> Point:
         return tuple(lo + 1 for lo, _ in self.intervals)
 

@@ -17,6 +17,11 @@ count.  Within a range, trials are sampled a block at a time
 (config.sample_block over config.trial_blocks), and reach, allwords and
 decay decide each block with one stacked search (search.relaxed_reach_block,
 exact_reach_block, sees_all_words_block); see the range functions.
+Reach, allwords, decay and renorm good trials draw and search only the
+sub-box their search can read, each site with the draw of its rank in
+the whole region or window, so every outcome is the whole region's; the
+whole region or window is still checked against config.MAX_SITES before
+any draw.
 """
 
 from __future__ import annotations
@@ -29,15 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Configuration, sample_block, trial_blocks
+from .config import Configuration, check_sites, sample_block, trial_blocks
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, run_trials, wilson_interval
 from .geometry import MAX_DIM, Region, box, is_macro_vertex, lambda_box
 from .oriented import crossing_stat, domination_probe, xi5n_stat
-from .renorm import (RenormParams, SeedSet, emn_stat, exploration_stat, good_event,
-                     walk_good_events, walks_decide)
+from .renorm import (RenormParams, SeedSet, _box_view, emn_stat, exploration_stat,
+                     good_event, walk_good_events, walks_decide)
 from .rng import below, raw_grid
-from .search import SourceSet, exact_reach_block, relaxed_reach_block, sees_all_words_block
+from .search import (SourceSet, exact_reach_block, reach_radius, relaxed_reach_block,
+                     sees_all_words_block)
 from .wierman import couple_block, verify_block
 from .words import Word, WordGenerator, generator_from_spec, parse_word_argument
 
@@ -291,11 +297,11 @@ def _validate(spec: ExperimentSpec, v: list[str]):
 #
 # Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
 # Every range that samples a region draws its trials as rows of
-# config.sample_block, in blocks of at most config.BLOCK_SITES sites
-# (config.trial_blocks); reach sweeps a block at once, all-words and decay
-# walk the word trie once per block, and the coupling couples and verifies
-# a block of pairs at a time, two draws per site (wierman.couple_block,
-# verify_block).
+# config.sample_block, in blocks of at most config.BLOCK_SITES sites of
+# the sub-box it reads (config.trial_blocks); reach sweeps a block at once,
+# all-words and decay walk the word trie once per block, and the coupling
+# couples and verifies a block of pairs at a time, two draws per site
+# (wierman.couple_block, verify_block).
 
 
 def _renorm_params(p) -> RenormParams:
@@ -316,7 +322,9 @@ def _site_trials(params, seed, t0, t1) -> list[int]:
 
 def _reach_trials(params, seed, t0, t1) -> list[int]:
     """Whether each trial reaches index max_index (the literal word's last
-    index by default): one stacked sweep per block, relaxed or exact."""
+    index by default): one stacked sweep per block, relaxed or exact, on
+    the part of the region within search.reach_radius of the source, the
+    only sites it reads, which alone are drawn."""
     region = region_from_spec(params["region"])
     p = float(params["p"])
     word = word_from_spec(params["word"])
@@ -326,23 +334,35 @@ def _reach_trials(params, seed, t0, t1) -> list[int]:
             raise DomainError("reach with a generator word needs max_index")
         length = word.length - 1
     length = int(length)
-    src = SourceSet.single(region, tuple(params["source"]), word)
-    reach = relaxed_reach_block if params.get("mode", "exact") == "relaxed" else exact_reach_block
+    relaxed = params.get("mode", "exact") == "relaxed"
+    check_sites(region.volume)  # refused before the word's prefix is read
+    source = tuple(params["source"])
+    part = region.around(source, reach_radius(word, length, relaxed))
+    src = SourceSet.single(part, source, word)
+    reach = relaxed_reach_block if relaxed else exact_reach_block
     out = []
-    for b0, b1 in trial_blocks(t0, t1, region.volume):
-        colors = sample_block(region, p, seed, b0, b1)
-        out += reach(region, colors, src, length).astype(int).tolist()
+    for b0, b1 in trial_blocks(t0, t1, part.volume):
+        colors = sample_block(region, p, seed, b0, b1, part)
+        out += reach(part, colors, src, length).astype(int).tolist()
     return out
+
+
+def _words_box(R: int, m: int, L: int, d: int) -> Region:
+    """The sites a length-L word read from the radius-m ball of the
+    radius-R horizon can reach: a walk of L - 1 steps stays within
+    m + L - 1 of the origin.  A search on that box alone answers as on
+    the horizon, so trials draw and search only it."""
+    return box(min(R, m + L - 1), d)
 
 
 def _allwords_failures(params, seed, t0, t1) -> list[int]:
     """Whether each trial's radius-m ball misses some length-L word inside
-    the radius-R horizon, one trie walk per block."""
-    d = int(params.get("d", 3))
-    horizon, ball = box(int(params["R"]), d), box(int(params["m"]), d)
+    the radius-R horizon, one trie walk per block of _words_box."""
+    d, R, m = int(params.get("d", 3)), int(params["R"]), int(params["m"])
     p, L, mode = float(params["p"]), int(params["L"]), params.get("mode", "exact")
-    return [int(not ok) for b0, b1 in trial_blocks(t0, t1, horizon.volume)
-            for ok, _ in sees_all_words_block(horizon, sample_block(horizon, p, seed, b0, b1),
+    horizon, part, ball = box(R, d), _words_box(R, m, L, d), box(m, d)
+    return [int(not ok) for b0, b1 in trial_blocks(t0, t1, part.volume)
+            for ok, _ in sees_all_words_block(part, sample_block(horizon, p, seed, b0, b1, part),
                                               ball, L, mode=mode)]
 
 
@@ -361,8 +381,10 @@ def _wierman_trials(params, seed, t0, t1) -> list[int]:
 
 def _renorm_good_trials(params, seed, t0, t1) -> list[int]:
     """Good events of the full face of u on the window B^u padded by k + 2.
-    Walk-decided events run a block of trials in one stacked sweep; the
-    others keep one self-avoiding search per trial."""
+    The events read F^u u B^u alone, so the trials draw only its sites, at
+    their window ranks, and search it as their region.  Walk-decided
+    events run a block of trials in one stacked sweep; the others keep one
+    self-avoiding search per trial."""
     rp = _renorm_params(params)
     u = tuple(params.get("u", (0, 0, 2)))
     word = word_from_spec(params["word"])
@@ -370,18 +392,19 @@ def _renorm_good_trials(params, seed, t0, t1) -> list[int]:
     k = rp.k
     su = list(u) + [0] * (rp.d - 3)
     window = Region(tuple((k * s - 2 * k - 2, k * s + 2 * k + 2) for s in su))
+    # an oversized window is refused before the box, the seed and the
+    # word's prefix are built
+    check_sites(window.volume)
+    part = _box_view(u, k, rp.d, window.intervals)[0]
+    seed_set = SeedSet.full_face(u, rp)
+    walks = walks_decide(word, mode, rp.C * (u[0] + 2))
     out = []
-    for b0, b1 in trial_blocks(t0, t1, window.volume):
-        # sampling comes first: sample_block refuses an oversized window
-        # before the seed and the word's prefix are built
-        colors = sample_block(window, rp.p, seed, b0, b1)
-        if b0 == t0:
-            seed_set = SeedSet.full_face(u, rp)
-            walks = walks_decide(word, mode, rp.C * (u[0] + 2))
+    for b0, b1 in trial_blocks(t0, t1, part.volume):
+        colors = sample_block(window, rp.p, seed, b0, b1, part)
         if walks:
-            out += walk_good_events(window, colors, seed_set, word, rp).astype(int).tolist()
+            out += walk_good_events(part, colors, seed_set, word, rp).astype(int).tolist()
         else:
-            out += [int(good_event(Configuration.from_bools(window, row), seed_set, word, rp,
+            out += [int(good_event(Configuration.from_bools(part, row), seed_set, word, rp,
                                    mode=mode)) for row in colors]
     return out
 
@@ -398,16 +421,17 @@ _BERNOULLI = {
 def _decay_failures(p, L, ms, R, d, mode, seed, t0, t1) -> list[int]:
     """Per trial, how many radii of ms (ascending) fail before the first
     one whose ball sees every word.  Each radius walks the trie once per
-    block, over the rows that no smaller ball saw every word from."""
-    horizon = box(R, d)
+    block, over the rows that no smaller ball saw every word from; the
+    trials draw and search the _words_box of the largest radius."""
+    horizon, part = box(R, d), _words_box(R, max(ms), L, d)
     balls = [box(m, d) for m in ms]
     out = []
-    for b0, b1 in trial_blocks(t0, t1, horizon.volume):
-        colors = sample_block(horizon, p, seed, b0, b1)
+    for b0, b1 in trial_blocks(t0, t1, part.volume):
+        colors = sample_block(horizon, p, seed, b0, b1, part)
         fails = np.zeros(len(colors), dtype=int)
         rows = np.arange(len(colors))
         for ball in balls:
-            seen = sees_all_words_block(horizon, colors[rows], ball, L, mode=mode)
+            seen = sees_all_words_block(part, colors[rows], ball, L, mode=mode)
             # larger balls only add start vertices; no further failures
             rows = rows[[not ok for ok, _ in seen]]
             if not len(rows):

@@ -482,15 +482,21 @@ def sample_seed_set(vertices, density: float, rng: RngStream):
 
 
 def _seed_picks(count: int, density: float, master_seed: int, s0: int, s1: int,
-                step: int = 1) -> list[list[int]]:
+                step: int = 1) -> np.ndarray:
     """Per stream s0, s0 + step, ... below s1, the sorted-order positions
-    of the ceil(density * count) seeds it picks: a partial Fisher-Yates
-    shuffle of the positions, draw j being the stream's uniform j."""
+    of the ceil(density * count) seeds it picks, one int64 row each: a
+    partial Fisher-Yates shuffle of the positions, draw j being the
+    stream's uniform j.  The positions are shuffled in place as a
+    memoryview of an int64 array, 8 bytes each, not as a list of int
+    objects, and only the picked prefix is kept."""
     k = max(1, math.ceil(density * count))
     if k > count:
         raise ValueError("sample larger than population")
     draws = uniforms(raw_grid(master_seed, s0, s1, 0, k, step)).tolist()
-    return [shuffled_prefix(list(range(count)), row) for row in draws]
+    picks = np.empty((len(draws), k), dtype=np.int64)
+    for i, row in enumerate(draws):
+        picks[i] = shuffled_prefix(memoryview(np.arange(count, dtype=np.int64)), row)
+    return picks
 
 
 def _seed_column(bits: np.ndarray, picks, pitch: int, keep=None) -> int:

@@ -13,10 +13,13 @@ threshold instead: u53(i) < p iff raw(i) < ceil(p * 2^53) * 2^11, both
 sides exact, so the bits are those of the float comparison.
 
 mix64 is the SplitMix64 finalizer; mix64_array is the same arithmetic on
-a uint64 array, shared by a stream's raw_block and raw_grid, which draws
-a (stream, index) grid at once. Distinct (master_seed, stream_id)
-pairs give streams that are independent for testing purposes; identical
-pairs reproduce identical bit sequences. Trials of a Monte Carlo run own
+a uint64 array, shared by a stream's raw_block and raw_at, which draws a
+(stream, index) grid at once for any array of draw indices; raw_grid is
+its contiguous case.  Each draw depends on its (seed, stream, index)
+alone, so a caller may draw any subset of a stream's indices and get
+the bits those indices have in the whole stream.  Distinct
+(master_seed, stream_id) pairs give streams that are independent for
+testing purposes; identical pairs reproduce identical bit sequences. Trials of a Monte Carlo run own
 stream_ids 0..trials-1 so they parallelize without shared state.
 """
 
@@ -65,20 +68,28 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _draws(bases: np.ndarray, start: int, count: int) -> np.ndarray:
-    """raw(start..start+count-1) of the streams with the given bases, one
-    row per base (a 0-d bases array gives one flat row)."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return mix64_array(bases[..., None] + idx * _A_GOLDEN)
+def _draws(bases: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """raw(i) for every draw index i of idx, a uint64 array, of the streams
+    with the given bases, one row per base (a 0-d bases array gives one
+    flat row): base + GOLDEN * (i + 1) is (base + GOLDEN) + GOLDEN * i."""
+    return mix64_array((bases + _A_GOLDEN)[..., None] + idx * _A_GOLDEN)
+
+
+def raw_at(master_seed: int, t0: int, t1: int, idx: np.ndarray, step: int = 1) -> np.ndarray:
+    """raw(i) for every draw index i of idx (nonnegative integers) of
+    streams t0, t0 + step, ... below t1, one row per stream and one column
+    per index; entry (k, j) is RngStream(master_seed, t0 + k * step).raw(idx[j])."""
+    streams = _U(t0 & MASK64) + np.arange(0, t1 - t0, step, dtype=np.uint64)
+    bases = mix64_array(_U(master_seed & MASK64) ^ streams * _A_GOLDEN)
+    return _draws(bases, np.asarray(idx, dtype=np.uint64))
 
 
 def raw_grid(master_seed: int, t0: int, t1: int, start: int, count: int,
              step: int = 1) -> np.ndarray:
     """raw(start..start+count-1) of streams t0, t0 + step, ... below t1, one
-    row per stream; row k is bit-identical to
+    row per stream, raw_at's contiguous case; row k is bit-identical to
     RngStream(master_seed, t0 + k * step).raw_block."""
-    streams = _U(t0 & MASK64) + np.arange(0, t1 - t0, step, dtype=np.uint64)
-    return _draws(mix64_array(_U(master_seed & MASK64) ^ streams * _A_GOLDEN), start, count)
+    return raw_at(master_seed, t0, t1, np.arange(start, start + count, dtype=np.uint64), step)
 
 
 def uniforms(raw: np.ndarray) -> np.ndarray:
@@ -124,7 +135,8 @@ class RngStream:
 
     def raw_block(self, start: int, count: int) -> np.ndarray:
         """Vectorized raw(start..start+count-1); bit-identical to raw()."""
-        return _draws(np.array(self.base, dtype=np.uint64), start, count)
+        return _draws(np.array(self.base, dtype=np.uint64),
+                      np.arange(start, start + count, dtype=np.uint64))
 
     def uniform_block(self, start: int, count: int) -> np.ndarray:
         return uniforms(self.raw_block(start, count))
@@ -144,10 +156,11 @@ class RngStream:
         return shuffled_prefix(pool, self.uniform_block(i0, size).tolist())
 
 
-def shuffled_prefix(pool: list, draws) -> list:
-    """The first len(draws) items of a partial Fisher-Yates shuffle of pool
-    (in place): uniform draw j swaps item j with item j + int(u * (n - j)),
-    the product of randint_below."""
+def shuffled_prefix(pool, draws):
+    """The first len(draws) items of a partial Fisher-Yates shuffle of pool,
+    a list or a memoryview (in place, the prefix of pool's type): uniform
+    draw j swaps item j with item j + int(u * (n - j)), the product of
+    randint_below."""
     n = len(pool)
     for j, u in enumerate(draws):
         k = j + int(u * (n - j))

@@ -434,6 +434,19 @@ def _relaxed_sweep(lattice, allowed, sources, groups, max_index, repunit=1, sett
             prev2, prev = prev, front
 
 
+def reach_radius(word, max_index: int, relaxed: bool) -> int:
+    """The sup-norm radius around one source at offset 0 within which a
+    block reach to max_index reads colours, relaxed (relaxed_reach_block)
+    or exact (exact_reach_block): a walk to index t stays within distance
+    t of its source, and the relaxed sweep of a word of period at most 2
+    up to max_index settles at index 1, the first past its seed (see
+    _relaxed_sweep).  The reach on region & [source - r, source + r]^d,
+    its sites keeping their colours, thus answers as on the region."""
+    if relaxed and has_period_two(word, max_index):
+        return min(max_index, 1)
+    return max_index
+
+
 def relaxed_word_reach(cfg: Configuration, sources: SourceSet, max_index: int,
                        within=None) -> ReachResult:
     """Product-state BFS; reached pairs form a superset of the exact ones.

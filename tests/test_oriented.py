@@ -43,7 +43,7 @@ from wordperc.oriented import (
     snap_right_column,
     xi_column_reach,
 )
-from wordperc.rng import RngStream, raw_grid
+from wordperc.rng import RngStream, raw_grid, shuffled_prefix
 
 # -- result pins -----------------------------------------------------------------
 #
@@ -525,6 +525,20 @@ def test_raw_grid_step_rows_are_streams(seed, t0, streams, step, extra, start, c
     assert grid.shape == (streams, count)
     for k, row in enumerate(grid):
         assert (row == RngStream(seed, t0 + k * step).raw_block(start, count)).all()
+
+
+@given(SEEDS, st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 2),
+       st.integers(1, 300), st.sampled_from([1e-9, 0.05, 0.2, 0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+@example(1, 2**64 - 2, 3, 2, 1, 1.0)  # one position, streams wrapping past 2^64 - 1
+def test_seed_picks_are_the_list_shuffle(seed, s0, streams, step, count, density):
+    """The picks, shuffled in an int64 memoryview, are the partial
+    Fisher-Yates shuffle of the list of positions, as plain ints."""
+    s1 = s0 + (streams - 1) * step + 1
+    draws = oriented.uniforms(raw_grid(seed, s0, s1, 0, max(1, math.ceil(density * count)),
+                                       step)).tolist()
+    got = oriented._seed_picks(count, density, seed, s0, s1, step)
+    assert got.tolist() == [shuffled_prefix(list(range(count)), row) for row in draws]
 
 
 @pytest.mark.parametrize("kind,verts", [
