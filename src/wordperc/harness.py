@@ -21,7 +21,11 @@ Reach, allwords, decay and renorm good trials draw and search only the
 sub-box their search can read, each site with the draw of its rank in
 the whole region or window, so every outcome is the whole region's; the
 whole region or window is still checked against config.MAX_SITES before
-any draw.
+any draw.  Reach, allwords and decay trials first draw and search a near
+box, one step of walk around the source or the ball, which settles a
+trial whose walks die within one step or, for words, that sees every
+word inside it; only the trials it leaves open draw the sub-box
+(_screened).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from .config import Configuration, check_sites, sample_block, trial_blocks
 from .errors import CapacityError, DomainError, ValidationError
 from .estimate import Estimate, run_trials, wilson_interval
-from .geometry import MAX_DIM, Region, box, is_macro_vertex, lambda_box
+from .geometry import MAX_DIM, Region, box, is_macro_vertex, lambda_box, ranks_within
 from .oriented import crossing_stat, domination_probe, xi5n_stat
 from .renorm import (RenormParams, SeedSet, _box_view, emn_stat, exploration_stat,
                      good_event, walk_good_events, walks_decide)
@@ -298,7 +302,8 @@ def _validate(spec: ExperimentSpec, v: list[str]):
 # Each returns the outcomes of trials t0..t1-1, trial t drawing from stream t.
 # Every range that samples a region draws its trials as rows of
 # config.sample_block, in blocks of at most config.BLOCK_SITES sites of
-# the sub-box it reads (config.trial_blocks); reach sweeps a block at once,
+# the sub-box it reads (config.trial_blocks), or of the near box that
+# screens them first (_screened); reach sweeps a block at once,
 # all-words and decay walk the word trie once per block, and the coupling
 # couples and verifies a block of pairs at a time, two draws per site
 # (wierman.couple_block, verify_block).
@@ -320,11 +325,43 @@ def _site_trials(params, seed, t0, t1) -> list[int]:
     return out
 
 
+def _screened(region: Region, p: float, seed: int, t0: int, t1: int, near: Region,
+              part: Region, screen, decide) -> list[int]:
+    """The outcomes of trials t0..t1-1 from their colours on near, and on
+    part for the trials near leaves open, both boxes inside region.
+
+    decide(colors) gives the outcomes of the rows of a block of colours on
+    part; screen(colors) those of a block on near, or -1 for a row that
+    near leaves open.  Blocks are sized by near, and a block's open rows
+    alone draw part, at their own streams, a chunk of at most
+    BLOCK_SITES // part.volume rows at a time.  Where near is not smaller
+    than part, decide alone decides every trial on part.  Otherwise decide
+    first runs on a block of no trials, so that an input it refuses is
+    refused as without the screen, and before any draw, even where the
+    screen settles every trial."""
+    if near.volume >= part.volume:
+        near, screen = part, decide
+    elif t0 < t1:
+        decide(sample_block(region, p, seed, t0, t0, part))
+    out = []
+    for b0, b1 in trial_blocks(t0, t1, near.volume):
+        got = screen(sample_block(region, p, seed, b0, b1, near))
+        rows = np.flatnonzero(got < 0)
+        for c0, c1 in trial_blocks(0, len(rows), part.volume):
+            got[rows[c0:c1]] = decide(sample_block(region, p, seed, b0, b1, part, rows[c0:c1]))
+        out += got.tolist()
+    return out
+
+
 def _reach_trials(params, seed, t0, t1) -> list[int]:
     """Whether each trial reaches index max_index (the literal word's last
     index by default): one stacked sweep per block, relaxed or exact, on
     the part of the region within search.reach_radius of the source, the
-    only sites it reads, which alone are drawn."""
+    only sites it reads, which alone are drawn.  The near box, the part
+    within distance 1, screens every trial first (_screened): fronts up to
+    index 1 are the same on it as on the part, so a trial whose relaxed
+    front is empty at index 1 there fails, and only the others draw the
+    part."""
     region = region_from_spec(params["region"])
     p = float(params["p"])
     word = word_from_spec(params["word"])
@@ -338,32 +375,51 @@ def _reach_trials(params, seed, t0, t1) -> list[int]:
     check_sites(region.volume)  # refused before the word's prefix is read
     source = tuple(params["source"])
     part = region.around(source, reach_radius(word, length, relaxed))
-    src = SourceSet.single(part, source, word)
+    near = region.around(source, 1)
+    src, near_src = SourceSet.single(part, source, word), SourceSet.single(near, source, word)
     reach = relaxed_reach_block if relaxed else exact_reach_block
-    out = []
-    for b0, b1 in trial_blocks(t0, t1, part.volume):
-        colors = sample_block(region, p, seed, b0, b1, part)
-        out += reach(part, colors, src, length).astype(int).tolist()
-    return out
+    return _screened(region, p, seed, t0, t1, near, part,
+                     lambda colors: -relaxed_reach_block(near, colors, near_src, 1).astype(int),
+                     lambda colors: reach(part, colors, src, length).astype(int))
 
 
 def _words_box(R: int, m: int, L: int, d: int) -> Region:
     """The sites a length-L word read from the radius-m ball of the
     radius-R horizon can reach: a walk of L - 1 steps stays within
     m + L - 1 of the origin.  A search on that box alone answers as on
-    the horizon, so trials draw and search only it."""
+    the horizon, so trials draw and search only it.  Its L = 2 case is
+    the ball's near box, which holds every 2-letter word the ball reads."""
     return box(min(R, m + L - 1), d)
+
+
+def _unseen(region: Region, colors, ball: Region, L: int, mode: str,
+            screen: bool = False) -> np.ndarray:
+    """Per row of colors on region, a box of the horizon: 1 if the row
+    misses some length-L word read from ball, else 0.  With screen, region
+    is the ball's near box, and a row that misses a length-L word there
+    but no 2-letter word is -1, open: a walk on a box of the horizon is
+    one on the horizon, so a row that sees every word there sees them on
+    the horizon, and one that misses a 2-letter word there misses it on
+    the horizon, since one step from the ball stays in the near box."""
+    out = np.array([not ok for ok, _ in sees_all_words_block(region, colors, ball, L, mode=mode)],
+                   dtype=int)
+    if screen and len(rows := np.flatnonzero(out)):
+        seen = sees_all_words_block(region, colors[rows], ball, 2, mode=mode)
+        out[rows[[ok for ok, _ in seen]]] = -1
+    return out
 
 
 def _allwords_failures(params, seed, t0, t1) -> list[int]:
     """Whether each trial's radius-m ball misses some length-L word inside
-    the radius-R horizon, one trie walk per block of _words_box."""
+    the radius-R horizon, one trie walk per block of _words_box, after
+    the ball's near box has screened the block (_screened, _unseen)."""
     d, R, m = int(params.get("d", 3)), int(params["R"]), int(params["m"])
     p, L, mode = float(params["p"]), int(params["L"]), params.get("mode", "exact")
     horizon, part, ball = box(R, d), _words_box(R, m, L, d), box(m, d)
-    return [int(not ok) for b0, b1 in trial_blocks(t0, t1, part.volume)
-            for ok, _ in sees_all_words_block(part, sample_block(horizon, p, seed, b0, b1, part),
-                                              ball, L, mode=mode)]
+    near = _words_box(R, m, 2, d)
+    return _screened(horizon, p, seed, t0, t1, near, part,
+                     lambda colors: _unseen(near, colors, ball, L, mode, screen=True),
+                     lambda colors: _unseen(part, colors, ball, L, mode))
 
 
 def _wierman_trials(params, seed, t0, t1) -> list[int]:
@@ -421,24 +477,34 @@ _BERNOULLI = {
 def _decay_failures(p, L, ms, R, d, mode, seed, t0, t1) -> list[int]:
     """Per trial, how many radii of ms (ascending) fail before the first
     one whose ball sees every word.  Each radius walks the trie once per
-    block, over the rows that no smaller ball saw every word from; the
-    trials draw and search the _words_box of the largest radius."""
+    block, over the rows that no smaller ball saw every word from.  The
+    trials first draw the near box of the largest radius and screen each
+    radius on its own near box, gathered from it (_unseen); a trial that
+    some radius leaves open draws the _words_box of the largest radius
+    and runs every radius there (_screened)."""
     horizon, part = box(R, d), _words_box(R, max(ms), L, d)
+    near = _words_box(R, max(ms), 2, d)
     balls = [box(m, d) for m in ms]
-    out = []
-    for b0, b1 in trial_blocks(t0, t1, part.volume):
-        colors = sample_block(horizon, p, seed, b0, b1, part)
-        fails = np.zeros(len(colors), dtype=int)
+    check_sites(horizon.volume)  # refused before the near boxes are gathered
+    nears = [(box_m, ranks_within(box_m, near)) for box_m in
+             (_words_box(R, m, 2, d) for m in ms)]
+
+    def failures(colors, boxes, screen):
+        out = np.zeros(len(colors), dtype=int)
         rows = np.arange(len(colors))
-        for ball in balls:
-            seen = sees_all_words_block(part, colors[rows], ball, L, mode=mode)
+        for ball, (region, cols) in zip(balls, boxes):
+            got = _unseen(region, colors[rows][:, cols], ball, L, mode, screen)
+            out[rows[got < 0]] = -1  # open
             # larger balls only add start vertices; no further failures
-            rows = rows[[not ok for ok, _ in seen]]
+            rows = rows[got > 0]
             if not len(rows):
                 break
-            fails[rows] += 1
-        out += fails.tolist()
-    return out
+            out[rows] += 1
+        return out
+
+    return _screened(horizon, p, seed, t0, t1, near, part,
+                     lambda colors: failures(colors, nears, True),
+                     lambda colors: failures(colors, [(part, slice(None))] * len(ms), False))
 
 
 def decay_experiment(p: float, L: int, m_list, R: int, trials: int, seed: int, d: int = 3,

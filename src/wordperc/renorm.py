@@ -494,16 +494,21 @@ def macro_exploration(
 
 def overlap_audit(vertices, k: int, d: int) -> tuple:
     """The pairs (a, b) of the sorted macro vertices whose boxes meet
-    ("box-box") or whose faces meet ("face-face"), in pairwise order."""
-    overlaps = []
-    parts = [(macro_box(a, k, d), macro_face(a, k, d)) for a in vertices]
-    for i, (a, (box_a, face_a)) in enumerate(zip(vertices, parts)):
-        for b, (box_b, face_b) in zip(vertices[i + 1 :], parts[i + 1 :]):
-            if box_a.intersect(box_b) is not None:
-                overlaps.append((a, b, "box-box"))
-            if face_a.intersect(face_b) is not None:
-                overlaps.append((a, b, "face-face"))
-    return tuple(overlaps)
+    ("box-box") or whose faces meet ("face-face"), in pairwise order.
+    Two parts meet iff on every axis each one's lower bound lies below the
+    other's upper bound; all pairs are tested at once on the bounds, an
+    axis at a time."""
+    if not vertices:
+        return ()
+    # bounds[axis, i, kind] = (lo, hi) of vertex i's box (kind 0) or face (kind 1)
+    bounds = np.array([[macro_box(a, k, d).intervals, macro_face(a, k, d).intervals]
+                       for a in vertices]).transpose(2, 0, 1, 3)
+    meet = True
+    for lo, hi in zip(bounds[..., 0], bounds[..., 1]):
+        meet = meet & (lo[:, None] < hi) & (lo < hi[:, None])  # [i, j, kind]
+    kinds = ("box-box", "face-face")
+    return tuple((vertices[i], vertices[j], kinds[c])
+                 for i, j, c in np.argwhere(meet).tolist() if i < j)
 
 
 def _emn_trials(m, n, xi, params, mode, master_seed, t0, t1) -> list[bool]:

@@ -14,10 +14,11 @@ sides exact, so the bits are those of the float comparison.
 
 mix64 is the SplitMix64 finalizer; mix64_array is the same arithmetic on
 a uint64 array, shared by a stream's raw_block and raw_at, which draws a
-(stream, index) grid at once for any array of draw indices; raw_grid is
-its contiguous case.  Each draw depends on its (seed, stream, index)
-alone, so a caller may draw any subset of a stream's indices and get
-the bits those indices have in the whole stream.  Distinct
+(stream, index) grid at once for any arrays of stream ids and draw
+indices; raw_grid is its contiguous case.  Each draw depends on its
+(seed, stream, index) alone, so a caller may draw any subset of the
+streams and of their indices and get the bits those indices have in the
+whole stream.  Distinct
 (master_seed, stream_id) pairs give streams that are independent for
 testing purposes; identical pairs reproduce identical bit sequences. Trials of a Monte Carlo run own
 stream_ids 0..trials-1 so they parallelize without shared state.
@@ -75,11 +76,17 @@ def _draws(bases: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return mix64_array((bases + _A_GOLDEN)[..., None] + idx * _A_GOLDEN)
 
 
-def raw_at(master_seed: int, t0: int, t1: int, idx: np.ndarray, step: int = 1) -> np.ndarray:
-    """raw(i) for every draw index i of idx (nonnegative integers) of
-    streams t0, t0 + step, ... below t1, one row per stream and one column
-    per index; entry (k, j) is RngStream(master_seed, t0 + k * step).raw(idx[j])."""
-    streams = _U(t0 & MASK64) + np.arange(0, t1 - t0, step, dtype=np.uint64)
+def stream_ids(t0: int, offsets: np.ndarray) -> np.ndarray:
+    """The stream ids t0 + offsets mod 2^64, a uint64 array, for an array
+    of nonnegative offsets."""
+    return _U(t0 & MASK64) + np.asarray(offsets, dtype=np.uint64)
+
+
+def raw_at(master_seed: int, streams: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """raw(i) for every draw index i of idx (nonnegative integers) of the
+    streams with the ids of streams (a uint64 array), one row per stream
+    and one column per index; entry (k, j) is
+    RngStream(master_seed, streams[k]).raw(idx[j])."""
     bases = mix64_array(_U(master_seed & MASK64) ^ streams * _A_GOLDEN)
     return _draws(bases, np.asarray(idx, dtype=np.uint64))
 
@@ -89,7 +96,8 @@ def raw_grid(master_seed: int, t0: int, t1: int, start: int, count: int,
     """raw(start..start+count-1) of streams t0, t0 + step, ... below t1, one
     row per stream, raw_at's contiguous case; row k is bit-identical to
     RngStream(master_seed, t0 + k * step).raw_block."""
-    return raw_at(master_seed, t0, t1, np.arange(start, start + count, dtype=np.uint64), step)
+    return raw_at(master_seed, stream_ids(t0, np.arange(0, t1 - t0, step, dtype=np.uint64)),
+                  np.arange(start, start + count, dtype=np.uint64))
 
 
 def uniforms(raw: np.ndarray) -> np.ndarray:

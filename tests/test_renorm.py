@@ -383,6 +383,25 @@ def test_exploration_audit_lists_overlaps_in_pairwise_order(monkeypatch):
     assert got == want
 
 
+@pytest.mark.parametrize("grow", [0, 1, 2, 3])
+def test_overlap_audit_matches_the_pairwise_loop(monkeypatch, grow):
+    """Random sets of macro vertices in d = 3 and 4, their parts widened by
+    grow sites: the audit lists the pairwise loop's pairs, in its order."""
+    monkeypatch.setattr(renorm, "macro_box", widened(macro_box, grow))
+    monkeypatch.setattr(renorm, "macro_face", widened(macro_face, grow))
+    stream = RngStream(11, grow)
+    for trial in range(50):
+        vertices = set()
+        for i in range(trial % 12):
+            a, b, c = (stream.randint_below(n, 3 * (12 * trial + i) + j)
+                       for j, n in enumerate((7, 5, 2)))
+            a -= 3
+            vertices.add((2 * a, a % 2 + 2 * (b - 2), 2 - a % 2 + 2 * c))
+        vertices = sorted(vertices)
+        for d in (3, 4):
+            assert renorm.overlap_audit(vertices, 2, d) == pairwise_overlaps(vertices, 2, d)
+
+
 def test_exploration_reports_the_overlap_audit(monkeypatch):
     """macro_exploration reports overlap_audit of its sorted queried
     vertices, as it returns them."""

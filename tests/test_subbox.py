@@ -1,32 +1,36 @@
 """Trials draw and search only the sites they can read.
 
 Site rank i of trial t gets draw i of stream (seed, t) whatever else is
-drawn, so sample_block may draw a sub-box of its region: each of its
-sites keeps its rank's draw in the region.  Reach trials draw the part of
-their region within search.reach_radius of the source, renorm good trials
-the box F^u u B^u of their window, and all-words and decay trials the box
-a length-L word read from the largest ball can reach.  Every outcome must
-equal the per-trial search on the whole region, window or horizon, and
-the draws must cover exactly the sub-box.
+drawn, so sample_block may draw a sub-box of its region, and any subset
+of a block's trials: each site keeps its rank's draw in the region, and
+each row its trial's stream.  Reach trials draw the part of their region
+within search.reach_radius of the source, renorm good trials the box
+F^u u B^u of their window, and all-words and decay trials the box a
+length-L word read from the largest ball can reach.  Reach, all-words and
+decay trials first draw and search a near box, one step around the
+source or the ball, and only the trials it leaves open draw their full
+sub-box.  Every outcome must equal the per-trial search on the whole
+region, window or horizon, and the draws must cover exactly those boxes.
 """
 
 import json
-import math
+from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordperc import config, harness, rng
 from wordperc.cli import main
-from wordperc.config import sample, sample_block
-from wordperc.errors import DomainError
+from wordperc.config import Configuration, sample, sample_block
+from wordperc.errors import CapacityError, DomainError
 from wordperc.geometry import Region, box, ranks_within
 from wordperc.renorm import SeedSet, good_event
 from wordperc.rng import RngStream
-from wordperc.search import (SourceSet, exact_word_reach, reach_radius, relaxed_word_reach,
-                             sees_all_words)
+from wordperc.search import (MAX_INDEX, SourceSet, exact_word_reach, reach_radius,
+                             relaxed_word_reach, sees_all_words)
 
 SEEDS = st.sampled_from([0, 1, 7, 2**63, 2**64 - 1])
 STREAMS = st.one_of(st.integers(0, 100), st.integers(2**64 - 6, 2**64 - 1),
@@ -75,9 +79,26 @@ def test_sub_box_rows_are_full_rows_at_its_ranks(case, p, seed, t0, trials):
     assert got[-1].tolist() == [stream.bernoulli(p, i) for i in ranks.tolist()]
 
 
+@given(parts(), st.sampled_from([0.0, 0.3, 0.5, 1.0]), SEEDS, STREAMS, st.integers(1, 6),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_chosen_rows_are_the_blocks_rows(case, p, seed, t0, trials, data):
+    region, part = case
+    rows = np.array(data.draw(st.lists(st.integers(0, trials - 1), max_size=8)), dtype=np.intp)
+    got = sample_block(region, p, seed, t0, t0 + trials, part, rows)
+    assert got.shape == (len(rows), part.volume)
+    assert (got == sample_block(region, p, seed, t0, t0 + trials, part)[rows]).all()
+
+
 def test_sub_box_outside_the_region_is_refused():
     with pytest.raises(DomainError):
         sample_block(box(2, 2), 0.5, 1, 0, 3, box(3, 2))
+
+
+@pytest.mark.parametrize("rows", [[3], [-1], [0, 5]])
+def test_rows_outside_the_block_are_refused(rows):
+    with pytest.raises(DomainError, match="row offsets"):
+        sample_block(box(2, 2), 0.5, 1, 2**64 - 1, 2**64 + 2, box(1, 2), np.array(rows))
 
 
 # -- reach ------------------------------------------------------------------------
@@ -143,6 +164,32 @@ def test_reach_radius(word, mode, max_index, radius):
     assert reach_radius(harness.word_from_spec(word), max_index, mode == "relaxed") == radius
 
 
+@pytest.mark.parametrize("mode", ["exact", "relaxed"])
+@pytest.mark.parametrize("word,max_index,error,message,fits", [
+    ("110" * 14, MAX_INDEX + 1, CapacityError, f"max_index capped at {MAX_INDEX}", 30),
+    ("110", 5, DomainError, "word too short for requested index range", 2),
+])
+def test_refused_though_the_near_box_settles_every_trial(mode, word, max_index, error,
+                                                         message, fits):
+    """At p = 0 no trial reads the leading 1, so the near box fails every
+    trial, as the run with max_index = fits shows: it draws the 27 sites
+    of the near box alone.  The search's refusal still comes, before any
+    row is drawn."""
+    params = {"region": {"kind": "box", "m": 3, "d": 3}, "p": 0.0, "word": word,
+              "source": [0, 0, 0], "max_index": max_index, "mode": mode}
+    drawn = []
+    with pytest.raises(error) as refused:
+        with mock.patch.object(harness, "sample_block",
+                               lambda *a: drawn.append(sample_block(*a)) or drawn[-1]):
+            harness._reach_trials(params, 1, 0, 50)
+    assert str(refused.value) == message
+    assert [len(colors) for colors in drawn] == [0]
+    params["max_index"] = fits
+    assert harness._reach_trials(params, 1, 0, 50) == [0] * 50
+    blocks = drawn_blocks(harness._reach_trials, params, 1, 0, 50)
+    assert blocks[0][0] > 27 and blocks == [(blocks[0][0], []), (27, list(range(50)))]
+
+
 # -- renorm good ------------------------------------------------------------------
 
 GOOD_CASES = [("alt", "relaxed", 2), ("periodic:110", "relaxed", 2), ("alt", "exact", 2),
@@ -187,11 +234,13 @@ def test_renorm_good_sub_box_k4_self_avoiding(seed):
 # -- all-words and decay ----------------------------------------------------------
 
 @st.composite
-def far_horizons(draw):
-    """R past m + L - 1, so the trials draw less than the horizon."""
-    m, L = draw(st.integers(0, 1)), draw(st.integers(1, 4))
-    return {"p": draw(st.sampled_from([0.3, 0.5, 0.8])), "m": m, "L": L,
-            "R": m + L - 1 + draw(st.integers(1, 2)), "d": draw(st.integers(1, 3)),
+def horizons(draw):
+    """A ball inside its horizon: R from m (the near box is the horizon,
+    no screen) to past m + L - 1 (the trials draw less than the horizon),
+    with L from 1 (no screen) to 5 (exact leaves run depth-first)."""
+    m, L, d = draw(st.integers(0, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    R = draw(st.integers(m, min(m + L + 1, 4 if d == 3 else 6)))
+    return {"p": draw(st.sampled_from([0.3, 0.5, 0.8])), "m": m, "L": L, "R": R, "d": d,
             "mode": draw(st.sampled_from(["exact", "relaxed"]))}
 
 
@@ -201,49 +250,157 @@ def sees_on_horizon(params, m, seed, t):
     return sees_all_words(cfg, box(m, d), params["L"], mode=params["mode"])[0]
 
 
-@given(far_horizons(), SEEDS, STREAMS, st.integers(1, 20), st.integers(1, 400))
-@settings(max_examples=40, deadline=None)
-@example({"p": 0.5, "m": 1, "L": 4, "R": 6, "d": 3, "mode": "exact"}, 1, 0, 6, 400)
-def test_allwords_sub_box_matches_horizon(params, seed, t0, trials, block):
-    with mock.patch.object(config, "BLOCK_SITES", block):
-        got = harness._allwords_failures(params, seed, t0, t0 + trials)
-    assert got == [int(not sees_on_horizon(params, params["m"], seed, t))
-                   for t in range(t0, t0 + trials)]
+def allwords_reference(params, seed, t0, t1):
+    return [int(not sees_on_horizon(params, params["m"], seed, t)) for t in range(t0, t1)]
 
 
-@given(far_horizons(), SEEDS, STREAMS, st.integers(1, 20), st.integers(1, 400))
-@settings(max_examples=30, deadline=None)
-def test_decay_sub_box_matches_horizon(params, seed, t0, trials, block):
-    ms = sorted({0, params["m"]})
-    args = (params["p"], params["L"], ms, params["R"], params["d"], params["mode"], seed)
-    with mock.patch.object(config, "BLOCK_SITES", block):
-        got = harness._decay_failures(*args, t0, t0 + trials)
+def decay_reference(params, ms, seed, t0, t1):
     want = []
-    for t in range(t0, t0 + trials):
+    for t in range(t0, t1):
         fails = 0
         while fails < len(ms) and not sees_on_horizon(params, ms[fails], seed, t):
             fails += 1
         want.append(fails)
+    return want
+
+
+# the spec of test_screen_settles_and_opens: rows settled by either rule,
+# and open rows that see every word on the horizon and that do not
+SCREENED = {"p": 0.4, "m": 1, "L": 4, "R": 4, "d": 2, "mode": "exact"}
+
+
+@given(horizons(), SEEDS, STREAMS, st.integers(1, 20), st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+@example({"p": 0.5, "m": 1, "L": 4, "R": 6, "d": 3, "mode": "exact"}, 1, 0, 6, 400)
+@example(SCREENED, 1, 2**64 - 5, 12, 30)
+@example({**SCREENED, "mode": "relaxed", "L": 5, "R": 5}, 7, 3, 12, 60)
+def test_allwords_sub_box_matches_horizon(params, seed, t0, trials, block):
+    with mock.patch.object(config, "BLOCK_SITES", block):
+        got = harness._allwords_failures(params, seed, t0, t0 + trials)
+    assert got == allwords_reference(params, seed, t0, t0 + trials)
+
+
+@st.composite
+def decay_specs(draw):
+    """A horizon and one to three radii inside it."""
+    params = draw(horizons())
+    return params, sorted(draw(st.sets(st.integers(0, params["R"]), min_size=1, max_size=3)))
+
+
+@given(decay_specs(), SEEDS, STREAMS, st.integers(1, 20), st.integers(1, 400))
+@settings(max_examples=40, deadline=None)
+@example(({**SCREENED, "R": 5}, [1, 2]), 3, 2**64 - 5, 12, 30)
+def test_decay_sub_box_matches_horizon(case, seed, t0, trials, block):
+    params, ms = case
+    args = (params["p"], params["L"], ms, params["R"], params["d"], params["mode"], seed)
+    with mock.patch.object(config, "BLOCK_SITES", block):
+        got = harness._decay_failures(*args, t0, t0 + trials)
+    assert got == decay_reference(params, ms, seed, t0, t0 + trials)
+
+
+def opened_trials(fn, *args):
+    """The trials whose full sub-box a screened range function draws, those
+    its near box leaves open: the rows of the blocks as wide as its first,
+    the block of no trials that checks the input (drawn_blocks, below)."""
+    blocks = drawn_blocks(fn, *args)
+    return {t for sites, trials in blocks[1:] if sites == blocks[0][0] for t in trials}
+
+
+@pytest.mark.parametrize("kind", ["reach", "allwords", "decay"])
+def test_screen_settles_and_opens(kind):
+    """Known specs whose trials reach every outcome the screen has: settled
+    by the failure rule, by the success rule (words only) and open, with
+    open trials that succeed and that fail.  Each must match the whole
+    horizon or region."""
+    t0, t1 = 2**64 - 20, 2**64 + 40
+    if kind == "reach":
+        params = {"region": {"kind": "box", "m": 3, "d": 2}, "p": 0.5, "source": [0, 0],
+                  "word": "product:q=0.5,seed=2", "max_index": 5, "mode": "exact"}
+        got = harness._reach_trials(params, 3, t0, t1)
+        opened = opened_trials(harness._reach_trials, params, 3, t0, t1)
+        want = reach_reference(params, 3, t0, t1)
+        failed, passed = 0, 1
+    elif kind == "allwords":
+        got = harness._allwords_failures(SCREENED, 3, t0, t1)
+        opened = opened_trials(harness._allwords_failures, SCREENED, 3, t0, t1)
+        want = allwords_reference(SCREENED, 3, t0, t1)
+        failed, passed = 1, 0
+    else:
+        params = {**SCREENED, "R": 5}
+        args = (params["p"], params["L"], [1, 2], params["R"], params["d"], params["mode"], 3)
+        got = harness._decay_failures(*args, t0, t1)
+        opened = opened_trials(harness._decay_failures, *args, t0, t1)
+        want = decay_reference(params, [1, 2], 3, t0, t1)
+        failed, passed = 2, 0  # every ball fails, or the first sees every word
     assert got == want
+    kinds = Counter((t in opened, outcome) for t, outcome in zip(range(t0, t1), got))
+    assert kinds[False, failed] and kinds[True, failed] and kinds[True, passed]
+    assert bool(kinds[False, passed]) == (kind != "reach")
 
 
 # -- what the trials draw ---------------------------------------------------------
 
-def drawn_columns(fn, *args):
-    """The column counts of every block the range function samples."""
-    columns = []
+def drawn_blocks(fn, *args):
+    """(columns, trials) of every block the range function samples, in
+    order: the sites it draws per row, and the trials of its rows."""
+    blocks = []
 
-    def counting(*a, **kw):
-        out = sample_block(*a, **kw)
-        columns.append(out.shape[1])
+    def recording(region, p, seed, t0, t1, part=None, rows=None):
+        out = sample_block(region, p, seed, t0, t1, part, rows)
+        trials = range(t0, t1) if rows is None else [t0 + r for r in rows.tolist()]
+        blocks.append((out.shape[1], list(trials)))
         return out
 
-    with mock.patch.object(harness, "sample_block", counting):
+    with mock.patch.object(harness, "sample_block", recording):
         fn(*args)
-    return columns
+    return blocks
+
+
+def blocks_of(sites, trials):
+    """The trials in blocks of at most BLOCK_SITES // sites rows (at least
+    one), each drawing sites per row."""
+    size = max(1, config.BLOCK_SITES // sites)
+    return [(sites, trials[i:i + size]) for i in range(0, len(trials), size)]
+
+
+def screened_blocks(t0, t1, near, sites, opened):
+    """A screened range's draws: a block of no trials on the sub-box (the
+    search checks its input before any draw), then blocks sized by the
+    near box, each followed by its open trials' sub-box in chunks."""
+    want = [(sites, [])]
+    for _, block in blocks_of(near, list(range(t0, t1))):
+        want += [(near, block)] + blocks_of(sites, [t for t in block if t in opened])
+    return want
+
+
+def near_colors(region, near, p, seed, t):
+    """Trial t's colouring of the near box, each site with its draw in region."""
+    bits = sample(region, p, RngStream(seed, t)).bools()[ranks_within(near, region)]
+    return Configuration.from_bools(near, bits)
+
+
+def reach_open(params, seed, t):
+    """Whether a reach trial's relaxed front at index 1 is nonempty."""
+    region = harness.region_from_spec(params["region"])
+    src = SourceSet.single(region, tuple(params["source"]), harness.word_from_spec(params["word"]))
+    cfg = sample(region, params["p"], RngStream(seed, t))
+    return relaxed_word_reach(cfg, src, 1).index_hits >> 1 & 1
+
+
+def words_open(params, m, seed, t):
+    """Whether the ball of radius m is left open by its near box, the box
+    one step around it: it misses some length-L word there (the first
+    ball that does not, or every ball, settles the trial) but no 2-letter
+    word (a ball that does settles a failure)."""
+    d, R = params["d"], params["R"]
+    cfg = near_colors(box(R, d), box(min(R, m + 1), d), params["p"], seed, t)
+    return [sees_all_words(cfg, box(m, d), L, mode=params["mode"])[0]
+            for L in (params["L"], 2)]
 
 
 BOX6 = {"kind": "box", "m": 6, "d": 3}
+# trials of test_trials_draw_only_the_sub_box and the decay test the near box leaves open
+OPENED = {"reach": 338, "allwords": 0, "decay": 1}
 
 
 @pytest.mark.parametrize("kind,params,sites", [
@@ -260,15 +417,63 @@ BOX6 = {"kind": "box", "m": 6, "d": 3}
     ("allwords", {"p": 0.5, "m": 1, "L": 3, "R": 6, "d": 3, "mode": "exact"}, 343),
 ])
 def test_trials_draw_only_the_sub_box(kind, params, sites):
-    columns = drawn_columns(harness._BERNOULLI[kind], params, 5, 0, 700)
-    assert set(columns) == {sites}
-    # blocks are sized by the sub-box
-    assert len(columns) == math.ceil(700 / max(1, config.BLOCK_SITES // sites))
+    """Every block, in order.  A radius-1 reach and renorm draw their sub-box
+    in blocks sized by it.  An exact reach to index 4 and all-words with
+    L = 3 screen on their near box (27 and 125 sites), which sizes the
+    blocks, and draw the sub-box only for the trials it leaves open."""
+    blocks = drawn_blocks(harness._BERNOULLI[kind], params, 5, 0, 700)
+    if kind == "reach" and params["mode"] == "exact":
+        opened = {t for t in range(700) if reach_open(params, 5, t)}
+        assert blocks == screened_blocks(0, 700, 27, sites, opened)
+        assert len(opened) == OPENED["reach"]
+    elif kind == "allwords":
+        opened = {t for t in range(700) if words_open(params, 1, 5, t) == [False, True]}
+        assert blocks == screened_blocks(0, 700, 125, sites, opened)
+        assert len(opened) == OPENED["allwords"]
+    else:
+        assert blocks == blocks_of(sites, list(range(700)))
 
 
 def test_decay_draws_the_largest_balls_box():
+    """Decay screens every ball on its near box, gathered from the largest
+    ball's (49 sites); a trial that some ball leaves open draws the 81
+    sites the largest ball's words reach, once, for every ball."""
+    params = {"p": 0.5, "L": 3, "R": 9, "d": 2, "mode": "relaxed"}
+    opened = set()
+    for t in range(40):
+        for m in (0, 1, 2):
+            seen = words_open(params, m, 5, t)
+            if seen != [False, False]:  # not a settled failure
+                if seen == [False, True]:
+                    opened.add(t)
+                break
     args = (0.5, 3, [0, 1, 2], 9, 2, "relaxed", 5, 0, 40)
-    assert drawn_columns(harness._decay_failures, *args) == [9 * 9]
+    assert drawn_blocks(harness._decay_failures, *args) == screened_blocks(0, 40, 49, 81,
+                                                                          opened)
+    assert len(opened) == OPENED["decay"]
+
+
+def drawn_sites(fn, *args):
+    """Rows drawn per row width by a range function."""
+    drawn = Counter()
+    for sites, rows in drawn_blocks(fn, *args):
+        drawn[sites] += len(rows)
+    return dict(drawn)
+
+
+def test_benchmark_inputs_draw_counts():
+    """Three of the lattice_mc benchmark's inputs at seed 1, as one range:
+    the exact reach draws 27 sites for each trial and 343 for the 96 that
+    the near box leaves open; all-words and decay draw only their near
+    boxes (the sub-box's entries are the blocks of no trials that check
+    the input)."""
+    reach = {"region": {"kind": "box", "m": 3, "d": 3}, "p": 0.5, "source": [0, 0, 0],
+             "word": {"kind": "product", "q": 0.5, "seed": 2}, "max_index": 12, "mode": "exact"}
+    assert drawn_sites(harness._reach_trials, reach, 1, 0, 200) == {27: 200, 343: 96}
+    allwords = {"p": 0.5, "m": 1, "L": 4, "R": 3, "d": 3, "mode": "exact"}
+    assert drawn_sites(harness._allwords_failures, allwords, 1, 0, 100) == {125: 100, 343: 0}
+    decay = (0.5, 6, [0, 1, 2], 4, 3, "relaxed", 1, 0, 10)
+    assert drawn_sites(harness._decay_failures, *decay) == {343: 10, 729: 0}
 
 
 # -- guards come before any draw --------------------------------------------------
